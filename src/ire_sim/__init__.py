@@ -59,6 +59,7 @@ from .experiments import (
     write_sweep_csv,
 )
 from .retrieval import (
+    PRUNE_FLOOR,
     EtaEstimate,
     Scenario,
     Wavenumbers,
@@ -74,6 +75,7 @@ from .retrieval import (
 
 __all__ = [
     "__version__",
+    "PRUNE_FLOOR",
     "AngularField",
     "AngularGrid",
     "AtomSample",

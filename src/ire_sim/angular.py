@@ -29,16 +29,19 @@ import datetime
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from ._version import __version__
-from .ensemble import _sample_range, drift
+from .ensemble import AtomSample, _sample_range, drift
 from .retrieval import (
+    PRUNE_FLOOR,
     EtaEstimate,
     Scenario,
+    _prune,
     resolve_threads,
     spinwave_amplitude,
     wavenumbers,
@@ -176,6 +179,13 @@ class AngularField:
     values has one complex entry per node (level-major). source_s2 is
     sum_j |A_j|^2 over the atoms that generated the field; it is the
     denominator of the reference efficiency and survives normalization.
+    n_atoms is the ensemble size.
+
+    n_kept atoms cleared PRUNE_FLOOR and were summed; dropped_amplitude is
+    D = sum |A_j| over the rest, in the units of A (before normalization).
+    Skipping them moves the raw field by at most D / sqrt(4 pi) at every
+    node and source_s2 by at most PRUNE_FLOOR amp0 D. The defaults,
+    n_kept = n_atoms and D = 0, mean nothing was dropped.
     """
 
     values: np.ndarray
@@ -183,30 +193,16 @@ class AngularField:
     source_s2: float
     n_atoms: int
     seed: int
+    n_kept: int | None = None
+    dropped_amplitude: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.n_kept is None:
+            object.__setattr__(self, "n_kept", self.n_atoms)
 
 
-def field_from_atoms(
-    amplitudes: np.ndarray,
-    positions: np.ndarray,
-    skew_theta: float,
-    k_r: float,
-    k_i: float,
-    grid: AngularGrid,
-    seed: int = 0,
-) -> AngularField:
-    """Emitted field of explicitly given stored amplitudes and positions.
-
-    positions are the drifted (emission-time) coordinates, shape (n, 3).
-    This is the single-chunk core of angular_field; it is exposed so small
-    hand-built configurations (one atom, two atoms) can be checked against
-    closed forms.
-    """
-    amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
-    if positions.ndim != 2 or positions.shape[1] != 3:
-        raise ValueError("positions must have shape (n, 3)")
-    if amplitudes.shape != (positions.shape[0],):
-        raise ValueError("amplitudes and positions disagree on atom count")
+def _field_sums(amplitudes, positions, skew_theta, k_r, k_i, grid):
+    """Raw partial field (Re, Im) of atoms at drifted positions (n, 3)."""
     nx, ny, nz = grid.unit_vectors()
     out_re = np.zeros(grid.n_nodes)
     out_im = np.zeros(grid.n_nodes)
@@ -227,6 +223,32 @@ def field_from_atoms(
         out_re,
         out_im,
     )
+    return out_re, out_im
+
+
+def field_from_atoms(
+    amplitudes: np.ndarray,
+    positions: np.ndarray,
+    skew_theta: float,
+    k_r: float,
+    k_i: float,
+    grid: AngularGrid,
+    seed: int = 0,
+) -> AngularField:
+    """Emitted field of explicitly given stored amplitudes and positions.
+
+    positions are the drifted (emission-time) coordinates, shape (n, 3).
+    This is the single-chunk core of angular_field, without its skip of
+    atoms below PRUNE_FLOOR; it is exposed so small hand-built
+    configurations (one atom, two atoms) can be checked against closed forms.
+    """
+    amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ValueError("positions must have shape (n, 3)")
+    if amplitudes.shape != (positions.shape[0],):
+        raise ValueError("amplitudes and positions disagree on atom count")
+    out_re, out_im = _field_sums(amplitudes, positions, skew_theta, k_r, k_i, grid)
     values = (out_re + 1j * out_im) / math.sqrt(4.0 * math.pi)
     s2 = float(np.sum(amplitudes.real**2 + amplitudes.imag**2))
     return AngularField(
@@ -239,34 +261,22 @@ def field_from_atoms(
 
 
 def _angular_worker(task):
-    """Field partial sums for one atom chunk (top level for process pools)."""
+    """Field partial sums for one atom chunk (top level for process pools).
+
+    Returns the raw partial field, sum |A_j|^2 over the kept atoms, the
+    chunk's dropped amplitude and its kept-atom count.
+    """
     scenario, lo, hi, grid = task
     sample = _sample_range(scenario.cloud, scenario.seed, lo, hi)
-    sample = drift(sample, scenario.storage_tm)
+    keep, dropped = _prune(sample.r_initial, scenario)
+    sample = drift(AtomSample(sample.r_initial[keep], sample.velocity[keep]),
+                   scenario.storage_tm)
     amps = spinwave_amplitude(sample, scenario)
     kn = wavenumbers(scenario.species)
-    nx, ny, nz = grid.unit_vectors()
-    out_re = np.zeros(grid.n_nodes)
-    out_im = np.zeros(grid.n_nodes)
-    fn = _kernels.angular_chunk if _kernels.HAVE_NUMBA else _kernels.angular_chunk_np
-    fn(
-        np.ascontiguousarray(amps.real),
-        np.ascontiguousarray(amps.imag),
-        sample.r_drifted[:, 0].copy(),
-        sample.r_drifted[:, 1].copy(),
-        sample.r_drifted[:, 2].copy(),
-        math.sin(scenario.skew_theta),
-        math.cos(scenario.skew_theta),
-        kn.k_r,
-        kn.k_i,
-        nx,
-        ny,
-        nz,
-        out_re,
-        out_im,
-    )
+    out_re, out_im = _field_sums(amps, sample.r_drifted, scenario.skew_theta,
+                                 kn.k_r, kn.k_i, grid)
     s2 = float(np.sum(amps.real**2 + amps.imag**2))
-    return out_re, out_im, s2
+    return out_re, out_im, s2, dropped, len(sample)
 
 
 def angular_field(
@@ -276,8 +286,10 @@ def angular_field(
 
     Atoms stream in fixed chunks of ANGULAR_CHUNK_ATOMS; chunk partial
     fields are added in ascending chunk order, so the result is
-    bit-identical for every thread count. Cost is atoms x nodes; see the
-    module docstring for the intended size range.
+    bit-identical for every thread count. Atoms below PRUNE_FLOOR are
+    skipped before the kernel, so the cost is kept atoms x nodes; the field
+    records their summed amplitude (see AngularField). See the module
+    docstring for the intended size range.
     """
     if scenario.mc_atoms is not None:
         raise ValueError(
@@ -293,22 +305,24 @@ def angular_field(
     ]
     acc_re = np.zeros(grid.n_nodes)
     acc_im = np.zeros(grid.n_nodes)
-    s2 = 0.0
-    if threads == 1 or n_chunks == 1:
-        parts = map(_angular_worker, tasks)
-        for out_re, out_im, part_s2 in parts:
+    s2 = dropped = 0.0
+    n_kept = 0
+    with ExitStack() as stack:
+        if threads == 1 or n_chunks == 1:
+            parts = map(_angular_worker, tasks)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(threads, n_chunks)))
+            parts = pool.map(_angular_worker, tasks, chunksize=1)
+        for out_re, out_im, part_s2, part_dropped, part_kept in parts:  # chunk order
             acc_re += out_re
             acc_im += out_im
             s2 += part_s2
-    else:
-        with ProcessPoolExecutor(max_workers=min(threads, n_chunks)) as pool:
-            for out_re, out_im, part_s2 in pool.map(_angular_worker, tasks, chunksize=1):
-                acc_re += out_re
-                acc_im += out_im
-                s2 += part_s2
+            dropped += part_dropped
+            n_kept += part_kept
     values = (acc_re + 1j * acc_im) / math.sqrt(4.0 * math.pi)
     return AngularField(
-        values=values, normalized=False, source_s2=s2, n_atoms=n, seed=scenario.seed
+        values=values, normalized=False, source_s2=s2, n_atoms=n, seed=scenario.seed,
+        n_kept=n_kept, dropped_amplitude=dropped,
     )
 
 
@@ -329,6 +343,8 @@ def normalize_field(field: AngularField, grid: AngularGrid) -> AngularField:
         source_s2=field.source_s2,
         n_atoms=field.n_atoms,
         seed=field.seed,
+        n_kept=field.n_kept,
+        dropped_amplitude=field.dropped_amplitude,
     )
 
 
@@ -368,6 +384,8 @@ def eta_angular(
         n_atoms=field.n_atoms,
         method="angular",
         seed=scenario.seed,
+        n_kept=field.n_kept,
+        dropped_amplitude=field.dropped_amplitude,
     )
 
 
@@ -379,25 +397,36 @@ def _nearest_level(level_theta: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.where(theta - left <= right - theta, idx - 1, idx)
 
 
-def _raster_rows(
+def _raster_nodes(
+    grid: AngularGrid, theta_axis: np.ndarray, phi_axis: np.ndarray
+) -> np.ndarray:
+    """Index of the grid node nearest each raster cell, shape (n_theta, n_phi)."""
+    lvl = _nearest_level(grid.level_theta, theta_axis)
+    dphi = 2.0 * math.pi / grid.n_phi
+    pidx = np.mod(np.rint(phi_axis / dphi - 0.5).astype(np.int64), grid.n_phi)
+    return lvl[:, None] * grid.n_phi + pidx[None, :]
+
+
+def _write_raster(
+    fh,
     field: AngularField,
     grid: AngularGrid,
     theta_axis: np.ndarray,
     phi_axis: np.ndarray,
-) -> np.ndarray:
-    lvl = _nearest_level(grid.level_theta, theta_axis)
-    dphi = 2.0 * math.pi / grid.n_phi
-    pidx = np.mod(np.rint(phi_axis / dphi - 0.5).astype(np.int64), grid.n_phi)
-    node = lvl[:, None] * grid.n_phi + pidx[None, :]
-    v = field.values[node]
-    out = np.empty((theta_axis.size * phi_axis.size, 4))
-    tt = np.repeat(theta_axis, phi_axis.size)
-    pp = np.tile(phi_axis, theta_axis.size)
-    out[:, 0] = tt
-    out[:, 1] = pp
-    out[:, 2] = v.real.ravel()
-    out[:, 3] = v.imag.ravel()
-    return out
+) -> None:
+    """Write raster rows `theta,phi,re,im`, each value as %.17g, to fh.
+
+    Byte-identical to np.savetxt(fmt="%.17g", delimiter=",") of the same
+    rows, but each axis value and each referenced node value is formatted
+    once, and each theta row of cells is joined from those strings.
+    """
+    used, cell = np.unique(_raster_nodes(grid, theta_axis, phi_axis), return_inverse=True)
+    v = field.values[used]
+    node_txt = ["%.17g,%.17g\n" % pair for pair in zip(v.real.tolist(), v.imag.tolist())]
+    phi_txt = ["%.17g," % p for p in phi_axis.tolist()]
+    for t, row in zip(theta_axis.tolist(), cell.reshape(theta_axis.size, phi_axis.size)):
+        t_txt = "%.17g," % t
+        fh.write("".join(t_txt + p + node_txt[c] for p, c in zip(phi_txt, row.tolist())))
 
 
 def export_heatmap(
@@ -441,9 +470,10 @@ def export_heatmap(
         ("heatmap_sphere.csv", 0.0, math.pi),
         ("heatmap_cap.csv", grid.cap_theta_min, math.pi),
     ):
-        rows = _raster_rows(field, grid, axis(tlo, thi, raster_n), phi_axis)
         path = os.path.join(out_dir, name)
-        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            _write_raster(fh, field, grid, axis(tlo, thi, raster_n), phi_axis)
         paths.append(path)
 
     meta = {
@@ -470,6 +500,9 @@ def export_heatmap(
         "mc_atoms": scenario.mc_atoms if scenario.mc_atoms is not None else "",
         "field_n_atoms": field.n_atoms,
         "field_seed": field.seed,
+        "prune_floor": PRUNE_FLOOR,
+        "n_kept": field.n_kept,
+        "dropped_amplitude": field.dropped_amplitude,
         "grid_n_levels": grid.n_levels,
         "grid_n_phi": grid.n_phi,
         "grid_cap_theta_min_rad": grid.cap_theta_min,

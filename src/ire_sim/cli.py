@@ -36,7 +36,7 @@ from .angular import (
 )
 from .config import ConfigError, build_scenario, read_config, resolution_report
 from .experiments import SWEEP_AXES, SweepSpec, run_sweep, write_sweep_csv
-from .retrieval import Scenario, eta_paraxial, wavenumbers
+from .retrieval import PRUNE_FLOOR, Scenario, eta_paraxial, wavenumbers
 
 ETA_CSV_COLUMNS = (
     "od",
@@ -225,6 +225,9 @@ def _cmd_eta(args) -> int:
         )
     meta = {"package_version": __version__, "config_path": os.path.abspath(args.config)}
     meta.update(report)
+    meta["prune_floor"] = PRUNE_FLOOR
+    meta["n_kept"] = est.n_kept
+    meta["dropped_amplitude"] = est.dropped_amplitude
     meta["timestamp_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     _write_meta(os.path.join(args.out, "eta_meta.txt"), meta)
     print(f"wrote {csv_path}")

@@ -127,6 +127,23 @@ def _raw_words(seed: int, index_lo: int, index_hi: int) -> np.ndarray:
     return raw.reshape(n, 8)
 
 
+def _positions_from_raw(raw: np.ndarray, r0: float) -> np.ndarray:
+    """Initial positions (n, 3) from counter words 0..3 alone.
+
+    The sampler's Box-Muller map restricted to the position normals: pair 0
+    gives x and y, the cosine half of pair 1 gives z. Lets a caller decide
+    per atom before it pays for the velocity words.
+    """
+    u = (raw[:, :4] >> np.uint64(11)).astype(np.float64) * _kernels._U53 + _kernels._U54
+    ra = np.sqrt(-2.0 * np.log(u[:, 0]))
+    aa = 2.0 * np.pi * u[:, 1]
+    r = np.empty((raw.shape[0], 3))
+    r[:, 0] = r0 * (ra * np.cos(aa))
+    r[:, 1] = r0 * (ra * np.sin(aa))
+    r[:, 2] = r0 * (np.sqrt(-2.0 * np.log(u[:, 2])) * np.cos(2.0 * np.pi * u[:, 3]))
+    return r
+
+
 def _sample_range(cloud: CloudSpec, seed: int, index_lo: int, index_hi: int) -> AtomSample:
     """Samples for the atom index range [index_lo, index_hi), no N cap."""
     raw = _raw_words(seed, index_lo, index_hi)

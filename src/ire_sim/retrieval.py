@@ -19,9 +19,17 @@ correlation angle of a ~30 um emitting column equals the lobe width).
 The numerator runs over the full physical ensemble by default (streaming,
 counter-based sampling, compensated chunk sums merged in ascending chunk
 order, so the result is bit-identical for any thread count). A subsampled
-unbiased estimator of the same full-N quantity is available through
-Scenario.mc_atoms for survey work; its numerator uses the standard
-pair-statistics rescaling E[N^2 mean_offdiag + N mean_diag].
+estimator of the same full-N quantity is available through
+Scenario.mc_atoms for survey work; its numerator uses the pair-statistics
+rescaling N^2 max(mean_offdiag, 0) + N mean_diag. The clamp at 0 fires when
+the sampled off-diagonal mean comes out negative (it does at a 2 deg tilt
+and 200 us storage, where the coherent sum has decayed into its noise), and
+the estimate is not bounded above by 1 at small subsamples.
+
+Atoms whose stored amplitude is at most PRUNE_FLOOR of its peak are decided
+from their positions alone and skipped before the per-atom kernels; the
+estimate records how many atoms were kept and the summed amplitude of the
+rest, which bounds what the skip can move (see EtaEstimate).
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .ensemble import (
     CloudSpec,
     SpeciesConstants,
     _GAUSS_VOLUME,
+    _positions_from_raw,
     _raw_words,
     _sample_range,
     drift,
@@ -53,6 +62,15 @@ from .ensemble import (
 CHUNK_ATOMS = 1 << 20
 
 THREADS_ENV_VAR = "IRE_SIM_THREADS"
+
+# An atom whose stored amplitude |A_j| is at most PRUNE_FLOOR * amp0, with
+# amp0 = write peak x signal peak the largest |A| any position can have, is
+# skipped before the per-atom kernels. On the canonical cloud that is about
+# 97 % of the atoms, and what they carry together is below 1e-15 of the
+# total sum |A_j|. A module constant, not a setting: the estimates record
+# the dropped amplitude, so the bound travels with every result.
+PRUNE_FLOOR = 1e-18
+_LN_PRUNE_FLOOR = math.log(PRUNE_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -100,7 +118,8 @@ class Scenario:
     skew_theta about x; the signal and idler collection modes live on the
     lab z axis. n_atoms is the resolved ensemble size; mc_atoms, when set,
     makes the efficiency estimator subsample that many atoms of the same
-    stream instead of streaming all of them (unbiased for the full-N value).
+    stream instead of streaming all of them, and rescale the sums to
+    estimate the full-N value (see eta_paraxial for the clamp this uses).
     """
 
     species: SpeciesConstants
@@ -221,7 +240,20 @@ class EtaEstimate:
     """Retrieval efficiency with the sums and run settings behind it.
 
     eta = numerator / denominator always holds; denominator is the diagonal
-    norm sum|A|^2 plus the pair-term lobe power C (N-1)/N.
+    norm sum|A|^2 plus the pair-term lobe power C (N-1)/N. n_atoms is the
+    ensemble size.
+
+    n_kept counts the atoms (of those streamed: mc_atoms when subsampling)
+    whose stored amplitude cleared PRUNE_FLOOR * amp0 and went through the
+    per-atom kernel; dropped_amplitude is D = sum |A_j| over the others.
+    Skipping them moves the streamed sums by at most
+
+        |dS1| <= c_P D              (c_P = sqrt(2)/(k_i W_i) >= |P_j|)
+        |dS2| <= PRUNE_FLOOR amp0 D (each dropped |A_j| <= PRUNE_FLOOR amp0)
+
+    and, for the angular estimate, the emitted field by at most
+    D / sqrt(4 pi) at every node. The defaults, n_kept = n_atoms and D = 0,
+    mean nothing was dropped.
     """
 
     eta: float
@@ -230,6 +262,12 @@ class EtaEstimate:
     n_atoms: int
     method: str
     seed: int
+    n_kept: int | None = None
+    dropped_amplitude: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.n_kept is None:
+            object.__setattr__(self, "n_kept", self.n_atoms)
 
 
 def spinwave_amplitude(sample: AtomSample, scenario: Scenario) -> np.ndarray:
@@ -279,6 +317,33 @@ def idler_projection(sample: AtomSample, scenario: Scenario) -> np.ndarray:
     return env * np.exp(1j * phase)
 
 
+def _prune(r: np.ndarray, scenario: Scenario) -> tuple[np.ndarray, float]:
+    """Which atoms at initial positions r (n, 3) the kernels need.
+
+    ln(|A_j| / amp0) is the sum of the log envelopes of the tilted write
+    mode and the signal mode, ln[exp(-rho^2 / (w0^2 u)) / sqrt(u)] with
+    u = 1 + z^2/z_R^2; each is at most 0, so amp0 bounds |A_j| from above.
+    Returns the mask of atoms with |A_j| > PRUNE_FLOOR * amp0 and
+    D = sum |A_j| over the rest. Decided atom by atom, so any chunking of
+    the stream keeps the same atoms.
+    """
+    w, s = scenario.write_mode, scenario.signal_mode
+    ct, st = math.cos(scenario.skew_theta), math.sin(scenario.skew_theta)
+    x2, y, z = r[:, 0] ** 2, r[:, 1], r[:, 2]
+    yt = y * ct - z * st
+    zt = y * st + z * ct
+    uw = 1.0 + (zt / w.rayleigh_z) ** 2
+    us = 1.0 + (z / s.rayleigh_z) ** 2
+    ln_rel = (
+        -(x2 + yt * yt) / (w.waist_w0**2 * uw)
+        - (x2 + y * y) / (s.waist_w0**2 * us)
+        - 0.5 * np.log(uw * us)
+    )
+    keep = ln_rel > _LN_PRUNE_FLOOR
+    amp0 = abs(w.peak_amplitude * s.peak_amplitude)
+    return keep, amp0 * float(np.sum(np.exp(ln_rel[~keep])))
+
+
 def draw_sample(scenario: Scenario, n: int | None = None) -> AtomSample:
     """Sample the first n atoms of the scenario's stream, drift applied."""
     count = scenario.n_atoms if n is None else int(n)
@@ -326,13 +391,17 @@ def _kernel_args(scenario: Scenario):
 
 
 def _eta_worker(task):
-    """One chunk of the streaming accumulator (top level for process pools)."""
+    """One chunk of the streaming accumulator (top level for process pools).
+
+    Returns the kernel's (Re S1, Im S1, S2, SXX) over the kept atoms, then
+    the chunk's dropped amplitude and kept-atom count.
+    """
     scenario, lo, hi = task
     raw = _raw_words(scenario.seed, lo, hi)
-    args = _kernel_args(scenario)
-    if _kernels.HAVE_NUMBA:
-        return _kernels.eta_chunk(raw, *args)
-    return _kernels.eta_chunk_np(raw, *args)
+    keep, dropped = _prune(_positions_from_raw(raw, scenario.cloud.sigma_r0), scenario)
+    kept = raw[keep]
+    kernel = _kernels.eta_chunk if _kernels.HAVE_NUMBA else _kernels.eta_chunk_np
+    return (*kernel(kept, *_kernel_args(scenario)), dropped, kept.shape[0])
 
 
 def _kahan(state, x):
@@ -351,9 +420,14 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
     Streams the ensemble in fixed chunks of CHUNK_ATOMS, accumulating
     S1 = sum A_j R_j P_j and the diagonal norms; chunk partials are merged
     in ascending chunk order with compensated addition, so the output is
-    bit-identical for every thread count. With Scenario.mc_atoms set, only
-    that many atoms are streamed and the numerator is rescaled by pair
-    statistics to estimate the full-N value (unbiased).
+    bit-identical for every thread count. Atoms below PRUNE_FLOOR are
+    skipped; the estimate records their summed amplitude (see EtaEstimate).
+
+    With Scenario.mc_atoms set, only that many atoms are streamed and the
+    numerator is rescaled by pair statistics to estimate the full-N value,
+    N^2 max(mean_offdiag, 0) + N mean_diag. The clamp sets a negative
+    sampled off-diagonal mean to 0, leaving the diagonal term alone; the
+    rescaled estimate can also read above 1 at small subsamples.
     """
     n_total = scenario.n_atoms
     mc = scenario.mc_atoms if scenario.mc_atoms is not None else n_total
@@ -369,13 +443,19 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
         with ProcessPoolExecutor(max_workers=min(threads, n_chunks)) as pool:
             partials = list(pool.map(_eta_worker, tasks, chunksize=1))
 
-    acc = [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
+    acc = [(0.0, 0.0)] * 5
     for part in partials:  # ascending chunk order
-        for k in range(4):
+        for k in range(5):
             acc[k] = _kahan(acc[k], part[k])
-    s1r, s1i, s2, sxx = (a[0] + a[1] for a in acc)
+    s1r, s1i, s2, sxx, dropped = (a[0] + a[1] for a in acc)
+    n_kept = sum(part[5] for part in partials)
 
     if s2 <= 0.0:
+        if n_kept == 0:
+            raise ArithmeticError(
+                f"every streamed atom's stored amplitude is below PRUNE_FLOOR = "
+                f"{PRUNE_FLOOR:g} of its peak (dropped sum |A_j| = {dropped:.3g})"
+            )
         raise ArithmeticError("degenerate cloud: sum |A_j|^2 = 0, no stored amplitude")
 
     lobe = coherent_lobe_power(scenario)
@@ -397,6 +477,8 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
         n_atoms=n_total,
         method=method,
         seed=scenario.seed,
+        n_kept=n_kept,
+        dropped_amplitude=dropped,
     )
 
 

@@ -299,3 +299,26 @@ def test_export_heatmap_reruns_byte_identical(tmp_path):
     p2 = export_heatmap(field, grid, scn, str(tmp_path / "b"), raster_n=32)
     for a, b in zip(p1[:2], p2[:2]):
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_export_heatmap_matches_savetxt_bytes(tmp_path):
+    # The raster writer formats each value once and joins the strings; its
+    # bytes must equal np.savetxt's of the same rows.
+    from ire_sim.angular import _raster_nodes
+
+    grid = build_grid(KN.k_i, W_COLLECT, n_cap=64, n_base=48, n_phi=32)
+    scn = canonical_scenario(n_atoms_override=3000, seed=5)
+    field = normalize_field(angular_field(scn, grid), grid)
+    raster_n = 40
+    paths = export_heatmap(field, grid, scn, str(tmp_path / "out"), raster_n=raster_n)
+    phi_axis = (np.arange(raster_n) + 0.5) * 2.0 * math.pi / raster_n
+    for path, lo in zip(paths[:2], (0.0, grid.cap_theta_min)):
+        theta_axis = lo + (math.pi - lo) * (np.arange(raster_n) + 0.5) / raster_n
+        v = field.values[_raster_nodes(grid, theta_axis, phi_axis)].ravel()
+        rows = np.column_stack(
+            [np.repeat(theta_axis, raster_n), np.tile(phi_axis, raster_n), v.real, v.imag]
+        )
+        ref = tmp_path / "ref.csv"
+        np.savetxt(ref, rows, fmt="%.17g", delimiter=",",
+                   header="theta_rad,phi_rad,re,im", comments="")
+        assert open(path, "rb").read() == ref.read_bytes()
