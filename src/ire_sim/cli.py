@@ -228,6 +228,7 @@ def _cmd_eta(args) -> int:
     meta["prune_floor"] = PRUNE_FLOOR
     meta["n_kept"] = est.n_kept
     meta["dropped_amplitude"] = est.dropped_amplitude
+    meta["clamped"] = est.clamped
     meta["timestamp_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     _write_meta(os.path.join(args.out, "eta_meta.txt"), meta)
     print(f"wrote {csv_path}")

@@ -10,9 +10,11 @@ A sweep takes a base scenario and varies exactly one axis:
 Each value runs `replicates` times with seeds base, base+1, ...; a row
 reports the replicate mean and the standard error of that mean (sample
 standard deviation over sqrt(replicates), zero for a single replicate). A
-failing value produces an error row and the sweep continues. Numeric CSV
-fields carry 9 significant digits; reruns of the same spec produce
-byte-identical files.
+value that fails with a ValueError or ArithmeticError produces an error
+row and the sweep continues. A storage-time sweep of the paraxial
+estimator streams each replicate's atoms once for all its storage times.
+Numeric CSV fields carry 9 significant digits; reruns of the same spec
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .angular import eta_angular
 from .ensemble import density_for_od, optical_depth
-from .retrieval import Scenario, eta_paraxial
+from .retrieval import Scenario, _eta_stream, eta_paraxial
 
 SWEEP_AXES = ("width_ratio", "optical_depth", "storage_time", "skew_angle")
 SWEEP_METHODS = ("paraxial", "angular")
@@ -128,12 +130,16 @@ def scenario_for_value(base: Scenario, axis: str, value: float) -> Scenario:
         cloud = replace(base.cloud, peak_density_n0=n0)
         return replace(base, cloud=cloud, n_atoms=cloud.atom_count)
     if axis == "storage_time":
-        if value < 0.0:
-            raise ValueError("storage_time must be >= 0 (microseconds)")
+        if not 0.0 <= value < math.inf:
+            raise ValueError("storage_time must be finite and >= 0 (microseconds)")
         return replace(base, storage_tm=value * 1e-6)
     if axis == "skew_angle":
         return replace(base, skew_theta=math.radians(value))
     raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+
+
+# Position of each axis's own column among the _descriptors values.
+_AXIS_COLUMN = {"optical_depth": 0, "width_ratio": 1, "skew_angle": 2, "storage_time": 3}
 
 
 def _descriptors(scenario: Scenario) -> tuple[float, float, float, float]:
@@ -147,63 +153,57 @@ def _descriptors(scenario: Scenario) -> tuple[float, float, float, float]:
 
 
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[SweepRow]:
-    """Run every sweep value; failed values become error rows, not aborts."""
-    rows: list[SweepRow] = []
-    for value in spec.values:
-        seed_base = spec.base.seed
+    """Run every sweep value; a value that fails becomes an error row, not an abort.
+
+    Only ValueError and ArithmeticError become error rows; any other
+    exception is a programming error and propagates. On the storage_time
+    axis with the paraxial method, each replicate's atoms are drawn and
+    skip-tested once and evaluated at every valid storage time, with all
+    replicates' chunks on one process pool; each row is bit-identical to
+    eta_paraxial at its point. An error from that shared stream fails
+    every valid value of the sweep.
+    """
+    seeds = range(spec.base.seed, spec.base.seed + spec.replicates)
+    points, etas, failed = {}, {}, {}  # keyed by the value's index
+    for i, value in enumerate(spec.values):
         try:
             scenario = scenario_for_value(spec.base, spec.axis, value)
-            od, wr, theta_deg, tm_us = _descriptors(scenario)
-            etas = []
-            for r in range(spec.replicates):
-                scn_r = replace(scenario, seed=seed_base + r)
-                if spec.method == "paraxial":
-                    est = eta_paraxial(scn_r, threads=threads)
-                else:
-                    est = eta_angular(scn_r, threads=threads)
-                etas.append(est.eta)
-            mean, stderr = aggregate(etas)
-            rows.append(
-                SweepRow(
-                    od=od,
-                    wr=wr,
-                    theta_deg=theta_deg,
-                    tm_us=tm_us,
-                    n_atoms=scenario.n_atoms,
-                    method=spec.method,
-                    replicates=spec.replicates,
-                    eta_mean=mean,
-                    eta_stderr=stderr,
-                    etas=tuple(etas),
-                    seed_base=seed_base,
+            points[i] = (scenario, _descriptors(scenario))
+        except (ValueError, ArithmeticError) as exc:
+            failed[i] = exc
+    if spec.axis == "storage_time" and spec.method == "paraxial":
+        storage_times = tuple(scenario.storage_tm for scenario, _ in points.values())
+        jobs = [(replace(spec.base, seed=seed), storage_times) for seed in seeds]
+        try:
+            per_seed = _eta_stream(jobs, threads) if points else []
+            for m, i in enumerate(points):
+                etas[i] = tuple(ests[m].eta for ests in per_seed)
+        except (ValueError, ArithmeticError) as exc:
+            failed.update(dict.fromkeys(points, exc))
+    else:
+        estimator = eta_paraxial if spec.method == "paraxial" else eta_angular
+        for i, (scenario, _) in points.items():
+            try:
+                etas[i] = tuple(
+                    estimator(replace(scenario, seed=seed), threads=threads).eta
+                    for seed in seeds
                 )
-            )
-        except Exception as exc:
-            od, wr, theta_deg, tm_us = _descriptors(spec.base)
-            if spec.axis == "optical_depth":
-                od = value
-            elif spec.axis == "width_ratio":
-                wr = value
-            elif spec.axis == "skew_angle":
-                theta_deg = value
-            else:
-                tm_us = value
-            rows.append(
-                SweepRow(
-                    od=od,
-                    wr=wr,
-                    theta_deg=theta_deg,
-                    tm_us=tm_us,
-                    n_atoms=spec.base.n_atoms,
-                    method=spec.method,
-                    replicates=spec.replicates,
-                    eta_mean=math.nan,
-                    eta_stderr=math.nan,
-                    etas=(),
-                    seed_base=seed_base,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            except (ValueError, ArithmeticError) as exc:
+                failed[i] = exc
+
+    rows: list[SweepRow] = []
+    for i, value in enumerate(spec.values):
+        if i in failed:
+            # the base's descriptors, with the failed axis value echoed
+            desc = list(_descriptors(spec.base))
+            desc[_AXIS_COLUMN[spec.axis]] = value
+            error = f"{type(failed[i]).__name__}: {failed[i]}"
+            rows.append(SweepRow(*desc, spec.base.n_atoms, spec.method, spec.replicates,
+                                 math.nan, math.nan, (), spec.base.seed, error))
+        else:
+            scenario, desc = points[i]
+            rows.append(SweepRow(*desc, scenario.n_atoms, spec.method, spec.replicates,
+                                 *aggregate(etas[i]), etas[i], spec.base.seed))
     return rows
 
 

@@ -26,6 +26,11 @@ the sampled off-diagonal mean comes out negative (it does at a 2 deg tilt
 and 200 us storage, where the coherent sum has decayed into its noise), and
 the estimate is not bounded above by 1 at small subsamples.
 
+The storage time enters neither the sampled positions nor the stored
+amplitudes, so one stream can serve several storage times: a chunk's words
+and skip mask are drawn once and the kernel runs per storage time, and the
+lobe power C(t_m) is one reduction of a per-node table cached without t_m.
+
 Atoms whose stored amplitude is at most PRUNE_FLOOR of its peak are decided
 from their positions alone and skipped before the per-atom kernels; the
 estimate records how many atoms were kept and the summed amplitude of the
@@ -37,7 +42,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,8 +158,8 @@ class Scenario:
             )
         if not (abs(self.skew_theta) < 0.5 * math.pi):
             raise ValueError("skew_theta must satisfy |theta| < pi/2")
-        if self.storage_tm < 0.0:
-            raise ValueError("storage_tm must be >= 0")
+        if not 0.0 <= self.storage_tm < math.inf:
+            raise ValueError("storage_tm must be finite and >= 0")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.n_atoms < 1:
@@ -254,6 +259,11 @@ class EtaEstimate:
     and, for the angular estimate, the emitted field by at most
     D / sqrt(4 pi) at every node. The defaults, n_kept = n_atoms and D = 0,
     mean nothing was dropped.
+
+    clamped is True when a subsampled estimate's off-diagonal pair mean came
+    out negative and was set to 0, so that numerator is the diagonal term
+    N mean_diag alone (see eta_paraxial); it is False for every other
+    estimate.
     """
 
     eta: float
@@ -264,6 +274,7 @@ class EtaEstimate:
     seed: int
     n_kept: int | None = None
     dropped_amplitude: float = 0.0
+    clamped: bool = False
 
     def __post_init__(self) -> None:
         if self.n_kept is None:
@@ -330,15 +341,15 @@ def _prune(r: np.ndarray, scenario: Scenario) -> tuple[np.ndarray, float]:
     w, s = scenario.write_mode, scenario.signal_mode
     ct, st = math.cos(scenario.skew_theta), math.sin(scenario.skew_theta)
     x2, y, z = r[:, 0] ** 2, r[:, 1], r[:, 2]
+    # term by term, in place, so that few chunk-sized temporaries live at once
+    uw = 1.0 + ((y * st + z * ct) / w.rayleigh_z) ** 2
     yt = y * ct - z * st
-    zt = y * st + z * ct
-    uw = 1.0 + (zt / w.rayleigh_z) ** 2
+    ln_rel = -(x2 + yt * yt) / (w.waist_w0**2 * uw)
+    del yt
     us = 1.0 + (z / s.rayleigh_z) ** 2
-    ln_rel = (
-        -(x2 + yt * yt) / (w.waist_w0**2 * uw)
-        - (x2 + y * y) / (s.waist_w0**2 * us)
-        - 0.5 * np.log(uw * us)
-    )
+    ln_rel -= (x2 + y * y) / (s.waist_w0**2 * us)
+    uw *= us
+    ln_rel -= 0.5 * np.log(uw)
     keep = ln_rel > _LN_PRUNE_FLOOR
     amp0 = abs(w.peak_amplitude * s.peak_amplitude)
     return keep, amp0 * float(np.sum(np.exp(ln_rel[~keep])))
@@ -364,7 +375,8 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
-def _kernel_args(scenario: Scenario):
+def _kernel_args(scenario: Scenario, storage_tm: float | None = None):
+    """The chunk kernel's arguments, at storage_tm (default: the scenario's)."""
     kn = wavenumbers(scenario.species)
     w = scenario.write_mode
     s = scenario.signal_mode
@@ -372,7 +384,7 @@ def _kernel_args(scenario: Scenario):
     return (
         scenario.cloud.sigma_r0,
         thermal_velocity_sigma(scenario.cloud),
-        scenario.storage_tm,
+        scenario.storage_tm if storage_tm is None else storage_tm,
         math.sin(scenario.skew_theta),
         math.cos(scenario.skew_theta),
         kn.k_w,
@@ -393,15 +405,18 @@ def _kernel_args(scenario: Scenario):
 def _eta_worker(task):
     """One chunk of the streaming accumulator (top level for process pools).
 
-    Returns the kernel's (Re S1, Im S1, S2, SXX) over the kept atoms, then
-    the chunk's dropped amplitude and kept-atom count.
+    Draws the chunk's counter words, positions and skip mask once, then runs
+    the chunk kernel on the kept atoms at each storage time. Returns one
+    kernel tuple (Re S1, Im S1, S2, SXX) per storage time, then the chunk's
+    dropped amplitude and kept-atom count, which no storage time changes.
     """
-    scenario, lo, hi = task
+    scenario, storage_times, lo, hi = task
     raw = _raw_words(scenario.seed, lo, hi)
     keep, dropped = _prune(_positions_from_raw(raw, scenario.cloud.sigma_r0), scenario)
     kept = raw[keep]
     kernel = _kernels.eta_chunk if _kernels.HAVE_NUMBA else _kernels.eta_chunk_np
-    return (*kernel(kept, *_kernel_args(scenario)), dropped, kept.shape[0])
+    sums = tuple(kernel(kept, *_kernel_args(scenario, tm)) for tm in storage_times)
+    return sums, dropped, kept.shape[0]
 
 
 def _kahan(state, x):
@@ -412,6 +427,93 @@ def _kahan(state, x):
     else:
         c += (x - t) + s
     return t, c
+
+
+def _estimate(scenario: Scenario, partials) -> EtaEstimate:
+    """Merge one storage time's chunk partials (ascending chunk order) into eta.
+
+    partials holds (Re S1, Im S1, S2, SXX, dropped, n_kept) per chunk; the
+    scenario carries the storage time they were computed at.
+    """
+    n_total = scenario.n_atoms
+    mc = scenario.mc_atoms if scenario.mc_atoms is not None else n_total
+    acc = [(0.0, 0.0)] * 5
+    for part in partials:
+        for k in range(5):
+            acc[k] = _kahan(acc[k], part[k])
+    s1r, s1i, s2, sxx, dropped = (a[0] + a[1] for a in acc)
+    n_kept = sum(part[5] for part in partials)
+
+    if s2 <= 0.0:
+        if n_kept == 0:
+            raise ArithmeticError(
+                f"every streamed atom's stored amplitude is below PRUNE_FLOOR = "
+                f"{PRUNE_FLOOR:g} of its peak (dropped sum |A_j| = {dropped:.3g})"
+            )
+        raise ArithmeticError("degenerate cloud: sum |A_j|^2 = 0, no stored amplitude")
+
+    clamped = False
+    if mc == n_total:
+        numerator = s1r * s1r + s1i * s1i
+        s2_full = s2
+    else:
+        mean_diag = sxx / mc
+        mean_offdiag = ((s1r * s1r + s1i * s1i) - sxx) / (mc * (mc - 1))
+        clamped = mean_offdiag < 0.0
+        numerator = n_total * n_total * max(mean_offdiag, 0.0) + n_total * mean_diag
+        s2_full = s2 * (n_total / mc)
+    denominator = s2_full + coherent_lobe_power(scenario) * (n_total - 1) / n_total
+    return EtaEstimate(
+        eta=numerator / denominator,
+        numerator=numerator,
+        denominator=denominator,
+        n_atoms=n_total,
+        method="paraxial",
+        seed=scenario.seed,
+        n_kept=n_kept,
+        dropped_amplitude=dropped,
+        clamped=clamped,
+    )
+
+
+def _eta_stream(jobs, threads: int | None = None) -> list[list[EtaEstimate]]:
+    """Streaming estimates for (scenario, storage times) jobs, one stream each.
+
+    Each job's atoms are drawn and skip-tested once; the chunk kernel then
+    runs on the kept atoms at every storage time, whatever the scenario's
+    own storage_tm. Every chunk of every job goes through one pool.map on
+    one process pool (none for one thread or one chunk), and each storage
+    time's partials merge in ascending chunk order, so each estimate is
+    bit-identical to eta_paraxial at that storage time for every thread
+    count. Returns, per job, one EtaEstimate per storage time.
+    """
+    threads = resolve_threads(threads)
+    tasks, spans = [], []
+    for scenario, storage_times in jobs:
+        mc = scenario.mc_atoms if scenario.mc_atoms is not None else scenario.n_atoms
+        first = len(tasks)
+        tasks += [
+            (scenario, tuple(storage_times), lo, min(lo + CHUNK_ATOMS, mc))
+            for lo in range(0, mc, CHUNK_ATOMS)
+        ]
+        spans.append((first, len(tasks)))
+    if threads == 1 or len(tasks) == 1:
+        partials = [_eta_worker(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            partials = list(pool.map(_eta_worker, tasks, chunksize=1))
+
+    out = []
+    for (scenario, storage_times), (first, last) in zip(jobs, spans):
+        chunks = partials[first:last]
+        out.append([
+            _estimate(
+                replace(scenario, storage_tm=tm),
+                [(*sums[m], dropped, kept) for sums, dropped, kept in chunks],
+            )
+            for m, tm in enumerate(storage_times)
+        ])
+    return out
 
 
 def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
@@ -426,66 +528,18 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
     With Scenario.mc_atoms set, only that many atoms are streamed and the
     numerator is rescaled by pair statistics to estimate the full-N value,
     N^2 max(mean_offdiag, 0) + N mean_diag. The clamp sets a negative
-    sampled off-diagonal mean to 0, leaving the diagonal term alone; the
-    rescaled estimate can also read above 1 at small subsamples.
+    sampled off-diagonal mean to 0, leaving the diagonal term alone, and
+    the estimate records that it fired (EtaEstimate.clamped); the rescaled
+    estimate can also read above 1 at small subsamples.
     """
-    n_total = scenario.n_atoms
-    mc = scenario.mc_atoms if scenario.mc_atoms is not None else n_total
-    threads = resolve_threads(threads)
-
-    n_chunks = (mc + CHUNK_ATOMS - 1) // CHUNK_ATOMS
-    tasks = [
-        (scenario, ci * CHUNK_ATOMS, min((ci + 1) * CHUNK_ATOMS, mc)) for ci in range(n_chunks)
-    ]
-    if threads == 1 or n_chunks == 1:
-        partials = [_eta_worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(threads, n_chunks)) as pool:
-            partials = list(pool.map(_eta_worker, tasks, chunksize=1))
-
-    acc = [(0.0, 0.0)] * 5
-    for part in partials:  # ascending chunk order
-        for k in range(5):
-            acc[k] = _kahan(acc[k], part[k])
-    s1r, s1i, s2, sxx, dropped = (a[0] + a[1] for a in acc)
-    n_kept = sum(part[5] for part in partials)
-
-    if s2 <= 0.0:
-        if n_kept == 0:
-            raise ArithmeticError(
-                f"every streamed atom's stored amplitude is below PRUNE_FLOOR = "
-                f"{PRUNE_FLOOR:g} of its peak (dropped sum |A_j| = {dropped:.3g})"
-            )
-        raise ArithmeticError("degenerate cloud: sum |A_j|^2 = 0, no stored amplitude")
-
-    lobe = coherent_lobe_power(scenario)
-    if mc == n_total:
-        numerator = s1r * s1r + s1i * s1i
-        s2_full = s2
-        method = "paraxial"
-    else:
-        mean_diag = sxx / mc
-        mean_offdiag = ((s1r * s1r + s1i * s1i) - sxx) / (mc * (mc - 1))
-        numerator = n_total * n_total * max(mean_offdiag, 0.0) + n_total * mean_diag
-        s2_full = s2 * (n_total / mc)
-        method = "paraxial"
-    denominator = s2_full + lobe * (n_total - 1) / n_total
-    return EtaEstimate(
-        eta=numerator / denominator,
-        numerator=numerator,
-        denominator=denominator,
-        n_atoms=n_total,
-        method=method,
-        seed=scenario.seed,
-        n_kept=n_kept,
-        dropped_amplitude=dropped,
-    )
+    return _eta_stream([(scenario, (scenario.storage_tm,))], threads)[0][0]
 
 
-# Cache of lobe powers: the quadrature is deterministic in these inputs and
-# sweeps revisit the same physics point once per replicate.
-_LOBE_CACHE: dict[tuple, float] = {}
-_LOBE_CACHE_MAX = 64
+# Cache of lobe tables: the per-node quadrature table is deterministic in
+# these inputs, and neither the storage time nor the seed enters it, so a
+# storage sweep builds it once and every replicate and storage time reuses it.
+_LOBE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_LOBE_CACHE_MAX = 16
 
 # Validated quadrature densities for the lobe integral: polar node spacing
 # (rad) and azimuthal node count per cap-width unit; refining either by 1.5x
@@ -518,20 +572,22 @@ def coherent_lobe_power(
     and midpoint nodes in azimuth. Node counts default to densities whose
     refinement was verified stable; the cap half-width adapts to the tilt
     so the lobe stays covered.
+
+    The storage time enters only through that damping, so the quadrature
+    is kept as a per-node table of w |Fbar_0|^2 (quadrature weight times
+    the undamped lobe) and |q|^2, cached under a key without tm or the
+    seed. C(tm) = sum w |Fbar_0|^2 e^{-tm^2 sigma_v^2 |q|^2} is one
+    reduction over that table, the same on a cold call and on a cached
+    one, so a storage sweep pays for the table once.
     """
     kn = wavenumbers(scenario.species)
     cloud = scenario.cloud
     w_w = scenario.write_mode.waist_w0
     w_s = scenario.signal_mode.waist_w0
-    z_w = scenario.write_mode.rayleigh_z
-    z_s = scenario.signal_mode.rayleigh_z
-    theta = scenario.skew_theta
-    tm = scenario.storage_tm
-    sig_v = thermal_velocity_sigma(cloud)
     amp0 = scenario.write_mode.peak_amplitude * scenario.signal_mode.peak_amplitude
 
     w_eff = 1.0 / math.sqrt(1.0 / w_w**2 + 1.0 / w_s**2)
-    th_cap = abs(theta) + 12.0 / (kn.k_i * w_eff)
+    th_cap = abs(scenario.skew_theta) + 12.0 / (kn.k_i * w_eff)
     if n_theta is None:
         n_theta = max(96, int(math.ceil(th_cap / _LOBE_THETA_SPACING)))
     if n_phi is None:
@@ -539,21 +595,51 @@ def coherent_lobe_power(
 
     key = (
         kn.k_w, kn.k_s, kn.k_r, kn.k_i, w_w, w_s, cloud.sigma_r0,
-        cloud.peak_density_n0, sig_v, theta, tm, amp0, n_theta, n_phi, n_z, n_y,
+        cloud.peak_density_n0, scenario.skew_theta, amp0, n_theta, n_phi, n_z, n_y,
     )
-    hit = _LOBE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    table = _LOBE_CACHE.get(key)
+    if table is None:
+        table = _lobe_table(scenario, kn, w_eff, th_cap, n_theta, n_phi, n_z, n_y)
+        if len(_LOBE_CACHE) >= _LOBE_CACHE_MAX:
+            _LOBE_CACHE.clear()
+        _LOBE_CACHE[key] = table
+    weight, q2 = table
+    damp = (scenario.storage_tm * thermal_velocity_sigma(cloud)) ** 2
+    return float(np.sum(weight * np.exp(-damp * q2)))
 
-    ct, st = math.cos(theta), math.sin(theta)
+
+def _lobe_table(
+    scenario: Scenario, kn: Wavenumbers, w_eff: float, th_cap: float,
+    n_theta: int, n_phi: int, n_z: int, n_y: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node w |Fbar_0|^2 and |q|^2 of coherent_lobe_power, one row per polar level.
+
+    The y sums of all azimuth columns of one polar level are one
+    (n_z, n_y) x (n_y, columns) product; the x factor and the z sum follow
+    per level.
+    """
+    cloud = scenario.cloud
+    w_w = scenario.write_mode.waist_w0
+    w_s = scenario.signal_mode.waist_w0
+    z_w = scenario.write_mode.rayleigh_z
+    z_s = scenario.signal_mode.rayleigh_z
+    amp0 = scenario.write_mode.peak_amplitude * scenario.signal_mode.peak_amplitude
+    ct, st = math.cos(scenario.skew_theta), math.sin(scenario.skew_theta)
     r0 = cloud.sigma_r0
     n0 = cloud.peak_density_n0
 
     xg, wg = np.polynomial.legendre.leggauss(n_theta)
     thp = 0.5 * th_cap * (xg + 1.0)
     wth = 0.5 * th_cap * wg * np.sin(thp)
-    phig = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    wphi = 2.0 * np.pi / n_phi
+    # Fbar depends on kx only through kx^2, so for an even n_phi the
+    # azimuth nodes phi and pi - phi pair up; each pair is one column,
+    # weighted twice.
+    node = np.arange(n_phi)
+    if n_phi % 2 == 0:
+        node = np.minimum(node, (n_phi // 2 - 1 - node) % n_phi)
+    node, mult = np.unique(node, return_counts=True)
+    phig = 2.0 * np.pi * (node + 0.5) / n_phi
+    wphi = 2.0 * np.pi / n_phi * mult
 
     y_max = 6.615 * w_eff
     zs = np.linspace(-5.0 * r0, 5.0 * r0, n_z)
@@ -583,6 +669,7 @@ def coherent_lobe_power(
         - kn.k_r * zt
     )
     base = env * np.exp(1j * ph)
+    del zg, yg, zt, yt, uw, us, env, ph
 
     # x-direction Gaussian width (complex: envelopes + curvature), on axis
     zt0 = zs * ct
@@ -592,34 +679,22 @@ def coherent_lobe_power(
     beta -= 1j * (
         kn.k_w * zt0 / (2.0 * (zt0**2 + z_w**2)) - kn.k_s * zs / (2.0 * (zs**2 + z_s**2))
     )
-    xfac0 = np.sqrt(np.pi / beta)
+    xfac0 = np.sqrt(np.pi / beta)[:, None]
+    inv_4beta = (0.25 / beta)[:, None]
 
-    inv_sqrt_4pi = 1.0 / math.sqrt(4.0 * math.pi)
-    total = 0.0
+    scale = dz * dy / math.sqrt(4.0 * math.pi)
+    weight = np.empty((n_theta, phig.size))
+    q2 = np.empty((n_theta, phig.size))
+    cphi, sphi = np.cos(phig), np.sin(phig)
     for it in range(n_theta):
         sth = math.sin(thp[it])
-        cth = math.cos(thp[it])
-        row = 0.0
-        for ip in range(n_phi):
-            kx = sth * math.cos(phig[ip])
-            ky = sth * math.sin(phig[ip])
-            kz = -cth
-            kappa = kn.k_i * kx
-            xfac = xfac0 * np.exp(-(kappa * kappa) / (4.0 * beta))
-            yph = np.exp(-1j * kn.k_i * ky * ys)
-            zph = np.exp(-1j * kn.k_i * kz * zs)
-            inner = base @ yph
-            fbar = (inner * xfac * zph).sum() * dz * dy * inv_sqrt_4pi
-            q2 = (
-                (kn.k_i * kx) ** 2
-                + (kn.k_r * st + kn.k_i * ky) ** 2
-                + (kn.k_r * ct + kn.k_i * kz) ** 2
-            )
-            fbar *= math.exp(-0.5 * tm * tm * sig_v * sig_v * q2)
-            row += wphi * abs(fbar) ** 2
-        total += wth[it] * row
-
-    if len(_LOBE_CACHE) >= _LOBE_CACHE_MAX:
-        _LOBE_CACHE.clear()
-    _LOBE_CACHE[key] = total
-    return total
+        kx = sth * cphi
+        ky = sth * sphi
+        kz = -math.cos(thp[it])
+        kappa = kn.k_i * kx
+        inner = base @ np.exp(-1j * kn.k_i * np.outer(ys, ky))
+        inner *= xfac0 * np.exp(-(kappa * kappa) * inv_4beta)
+        fbar = np.exp(-1j * kn.k_i * kz * zs) @ inner * scale
+        weight[it] = wth[it] * wphi * (fbar.real**2 + fbar.imag**2)
+        q2[it] = kappa**2 + (kn.k_r * st + kn.k_i * ky) ** 2 + (kn.k_r * ct + kn.k_i * kz) ** 2
+    return weight, q2

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,3 +191,14 @@ def test_density_for_od_frozen_and_round_trip():
 def test_density_for_od_rejects_nonpositive_target():
     with pytest.raises(ValueError):
         density_for_od(0.0, cloud(1e17), SPECIES, probe())
+
+
+def test_import_leaves_scipy_unloaded():
+    # optical_depth uses a fixed Gauss-Hermite rule, so the package needs
+    # numpy alone; a fresh interpreter shows what `import ire_sim` loads.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ire_sim; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
