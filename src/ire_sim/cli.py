@@ -35,8 +35,8 @@ from .angular import (
     normalize_field,
 )
 from .config import ConfigError, build_scenario, read_config, resolution_report
-from .experiments import SWEEP_AXES, SweepSpec, run_sweep, write_sweep_csv
-from .retrieval import PRUNE_FLOOR, Scenario, eta_paraxial, wavenumbers
+from .experiments import SWEEP_AXES, SweepSpec, _g9, run_sweep, write_sweep_csv
+from .retrieval import PRUNE_FLOOR, Scenario, eta_paraxial, resolve_threads, wavenumbers
 
 ETA_CSV_COLUMNS = (
     "od",
@@ -160,10 +160,6 @@ def _write_meta(path: str, mapping: dict) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def _g9(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def _grid_from_doc(doc, scenario: Scenario):
     kn = wavenumbers(scenario.species)
     return build_grid(
@@ -225,6 +221,7 @@ def _cmd_eta(args) -> int:
         )
     meta = {"package_version": __version__, "config_path": os.path.abspath(args.config)}
     meta.update(report)
+    meta["threads"] = resolve_threads(args.threads)
     meta["prune_floor"] = PRUNE_FLOOR
     meta["n_kept"] = est.n_kept
     meta["dropped_amplitude"] = est.dropped_amplitude
@@ -278,6 +275,8 @@ def _cmd_sweep(args) -> int:
         "method": spec.method,
     }
     meta.update(resolution_report(scenario))
+    meta["threads"] = resolve_threads(args.threads)
+    meta["prune_floor"] = PRUNE_FLOOR
     meta["timestamp_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     _write_meta(os.path.join(args.out, "sweep_meta.txt"), meta)
     print(f"wrote {csv_path}")

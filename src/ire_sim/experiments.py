@@ -11,8 +11,9 @@ Each value runs `replicates` times with seeds base, base+1, ...; a row
 reports the replicate mean and the standard error of that mean (sample
 standard deviation over sqrt(replicates), zero for a single replicate). A
 value that fails with a ValueError or ArithmeticError produces an error
-row and the sweep continues. A storage-time sweep of the paraxial
-estimator streams each replicate's atoms once for all its storage times.
+row and the sweep continues. A paraxial sweep streams each replicate's
+atoms once for all the values that share its streamed count: no axis moves
+the seed or the cloud width, and only the optical depth moves the count.
 Numeric CSV fields carry 9 significant digits; reruns of the same spec
 produce byte-identical files.
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from .angular import eta_angular
 from .ensemble import density_for_od, optical_depth
-from .retrieval import Scenario, _eta_stream, eta_paraxial
+from .retrieval import Scenario, _estimate, _eta_stream, _streamed_count
 
 SWEEP_AXES = ("width_ratio", "optical_depth", "storage_time", "skew_angle")
 SWEEP_METHODS = ("paraxial", "angular")
@@ -156,12 +157,13 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[SweepRow]:
     """Run every sweep value; a value that fails becomes an error row, not an abort.
 
     Only ValueError and ArithmeticError become error rows; any other
-    exception is a programming error and propagates. On the storage_time
-    axis with the paraxial method, each replicate's atoms are drawn and
-    skip-tested once and evaluated at every valid storage time, with all
-    replicates' chunks on one process pool; each row is bit-identical to
-    eta_paraxial at its point. An error from that shared stream fails
-    every valid value of the sweep.
+    exception is a programming error and propagates. With the paraxial
+    method, each replicate's atoms are drawn once for every valid value
+    with the same streamed count (all of them, unless an optical_depth
+    sweep streams the full ensemble), with all chunks on one process pool;
+    each row is bit-identical to eta_paraxial at its point. An error of
+    that shared stream fails every valid value; an error of one value's
+    estimate fails that value alone.
     """
     seeds = range(spec.base.seed, spec.base.seed + spec.replicates)
     points, etas, failed = {}, {}, {}  # keyed by the value's index
@@ -171,21 +173,31 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[SweepRow]:
             points[i] = (scenario, _descriptors(scenario))
         except (ValueError, ArithmeticError) as exc:
             failed[i] = exc
-    if spec.axis == "storage_time" and spec.method == "paraxial":
-        storage_times = tuple(scenario.storage_tm for scenario, _ in points.values())
-        jobs = [(replace(spec.base, seed=seed), storage_times) for seed in seeds]
+    if spec.method == "paraxial":
+        groups: dict[int, list[int]] = {}  # streamed count -> value indices
+        for i, (scenario, _) in points.items():
+            groups.setdefault(_streamed_count(scenario), []).append(i)
+        owners = [idx for _ in seeds for idx in groups.values()]
+        jobs = [tuple(replace(points[i][0], seed=seed) for i in idx)
+                for seed in seeds for idx in groups.values()]
+        runs: dict[int, list] = {i: [] for i in points}  # (scenario, partials) per seed
         try:
-            per_seed = _eta_stream(jobs, threads) if points else []
-            for m, i in enumerate(points):
-                etas[i] = tuple(ests[m].eta for ests in per_seed)
+            for idx, job, partials in zip(owners, jobs, _eta_stream(jobs, threads)):
+                for i, scenario, parts in zip(idx, job, partials):
+                    runs[i].append((scenario, parts))
         except (ValueError, ArithmeticError) as exc:
             failed.update(dict.fromkeys(points, exc))
+            runs = {}
+        for i, per_seed in runs.items():
+            try:
+                etas[i] = tuple(_estimate(scenario, parts).eta for scenario, parts in per_seed)
+            except (ValueError, ArithmeticError) as exc:
+                failed[i] = exc
     else:
-        estimator = eta_paraxial if spec.method == "paraxial" else eta_angular
         for i, (scenario, _) in points.items():
             try:
                 etas[i] = tuple(
-                    estimator(replace(scenario, seed=seed), threads=threads).eta
+                    eta_angular(replace(scenario, seed=seed), threads=threads).eta
                     for seed in seeds
                 )
             except (ValueError, ArithmeticError) as exc:

@@ -26,10 +26,11 @@ the sampled off-diagonal mean comes out negative (it does at a 2 deg tilt
 and 200 us storage, where the coherent sum has decayed into its noise), and
 the estimate is not bounded above by 1 at small subsamples.
 
-The storage time enters neither the sampled positions nor the stored
-amplitudes, so one stream can serve several storage times: a chunk's words
-and skip mask are drawn once and the kernel runs per storage time, and the
-lobe power C(t_m) is one reduction of a per-node table cached without t_m.
+No sweep axis moves the seed, the cloud width or the streamed count, so
+one stream can serve several scenarios: a chunk's counter words and
+positions are drawn once, the skip mask is rebuilt only where the beams or
+the tilt change, and the kernel runs per scenario. The lobe power C(t_m) is
+one reduction of a per-node table cached without t_m.
 
 Atoms whose stored amplitude is at most PRUNE_FLOOR of its peak are decided
 from their positions alone and skipped before the per-atom kernels; the
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -375,8 +376,8 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
-def _kernel_args(scenario: Scenario, storage_tm: float | None = None):
-    """The chunk kernel's arguments, at storage_tm (default: the scenario's)."""
+def _kernel_args(scenario: Scenario):
+    """The chunk kernel's arguments for one scenario."""
     kn = wavenumbers(scenario.species)
     w = scenario.write_mode
     s = scenario.signal_mode
@@ -384,7 +385,7 @@ def _kernel_args(scenario: Scenario, storage_tm: float | None = None):
     return (
         scenario.cloud.sigma_r0,
         thermal_velocity_sigma(scenario.cloud),
-        scenario.storage_tm if storage_tm is None else storage_tm,
+        scenario.storage_tm,
         math.sin(scenario.skew_theta),
         math.cos(scenario.skew_theta),
         kn.k_w,
@@ -405,18 +406,25 @@ def _kernel_args(scenario: Scenario, storage_tm: float | None = None):
 def _eta_worker(task):
     """One chunk of the streaming accumulator (top level for process pools).
 
-    Draws the chunk's counter words, positions and skip mask once, then runs
-    the chunk kernel on the kept atoms at each storage time. Returns one
-    kernel tuple (Re S1, Im S1, S2, SXX) per storage time, then the chunk's
-    dropped amplitude and kept-atom count, which no storage time changes.
+    Draws the chunk's counter words and positions once for all the job's
+    scenarios. The skip mask is rebuilt only when the beams or the tilt
+    differ from the previous scenario's, and only the current mask's kept
+    rows are held. Returns one partial (Re S1, Im S1, S2, SXX, dropped,
+    n_kept) per scenario.
     """
-    scenario, storage_times, lo, hi = task
-    raw = _raw_words(scenario.seed, lo, hi)
-    keep, dropped = _prune(_positions_from_raw(raw, scenario.cloud.sigma_r0), scenario)
-    kept = raw[keep]
+    scenarios, lo, hi = task
+    raw = _raw_words(scenarios[0].seed, lo, hi)
+    r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
     kernel = _kernels.eta_chunk if _kernels.HAVE_NUMBA else _kernels.eta_chunk_np
-    sums = tuple(kernel(kept, *_kernel_args(scenario, tm)) for tm in storage_times)
-    return sums, dropped, kept.shape[0]
+    out, mask_key, kept = [], None, None
+    for scenario in scenarios:
+        key = (scenario.write_mode, scenario.signal_mode, scenario.skew_theta)
+        if key != mask_key:
+            kept = None  # free the previous mask's rows before the next mask
+            keep, dropped = _prune(r, scenario)
+            kept, mask_key = raw[keep], key
+        out.append((*kernel(kept, *_kernel_args(scenario)), dropped, kept.shape[0]))
+    return out
 
 
 def _kahan(state, x):
@@ -429,14 +437,18 @@ def _kahan(state, x):
     return t, c
 
 
-def _estimate(scenario: Scenario, partials) -> EtaEstimate:
-    """Merge one storage time's chunk partials (ascending chunk order) into eta.
+def _streamed_count(scenario: Scenario) -> int:
+    return scenario.mc_atoms if scenario.mc_atoms is not None else scenario.n_atoms
 
-    partials holds (Re S1, Im S1, S2, SXX, dropped, n_kept) per chunk; the
-    scenario carries the storage time they were computed at.
+
+def _estimate(scenario: Scenario, partials) -> EtaEstimate:
+    """Merge one scenario's chunk partials (ascending chunk order) into eta.
+
+    partials holds (Re S1, Im S1, S2, SXX, dropped, n_kept) per chunk, as
+    _eta_stream returns them for this scenario.
     """
     n_total = scenario.n_atoms
-    mc = scenario.mc_atoms if scenario.mc_atoms is not None else n_total
+    mc = _streamed_count(scenario)
     acc = [(0.0, 0.0)] * 5
     for part in partials:
         for k in range(5):
@@ -476,44 +488,30 @@ def _estimate(scenario: Scenario, partials) -> EtaEstimate:
     )
 
 
-def _eta_stream(jobs, threads: int | None = None) -> list[list[EtaEstimate]]:
-    """Streaming estimates for (scenario, storage times) jobs, one stream each.
+def _eta_stream(jobs, threads: int | None = None) -> list[list[tuple]]:
+    """Chunk partials for jobs of scenarios that share one stream each.
 
-    Each job's atoms are drawn and skip-tested once; the chunk kernel then
-    runs on the kept atoms at every storage time, whatever the scenario's
-    own storage_tm. Every chunk of every job goes through one pool.map on
-    one process pool (none for one thread or one chunk), and each storage
-    time's partials merge in ascending chunk order, so each estimate is
-    bit-identical to eta_paraxial at that storage time for every thread
-    count. Returns, per job, one EtaEstimate per storage time.
+    A job is a tuple of scenarios with the same seed, cloud width sigma_r0
+    and streamed count (mc_atoms, else n_atoms); its atoms are drawn once
+    and every scenario is evaluated on them (see _eta_worker). Every chunk
+    of every job goes through one pool.map on one process pool (none for
+    one thread or one chunk). Returns, per job and per scenario, the chunk
+    partials in ascending chunk order; _estimate merges one scenario's into
+    an estimate bit-identical to eta_paraxial for every thread count.
     """
     threads = resolve_threads(threads)
     tasks, spans = [], []
-    for scenario, storage_times in jobs:
-        mc = scenario.mc_atoms if scenario.mc_atoms is not None else scenario.n_atoms
-        first = len(tasks)
-        tasks += [
-            (scenario, tuple(storage_times), lo, min(lo + CHUNK_ATOMS, mc))
-            for lo in range(0, mc, CHUNK_ATOMS)
-        ]
-        spans.append((first, len(tasks)))
-    if threads == 1 or len(tasks) == 1:
+    for job in jobs:
+        n = _streamed_count(job[0])
+        start = len(tasks)
+        tasks += [(job, lo, min(lo + CHUNK_ATOMS, n)) for lo in range(0, n, CHUNK_ATOMS)]
+        spans.append((start, len(tasks)))
+    if threads == 1 or len(tasks) <= 1:
         partials = [_eta_worker(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             partials = list(pool.map(_eta_worker, tasks, chunksize=1))
-
-    out = []
-    for (scenario, storage_times), (first, last) in zip(jobs, spans):
-        chunks = partials[first:last]
-        out.append([
-            _estimate(
-                replace(scenario, storage_tm=tm),
-                [(*sums[m], dropped, kept) for sums, dropped, kept in chunks],
-            )
-            for m, tm in enumerate(storage_times)
-        ])
-    return out
+    return [list(zip(*partials[start:stop])) for start, stop in spans]
 
 
 def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
@@ -532,7 +530,7 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
     the estimate records that it fired (EtaEstimate.clamped); the rescaled
     estimate can also read above 1 at small subsamples.
     """
-    return _eta_stream([(scenario, (scenario.storage_tm,))], threads)[0][0]
+    return _estimate(scenario, _eta_stream([(scenario,)], threads)[0][0])
 
 
 # Cache of lobe tables: the per-node quadrature table is deterministic in

@@ -5,6 +5,7 @@ import pytest
 from ire_sim import __version__
 from ire_sim.cli import ETA_CSV_COLUMNS, main
 from ire_sim.experiments import SWEEP_CSV_COLUMNS
+from ire_sim.retrieval import PRUNE_FLOOR, THREADS_ENV_VAR
 
 from conftest import CANONICAL_INI
 
@@ -131,6 +132,19 @@ def test_sweep_writes_csv(small_ini, tmp_path, capsys):
     meta = (out_dir / "sweep_meta.txt").read_text()
     assert "axis=storage_time" in meta
     assert "values=0,30" in meta
+
+
+def test_sweep_meta_records_threads_and_prune_floor(small_ini, tmp_path, monkeypatch):
+    monkeypatch.setenv(THREADS_ENV_VAR, "2")
+    out_dir = tmp_path / "o"
+    rc = main(
+        ["sweep", "--config", small_ini, "--sweep", "skew_angle",
+         "--values", "0,2", "--replicates", "1", "--out", str(out_dir)]
+    )
+    assert rc == 0
+    meta = (out_dir / "sweep_meta.txt").read_text().splitlines()
+    assert "threads=2" in meta
+    assert f"prune_floor={PRUNE_FLOOR}" in meta
 
 
 def test_sweep_rejects_garbled_values(small_ini, tmp_path, capsys):

@@ -90,12 +90,14 @@ def test_stream_error_fails_every_valid_value(monkeypatch):
 
 
 @pytest.mark.parametrize("axis, target", [("storage_time", "_eta_stream"),
-                                          ("skew_angle", "eta_paraxial")])
+                                          ("skew_angle", "_eta_stream"),
+                                          ("skew_angle", "eta_angular")])
 def test_programming_errors_propagate(monkeypatch, axis, target):
     def broken(*args, **kwargs):
         raise TypeError("unsupported operand")
 
     monkeypatch.setattr(experiments, target, broken)
     base = canonical_scenario(n_atoms_override=20_000)
+    method = "angular" if target == "eta_angular" else "paraxial"
     with pytest.raises(TypeError, match="unsupported operand"):
-        run_sweep(SweepSpec(base, axis, (0.0, 1.0), replicates=1))
+        run_sweep(SweepSpec(base, axis, (0.0, 1.0), replicates=1, method=method))

@@ -1,0 +1,98 @@
+"""Every paraxial sweep axis streams each replicate once, on one process pool.
+
+run_sweep groups the values that stream the same atoms (same seed, cloud
+width and streamed count) into one job, draws each chunk's counter words and
+positions once and evaluates every value on them. Its rows must carry the
+same bits as eta_paraxial at each point, for any thread count, and a value
+whose own estimate fails must fail alone.
+"""
+
+import math
+from dataclasses import replace
+
+import pytest
+
+import ire_sim.experiments as experiments
+import ire_sim.retrieval as retrieval
+from ire_sim import SweepSpec, eta_paraxial, run_sweep, scenario_for_value
+
+from conftest import canonical_scenario
+
+# Small chunks make every replicate below span two of them, so the ordered
+# chunk merge is exercised without streaming 2^20 atoms per replicate.
+SMALL_CHUNK = 1 << 12
+STREAMED = SMALL_CHUNK + 1904
+
+# Each sweep has a NaN in the middle: it passes SweepSpec's ordering check
+# and must become an error row of its own.
+SWEEPS = {
+    "skew_angle": ({"mc_atoms": STREAMED}, (0.0, 1.0, math.nan, 2.0, 4.0)),
+    "width_ratio": ({"mc_atoms": STREAMED}, (0.3, 0.58, math.nan, 1.0)),
+    "optical_depth": ({"mc_atoms": STREAMED}, (5.0, 10.0, math.nan, 24.7)),
+    # no subsample: each value streams its own ensemble size (~4.3e3-7.9e3)
+    "optical_depth_full": ({"n_atoms_override": STREAMED}, (1.3e-4, 1.8e-4, math.nan, 2.4e-4)),
+}
+
+
+@pytest.fixture()
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(retrieval, "CHUNK_ATOMS", SMALL_CHUNK)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_sweep_rows_match_per_point_estimates(small_chunks, case, threads):
+    knobs, values = SWEEPS[case]
+    axis = case.removesuffix("_full")
+    base = canonical_scenario(skew_theta=math.radians(2.0), storage_tm=100e-6, seed=3, **knobs)
+    rows = run_sweep(SweepSpec(base, axis, values, replicates=2), threads=threads)
+    assert len(rows) == len(values)
+    streamed = set()
+    for row, value in zip(rows, values):
+        if math.isnan(value):
+            assert row.error is not None and row.etas == ()
+            continue
+        point = scenario_for_value(base, axis, value)
+        expected = tuple(
+            eta_paraxial(replace(point, seed=seed), threads=1).eta for seed in (3, 4)
+        )
+        assert row.error is None
+        assert row.etas == expected
+        assert row.n_atoms == point.n_atoms
+        streamed.add(retrieval._streamed_count(point))
+    assert all(SMALL_CHUNK < n <= 2 * SMALL_CHUNK for n in streamed)
+    assert len(streamed) == (3 if case == "optical_depth_full" else 1)
+
+
+def test_tilt_sweep_uses_one_pool(monkeypatch):
+    created = []
+
+    class CountingPool(retrieval.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(retrieval, "ProcessPoolExecutor", CountingPool)
+    base = canonical_scenario(n_atoms_override=20_000, seed=5)
+    rows = run_sweep(SweepSpec(base, "skew_angle", (0.0, 1.0, 2.0), replicates=3), threads=2)
+    assert all(r.error is None for r in rows)
+    assert created == [2]  # 3 one-chunk replicates, all on one pool
+
+
+def test_value_error_of_one_estimate_fails_only_its_row(monkeypatch):
+    estimate = experiments._estimate
+
+    def fails_at_one_degree(scenario, partials):
+        if scenario.skew_theta == math.radians(1.0):
+            raise ArithmeticError("degenerate cloud: sum |A_j|^2 = 0, no stored amplitude")
+        return estimate(scenario, partials)
+
+    base = canonical_scenario(n_atoms_override=20_000, seed=5)
+    spec = SweepSpec(base, "skew_angle", (0.0, 1.0, 2.0), replicates=2)
+    clean = run_sweep(spec)
+    monkeypatch.setattr(experiments, "_estimate", fails_at_one_degree)
+    rows = run_sweep(spec)
+    assert rows[1].error.startswith("ArithmeticError: degenerate cloud")
+    assert rows[1].etas == () and math.isnan(rows[1].eta_mean)
+    assert [rows[0].etas, rows[2].etas] == [clean[0].etas, clean[2].etas]
+
