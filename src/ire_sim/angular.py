@@ -36,12 +36,13 @@ import numpy as np
 
 from . import _kernels
 from ._version import __version__
-from .ensemble import AtomSample, _sample_range, drift
+from .ensemble import AtomSample, _raw_words, _sample_words, drift
 from .retrieval import (
     PRUNE_FLOOR,
     EtaEstimate,
     Scenario,
-    _prune,
+    _screen,
+    _skip,
     resolve_threads,
     spinwave_amplitude,
     wavenumbers,
@@ -181,8 +182,10 @@ class AngularField:
     denominator of the reference efficiency and survives normalization.
     n_atoms is the ensemble size.
 
-    n_kept atoms cleared PRUNE_FLOOR and were summed; dropped_amplitude is
-    D = sum |A_j| over the rest, in the units of A (before normalization).
+    n_kept atoms cleared PRUNE_FLOOR and were summed; dropped_amplitude D,
+    in the units of A (before normalization), bounds sum |A_j| over the
+    rest: it is that sum over the atoms whose positions were drawn, plus
+    PRUNE_FLOOR^2 amp0 for each atom that counter word 0 ruled out first.
     Skipping them moves the raw field by at most D / sqrt(4 pi) at every
     node and source_s2 by at most PRUNE_FLOOR amp0 D. The defaults,
     n_kept = n_atoms and D = 0, mean nothing was dropped.
@@ -263,12 +266,15 @@ def field_from_atoms(
 def _angular_worker(task):
     """Field partial sums for one atom chunk (top level for process pools).
 
-    Returns the raw partial field, sum |A_j|^2 over the kept atoms, the
-    chunk's dropped amplitude and its kept-atom count.
+    The same skip as the paraxial stream: the word-0 screen first, then
+    normals for the surviving rows only and the exact mask on their
+    positions. Returns the raw partial field, sum |A_j|^2 over the kept
+    atoms, the chunk's dropped amplitude and its kept-atom count.
     """
     scenario, lo, hi, grid = task
-    sample = _sample_range(scenario.cloud, scenario.seed, lo, hi)
-    keep, dropped = _prune(sample.r_initial, scenario)
+    raw, n_screened = _screen(_raw_words(scenario.seed, lo, hi), (scenario,))
+    sample = _sample_words(raw, scenario.cloud)
+    keep, dropped = _skip(sample.r_initial, scenario, n_screened)
     sample = drift(AtomSample(sample.r_initial[keep], sample.velocity[keep]),
                    scenario.storage_tm)
     amps = spinwave_amplitude(sample, scenario)
@@ -358,9 +364,13 @@ def eta_reference(field: AngularField, grid: AngularGrid) -> float:
         raise ValueError("eta_reference needs the unnormalized field")
     if field.source_s2 <= 0.0:
         raise ArithmeticError("degenerate source: sum |A_j|^2 = 0")
+    return _fiber_overlap(field, grid) / field.source_s2
+
+
+def _fiber_overlap(field: AngularField, grid: AngularGrid) -> float:
+    """Squared collection-mode overlap |sum_nodes w g F|^2 of the field."""
     g = fiber_mode(grid)
-    overlap = np.sum(grid.node_weight * g * field.values)
-    return float(abs(overlap) ** 2 / field.source_s2)
+    return float(abs(np.sum(grid.node_weight * g * field.values)) ** 2)
 
 
 def eta_angular(
@@ -371,9 +381,7 @@ def eta_angular(
         kn = wavenumbers(scenario.species)
         grid = build_grid(kn.k_i, scenario.idler_mode.waist_w0)
     field = angular_field(scenario, grid, threads=threads)
-    g = fiber_mode(grid)
-    overlap = np.sum(grid.node_weight * g * field.values)
-    numerator = float(abs(overlap) ** 2)
+    numerator = _fiber_overlap(field, grid)
     denominator = field.source_s2
     if denominator <= 0.0:
         raise ArithmeticError("degenerate source: sum |A_j|^2 = 0")

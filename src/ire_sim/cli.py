@@ -226,6 +226,7 @@ def _cmd_eta(args) -> int:
     meta["n_kept"] = est.n_kept
     meta["dropped_amplitude"] = est.dropped_amplitude
     meta["clamped"] = est.clamped
+    meta["lobe_fraction"] = est.lobe_fraction
     meta["timestamp_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     _write_meta(os.path.join(args.out, "eta_meta.txt"), meta)
     print(f"wrote {csv_path}")

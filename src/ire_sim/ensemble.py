@@ -9,6 +9,12 @@ needed. Concretely, a Philox stream keyed by the seed assigns each atom
 the 8 consecutive 64-bit words starting at word 8*i (counter blocks 2i and
 2i+1); words 0..5 feed three fixed Box-Muller pairs (3 position + 3
 velocity normals) and words 6..7 are reserved.
+
+Word 0 alone fixes an atom's transverse radius: pair 0 gives
+x^2 + y^2 = r0^2 (-2 ln u0), and u0 grows with the word, so "rho^2 at
+least some bound" is "word 0 below a threshold" (_word0_floor). Every
+uniform is at least 2^-54, so no atom has a coordinate beyond
+NORMAL_MAX r0.
 """
 
 from __future__ import annotations
@@ -118,6 +124,11 @@ def most_probable_speed(cloud: CloudSpec) -> float:
     return math.sqrt(2.0 * K_BOLTZMANN * cloud.temperature_t / cloud.atom_mass_m)
 
 
+# Largest |normal| any pair of words can give: every uniform is at least
+# 2^-54, so sqrt(-2 ln u) <= sqrt(108 ln 2), about 8.65.
+NORMAL_MAX = math.sqrt(108.0 * math.log(2.0))
+
+
 def _raw_words(seed: int, index_lo: int, index_hi: int) -> np.ndarray:
     """Counter words for atoms [index_lo, index_hi): shape (n, 8) uint64."""
     n = index_hi - index_lo
@@ -146,9 +157,23 @@ def _positions_from_raw(raw: np.ndarray, r0: float) -> np.ndarray:
     return r
 
 
-def _sample_range(cloud: CloudSpec, seed: int, index_lo: int, index_hi: int) -> AtomSample:
-    """Samples for the atom index range [index_lo, index_hi), no N cap."""
-    raw = _raw_words(seed, index_lo, index_hi)
+def _word0_floor(rho2_min: float, r0: float) -> int:
+    """Threshold T on word 0: every atom whose word 0 is below T has x^2 + y^2 >= rho2_min.
+
+    Pair 0 gives x^2 + y^2 = r0^2 (-2 ln u0) with u0 = (2m + 1) 2^-54 for
+    m = word >> 11, so rho^2 >= rho2_min exactly when
+    u0 <= exp(-rho2_min / (2 r0^2)): a prefix of the word range. Returns 0
+    when no word reaches that far. The map is exact for the double
+    exp(...); callers that need a strict bound add their own margin for
+    the rounding of that double and of the sampled positions.
+    """
+    u_max = math.exp(-0.5 * rho2_min / (r0 * r0))
+    m_max = (math.floor(u_max * 2.0**54) - 1) // 2  # largest m with (2m + 1) 2^-54 <= u_max
+    return min((m_max + 1) << 11, 2**64 - 1)
+
+
+def _sample_words(raw: np.ndarray, cloud: CloudSpec) -> AtomSample:
+    """Samples from counter words (n, 8), one atom per row."""
     if _kernels.HAVE_NUMBA:
         g = _kernels.normals_from_raw(raw)
     else:
@@ -157,6 +182,11 @@ def _sample_range(cloud: CloudSpec, seed: int, index_lo: int, index_hi: int) -> 
     r = np.ascontiguousarray(g[:, 0:3]) * cloud.sigma_r0
     v = np.ascontiguousarray(g[:, 3:6]) * sig_v
     return AtomSample(r_initial=r, velocity=v)
+
+
+def _sample_range(cloud: CloudSpec, seed: int, index_lo: int, index_hi: int) -> AtomSample:
+    """Samples for the atom index range [index_lo, index_hi), no N cap."""
+    return _sample_words(_raw_words(seed, index_lo, index_hi), cloud)
 
 
 def sample_atoms(cloud: CloudSpec, seed: int, chunk_index: int, chunk_size: int) -> AtomSample:

@@ -32,10 +32,13 @@ positions are drawn once, the skip mask is rebuilt only where the beams or
 the tilt change, and the kernel runs per scenario. The lobe power C(t_m) is
 one reduction of a per-node table cached without t_m.
 
-Atoms whose stored amplitude is at most PRUNE_FLOOR of its peak are decided
-from their positions alone and skipped before the per-atom kernels; the
-estimate records how many atoms were kept and the summed amplitude of the
-rest, which bounds what the skip can move (see EtaEstimate).
+Atoms whose stored amplitude is at most PRUNE_FLOOR of its peak are skipped
+before the per-atom kernels. Counter word 0 decides first: it fixes the
+transverse radius, and an atom far enough off the signal axis is ruled out
+by one integer comparison before any position is drawn (_screen). The
+positions of the rest decide exactly (_prune). The estimate records how
+many atoms were kept and a bound on the summed amplitude of the rest, which
+bounds what the skip can move (see EtaEstimate).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import numpy as np
 from . import _kernels
 from .beams import BeamMode, skew_transform, transverse_amplitude
 from .ensemble import (
+    NORMAL_MAX,
     AtomSample,
     C_LIGHT,
     CloudSpec,
@@ -58,6 +62,7 @@ from .ensemble import (
     _positions_from_raw,
     _raw_words,
     _sample_range,
+    _word0_floor,
     drift,
     thermal_velocity_sigma,
 )
@@ -77,6 +82,11 @@ THREADS_ENV_VAR = "IRE_SIM_THREADS"
 # the dropped amplitude, so the bound travels with every result.
 PRUNE_FLOOR = 1e-18
 _LN_PRUNE_FLOOR = math.log(PRUNE_FLOOR)
+
+# Relative margin on the word-0 screen's radius. Rounding moves the sampled
+# rho^2 and the computed ln|A_j| by about 1e-15 relative; the margin keeps
+# every screened-out atom's |A_j| below PRUNE_FLOOR^2 amp0 by e^-8e-5.
+_SCREEN_MARGIN = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -251,7 +261,10 @@ class EtaEstimate:
 
     n_kept counts the atoms (of those streamed: mc_atoms when subsampling)
     whose stored amplitude cleared PRUNE_FLOOR * amp0 and went through the
-    per-atom kernel; dropped_amplitude is D = sum |A_j| over the others.
+    per-atom kernel. dropped_amplitude D bounds sum |A_j| over the others:
+    it is that sum over the atoms whose positions were drawn, plus
+    PRUNE_FLOOR^2 amp0 for each atom that counter word 0 ruled out first
+    (each of those has |A_j| <= PRUNE_FLOOR^2 amp0, see _screen_word).
     Skipping them moves the streamed sums by at most
 
         |dS1| <= c_P D              (c_P = sqrt(2)/(k_i W_i) >= |P_j|)
@@ -265,6 +278,10 @@ class EtaEstimate:
     out negative and was set to 0, so that numerator is the diagonal term
     N mean_diag alone (see eta_paraxial); it is False for every other
     estimate.
+
+    lobe_fraction is the share of the denominator that is the pair term
+    C (N-1)/N. The angular estimate's denominator is sum |A_j|^2 alone, so
+    it reads 0.0 there.
     """
 
     eta: float
@@ -276,6 +293,7 @@ class EtaEstimate:
     n_kept: int | None = None
     dropped_amplitude: float = 0.0
     clamped: bool = False
+    lobe_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_kept is None:
@@ -356,6 +374,42 @@ def _prune(r: np.ndarray, scenario: Scenario) -> tuple[np.ndarray, float]:
     return keep, amp0 * float(np.sum(np.exp(ln_rel[~keep])))
 
 
+def _screen_word(scenario: Scenario) -> int:
+    """Word-0 threshold below which an atom's |A_j| <= PRUNE_FLOOR^2 amp0.
+
+    Every term of ln(|A_j| / amp0) in _prune is at most 0, so it is at most
+    -rho^2 / (W_s^2 u_s), the signal envelope's exponent alone. No atom has
+    |z| > NORMAL_MAX r0, so u_s <= u_s,max = 1 + (NORMAL_MAX r0 / z_s)^2, and
+    rho^2 >= R^2 = 2 |ln PRUNE_FLOOR| W_s^2 u_s,max (times _SCREEN_MARGIN)
+    puts |A_j| at most PRUNE_FLOOR^2 amp0: _prune would drop the atom. The
+    bound leaves out the tilt and the write beam, so it holds for every tilt.
+    """
+    s = scenario.signal_mode
+    r0 = scenario.cloud.sigma_r0
+    us_max = 1.0 + (NORMAL_MAX * r0 / s.rayleigh_z) ** 2
+    r2 = -2.0 * _LN_PRUNE_FLOOR * s.waist_w0**2 * us_max * _SCREEN_MARGIN
+    return _word0_floor(r2, r0)
+
+
+def _screen(raw: np.ndarray, scenarios) -> tuple[np.ndarray, int]:
+    """Rows of the counter words raw (n, 8) that word 0 cannot rule out.
+
+    Uses the loosest threshold over scenarios, so every row it removes is
+    one that _prune drops for each of them. Returns the rows in their order
+    and how many were removed.
+    """
+    floor = np.uint64(min(_screen_word(s) for s in scenarios))
+    rows = raw.compress(raw[:, 0] >= floor, axis=0)  # a quarter of the time of raw[mask]
+    return rows, raw.shape[0] - rows.shape[0]
+
+
+def _skip(r: np.ndarray, scenario: Scenario, n_screened: int) -> tuple[np.ndarray, float]:
+    """_prune on the positions r of screened rows, D also bounding the n_screened others."""
+    keep, dropped = _prune(r, scenario)
+    amp0 = abs(scenario.write_mode.peak_amplitude * scenario.signal_mode.peak_amplitude)
+    return keep, dropped + n_screened * (PRUNE_FLOOR * PRUNE_FLOOR * amp0)
+
+
 def draw_sample(scenario: Scenario, n: int | None = None) -> AtomSample:
     """Sample the first n atoms of the scenario's stream, drift applied."""
     count = scenario.n_atoms if n is None else int(n)
@@ -406,14 +460,18 @@ def _kernel_args(scenario: Scenario):
 def _eta_worker(task):
     """One chunk of the streaming accumulator (top level for process pools).
 
-    Draws the chunk's counter words and positions once for all the job's
-    scenarios. The skip mask is rebuilt only when the beams or the tilt
-    differ from the previous scenario's, and only the current mask's kept
-    rows are held. Returns one partial (Re S1, Im S1, S2, SXX, dropped,
-    n_kept) per scenario.
+    Draws the chunk's counter words once for all the job's scenarios and
+    keeps the rows that pass the word-0 screen at the loosest threshold of
+    the job (_screen); positions are drawn for those rows only. The exact
+    skip mask (_prune) is rebuilt only when the beams or the tilt differ
+    from the previous scenario's, and only the current mask's kept rows are
+    held. The kept rows, their order and so the kernel's sums are those of
+    an unscreened pass; D adds PRUNE_FLOOR^2 amp0 per screened-out atom.
+    Returns one partial (Re S1, Im S1, S2, SXX, dropped, n_kept) per
+    scenario.
     """
     scenarios, lo, hi = task
-    raw = _raw_words(scenarios[0].seed, lo, hi)
+    raw, n_screened = _screen(_raw_words(scenarios[0].seed, lo, hi), scenarios)
     r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
     kernel = _kernels.eta_chunk if _kernels.HAVE_NUMBA else _kernels.eta_chunk_np
     out, mask_key, kept = [], None, None
@@ -421,7 +479,7 @@ def _eta_worker(task):
         key = (scenario.write_mode, scenario.signal_mode, scenario.skew_theta)
         if key != mask_key:
             kept = None  # free the previous mask's rows before the next mask
-            keep, dropped = _prune(r, scenario)
+            keep, dropped = _skip(r, scenario, n_screened)
             kept, mask_key = raw[keep], key
         out.append((*kernel(kept, *_kernel_args(scenario)), dropped, kept.shape[0]))
     return out
@@ -474,7 +532,8 @@ def _estimate(scenario: Scenario, partials) -> EtaEstimate:
         clamped = mean_offdiag < 0.0
         numerator = n_total * n_total * max(mean_offdiag, 0.0) + n_total * mean_diag
         s2_full = s2 * (n_total / mc)
-    denominator = s2_full + coherent_lobe_power(scenario) * (n_total - 1) / n_total
+    lobe = coherent_lobe_power(scenario) * (n_total - 1) / n_total
+    denominator = s2_full + lobe
     return EtaEstimate(
         eta=numerator / denominator,
         numerator=numerator,
@@ -485,6 +544,7 @@ def _estimate(scenario: Scenario, partials) -> EtaEstimate:
         n_kept=n_kept,
         dropped_amplitude=dropped,
         clamped=clamped,
+        lobe_fraction=lobe / denominator,
     )
 
 
