@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._version import __version__
 from .ensemble import AtomSample, _raw_words, _sample_words, drift
 from .retrieval import (
@@ -205,28 +204,18 @@ class AngularField:
 
 
 def _field_sums(amplitudes, positions, skew_theta, k_r, k_i, grid):
-    """Raw partial field (Re, Im) of atoms at drifted positions (n, 3)."""
+    """Raw partial field of atoms at drifted positions (n, 3), one value per node.
+
+    Adds sum_j A_j e^{-i k_r (y'_j sin + z'_j cos)} e^{-i k_i khat.r'_j}
+    atom by atom in index order, so every node sums in the same order.
+    """
     nx, ny, nz = grid.unit_vectors()
-    out_re = np.zeros(grid.n_nodes)
-    out_im = np.zeros(grid.n_nodes)
-    fn = _kernels.angular_chunk if _kernels.HAVE_NUMBA else _kernels.angular_chunk_np
-    fn(
-        np.ascontiguousarray(amplitudes.real),
-        np.ascontiguousarray(amplitudes.imag),
-        positions[:, 0].copy(),
-        positions[:, 1].copy(),
-        positions[:, 2].copy(),
-        math.sin(skew_theta),
-        math.cos(skew_theta),
-        k_r,
-        k_i,
-        nx,
-        ny,
-        nz,
-        out_re,
-        out_im,
-    )
-    return out_re, out_im
+    x, y, z = positions[:, 0], positions[:, 1], positions[:, 2]
+    b = amplitudes * np.exp(-1j * k_r * (y * math.sin(skew_theta) + z * math.cos(skew_theta)))
+    out = np.zeros(grid.n_nodes, dtype=np.complex128)
+    for j in range(b.shape[0]):
+        out += b[j] * np.exp(-1j * k_i * (nx * x[j] + ny * y[j] + nz * z[j]))
+    return out
 
 
 def field_from_atoms(
@@ -251,11 +240,10 @@ def field_from_atoms(
         raise ValueError("positions must have shape (n, 3)")
     if amplitudes.shape != (positions.shape[0],):
         raise ValueError("amplitudes and positions disagree on atom count")
-    out_re, out_im = _field_sums(amplitudes, positions, skew_theta, k_r, k_i, grid)
-    values = (out_re + 1j * out_im) / math.sqrt(4.0 * math.pi)
+    field = _field_sums(amplitudes, positions, skew_theta, k_r, k_i, grid)
     s2 = float(np.sum(amplitudes.real**2 + amplitudes.imag**2))
     return AngularField(
-        values=values,
+        values=field / math.sqrt(4.0 * math.pi),
         normalized=False,
         source_s2=s2,
         n_atoms=positions.shape[0],
@@ -279,10 +267,9 @@ def _angular_worker(task):
                    scenario.storage_tm)
     amps = spinwave_amplitude(sample, scenario)
     kn = wavenumbers(scenario.species)
-    out_re, out_im = _field_sums(amps, sample.r_drifted, scenario.skew_theta,
-                                 kn.k_r, kn.k_i, grid)
+    field = _field_sums(amps, sample.r_drifted, scenario.skew_theta, kn.k_r, kn.k_i, grid)
     s2 = float(np.sum(amps.real**2 + amps.imag**2))
-    return out_re, out_im, s2, dropped, len(sample)
+    return field, s2, dropped, len(sample)
 
 
 def angular_field(
@@ -309,8 +296,7 @@ def angular_field(
         (scenario, ci * ANGULAR_CHUNK_ATOMS, min((ci + 1) * ANGULAR_CHUNK_ATOMS, n), grid)
         for ci in range(n_chunks)
     ]
-    acc_re = np.zeros(grid.n_nodes)
-    acc_im = np.zeros(grid.n_nodes)
+    acc = np.zeros(grid.n_nodes, dtype=np.complex128)
     s2 = dropped = 0.0
     n_kept = 0
     with ExitStack() as stack:
@@ -319,16 +305,14 @@ def angular_field(
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(threads, n_chunks)))
             parts = pool.map(_angular_worker, tasks, chunksize=1)
-        for out_re, out_im, part_s2, part_dropped, part_kept in parts:  # chunk order
-            acc_re += out_re
-            acc_im += out_im
+        for part, part_s2, part_dropped, part_kept in parts:  # chunk order
+            acc += part
             s2 += part_s2
             dropped += part_dropped
             n_kept += part_kept
-    values = (acc_re + 1j * acc_im) / math.sqrt(4.0 * math.pi)
     return AngularField(
-        values=values, normalized=False, source_s2=s2, n_atoms=n, seed=scenario.seed,
-        n_kept=n_kept, dropped_amplitude=dropped,
+        values=acc / math.sqrt(4.0 * math.pi), normalized=False, source_s2=s2, n_atoms=n,
+        seed=scenario.seed, n_kept=n_kept, dropped_amplitude=dropped,
     )
 
 
@@ -437,6 +421,12 @@ def _write_raster(
         fh.write("".join(t_txt + p + node_txt[c] for p, c in zip(phi_txt, row.tolist())))
 
 
+def write_meta(path: str, mapping: dict) -> None:
+    """Write a *_meta.txt run record: one key=value line per entry, in order."""
+    with open(path, "w") as fh:
+        fh.writelines(f"{key}={value}\n" for key, value in mapping.items())
+
+
 def export_heatmap(
     field: AngularField,
     grid: AngularGrid,
@@ -520,9 +510,6 @@ def export_heatmap(
     }
     if extra:
         meta.update(extra)
-    meta_path = os.path.join(out_dir, "heatmap_meta.txt")
-    with open(meta_path, "w") as fh:
-        for key, value in meta.items():
-            fh.write(f"{key}={value}\n")
-    paths.append(meta_path)
+    paths.append(os.path.join(out_dir, "heatmap_meta.txt"))
+    write_meta(paths[-1], meta)
     return paths

@@ -33,6 +33,7 @@ from .angular import (
     eta_reference,
     export_heatmap,
     normalize_field,
+    write_meta,
 )
 from .config import ConfigError, build_scenario, read_config, resolution_report
 from .experiments import SWEEP_AXES, SweepSpec, _g9, run_sweep, write_sweep_csv
@@ -154,12 +155,6 @@ def _print_report(report: dict) -> None:
         print(f"{key} = {value}")
 
 
-def _write_meta(path: str, mapping: dict) -> None:
-    with open(path, "w") as fh:
-        for key, value in mapping.items():
-            fh.write(f"{key}={value}\n")
-
-
 def _grid_from_doc(doc, scenario: Scenario):
     kn = wavenumbers(scenario.species)
     return build_grid(
@@ -228,7 +223,7 @@ def _cmd_eta(args) -> int:
     meta["clamped"] = est.clamped
     meta["lobe_fraction"] = est.lobe_fraction
     meta["timestamp_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    _write_meta(os.path.join(args.out, "eta_meta.txt"), meta)
+    write_meta(os.path.join(args.out, "eta_meta.txt"), meta)
     print(f"wrote {csv_path}")
     return 0
 
@@ -279,7 +274,7 @@ def _cmd_sweep(args) -> int:
     meta["threads"] = resolve_threads(args.threads)
     meta["prune_floor"] = PRUNE_FLOOR
     meta["timestamp_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    _write_meta(os.path.join(args.out, "sweep_meta.txt"), meta)
+    write_meta(os.path.join(args.out, "sweep_meta.txt"), meta)
     print(f"wrote {csv_path}")
     if all(row.error is not None for row in rows):
         return 1

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from . import _kernels
 from .beams import BeamMode
 
 C_LIGHT = 299792458.0  # m/s
@@ -124,6 +123,11 @@ def most_probable_speed(cloud: CloudSpec) -> float:
     return math.sqrt(2.0 * K_BOLTZMANN * cloud.temperature_t / cloud.atom_mass_m)
 
 
+# uint64 -> (0,1) double: keep the top 53 bits, offset by half an ulp so the
+# result is never exactly 0 (safe under log).
+_U53 = 1.1102230246251565e-16  # 2^-53
+_U54 = 5.551115123125783e-17  # 2^-54
+
 # Largest |normal| any pair of words can give: every uniform is at least
 # 2^-54, so sqrt(-2 ln u) <= sqrt(108 ln 2), about 8.65.
 NORMAL_MAX = math.sqrt(108.0 * math.log(2.0))
@@ -146,7 +150,7 @@ def _positions_from_raw(raw: np.ndarray, r0: float) -> np.ndarray:
     """
 
     def u(k):  # word k of every atom as a (0, 1) double, one column at a time
-        return (raw[:, k] >> np.uint64(11)).astype(np.float64) * _kernels._U53 + _kernels._U54
+        return (raw[:, k] >> np.uint64(11)).astype(np.float64) * _U53 + _U54
 
     ra = np.sqrt(-2.0 * np.log(u(0)))
     aa = 2.0 * np.pi * u(1)
@@ -173,15 +177,19 @@ def _word0_floor(rho2_min: float, r0: float) -> int:
 
 
 def _sample_words(raw: np.ndarray, cloud: CloudSpec) -> AtomSample:
-    """Samples from counter words (n, 8), one atom per row."""
-    if _kernels.HAVE_NUMBA:
-        g = _kernels.normals_from_raw(raw)
-    else:
-        g = _kernels.normals_from_raw_np(raw)
-    sig_v = thermal_velocity_sigma(cloud)
-    r = np.ascontiguousarray(g[:, 0:3]) * cloud.sigma_r0
-    v = np.ascontiguousarray(g[:, 3:6]) * sig_v
-    return AtomSample(r_initial=r, velocity=v)
+    """Samples from counter words (n, 8), one atom per row.
+
+    Words 0..5 feed three fixed Box-Muller pairs, giving the normals
+    (x, y), (z, vx), (vy, vz); words 6..7 are reserved.
+    """
+    u = (raw[:, :6] >> np.uint64(11)).astype(np.float64) * _U53 + _U54
+    rad = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    ang = 2.0 * np.pi * u[:, 1::2]
+    g = np.empty((raw.shape[0], 6))
+    g[:, 0::2] = rad * np.cos(ang)
+    g[:, 1::2] = rad * np.sin(ang)
+    v = g[:, 3:6] * thermal_velocity_sigma(cloud)
+    return AtomSample(r_initial=g[:, 0:3] * cloud.sigma_r0, velocity=v)
 
 
 def _sample_range(cloud: CloudSpec, seed: int, index_lo: int, index_hi: int) -> AtomSample:

@@ -28,9 +28,10 @@ the estimate is not bounded above by 1 at small subsamples.
 
 No sweep axis moves the seed, the cloud width or the streamed count, so
 one stream can serve several scenarios: a chunk's counter words and
-positions are drawn once, the skip mask is rebuilt only where the beams or
-the tilt change, and the kernel runs per scenario. The lobe power C(t_m) is
-one reduction of a per-node table cached without t_m.
+positions are drawn once, the skip mask and the stored amplitudes A_j are
+rebuilt only where the beams, the tilt or the velocity spread change, and
+the projection P_j runs per scenario. The lobe power C(t_m) is one
+reduction of a per-node table cached without t_m.
 
 Atoms whose stored amplitude is at most PRUNE_FLOOR of its peak are skipped
 before the per-atom kernels. Counter word 0 decides first: it fixes the
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .beams import BeamMode, skew_transform, transverse_amplitude
 from .ensemble import (
     NORMAL_MAX,
@@ -62,6 +62,7 @@ from .ensemble import (
     _positions_from_raw,
     _raw_words,
     _sample_range,
+    _sample_words,
     _word0_floor,
     drift,
     thermal_velocity_sigma,
@@ -430,58 +431,39 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
-def _kernel_args(scenario: Scenario):
-    """The chunk kernel's arguments for one scenario."""
-    kn = wavenumbers(scenario.species)
-    w = scenario.write_mode
-    s = scenario.signal_mode
-    i = scenario.idler_mode
-    return (
-        scenario.cloud.sigma_r0,
-        thermal_velocity_sigma(scenario.cloud),
-        scenario.storage_tm,
-        math.sin(scenario.skew_theta),
-        math.cos(scenario.skew_theta),
-        kn.k_w,
-        kn.k_s,
-        kn.k_r,
-        kn.k_i,
-        w.rayleigh_z,
-        s.rayleigh_z,
-        i.rayleigh_z,
-        w.waist_w0**2,
-        s.waist_w0**2,
-        i.waist_w0**2,
-        math.sqrt(2.0) / (kn.k_i * i.waist_w0),
-        w.peak_amplitude * s.peak_amplitude,
-    )
-
-
 def _eta_worker(task):
     """One chunk of the streaming accumulator (top level for process pools).
 
     Draws the chunk's counter words once for all the job's scenarios and
     keeps the rows that pass the word-0 screen at the loosest threshold of
     the job (_screen); positions are drawn for those rows only. The exact
-    skip mask (_prune) is rebuilt only when the beams or the tilt differ
-    from the previous scenario's, and only the current mask's kept rows are
-    held. The kept rows, their order and so the kernel's sums are those of
-    an unscreened pass; D adds PRUNE_FLOOR^2 amp0 per screened-out atom.
-    Returns one partial (Re S1, Im S1, S2, SXX, dropped, n_kept) per
-    scenario.
+    skip mask (_prune), the kept atoms and their stored amplitudes A_j are
+    rebuilt only when something they depend on differs from the previous
+    scenario's: the species, the beams, the tilt or the velocity spread.
+    Each scenario then projects x_j = A_j P_j at its drifted positions. The
+    kept rows, their order and so the sums are those of an unscreened pass;
+    D adds PRUNE_FLOOR^2 amp0 per screened-out atom. Returns one partial
+    (Re S1, Im S1, S2, SXX, dropped, n_kept) per scenario, with
+    S1 = sum x_j, S2 = sum |A_j|^2 and SXX = sum |x_j|^2 over the kept atoms.
     """
     scenarios, lo, hi = task
     raw, n_screened = _screen(_raw_words(scenarios[0].seed, lo, hi), scenarios)
     r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
-    kernel = _kernels.eta_chunk if _kernels.HAVE_NUMBA else _kernels.eta_chunk_np
-    out, mask_key, kept = [], None, None
+    out, built_for = [], None
     for scenario in scenarios:
-        key = (scenario.write_mode, scenario.signal_mode, scenario.skew_theta)
-        if key != mask_key:
-            kept = None  # free the previous mask's rows before the next mask
+        key = (scenario.species, scenario.write_mode, scenario.signal_mode,
+               scenario.skew_theta, thermal_velocity_sigma(scenario.cloud))
+        if key != built_for:
+            sample = a = None  # free the previous mask's atoms before the next mask
             keep, dropped = _skip(r, scenario, n_screened)
-            kept, mask_key = raw[keep], key
-        out.append((*kernel(kept, *_kernel_args(scenario)), dropped, kept.shape[0]))
+            sample = _sample_words(raw[keep], scenario.cloud)
+            a = spinwave_amplitude(sample, scenario)
+            s2 = float(np.sum(a.real**2 + a.imag**2))
+            built_for = key
+        x = a * idler_projection(drift(sample, scenario.storage_tm), scenario)
+        s1 = complex(np.sum(x))
+        sxx = float(np.sum(x.real**2 + x.imag**2))
+        out.append((s1.real, s1.imag, s2, sxx, dropped, len(sample)))
     return out
 
 

@@ -1,0 +1,37 @@
+"""The README's library example runs, and the declared dependencies match the imports."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_python_block_runs_and_prints_its_comment(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    # the block's last line prints eta and states the value in its comment
+    claimed = re.search(r"print\(est\.eta\)\s+# ([0-9.]+)", blocks[0]).group(1)
+    assert f"{float(printed[-1]):.{len(claimed) - 2}f}" == claimed
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
+                for dep in project["dependencies"]}
+    imported = set()
+    for path in (ROOT / "src" / "ire_sim").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = {name for name in imported
+                   if name not in sys.stdlib_module_names and name != "ire_sim"}
+    assert third_party == declared

@@ -17,9 +17,8 @@ from ire_sim import (
     transverse_amplitude,
     wavenumbers,
 )
-from ire_sim import _kernels
-from ire_sim.ensemble import _GAUSS_VOLUME, _raw_words, _sample_range
-from ire_sim.retrieval import CHUNK_ATOMS, THREADS_ENV_VAR, _kernel_args
+from ire_sim.ensemble import _GAUSS_VOLUME, _sample_range
+from ire_sim.retrieval import CHUNK_ATOMS, THREADS_ENV_VAR, _eta_worker, _prune
 
 from conftest import R0, SPECIES, TEMP, W_COLLECT, canonical_scenario
 
@@ -176,27 +175,28 @@ def test_spinwave_amplitude_composition():
 
 
 def test_kernel_matches_vectorized_reference():
-    # The compiled chunk kernel must reproduce, to near machine precision,
-    # the sums assembled from the public per-atom building blocks.
+    # One chunk partial of the stream must reproduce, to near machine
+    # precision, the sums assembled from the public per-atom building
+    # blocks over the atoms the skip keeps.
     scn = canonical_scenario(
         n_atoms_override=4096, skew_theta=math.radians(2.0), storage_tm=50e-6, seed=13
     )
     n = scn.n_atoms
     sample = draw_sample(scn)
-    a = spinwave_amplitude(sample, scn)
-    p = idler_projection(sample, scn)
-    s1_ref = np.sum(a * p)
+    keep, dropped_ref = _prune(sample.r_initial, scn)
+    a = spinwave_amplitude(sample, scn)[keep]
+    x = a * idler_projection(sample, scn)[keep]
+    s1_ref = np.sum(x)
     s2_ref = float(np.sum(np.abs(a) ** 2))
-    sxx_ref = float(np.sum(np.abs(a * p) ** 2))
+    sxx_ref = float(np.sum(np.abs(x) ** 2))
 
-    raw = _raw_words(scn.seed, 0, n)
-    args = _kernel_args(scn)
-    for fn in (_kernels.eta_chunk_np, _kernels.eta_chunk):
-        s1r, s1i, s2, sxx = fn(raw, *args)
-        assert s1r == pytest.approx(s1_ref.real, rel=1e-10)
-        assert s1i == pytest.approx(s1_ref.imag, rel=1e-10)
-        assert s2 == pytest.approx(s2_ref, rel=1e-10)
-        assert sxx == pytest.approx(sxx_ref, rel=1e-10)
+    [(s1r, s1i, s2, sxx, dropped, n_kept)] = _eta_worker(((scn,), 0, n))
+    assert s1r == pytest.approx(s1_ref.real, rel=1e-10)
+    assert s1i == pytest.approx(s1_ref.imag, rel=1e-10)
+    assert s2 == pytest.approx(s2_ref, rel=1e-10)
+    assert sxx == pytest.approx(sxx_ref, rel=1e-10)
+    assert n_kept == int(keep.sum())
+    assert dropped >= dropped_ref
 
 
 def test_single_atom_efficiency_is_exact():

@@ -22,11 +22,11 @@ from ire_sim import (
     eta_angular,
     eta_paraxial,
     eta_reference,
+    idler_projection,
     make_scenario,
     spinwave_amplitude,
     wavenumbers,
 )
-from ire_sim import _kernels
 from ire_sim.angular import ANGULAR_CHUNK_ATOMS, _field_sums
 from ire_sim.cli import main as cli_main
 from ire_sim.ensemble import (
@@ -42,7 +42,6 @@ from ire_sim.retrieval import (
     CHUNK_ATOMS,
     _estimate,
     _eta_stream,
-    _kernel_args,
     _prune,
     _screen,
     _screen_word,
@@ -120,16 +119,20 @@ def test_tiny_cloud_screens_nothing():
 
 
 def _unscreened_eta_worker(task):
-    """The stream's chunk worker without the word-0 screen: positions for every atom."""
+    """The stream's chunk sums without the word-0 screen, from the public per-atom functions."""
     scenarios, lo, hi = task
     raw = _raw_words(scenarios[0].seed, lo, hi)
     r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
-    kernel = _kernels.eta_chunk if _kernels.HAVE_NUMBA else _kernels.eta_chunk_np
     out = []
     for scenario in scenarios:
         keep, dropped = _prune(r, scenario)
-        kept = raw[keep]
-        out.append((*kernel(kept, *_kernel_args(scenario)), dropped, kept.shape[0]))
+        sample = _sample_words(raw[keep], scenario.cloud)
+        a = spinwave_amplitude(sample, scenario)
+        x = a * idler_projection(drift(sample, scenario.storage_tm), scenario)
+        s1 = complex(np.sum(x))
+        s2 = float(np.sum(a.real**2 + a.imag**2))
+        sxx = float(np.sum(x.real**2 + x.imag**2))
+        out.append((s1.real, s1.imag, s2, sxx, dropped, len(sample)))
     return out
 
 
@@ -170,7 +173,7 @@ def test_angular_field_keeps_the_bits_of_an_unscreened_pass():
     scn = canonical_scenario(n_atoms_override=n, skew_theta=math.radians(2.0),
                              storage_tm=100e-6, seed=6)
     field = angular_field(scn, grid, threads=2)
-    acc_re, acc_im = np.zeros(grid.n_nodes), np.zeros(grid.n_nodes)
+    acc = np.zeros(grid.n_nodes, dtype=complex)
     s2 = dropped = 0.0
     n_kept = 0
     for lo in range(0, n, ANGULAR_CHUNK_ATOMS):  # the unscreened chunk worker, in chunk order
@@ -178,13 +181,11 @@ def test_angular_field_keeps_the_bits_of_an_unscreened_pass():
         keep, part_dropped = _prune(sample.r_initial, scn)
         sample = drift(AtomSample(sample.r_initial[keep], sample.velocity[keep]), scn.storage_tm)
         amps = spinwave_amplitude(sample, scn)
-        out_re, out_im = _field_sums(amps, sample.r_drifted, scn.skew_theta, KN.k_r, KN.k_i, grid)
-        acc_re += out_re
-        acc_im += out_im
+        acc += _field_sums(amps, sample.r_drifted, scn.skew_theta, KN.k_r, KN.k_i, grid)
         s2 += float(np.sum(amps.real**2 + amps.imag**2))
         dropped += part_dropped
         n_kept += len(sample)
-    values = (acc_re + 1j * acc_im) / math.sqrt(4.0 * math.pi)
+    values = acc / math.sqrt(4.0 * math.pi)
     assert field.values.tobytes() == values.tobytes()
     assert field.source_s2 == s2
     assert field.n_kept == n_kept

@@ -101,3 +101,16 @@ def test_programming_errors_propagate(monkeypatch, axis, target):
     method = "angular" if target == "eta_angular" else "paraxial"
     with pytest.raises(TypeError, match="unsupported operand"):
         run_sweep(SweepSpec(base, axis, (0.0, 1.0), replicates=1, method=method))
+
+
+def test_job_rebuilds_the_amplitudes_when_the_velocity_spread_changes():
+    # No sweep axis moves the temperature, but one job may hold scenarios
+    # that differ only there: each must be drifted with its own velocities.
+    base = canonical_scenario(skew_theta=math.radians(2.0), storage_tm=100e-6,
+                              mc_atoms=20_000, seed=3)
+    hot = replace(base, cloud=replace(base.cloud, temperature_t=4.0 * base.cloud.temperature_t))
+    job = (base, hot, base)
+    got = retrieval._eta_stream([job], threads=1)[0]
+    for scn, parts in zip(job, got):
+        assert parts == retrieval._eta_stream([(scn,)], threads=1)[0][0]
+    assert got[0] != got[1]
