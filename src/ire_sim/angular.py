@@ -16,6 +16,12 @@ No paraxial step enters, so this path cross-checks the streaming estimator
 wherever both are affordable. Cost scales as atoms x nodes; it is meant for
 ensembles up to about a million atoms on the default grid.
 
+The atoms come from the paraxial estimator's chunk stream
+(retrieval._eta_stream): the same counter words, word-0 screen, skip mask
+and stored amplitudes, with the field on the grid as the per-scenario
+projection and chunks of ANGULAR_CHUNK_ATOMS. A field, or each replicate
+of an angular sweep, streams once on at most one process pool.
+
 The sphere grid concentrates polar nodes in a cap around the backward axis
 (where the phase-matched lobe lives) using Gauss-Legendre nodes in theta,
 covers the rest of the sphere with Gauss-Legendre nodes in cos theta, and
@@ -28,24 +34,14 @@ from __future__ import annotations
 import datetime
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._version import __version__
-from .ensemble import AtomSample, _raw_words, _sample_words, drift
-from .retrieval import (
-    PRUNE_FLOOR,
-    EtaEstimate,
-    Scenario,
-    _screen,
-    _skip,
-    resolve_threads,
-    spinwave_amplitude,
-    wavenumbers,
-)
+from .ensemble import drift
+from .retrieval import PRUNE_FLOOR, EtaEstimate, Scenario, _eta_stream, wavenumbers
 
 # Atoms per chunk on the angular path. Much smaller than the streaming
 # estimator's chunk because each atom touches every grid node; fixed so the
@@ -251,25 +247,35 @@ def field_from_atoms(
     )
 
 
-def _angular_worker(task):
-    """Field partial sums for one atom chunk (top level for process pools).
+def _field_projection(grids, a, sample, scenario):
+    """The angular projection: a 1-tuple, the atoms' raw partial field on the scenario's grid.
 
-    The same skip as the paraxial stream: the word-0 screen first, then
-    normals for the surviving rows only and the exact mask on their
-    positions. Returns the raw partial field, sum |A_j|^2 over the kept
-    atoms, the chunk's dropped amplitude and its kept-atom count.
+    grids maps idler modes to grids; the field is taken after the storage time.
     """
-    scenario, lo, hi, grid = task
-    raw, n_screened = _screen(_raw_words(scenario.seed, lo, hi), (scenario,))
-    sample = _sample_words(raw, scenario.cloud)
-    keep, dropped = _skip(sample.r_initial, scenario, n_screened)
-    sample = drift(AtomSample(sample.r_initial[keep], sample.velocity[keep]),
-                   scenario.storage_tm)
-    amps = spinwave_amplitude(sample, scenario)
     kn = wavenumbers(scenario.species)
-    field = _field_sums(amps, sample.r_drifted, scenario.skew_theta, kn.k_r, kn.k_i, grid)
-    s2 = float(np.sum(amps.real**2 + amps.imag**2))
-    return field, s2, dropped, len(sample)
+    r = drift(sample, scenario.storage_tm).r_drifted
+    return (_field_sums(a, r, scenario.skew_theta, kn.k_r, kn.k_i, grids[scenario.idler_mode]),)
+
+
+def _add(total, part):
+    """The angular fold: add a chunk's (field, S2, D, n_kept) to the running total."""
+    return part if total is None else tuple(t + p for t, p in zip(total, part))
+
+
+def _angular_method(grids):
+    """_eta_stream's arguments for fields on grids (idler mode -> grid), and the merge of a total."""
+    how = dict(project=partial(_field_projection, grids), chunk_atoms=ANGULAR_CHUNK_ATOMS,
+               fold=_add)
+    return how, lambda s, total: _field_estimate(_as_field(s, total), grids[s.idler_mode])
+
+
+def _as_field(scenario: Scenario, total) -> AngularField:
+    """The emitted field of a scenario's folded stream total."""
+    field, s2, dropped, n_kept = total
+    return AngularField(
+        values=field / math.sqrt(4.0 * math.pi), normalized=False, source_s2=s2,
+        n_atoms=scenario.n_atoms, seed=scenario.seed, n_kept=n_kept, dropped_amplitude=dropped,
+    )
 
 
 def angular_field(
@@ -277,43 +283,23 @@ def angular_field(
 ) -> AngularField:
     """Emitted field of the scenario's full ensemble on the grid.
 
-    Atoms stream in fixed chunks of ANGULAR_CHUNK_ATOMS; chunk partial
-    fields are added in ascending chunk order, so the result is
-    bit-identical for every thread count. Atoms below PRUNE_FLOOR are
-    skipped before the kernel, so the cost is kept atoms x nodes; the field
-    records their summed amplitude (see AngularField). See the module
-    docstring for the intended size range.
+    The one-scenario case of the paraxial estimator's stream (_eta_stream):
+    atoms stream in fixed chunks of ANGULAR_CHUNK_ATOMS on at most one
+    process pool, and each chunk's partial field is added, in ascending
+    chunk order, to the total as it arrives, so the result is bit-identical
+    for every thread count and holds no field per chunk. Atoms below
+    PRUNE_FLOOR are skipped before the kernel, so the cost is kept atoms x
+    nodes; the field records their summed amplitude (see AngularField). See
+    the module docstring for the intended size range.
     """
     if scenario.mc_atoms is not None:
         raise ValueError(
             "the angular path has no subsample estimator (mc_atoms is set); "
             "build the scenario with n_atoms_override instead"
         )
-    n = scenario.n_atoms
-    threads = resolve_threads(threads)
-    n_chunks = (n + ANGULAR_CHUNK_ATOMS - 1) // ANGULAR_CHUNK_ATOMS
-    tasks = [
-        (scenario, ci * ANGULAR_CHUNK_ATOMS, min((ci + 1) * ANGULAR_CHUNK_ATOMS, n), grid)
-        for ci in range(n_chunks)
-    ]
-    acc = np.zeros(grid.n_nodes, dtype=np.complex128)
-    s2 = dropped = 0.0
-    n_kept = 0
-    with ExitStack() as stack:
-        if threads == 1 or n_chunks == 1:
-            parts = map(_angular_worker, tasks)
-        else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(threads, n_chunks)))
-            parts = pool.map(_angular_worker, tasks, chunksize=1)
-        for part, part_s2, part_dropped, part_kept in parts:  # chunk order
-            acc += part
-            s2 += part_s2
-            dropped += part_dropped
-            n_kept += part_kept
-    return AngularField(
-        values=acc / math.sqrt(4.0 * math.pi), normalized=False, source_s2=s2, n_atoms=n,
-        seed=scenario.seed, n_kept=n_kept, dropped_amplitude=dropped,
-    )
+    how, _ = _angular_method({scenario.idler_mode: grid})
+    [[total]] = _eta_stream([(scenario,)], threads, **how)
+    return _as_field(scenario, total)
 
 
 def sphere_norm(field: AngularField, grid: AngularGrid) -> float:
@@ -357,14 +343,25 @@ def _fiber_overlap(field: AngularField, grid: AngularGrid) -> float:
     return float(abs(np.sum(grid.node_weight * g * field.values)) ** 2)
 
 
+def _default_grid(scenario: Scenario) -> AngularGrid:
+    """build_grid's default sphere grid for the scenario's idler."""
+    return build_grid(wavenumbers(scenario.species).k_i, scenario.idler_mode.waist_w0)
+
+
 def eta_angular(
     scenario: Scenario, grid: AngularGrid | None = None, threads: int | None = None
 ) -> EtaEstimate:
-    """Retrieval efficiency through the angular reference path."""
+    """Retrieval efficiency through the angular reference path.
+
+    grid defaults to build_grid's default sphere grid for the scenario's idler.
+    """
     if grid is None:
-        kn = wavenumbers(scenario.species)
-        grid = build_grid(kn.k_i, scenario.idler_mode.waist_w0)
-    field = angular_field(scenario, grid, threads=threads)
+        grid = _default_grid(scenario)
+    return _field_estimate(angular_field(scenario, grid, threads=threads), grid)
+
+
+def _field_estimate(field: AngularField, grid: AngularGrid) -> EtaEstimate:
+    """The angular merge: the estimate of a raw field, its fiber overlap over sum |A_j|^2."""
     numerator = _fiber_overlap(field, grid)
     denominator = field.source_s2
     if denominator <= 0.0:
@@ -375,7 +372,7 @@ def eta_angular(
         denominator=denominator,
         n_atoms=field.n_atoms,
         method="angular",
-        seed=scenario.seed,
+        seed=field.seed,
         n_kept=field.n_kept,
         dropped_amplitude=field.dropped_amplitude,
     )

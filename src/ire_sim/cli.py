@@ -167,7 +167,13 @@ def _grid_from_doc(doc, scenario: Scenario):
     )
 
 
-def _guard_angular_size(scenario: Scenario) -> None:
+def _guard_angular(scenario: Scenario) -> None:
+    """Reject a configuration the angular path cannot run: a subsample or too many atoms."""
+    if scenario.mc_atoms is not None:
+        raise ConfigError(
+            "mc_atoms applies to the paraxial estimator only; the angular path "
+            "streams every atom, so drop it"
+        )
     if scenario.n_atoms > ANGULAR_MAX_ATOMS:
         raise ConfigError(
             f"angular path over {scenario.n_atoms} atoms would evaluate "
@@ -182,12 +188,7 @@ def _cmd_eta(args) -> int:
     report = resolution_report(scenario)
     _print_report(report)
     if doc.method == "angular":
-        if scenario.mc_atoms is not None:
-            raise ConfigError(
-                "mc_atoms applies to the paraxial estimator only; "
-                "drop it or use method = paraxial"
-            )
-        _guard_angular_size(scenario)
+        _guard_angular(scenario)
         est = eta_angular(scenario, grid=_grid_from_doc(doc, scenario), threads=args.threads)
     else:
         est = eta_paraxial(scenario, threads=args.threads)
@@ -241,6 +242,8 @@ def _parse_values(raw: str) -> tuple[float, ...]:
 def _cmd_sweep(args) -> int:
     doc, scenario = _load(args, method_override=True, mc_override=True)
     values = _parse_values(args.values)
+    if doc.method == "angular":
+        _guard_angular(scenario)
     spec = SweepSpec(
         base=scenario,
         axis=args.sweep,
@@ -248,8 +251,6 @@ def _cmd_sweep(args) -> int:
         replicates=args.replicates,
         method=doc.method,
     )
-    if spec.method == "angular":
-        _guard_angular_size(scenario)
     rows = run_sweep(spec, threads=args.threads)
     for row in rows:
         if row.error is not None:
@@ -283,12 +284,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_angular(args) -> int:
     doc, scenario = _load(args)
-    _guard_angular_size(scenario)
-    if scenario.mc_atoms is not None:
-        raise ConfigError(
-            "mc_atoms applies to the paraxial estimator only; drop it from [run] "
-            "for heatmap export"
-        )
+    _guard_angular(scenario)
     grid = _grid_from_doc(doc, scenario)
     field = angular_field(scenario, grid, threads=args.threads)
     eta_ref = eta_reference(field, grid)

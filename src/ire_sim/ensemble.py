@@ -192,11 +192,6 @@ def _sample_words(raw: np.ndarray, cloud: CloudSpec) -> AtomSample:
     return AtomSample(r_initial=g[:, 0:3] * cloud.sigma_r0, velocity=v)
 
 
-def _sample_range(cloud: CloudSpec, seed: int, index_lo: int, index_hi: int) -> AtomSample:
-    """Samples for the atom index range [index_lo, index_hi), no N cap."""
-    return _sample_words(_raw_words(seed, index_lo, index_hi), cloud)
-
-
 def sample_atoms(cloud: CloudSpec, seed: int, chunk_index: int, chunk_size: int) -> AtomSample:
     """Generate the atoms of one chunk: indices [chunk_index*chunk_size, ...).
 
@@ -212,7 +207,7 @@ def sample_atoms(cloud: CloudSpec, seed: int, chunk_index: int, chunk_size: int)
     if lo >= n_total:
         empty = np.empty((0, 3), dtype=np.float64)
         return AtomSample(r_initial=empty, velocity=empty.copy())
-    return _sample_range(cloud, seed, lo, hi)
+    return _sample_words(_raw_words(seed, lo, hi), cloud)
 
 
 def drift(sample: AtomSample, t_m: float) -> AtomSample:

@@ -11,9 +11,11 @@ Each value runs `replicates` times with seeds base, base+1, ...; a row
 reports the replicate mean and the standard error of that mean (sample
 standard deviation over sqrt(replicates), zero for a single replicate). A
 value that fails with a ValueError or ArithmeticError produces an error
-row and the sweep continues. A paraxial sweep streams each replicate's
-atoms once for all the values that share its streamed count: no axis moves
-the seed or the cloud width, and only the optical depth moves the count.
+row and the sweep continues. A sweep of either method streams each
+replicate's atoms once for all the values that share its streamed count,
+on one process pool: no axis moves the seed or the cloud width, and only
+the optical depth moves the count. An angular sweep evaluates each value
+on the default sphere grid of its idler.
 Numeric CSV fields carry 9 significant digits; reruns of the same spec
 produce byte-identical files.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .angular import eta_angular
+from .angular import _angular_method, _default_grid
 from .ensemble import density_for_od, optical_depth
 from .retrieval import Scenario, _estimate, _eta_stream, _streamed_count
 
@@ -157,51 +159,46 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[SweepRow]:
     """Run every sweep value; a value that fails becomes an error row, not an abort.
 
     Only ValueError and ArithmeticError become error rows; any other
-    exception is a programming error and propagates. With the paraxial
-    method, each replicate's atoms are drawn once for every valid value
-    with the same streamed count (all of them, unless an optical_depth
-    sweep streams the full ensemble), with all chunks on one process pool;
-    each row is bit-identical to eta_paraxial at its point. An error of
-    that shared stream fails every valid value; an error of one value's
-    estimate fails that value alone.
+    exception is a programming error and propagates. With either method,
+    each replicate's atoms are drawn once for every valid value with the
+    same streamed count (all of them, unless an optical_depth sweep streams
+    the full ensemble), with all chunks on one process pool; each row is
+    bit-identical to eta_paraxial, or eta_angular on its default grid, at
+    its point. The methods differ only in the projection, the chunk size
+    and the merge. An error of that shared stream fails every valid value;
+    an error of one value's estimate fails that value alone.
     """
     seeds = range(spec.base.seed, spec.base.seed + spec.replicates)
     points, etas, failed = {}, {}, {}  # keyed by the value's index
+    grids = {}  # the angular method's grid per idler mode
     for i, value in enumerate(spec.values):
         try:
             scenario = scenario_for_value(spec.base, spec.axis, value)
+            if spec.method == "angular":
+                grids[scenario.idler_mode] = _default_grid(scenario)
             points[i] = (scenario, _descriptors(scenario))
         except (ValueError, ArithmeticError) as exc:
             failed[i] = exc
-    if spec.method == "paraxial":
-        groups: dict[int, list[int]] = {}  # streamed count -> value indices
-        for i, (scenario, _) in points.items():
-            groups.setdefault(_streamed_count(scenario), []).append(i)
-        owners = [idx for _ in seeds for idx in groups.values()]
-        jobs = [tuple(replace(points[i][0], seed=seed) for i in idx)
-                for seed in seeds for idx in groups.values()]
-        runs: dict[int, list] = {i: [] for i in points}  # (scenario, partials) per seed
+    how, merge = _angular_method(grids) if spec.method == "angular" else ({}, _estimate)
+    groups: dict[int, list[int]] = {}  # streamed count -> value indices
+    for i, (scenario, _) in points.items():
+        groups.setdefault(_streamed_count(scenario), []).append(i)
+    owners = [idx for _ in seeds for idx in groups.values()]
+    jobs = [tuple(replace(points[i][0], seed=seed) for i in idx)
+            for seed in seeds for idx in groups.values()]
+    runs: dict[int, list] = {i: [] for i in points}  # (scenario, total) per seed
+    try:
+        for idx, job, totals in zip(owners, jobs, _eta_stream(jobs, threads, **how)):
+            for i, scenario, total in zip(idx, job, totals):
+                runs[i].append((scenario, total))
+    except (ValueError, ArithmeticError) as exc:
+        failed.update(dict.fromkeys(points, exc))
+        runs = {}
+    for i, per_seed in runs.items():
         try:
-            for idx, job, partials in zip(owners, jobs, _eta_stream(jobs, threads)):
-                for i, scenario, parts in zip(idx, job, partials):
-                    runs[i].append((scenario, parts))
+            etas[i] = tuple(merge(scenario, total).eta for scenario, total in per_seed)
         except (ValueError, ArithmeticError) as exc:
-            failed.update(dict.fromkeys(points, exc))
-            runs = {}
-        for i, per_seed in runs.items():
-            try:
-                etas[i] = tuple(_estimate(scenario, parts).eta for scenario, parts in per_seed)
-            except (ValueError, ArithmeticError) as exc:
-                failed[i] = exc
-    else:
-        for i, (scenario, _) in points.items():
-            try:
-                etas[i] = tuple(
-                    eta_angular(replace(scenario, seed=seed), threads=threads).eta
-                    for seed in seeds
-                )
-            except (ValueError, ArithmeticError) as exc:
-                failed[i] = exc
+            failed[i] = exc
 
     rows: list[SweepRow] = []
     for i, value in enumerate(spec.values):

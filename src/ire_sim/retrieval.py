@@ -30,8 +30,10 @@ No sweep axis moves the seed, the cloud width or the streamed count, so
 one stream can serve several scenarios: a chunk's counter words and
 positions are drawn once, the skip mask and the stored amplitudes A_j are
 rebuilt only where the beams, the tilt or the velocity spread change, and
-the projection P_j runs per scenario. The lobe power C(t_m) is one
-reduction of a per-node table cached without t_m.
+the projection runs per scenario. The same stream serves the angular
+reference path, whose projection is the emitted field on a sphere grid
+(see ire_sim.angular). The lobe power C(t_m) is one reduction of a
+per-node table cached without t_m.
 
 Atoms whose stored amplitude is at most PRUNE_FLOOR of its peak are skipped
 before the per-atom kernels. Counter word 0 decides first: it fixes the
@@ -61,10 +63,10 @@ from .ensemble import (
     _GAUSS_VOLUME,
     _positions_from_raw,
     _raw_words,
-    _sample_range,
     _sample_words,
     _word0_floor,
     drift,
+    sample_atoms,
     thermal_velocity_sigma,
 )
 
@@ -416,8 +418,7 @@ def draw_sample(scenario: Scenario, n: int | None = None) -> AtomSample:
     count = scenario.n_atoms if n is None else int(n)
     if count < 1 or count > scenario.n_atoms:
         raise ValueError(f"n must be in [1, {scenario.n_atoms}]")
-    sample = _sample_range(scenario.cloud, scenario.seed, 0, count)
-    return drift(sample, scenario.storage_tm)
+    return drift(sample_atoms(scenario.cloud, scenario.seed, 0, count), scenario.storage_tm)
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -431,8 +432,15 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
+def _paraxial_sums(a, sample, scenario) -> tuple[float, float, float]:
+    """The paraxial projection: Re S1, Im S1, SXX of x_j = A_j P_j after the storage time."""
+    x = a * idler_projection(drift(sample, scenario.storage_tm), scenario)
+    s1 = complex(np.sum(x))
+    return s1.real, s1.imag, float(np.sum(x.real**2 + x.imag**2))
+
+
 def _eta_worker(task):
-    """One chunk of the streaming accumulator (top level for process pools).
+    """One chunk of the stream (top level for process pools).
 
     Draws the chunk's counter words once for all the job's scenarios and
     keeps the rows that pass the word-0 screen at the loosest threshold of
@@ -440,13 +448,13 @@ def _eta_worker(task):
     skip mask (_prune), the kept atoms and their stored amplitudes A_j are
     rebuilt only when something they depend on differs from the previous
     scenario's: the species, the beams, the tilt or the velocity spread.
-    Each scenario then projects x_j = A_j P_j at its drifted positions. The
-    kept rows, their order and so the sums are those of an unscreened pass;
-    D adds PRUNE_FLOOR^2 amp0 per screened-out atom. Returns one partial
-    (Re S1, Im S1, S2, SXX, dropped, n_kept) per scenario, with
-    S1 = sum x_j, S2 = sum |A_j|^2 and SXX = sum |x_j|^2 over the kept atoms.
+    Each scenario then calls project(A_j, kept atoms, scenario), which
+    returns a tuple of that method's sums. The kept rows, their order and
+    so the sums are those of an unscreened pass; D adds PRUNE_FLOOR^2 amp0
+    per screened-out atom. Returns one partial per scenario: the projection's
+    sums followed by S2 = sum |A_j|^2, D and n_kept over the kept atoms.
     """
-    scenarios, lo, hi = task
+    scenarios, lo, hi, project = task
     raw, n_screened = _screen(_raw_words(scenarios[0].seed, lo, hi), scenarios)
     r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
     out, built_for = [], None
@@ -460,10 +468,7 @@ def _eta_worker(task):
             a = spinwave_amplitude(sample, scenario)
             s2 = float(np.sum(a.real**2 + a.imag**2))
             built_for = key
-        x = a * idler_projection(drift(sample, scenario.storage_tm), scenario)
-        s1 = complex(np.sum(x))
-        sxx = float(np.sum(x.real**2 + x.imag**2))
-        out.append((s1.real, s1.imag, s2, sxx, dropped, len(sample)))
+        out.append((*project(a, sample, scenario), s2, dropped, len(sample)))
     return out
 
 
@@ -484,7 +489,7 @@ def _streamed_count(scenario: Scenario) -> int:
 def _estimate(scenario: Scenario, partials) -> EtaEstimate:
     """Merge one scenario's chunk partials (ascending chunk order) into eta.
 
-    partials holds (Re S1, Im S1, S2, SXX, dropped, n_kept) per chunk, as
+    partials holds (Re S1, Im S1, SXX, S2, dropped, n_kept) per chunk, as
     _eta_stream returns them for this scenario.
     """
     n_total = scenario.n_atoms
@@ -493,7 +498,7 @@ def _estimate(scenario: Scenario, partials) -> EtaEstimate:
     for part in partials:
         for k in range(5):
             acc[k] = _kahan(acc[k], part[k])
-    s1r, s1i, s2, sxx, dropped = (a[0] + a[1] for a in acc)
+    s1r, s1i, sxx, s2, dropped = (a[0] + a[1] for a in acc)
     n_kept = sum(part[5] for part in partials)
 
     if s2 <= 0.0:
@@ -530,30 +535,44 @@ def _estimate(scenario: Scenario, partials) -> EtaEstimate:
     )
 
 
-def _eta_stream(jobs, threads: int | None = None) -> list[list[tuple]]:
-    """Chunk partials for jobs of scenarios that share one stream each.
+def _collect(parts, part):
+    """The paraxial fold: keep every chunk partial for _estimate's compensated merge."""
+    return [part] if parts is None else parts + [part]
+
+
+def _eta_stream(jobs, threads=None, project=_paraxial_sums, chunk_atoms=None, fold=_collect):
+    """Chunk partials of jobs of scenarios that share one stream each, folded per scenario.
 
     A job is a tuple of scenarios with the same seed, cloud width sigma_r0
-    and streamed count (mc_atoms, else n_atoms); its atoms are drawn once
-    and every scenario is evaluated on them (see _eta_worker). Every chunk
-    of every job goes through one pool.map on one process pool (none for
-    one thread or one chunk). Returns, per job and per scenario, the chunk
-    partials in ascending chunk order; _estimate merges one scenario's into
-    an estimate bit-identical to eta_paraxial for every thread count.
+    and streamed count (mc_atoms, else n_atoms); its atoms are drawn once,
+    in chunks of chunk_atoms (default CHUNK_ATOMS), and every scenario is
+    evaluated on them with project (see _eta_worker). Every chunk of every
+    job goes through one pool.map on one process pool (none for one thread
+    or one chunk). As each chunk's partials arrive, in ascending chunk
+    order, fold(total, partial) adds them to their scenario's total (None
+    at first); the totals are returned per job and per scenario. The
+    default fold lists the chunk partials, which _estimate merges into an
+    estimate bit-identical to eta_paraxial for every thread count.
     """
     threads = resolve_threads(threads)
-    tasks, spans = [], []
-    for job in jobs:
+    chunk_atoms = chunk_atoms or CHUNK_ATOMS
+    tasks, owners = [], []
+    for k, job in enumerate(jobs):
         n = _streamed_count(job[0])
-        start = len(tasks)
-        tasks += [(job, lo, min(lo + CHUNK_ATOMS, n)) for lo in range(0, n, CHUNK_ATOMS)]
-        spans.append((start, len(tasks)))
+        for lo in range(0, n, chunk_atoms):
+            tasks.append((job, lo, min(lo + chunk_atoms, n), project))
+            owners.append(k)
+    totals = [[None] * len(job) for job in jobs]
+
+    def fold_in(results):
+        for k, partials in zip(owners, results):  # chunk order
+            totals[k] = [fold(total, part) for total, part in zip(totals[k], partials)]
+        return totals
+
     if threads == 1 or len(tasks) <= 1:
-        partials = [_eta_worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            partials = list(pool.map(_eta_worker, tasks, chunksize=1))
-    return [list(zip(*partials[start:stop])) for start, stop in spans]
+        return fold_in(map(_eta_worker, tasks))
+    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+        return fold_in(pool.map(_eta_worker, tasks, chunksize=1))
 
 
 def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
@@ -586,15 +605,10 @@ _LOBE_CACHE_MAX = 16
 # moves the canonical results by < 1e-3 relative.
 _LOBE_THETA_SPACING = 5.25e-4
 _LOBE_PHI_PER_CAP = 24.0
+_LOBE_N_Z, _LOBE_N_Y = 256, 448  # trapezoid nodes of the (z, y) source grid
 
 
-def coherent_lobe_power(
-    scenario: Scenario,
-    n_theta: int | None = None,
-    n_phi: int | None = None,
-    n_z: int = 256,
-    n_y: int = 448,
-) -> float:
+def coherent_lobe_power(scenario: Scenario) -> float:
     """Power of the phase-matched lobe of the configuration-averaged field.
 
     Computes C = integral over the backward cap of |Fbar(khat)|^2 dOmega with
@@ -609,9 +623,9 @@ def coherent_lobe_power(
     closed form with a complex width (envelopes plus curvature phases,
     transverse y-dependence of the x-width is negligible); (y, z) is a
     trapezoid grid; the cap uses Gauss-Legendre nodes in the polar angle
-    and midpoint nodes in azimuth. Node counts default to densities whose
-    refinement was verified stable; the cap half-width adapts to the tilt
-    so the lobe stays covered.
+    and midpoint nodes in azimuth. Node counts follow from the module's
+    quadrature constants, whose refinement was verified stable; the cap
+    half-width adapts to the tilt so the lobe stays covered.
 
     The storage time enters only through that damping, so the quadrature
     is kept as a per-node table of w |Fbar_0|^2 (quadrature weight times
@@ -628,18 +642,14 @@ def coherent_lobe_power(
 
     w_eff = 1.0 / math.sqrt(1.0 / w_w**2 + 1.0 / w_s**2)
     th_cap = abs(scenario.skew_theta) + 12.0 / (kn.k_i * w_eff)
-    if n_theta is None:
-        n_theta = max(96, int(math.ceil(th_cap / _LOBE_THETA_SPACING)))
-    if n_phi is None:
-        n_phi = max(24, 2 * int(math.ceil(_LOBE_PHI_PER_CAP * th_cap / 0.0502 / 2.0)))
 
     key = (
         kn.k_w, kn.k_s, kn.k_r, kn.k_i, w_w, w_s, cloud.sigma_r0,
-        cloud.peak_density_n0, scenario.skew_theta, amp0, n_theta, n_phi, n_z, n_y,
+        cloud.peak_density_n0, scenario.skew_theta, amp0,
     )
     table = _LOBE_CACHE.get(key)
     if table is None:
-        table = _lobe_table(scenario, kn, w_eff, th_cap, n_theta, n_phi, n_z, n_y)
+        table = _lobe_table(scenario, kn, w_eff, th_cap)
         if len(_LOBE_CACHE) >= _LOBE_CACHE_MAX:
             _LOBE_CACHE.clear()
         _LOBE_CACHE[key] = table
@@ -649,8 +659,7 @@ def coherent_lobe_power(
 
 
 def _lobe_table(
-    scenario: Scenario, kn: Wavenumbers, w_eff: float, th_cap: float,
-    n_theta: int, n_phi: int, n_z: int, n_y: int,
+    scenario: Scenario, kn: Wavenumbers, w_eff: float, th_cap: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node w |Fbar_0|^2 and |q|^2 of coherent_lobe_power, one row per polar level.
 
@@ -658,6 +667,8 @@ def _lobe_table(
     (n_z, n_y) x (n_y, columns) product; the x factor and the z sum follow
     per level.
     """
+    n_theta = max(96, int(math.ceil(th_cap / _LOBE_THETA_SPACING)))
+    n_phi = max(24, 2 * int(math.ceil(_LOBE_PHI_PER_CAP * th_cap / 0.0502 / 2.0)))
     cloud = scenario.cloud
     w_w = scenario.write_mode.waist_w0
     w_s = scenario.signal_mode.waist_w0
@@ -682,8 +693,8 @@ def _lobe_table(
     wphi = 2.0 * np.pi / n_phi * mult
 
     y_max = 6.615 * w_eff
-    zs = np.linspace(-5.0 * r0, 5.0 * r0, n_z)
-    ys = np.linspace(-y_max, y_max, n_y)
+    zs = np.linspace(-5.0 * r0, 5.0 * r0, _LOBE_N_Z)
+    ys = np.linspace(-y_max, y_max, _LOBE_N_Y)
     dz = zs[1] - zs[0]
     dy = ys[1] - ys[0]
     zg, yg = np.meshgrid(zs, ys, indexing="ij")

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import ire_sim.retrieval as retrieval
 from ire_sim import SpeciesConstants, make_scenario
 
 # Rubidium-like D1 memory: 795 nm transition, write detuned by 2pi x 10 MHz,
@@ -71,3 +72,17 @@ def canonical_ini_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("config") / "canonical.ini"
     path.write_text(CANONICAL_INI)
     return str(path)
+
+
+@pytest.fixture()
+def created_pools(monkeypatch):
+    """The max_workers of every process pool the stream builds, in order of creation."""
+    created = []
+
+    class CountingPool(retrieval.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(retrieval, "ProcessPoolExecutor", CountingPool)
+    return created

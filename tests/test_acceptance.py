@@ -24,12 +24,12 @@ from ire_sim import (
     most_probable_speed,
     optical_depth,
     run_sweep,
+    sample_atoms,
     sphere_norm,
     angular_field,
     wavenumbers,
 )
 from ire_sim.cli import main as cli_main
-from ire_sim.ensemble import _sample_range
 
 from conftest import CANONICAL_INI, SPECIES, TEMP, W_COLLECT, canonical_scenario
 
@@ -260,7 +260,7 @@ def test_criterion_11_thermal_statistics_and_od_round_trip():
     v_p = most_probable_speed(scn.cloud)
     rel_formula = abs(v_p - 0.075) / 0.075
 
-    sample = _sample_range(scn.cloud, seed=5, index_lo=0, index_hi=1_000_000)
+    sample = sample_atoms(scn.cloud, seed=5, chunk_index=0, chunk_size=1_000_000)
     speeds = np.linalg.norm(sample.velocity, axis=1)
     counts, edges = np.histogram(speeds, bins=60, range=(0.0, 0.25))
     peak = int(np.argmax(counts))

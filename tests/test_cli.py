@@ -105,13 +105,14 @@ def test_eta_angular_method(angular_ini, tmp_path, capsys):
 
 
 def test_eta_angular_rejects_subsampling(angular_ini, tmp_path, capsys):
-    rc = main(
-        ["eta", "--config", angular_ini, "--method", "angular", "--mc-atoms", "100",
-         "--out", str(tmp_path / "o")]
-    )
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "paraxial" in err
+    for command in (["eta"], ["sweep", "--sweep", "skew_angle", "--values", "0,1"]):
+        rc = main(
+            command + ["--config", angular_ini, "--method", "angular", "--mc-atoms", "100",
+                       "--out", str(tmp_path / "o")]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2, command
+        assert "paraxial" in err
 
 
 def test_sweep_writes_csv(small_ini, tmp_path, capsys):

@@ -16,7 +16,7 @@ from ire_sim import (
     sample_atoms,
     thermal_velocity_sigma,
 )
-from ire_sim.ensemble import ATOMIC_MASS_UNIT, K_BOLTZMANN, _sample_range
+from ire_sim.ensemble import ATOMIC_MASS_UNIT, K_BOLTZMANN
 
 from conftest import R0, SPECIES, TEMP, W_WRITE
 
@@ -84,7 +84,7 @@ def test_thermal_speed_formulas():
 def test_sampling_chunks_are_bit_identical_to_one_shot():
     c = cloud()
     n = 10_000
-    whole = _sample_range(c, seed=42, index_lo=0, index_hi=n)
+    whole = sample_atoms(c, seed=42, chunk_index=0, chunk_size=n)
     for chunk_size in (1024, 3000, n):
         n_chunks = math.ceil(n / chunk_size)
         parts_r = []
@@ -101,8 +101,8 @@ def test_sampling_chunks_are_bit_identical_to_one_shot():
 
 def test_sampling_differs_across_seeds():
     c = cloud()
-    a = _sample_range(c, seed=1, index_lo=0, index_hi=100)
-    b = _sample_range(c, seed=2, index_lo=0, index_hi=100)
+    a = sample_atoms(c, seed=1, chunk_index=0, chunk_size=100)
+    b = sample_atoms(c, seed=2, chunk_index=0, chunk_size=100)
     assert not np.array_equal(a.r_initial, b.r_initial)
 
 
@@ -116,7 +116,7 @@ def test_chunk_beyond_population_is_empty():
 def test_sample_moments_match_cloud_scales():
     c = cloud()
     n = 200_000
-    s = _sample_range(c, seed=3, index_lo=0, index_hi=n)
+    s = sample_atoms(c, seed=3, chunk_index=0, chunk_size=n)
     # per-axis standard deviations: r0 for position, sigma_v for velocity
     np.testing.assert_allclose(s.r_initial.std(axis=0), R0, rtol=0.01)
     np.testing.assert_allclose(s.velocity.std(axis=0), SIGMA_V, rtol=0.01)
@@ -127,14 +127,14 @@ def test_sample_moments_match_cloud_scales():
 
 def test_sampled_mean_speed():
     c = cloud()
-    s = _sample_range(c, seed=5, index_lo=0, index_hi=1_000_000)
+    s = sample_atoms(c, seed=5, chunk_index=0, chunk_size=1_000_000)
     speeds = np.linalg.norm(s.velocity, axis=1)
     assert speeds.mean() == pytest.approx(V_MEAN_3D, rel=5e-3)
 
 
 def test_drift_is_exact_ballistic_motion():
     c = cloud()
-    s = _sample_range(c, seed=7, index_lo=0, index_hi=500)
+    s = sample_atoms(c, seed=7, chunk_index=0, chunk_size=500)
     t = 1.3e-4
     moved = drift(s, t)
     np.testing.assert_array_equal(moved.r_drifted, s.r_initial + s.velocity * t)
@@ -146,7 +146,7 @@ def test_drift_is_exact_ballistic_motion():
 
 def test_drift_rejects_negative_time():
     c = cloud()
-    s = _sample_range(c, seed=7, index_lo=0, index_hi=10)
+    s = sample_atoms(c, seed=7, chunk_index=0, chunk_size=10)
     with pytest.raises(ValueError):
         drift(s, -1e-6)
 

@@ -13,12 +13,19 @@ from ire_sim import (
     idler_projection,
     make_scenario,
     resolve_threads,
+    sample_atoms,
     spinwave_amplitude,
     transverse_amplitude,
     wavenumbers,
 )
-from ire_sim.ensemble import _GAUSS_VOLUME, _sample_range
-from ire_sim.retrieval import CHUNK_ATOMS, THREADS_ENV_VAR, _eta_worker, _prune
+from ire_sim.ensemble import _GAUSS_VOLUME
+from ire_sim.retrieval import (
+    CHUNK_ATOMS,
+    THREADS_ENV_VAR,
+    _eta_worker,
+    _paraxial_sums,
+    _prune,
+)
 
 from conftest import R0, SPECIES, TEMP, W_COLLECT, canonical_scenario
 
@@ -148,7 +155,7 @@ def test_projection_oracle_points():
 
 def test_projection_requires_drifted_positions():
     scn = canonical_scenario(n_atoms_override=4)
-    sample = _sample_range(scn.cloud, scn.seed, 0, 4)
+    sample = sample_atoms(scn.cloud, scn.seed, 0, 4)
     with pytest.raises(ValueError):
         idler_projection(sample, scn)
 
@@ -190,7 +197,7 @@ def test_kernel_matches_vectorized_reference():
     s2_ref = float(np.sum(np.abs(a) ** 2))
     sxx_ref = float(np.sum(np.abs(x) ** 2))
 
-    [(s1r, s1i, s2, sxx, dropped, n_kept)] = _eta_worker(((scn,), 0, n))
+    [(s1r, s1i, sxx, s2, dropped, n_kept)] = _eta_worker(((scn,), 0, n, _paraxial_sums))
     assert s1r == pytest.approx(s1_ref.real, rel=1e-10)
     assert s1i == pytest.approx(s1_ref.imag, rel=1e-10)
     assert s2 == pytest.approx(s2_ref, rel=1e-10)

@@ -33,9 +33,9 @@ from ire_sim.ensemble import (
     NORMAL_MAX,
     _positions_from_raw,
     _raw_words,
-    _sample_range,
     _sample_words,
     drift,
+    sample_atoms,
 )
 from ire_sim.retrieval import (
     _SCREEN_MARGIN,
@@ -132,7 +132,7 @@ def _unscreened_eta_worker(task):
         s1 = complex(np.sum(x))
         s2 = float(np.sum(a.real**2 + a.imag**2))
         sxx = float(np.sum(x.real**2 + x.imag**2))
-        out.append((s1.real, s1.imag, s2, sxx, dropped, len(sample)))
+        out.append((s1.real, s1.imag, sxx, s2, dropped, len(sample)))
     return out
 
 
@@ -157,7 +157,7 @@ def test_stream_keeps_the_bits_of_an_unscreened_pass(job, threads):
     for scn, parts, ref in zip(scenarios, got, want):
         assert len(parts) == len(ref) == 2
         for part, old in zip(parts, ref):
-            assert part[:4] == old[:4]  # Re S1, Im S1, S2, SXX
+            assert part[:4] == old[:4]  # Re S1, Im S1, SXX, S2
             assert part[5] == old[5]  # n_kept
             assert old[4] <= part[4] == pytest.approx(old[4], rel=1e-12, abs=0.0)
         new_est, old_est = _estimate(scn, parts), _estimate(scn, ref)
@@ -177,7 +177,7 @@ def test_angular_field_keeps_the_bits_of_an_unscreened_pass():
     s2 = dropped = 0.0
     n_kept = 0
     for lo in range(0, n, ANGULAR_CHUNK_ATOMS):  # the unscreened chunk worker, in chunk order
-        sample = _sample_range(scn.cloud, scn.seed, lo, min(lo + ANGULAR_CHUNK_ATOMS, n))
+        sample = sample_atoms(scn.cloud, scn.seed, lo // ANGULAR_CHUNK_ATOMS, ANGULAR_CHUNK_ATOMS)
         keep, part_dropped = _prune(sample.r_initial, scn)
         sample = drift(AtomSample(sample.r_initial[keep], sample.velocity[keep]), scn.storage_tm)
         amps = spinwave_amplitude(sample, scn)

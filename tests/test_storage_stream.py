@@ -63,42 +63,35 @@ def test_sweep_rows_are_bit_identical_to_per_point_estimates(two_chunk_base, per
             assert math.isnan(row.eta_mean)
 
 
-def test_storage_sweep_uses_one_pool(monkeypatch):
-    created = []
-
-    class CountingPool(retrieval.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            created.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(retrieval, "ProcessPoolExecutor", CountingPool)
+def test_storage_sweep_uses_one_pool(created_pools):
     base = canonical_scenario(n_atoms_override=20_000, seed=5)
     rows = run_sweep(SweepSpec(base, "storage_time", (0.0, 40.0, 80.0), replicates=3), threads=2)
     assert all(r.error is None for r in rows)
-    assert created == [2]  # 3 one-chunk replicates, all on one pool
+    assert created_pools == [2]  # 3 one-chunk replicates, all on one pool
 
 
 def test_stream_error_fails_every_valid_value(monkeypatch):
-    def all_dropped(jobs, threads=None):
+    def all_dropped(jobs, threads=None, **how):
         raise ArithmeticError("every streamed atom's stored amplitude is below PRUNE_FLOOR")
 
     monkeypatch.setattr(experiments, "_eta_stream", all_dropped)
     base = canonical_scenario(n_atoms_override=20_000)
-    rows = run_sweep(SweepSpec(base, "storage_time", (-1.0, 0.0, 30.0), replicates=1))
-    assert "storage_time" in rows[0].error
-    assert all(r.error.startswith("ArithmeticError: every streamed") for r in rows[1:])
+    for method in ("paraxial", "angular"):
+        spec = SweepSpec(base, "storage_time", (-1.0, 0.0, 30.0), replicates=1, method=method)
+        rows = run_sweep(spec)
+        assert "storage_time" in rows[0].error
+        assert all(r.error.startswith("ArithmeticError: every streamed") for r in rows[1:])
 
 
-@pytest.mark.parametrize("axis, target", [("storage_time", "_eta_stream"),
-                                          ("skew_angle", "_eta_stream"),
-                                          ("skew_angle", "eta_angular")])
-def test_programming_errors_propagate(monkeypatch, axis, target):
+@pytest.mark.parametrize("axis, method", [("storage_time", "paraxial"),
+                                          ("skew_angle", "paraxial"),
+                                          ("skew_angle", "angular")])
+def test_programming_errors_propagate(monkeypatch, axis, method):
     def broken(*args, **kwargs):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setattr(experiments, target, broken)
+    monkeypatch.setattr(experiments, "_eta_stream", broken)
     base = canonical_scenario(n_atoms_override=20_000)
-    method = "angular" if target == "eta_angular" else "paraxial"
     with pytest.raises(TypeError, match="unsupported operand"):
         run_sweep(SweepSpec(base, axis, (0.0, 1.0), replicates=1, method=method))
 

@@ -1,10 +1,11 @@
-"""Every paraxial sweep axis streams each replicate once, on one process pool.
+"""Every sweep axis streams each replicate once, on one process pool.
 
 run_sweep groups the values that stream the same atoms (same seed, cloud
 width and streamed count) into one job, draws each chunk's counter words and
-positions once and evaluates every value on them. Its rows must carry the
-same bits as eta_paraxial at each point, for any thread count, and a value
-whose own estimate fails must fail alone.
+positions once and evaluates every value on them, with either method. Its
+rows must carry the same bits as eta_paraxial, or eta_angular, at each
+point, for any thread count, and a value whose own estimate fails must fail
+alone.
 """
 
 import math
@@ -12,9 +13,10 @@ from dataclasses import replace
 
 import pytest
 
+import ire_sim.angular as angular
 import ire_sim.experiments as experiments
 import ire_sim.retrieval as retrieval
-from ire_sim import SweepSpec, eta_paraxial, run_sweep, scenario_for_value
+from ire_sim import SweepSpec, eta_angular, eta_paraxial, run_sweep, scenario_for_value
 
 from conftest import canonical_scenario
 
@@ -64,19 +66,74 @@ def test_sweep_rows_match_per_point_estimates(small_chunks, case, threads):
     assert len(streamed) == (3 if case == "optical_depth_full" else 1)
 
 
-def test_tilt_sweep_uses_one_pool(monkeypatch):
-    created = []
-
-    class CountingPool(retrieval.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            created.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(retrieval, "ProcessPoolExecutor", CountingPool)
+def test_tilt_sweep_uses_one_pool(created_pools):
     base = canonical_scenario(n_atoms_override=20_000, seed=5)
     rows = run_sweep(SweepSpec(base, "skew_angle", (0.0, 1.0, 2.0), replicates=3), threads=2)
     assert all(r.error is None for r in rows)
-    assert created == [2]  # 3 one-chunk replicates, all on one pool
+    assert created_pools == [2]  # 3 one-chunk replicates, all on one pool
+
+
+# The angular method on the default grid, with chunks small enough that each
+# replicate spans three of them (the last one short).
+ANGULAR_CHUNK = 1 << 9
+ANGULAR_N = 2 * ANGULAR_CHUNK + 476
+ANGULAR_SWEEPS = {
+    "skew_angle": (0.0, math.nan, 2.0),
+    "width_ratio": (0.58, math.nan, 1.0),  # the grid changes with the value
+}
+
+
+def angular_base():
+    return canonical_scenario(n_atoms_override=ANGULAR_N, skew_theta=math.radians(2.0),
+                              storage_tm=100e-6, seed=3)
+
+
+@pytest.fixture()
+def small_angular_chunks(monkeypatch):
+    monkeypatch.setattr(angular, "ANGULAR_CHUNK_ATOMS", ANGULAR_CHUNK)
+
+
+@pytest.fixture(scope="module")
+def angular_per_point():
+    """eta_angular at every valid value and replicate, on one process, in small chunks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(angular, "ANGULAR_CHUNK_ATOMS", ANGULAR_CHUNK)
+        return {
+            (axis, value): tuple(
+                eta_angular(replace(scenario_for_value(angular_base(), axis, value), seed=seed),
+                            threads=1).eta
+                for seed in (3, 4)
+            )
+            for axis, values in ANGULAR_SWEEPS.items()
+            for value in values
+            if not math.isnan(value)
+        }
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("axis", sorted(ANGULAR_SWEEPS))
+def test_angular_sweep_rows_match_per_point_estimates(
+    small_angular_chunks, angular_per_point, axis, threads
+):
+    values = ANGULAR_SWEEPS[axis]
+    spec = SweepSpec(angular_base(), axis, values, replicates=2, method="angular")
+    rows = run_sweep(spec, threads=threads)
+    assert len(rows) == len(values)
+    for row, value in zip(rows, values):
+        if math.isnan(value):
+            assert row.error is not None and row.etas == ()
+        else:
+            assert row.error is None
+            assert row.method == "angular"
+            assert row.etas == angular_per_point[axis, value]
+
+
+def test_angular_sweep_uses_one_pool(small_angular_chunks, created_pools):
+    spec = SweepSpec(angular_base(), "skew_angle", (0.0, 1.0, 2.0), replicates=3,
+                     method="angular")
+    rows = run_sweep(spec, threads=2)
+    assert all(r.error is None for r in rows)
+    assert created_pools == [2]  # 3 three-chunk replicates, all on one pool
 
 
 def test_value_error_of_one_estimate_fails_only_its_row(monkeypatch):
