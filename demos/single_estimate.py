@@ -9,9 +9,9 @@ spin wave.
 
 A 4e6-atom subsample of the 8.1e8-atom ensemble keeps this demo at a few
 seconds, but it is a survey value: over seeds 1-12 it scatters with a
-standard deviation of 0.037 untilted and 0.059 at 2 degrees and 100 us
-(absolute, on eta near 0.9 and 0.5). Drop mc_atoms to stream every atom
-(about two minutes on one core, exact).
+standard deviation of 0.023 untilted and 0.030 at 2 degrees and 100 us
+(absolute, on eta near 0.89 and 0.51). Drop mc_atoms to stream every atom
+(under a minute on one core, exact).
 """
 
 import math

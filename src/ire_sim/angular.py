@@ -17,10 +17,11 @@ wherever both are affordable. Cost scales as atoms x nodes; it is meant for
 ensembles up to about a million atoms on the default grid.
 
 The atoms come from the paraxial estimator's chunk stream
-(retrieval._eta_stream): the same counter words, word-0 screen, skip mask
-and stored amplitudes, with the field on the grid as the per-scenario
-projection and chunks of ANGULAR_CHUNK_ATOMS. A field, or each replicate
-of an angular sweep, streams once on at most one process pool.
+(retrieval._eta_stream): the same shells, counter words, skip mask and
+stored amplitudes, with the field on the grid as the per-scenario
+projection and chunks of at most ANGULAR_CHUNK_ATOMS within a shell. A
+field, or each replicate of an angular sweep, streams once on at most one
+process pool.
 
 The sphere grid concentrates polar nodes in a cap around the backward axis
 (where the phase-matched lobe lives) using Gauss-Legendre nodes in theta,
@@ -41,7 +42,7 @@ import numpy as np
 
 from ._version import __version__
 from .ensemble import drift
-from .retrieval import PRUNE_FLOOR, EtaEstimate, Scenario, _eta_stream, wavenumbers
+from .retrieval import PRUNE_FLOOR, EtaEstimate, Scenario, _eta_stream, _in_region, wavenumbers
 
 # Atoms per chunk on the angular path. Much smaller than the streaming
 # estimator's chunk because each atom touches every grid node; fixed so the
@@ -180,7 +181,7 @@ class AngularField:
     n_kept atoms cleared PRUNE_FLOOR and were summed; dropped_amplitude D,
     in the units of A (before normalization), bounds sum |A_j| over the
     rest: it is that sum over the atoms whose positions were drawn, plus
-    PRUNE_FLOOR^2 amp0 for each atom that counter word 0 ruled out first.
+    PRUNE_FLOOR^2 amp0 for each atom of the shells that were not streamed.
     Skipping them moves the raw field by at most D / sqrt(4 pi) at every
     node and source_s2 by at most PRUNE_FLOOR amp0 D. The defaults,
     n_kept = n_atoms and D = 0, mean nothing was dropped.
@@ -266,15 +267,22 @@ def _angular_method(grids):
     """_eta_stream's arguments for fields on grids (idler mode -> grid), and the merge of a total."""
     how = dict(project=partial(_field_projection, grids), chunk_atoms=ANGULAR_CHUNK_ATOMS,
                fold=_add)
-    return how, lambda s, total: _field_estimate(_as_field(s, total), grids[s.idler_mode])
+    def merge(scenario, total):
+        grid = grids[scenario.idler_mode]
+        return _field_estimate(_as_field(scenario, total, grid), grid)
+
+    return how, merge
 
 
-def _as_field(scenario: Scenario, total) -> AngularField:
-    """The emitted field of a scenario's folded stream total."""
+def _as_field(scenario: Scenario, total, grid: AngularGrid) -> AngularField:
+    """The emitted field of a scenario's folded stream total (None: no atom streamed)."""
+    if total is None:
+        total = (np.zeros(grid.n_nodes, dtype=np.complex128), 0.0, 0.0, 0)
     field, s2, dropped, n_kept = total
     return AngularField(
         values=field / math.sqrt(4.0 * math.pi), normalized=False, source_s2=s2,
-        n_atoms=scenario.n_atoms, seed=scenario.seed, n_kept=n_kept, dropped_amplitude=dropped,
+        n_atoms=scenario.n_atoms, seed=scenario.seed, n_kept=n_kept,
+        dropped_amplitude=dropped + _in_region(scenario)[2],
     )
 
 
@@ -284,13 +292,14 @@ def angular_field(
     """Emitted field of the scenario's full ensemble on the grid.
 
     The one-scenario case of the paraxial estimator's stream (_eta_stream):
-    atoms stream in fixed chunks of ANGULAR_CHUNK_ATOMS on at most one
-    process pool, and each chunk's partial field is added, in ascending
-    chunk order, to the total as it arrives, so the result is bit-identical
-    for every thread count and holds no field per chunk. Atoms below
-    PRUNE_FLOOR are skipped before the kernel, so the cost is kept atoms x
-    nodes; the field records their summed amplitude (see AngularField). See
-    the module docstring for the intended size range.
+    the shells that can matter stream in fixed chunks of at most
+    ANGULAR_CHUNK_ATOMS on at most one process pool, and each chunk's
+    partial field is added, in ascending (shell, chunk) order, to the total
+    as it arrives, so the result is bit-identical for every thread count and
+    holds no field per chunk. Atoms below PRUNE_FLOOR are skipped before the
+    kernel, so the cost is kept atoms x nodes; the field records their
+    summed amplitude (see AngularField). See the module docstring for the
+    intended size range.
     """
     if scenario.mc_atoms is not None:
         raise ValueError(
@@ -299,7 +308,7 @@ def angular_field(
         )
     how, _ = _angular_method({scenario.idler_mode: grid})
     [[total]] = _eta_stream([(scenario,)], threads, **how)
-    return _as_field(scenario, total)
+    return _as_field(scenario, total, grid)
 
 
 def sphere_norm(field: AngularField, grid: AngularGrid) -> float:

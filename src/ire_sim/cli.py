@@ -24,6 +24,9 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
+
+import numpy as np
 
 from ._version import __version__
 from .angular import (
@@ -37,7 +40,8 @@ from .angular import (
 )
 from .config import ConfigError, build_scenario, read_config, resolution_report
 from .experiments import SWEEP_AXES, SweepSpec, _g9, run_sweep, write_sweep_csv
-from .retrieval import PRUNE_FLOOR, Scenario, eta_paraxial, resolve_threads, wavenumbers
+from .ensemble import SHELLS
+from .retrieval import PRUNE_FLOOR, Scenario, _in_region, eta_paraxial, resolve_threads, wavenumbers
 
 ETA_CSV_COLUMNS = (
     "od",
@@ -150,9 +154,22 @@ def _load(args, method_override: bool = False, mc_override: bool = False):
     return doc, scenario
 
 
+def _stream_record(threads) -> dict:
+    """The meta keys that say which stream made a result.
+
+    numpy does not promise the same Generator.multinomial draw across its
+    versions (NEP 19), and that draw sets how many atoms each shell holds.
+    """
+    return {"threads": resolve_threads(threads), "numpy_version": np.__version__,
+            "shells": SHELLS, "prune_floor": PRUNE_FLOOR}
+
+
 def _print_report(report: dict) -> None:
     for key, value in report.items():
         print(f"{key} = {value}")
+
+
+_GRID_KEYS = ("grid_n_cap", "grid_n_base", "grid_n_phi", "grid_cap_mult")
 
 
 def _grid_from_doc(doc, scenario: Scenario):
@@ -217,8 +234,8 @@ def _cmd_eta(args) -> int:
         )
     meta = {"package_version": __version__, "config_path": os.path.abspath(args.config)}
     meta.update(report)
-    meta["threads"] = resolve_threads(args.threads)
-    meta["prune_floor"] = PRUNE_FLOOR
+    meta.update(_stream_record(args.threads))
+    meta["streamed_in_region"] = _in_region(scenario)[0]
     meta["n_kept"] = est.n_kept
     meta["dropped_amplitude"] = est.dropped_amplitude
     meta["clamped"] = est.clamped
@@ -251,7 +268,7 @@ def _cmd_sweep(args) -> int:
         replicates=args.replicates,
         method=doc.method,
     )
-    rows = run_sweep(spec, threads=args.threads)
+    rows = run_sweep(spec, threads=args.threads, make_grid=partial(_grid_from_doc, doc))
     for row in rows:
         if row.error is not None:
             print(f"{args.sweep} row failed: {row.error}")
@@ -271,9 +288,11 @@ def _cmd_sweep(args) -> int:
         "replicates": args.replicates,
         "method": spec.method,
     }
+    if spec.method == "angular":
+        meta.update({key: getattr(doc, key) for key in _GRID_KEYS})
     meta.update(resolution_report(scenario))
-    meta["threads"] = resolve_threads(args.threads)
-    meta["prune_floor"] = PRUNE_FLOOR
+    meta.update(_stream_record(args.threads))
+    meta["streamed_in_region"] = ",".join(str(row.n_streamed) for row in rows)
     meta["timestamp_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     write_meta(os.path.join(args.out, "sweep_meta.txt"), meta)
     print(f"wrote {csv_path}")

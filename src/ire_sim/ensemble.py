@@ -2,19 +2,28 @@
 
 The cloud is an isotropic Gaussian with per-axis position standard
 deviation r0 and Maxwell-Boltzmann velocities (per-axis standard deviation
-sqrt(kB T / M)). Sampling is counter-based: atom i's position and velocity
-are a pure function of (seed, i), so any chunking of the index range
-regenerates identical samples and no storage of the full ensemble is ever
-needed. Concretely, a Philox stream keyed by the seed assigns each atom
-the 8 consecutive 64-bit words starting at word 8*i (counter blocks 2i and
-2i+1); words 0..5 feed three fixed Box-Muller pairs (3 position + 3
-velocity normals) and words 6..7 are reserved.
+sqrt(kB T / M)). Sampling is counter-based: an atom's position and velocity
+are a pure function of the seed, its radial shell and its index in that
+shell, so any chunking regenerates identical samples and no storage of the
+full ensemble is ever needed.
 
-Word 0 alone fixes an atom's transverse radius: pair 0 gives
-x^2 + y^2 = r0^2 (-2 ln u0), and u0 grows with the word, so "rho^2 at
-least some bound" is "word 0 below a threshold" (_word0_floor). Every
-uniform is at least 2^-54, so no atom has a coordinate beyond
-NORMAL_MAX r0.
+Concretely, the range (0, 1) of the uniform u0 behind the transverse
+radius is cut into SHELLS equal-probability shells. How many of a stream's
+count atoms fall in each shell is one multinomial draw (shell_counts), a
+pure function of (seed, count). Atom i of shell k owns the 8 consecutive
+64-bit words at counter blocks 2i and 2i+1 of a Philox stream with the
+128-bit key (seed, k + 1); words 0..5 feed three fixed Box-Muller pairs
+(3 position + 3 velocity normals) and words 6..7 are reserved. Word 0 is
+rewritten to carry the shell in its top SHELL_BITS bits, so its uniform is
+u0 = (k + u) / SHELLS with u in (0, 1) from the word's remaining bits, and
+every atom of shell k has u0 in (k/SHELLS, (k+1)/SHELLS). A stream orders
+its atoms shell-major: shell 0's first, in index order.
+
+The shell alone bounds an atom's transverse radius: pair 0 gives
+x^2 + y^2 = r0^2 (-2 ln u0), so "rho^2 at least some bound" holds for every
+atom of the shells below a threshold (_shell_floor), and a caller that
+needs only the other atoms never draws words for those shells. Every
+uniform is at least 2^-53, so no atom has a coordinate beyond NORMAL_MAX r0.
 """
 
 from __future__ import annotations
@@ -123,22 +132,64 @@ def most_probable_speed(cloud: CloudSpec) -> float:
     return math.sqrt(2.0 * K_BOLTZMANN * cloud.temperature_t / cloud.atom_mass_m)
 
 
-# uint64 -> (0,1) double: keep the top 53 bits, offset by half an ulp so the
-# result is never exactly 0 (safe under log).
-_U53 = 1.1102230246251565e-16  # 2^-53
-_U54 = 5.551115123125783e-17  # 2^-54
+# uint64 -> (0,1) double: the top 52 bits m as the mantissa of 1 + m 2^-52,
+# less 1 - 2^-53, so the result (2m + 1) 2^-53 is exact, never 0 (safe
+# under log) and never 1.
+_ONE_BITS = np.uint64(0x3FF0000000000000)
+_ONE_LESS_U53 = 1.0 - 2.0**-53
 
 # Largest |normal| any pair of words can give: every uniform is at least
-# 2^-54, so sqrt(-2 ln u) <= sqrt(108 ln 2), about 8.65.
-NORMAL_MAX = math.sqrt(108.0 * math.log(2.0))
+# 2^-53, so sqrt(-2 ln u) <= sqrt(106 ln 2), about 8.57.
+NORMAL_MAX = math.sqrt(106.0 * math.log(2.0))
+
+# The radial shells: equal-probability slices of u0, one Philox key each.
+SHELL_BITS = 6
+SHELLS = 1 << SHELL_BITS
 
 
-def _raw_words(seed: int, index_lo: int, index_hi: int) -> np.ndarray:
-    """Counter words for atoms [index_lo, index_hi): shape (n, 8) uint64."""
+def shell_counts(seed: int, count: int) -> np.ndarray:
+    """How many atoms of a count-atom stream fall in each shell: shape (SHELLS,) int64.
+
+    One multinomial draw over the equal-probability shells, from a Philox
+    generator keyed by (seed, 0), a key no shell uses: a pure function of
+    (seed, count). numpy does not promise that this draw stays the same
+    across its versions (NEP 19), so run records carry the numpy version.
+    """
+    gen = np.random.Generator(Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    return gen.multinomial(count, np.full(SHELLS, 1.0 / SHELLS))
+
+
+def _raw_words(seed: int, shell: int, index_lo: int, index_hi: int) -> np.ndarray:
+    """Counter words for atoms [index_lo, index_hi) of one shell: shape (n, 8) uint64.
+
+    Word 0 keeps its top 58 bits below the shell number, so its uniform is
+    u0 = (shell + u) / SHELLS (see the module docstring).
+    """
     n = index_hi - index_lo
-    gen = Philox(key=np.uint64(seed), counter=2 * index_lo)
-    raw = gen.random_raw(8 * n)
-    return raw.reshape(n, 8)
+    gen = Philox(key=np.array([seed, shell + 1], dtype=np.uint64), counter=2 * index_lo)
+    raw = gen.random_raw(8 * n).reshape(n, 8)
+    raw[:, 0] >>= np.uint64(SHELL_BITS)
+    raw[:, 0] |= np.uint64(shell << (64 - SHELL_BITS))
+    return raw
+
+
+def _stream_words(seed: int, count: int, index_lo: int, index_hi: int) -> np.ndarray:
+    """Counter words for atoms [index_lo, index_hi) of the count-atom stream, shell-major."""
+    ends = np.cumsum(shell_counts(seed, count)).tolist()
+    parts, start = [], 0
+    for shell, end in enumerate(ends):
+        lo, hi = max(index_lo, start), min(index_hi, end)
+        if lo < hi:
+            parts.append(_raw_words(seed, shell, lo - start, hi - start))
+        start = end
+    return np.concatenate(parts) if parts else np.empty((0, 8), dtype=np.uint64)
+
+
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """Counter words as (0, 1) doubles, (2m + 1) 2^-53 for the top 52 bits m."""
+    bits = words >> np.uint64(12)
+    bits |= _ONE_BITS
+    return bits.view(np.float64) - _ONE_LESS_U53
 
 
 def _positions_from_raw(raw: np.ndarray, r0: float) -> np.ndarray:
@@ -148,32 +199,27 @@ def _positions_from_raw(raw: np.ndarray, r0: float) -> np.ndarray:
     gives x and y, the cosine half of pair 1 gives z. Lets a caller decide
     per atom before it pays for the velocity words.
     """
-
-    def u(k):  # word k of every atom as a (0, 1) double, one column at a time
-        return (raw[:, k] >> np.uint64(11)).astype(np.float64) * _U53 + _U54
-
-    ra = np.sqrt(-2.0 * np.log(u(0)))
-    aa = 2.0 * np.pi * u(1)
+    ra = np.sqrt(-2.0 * np.log(_uniform(raw[:, 0])))
+    aa = 2.0 * np.pi * _uniform(raw[:, 1])
     r = np.empty((raw.shape[0], 3))
     r[:, 0] = r0 * (ra * np.cos(aa))
     r[:, 1] = r0 * (ra * np.sin(aa))
-    r[:, 2] = r0 * (np.sqrt(-2.0 * np.log(u(2))) * np.cos(2.0 * np.pi * u(3)))
+    rz = np.sqrt(-2.0 * np.log(_uniform(raw[:, 2])))
+    r[:, 2] = r0 * (rz * np.cos(2.0 * np.pi * _uniform(raw[:, 3])))
     return r
 
 
-def _word0_floor(rho2_min: float, r0: float) -> int:
-    """Threshold T on word 0: every atom whose word 0 is below T has x^2 + y^2 >= rho2_min.
+def _shell_floor(rho2_min: float, r0: float) -> int:
+    """Number of shells whose every atom has x^2 + y^2 >= rho2_min.
 
-    Pair 0 gives x^2 + y^2 = r0^2 (-2 ln u0) with u0 = (2m + 1) 2^-54 for
-    m = word >> 11, so rho^2 >= rho2_min exactly when
-    u0 <= exp(-rho2_min / (2 r0^2)): a prefix of the word range. Returns 0
-    when no word reaches that far. The map is exact for the double
-    exp(...); callers that need a strict bound add their own margin for
-    the rounding of that double and of the sampled positions.
+    Pair 0 gives x^2 + y^2 = r0^2 (-2 ln u0), so rho^2 >= rho2_min exactly
+    when u0 <= exp(-rho2_min / (2 r0^2)), and every u0 of shell k lies below
+    (k + 1) / SHELLS. Returns the first shell that can hold an atom inside
+    the radius (SHELLS when none can). The map is exact for the double
+    exp(...); callers that need a strict bound add their own margin for the
+    rounding of that double and of the sampled positions.
     """
-    u_max = math.exp(-0.5 * rho2_min / (r0 * r0))
-    m_max = (math.floor(u_max * 2.0**54) - 1) // 2  # largest m with (2m + 1) 2^-54 <= u_max
-    return min((m_max + 1) << 11, 2**64 - 1)
+    return math.floor(math.exp(-0.5 * rho2_min / (r0 * r0)) * SHELLS)
 
 
 def _sample_words(raw: np.ndarray, cloud: CloudSpec) -> AtomSample:
@@ -182,7 +228,7 @@ def _sample_words(raw: np.ndarray, cloud: CloudSpec) -> AtomSample:
     Words 0..5 feed three fixed Box-Muller pairs, giving the normals
     (x, y), (z, vx), (vy, vz); words 6..7 are reserved.
     """
-    u = (raw[:, :6] >> np.uint64(11)).astype(np.float64) * _U53 + _U54
+    u = _uniform(raw[:, :6])
     rad = np.sqrt(-2.0 * np.log(u[:, 0::2]))
     ang = 2.0 * np.pi * u[:, 1::2]
     g = np.empty((raw.shape[0], 6))
@@ -192,22 +238,24 @@ def _sample_words(raw: np.ndarray, cloud: CloudSpec) -> AtomSample:
     return AtomSample(r_initial=g[:, 0:3] * cloud.sigma_r0, velocity=v)
 
 
-def sample_atoms(cloud: CloudSpec, seed: int, chunk_index: int, chunk_size: int) -> AtomSample:
-    """Generate the atoms of one chunk: indices [chunk_index*chunk_size, ...).
+def sample_atoms(
+    cloud: CloudSpec, seed: int, chunk_index: int, chunk_size: int, count: int | None = None
+) -> AtomSample:
+    """Generate the atoms of one chunk: indices [chunk_index*chunk_size, ...) of a stream.
 
-    The range is clipped to the cloud's implied atom count; a chunk entirely
-    beyond it yields an empty sample. Pure in (seed, atom index): any
-    chunking concatenates to the identical full stream.
+    The stream holds count atoms (default: the cloud's implied atom count)
+    in shell-major order, and the range is clipped to it; a chunk entirely
+    beyond it yields an empty sample. Pure in (seed, count, atom index): any
+    chunking concatenates to the identical full stream. A prefix of the
+    stream is not a fair sample of the cloud, since its atoms come from the
+    outermost shells first; the whole count-atom stream is.
     """
     if chunk_index < 0 or chunk_size < 1:
         raise ValueError("chunk_index must be >= 0 and chunk_size >= 1")
-    n_total = cloud.atom_count
+    n_total = cloud.atom_count if count is None else int(count)
     lo = chunk_index * chunk_size
     hi = min(lo + chunk_size, n_total)
-    if lo >= n_total:
-        empty = np.empty((0, 3), dtype=np.float64)
-        return AtomSample(r_initial=empty, velocity=empty.copy())
-    return _sample_words(_raw_words(seed, lo, hi), cloud)
+    return _sample_words(_stream_words(seed, n_total, lo, hi), cloud)
 
 
 def drift(sample: AtomSample, t_m: float) -> AtomSample:

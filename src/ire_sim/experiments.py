@@ -15,7 +15,8 @@ row and the sweep continues. A sweep of either method streams each
 replicate's atoms once for all the values that share its streamed count,
 on one process pool: no axis moves the seed or the cloud width, and only
 the optical depth moves the count. An angular sweep evaluates each value
-on the default sphere grid of its idler.
+on the sphere grid of its idler (the default grid unless the caller
+builds its own).
 Numeric CSV fields carry 9 significant digits; reruns of the same spec
 produce byte-identical files.
 """
@@ -31,7 +32,7 @@ import numpy as np
 
 from .angular import _angular_method, _default_grid
 from .ensemble import density_for_od, optical_depth
-from .retrieval import Scenario, _estimate, _eta_stream, _streamed_count
+from .retrieval import Scenario, _estimate, _eta_stream, _in_region, _streamed_count
 
 SWEEP_AXES = ("width_ratio", "optical_depth", "storage_time", "skew_angle")
 SWEEP_METHODS = ("paraxial", "angular")
@@ -87,7 +88,9 @@ class SweepRow:
     Descriptor columns are the resolved per-row values (the write-axis OD is
     recomputed from the row's cloud, so an optical_depth sweep shows its
     round trip). On failure, error holds the message, etas is empty, and the
-    aggregates are NaN.
+    aggregates are NaN. n_streamed is the number of atoms the row's
+    estimates rest on: those streamed in the value's own shells, summed
+    over the replicates (0 for a failed row).
     """
 
     od: float
@@ -102,6 +105,7 @@ class SweepRow:
     etas: tuple[float, ...]
     seed_base: int
     error: str | None = None
+    n_streamed: int = 0
 
 
 def aggregate(etas) -> tuple[float, float]:
@@ -155,7 +159,7 @@ def _descriptors(scenario: Scenario) -> tuple[float, float, float, float]:
     )
 
 
-def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> list[SweepRow]:
     """Run every sweep value; a value that fails becomes an error row, not an abort.
 
     Only ValueError and ArithmeticError become error rows; any other
@@ -163,19 +167,21 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[SweepRow]:
     each replicate's atoms are drawn once for every valid value with the
     same streamed count (all of them, unless an optical_depth sweep streams
     the full ensemble), with all chunks on one process pool; each row is
-    bit-identical to eta_paraxial, or eta_angular on its default grid, at
-    its point. The methods differ only in the projection, the chunk size
-    and the merge. An error of that shared stream fails every valid value;
+    bit-identical to eta_paraxial, or eta_angular on the grid
+    make_grid(scenario) (default: the idler's default grid), at its point.
+    The methods differ only in the projection, the chunk size and the
+    merge. An error of that shared stream fails every valid value;
     an error of one value's estimate fails that value alone.
     """
     seeds = range(spec.base.seed, spec.base.seed + spec.replicates)
     points, etas, failed = {}, {}, {}  # keyed by the value's index
     grids = {}  # the angular method's grid per idler mode
+    make_grid = make_grid or _default_grid
     for i, value in enumerate(spec.values):
         try:
             scenario = scenario_for_value(spec.base, spec.axis, value)
             if spec.method == "angular":
-                grids[scenario.idler_mode] = _default_grid(scenario)
+                grids[scenario.idler_mode] = make_grid(scenario)
             points[i] = (scenario, _descriptors(scenario))
         except (ValueError, ArithmeticError) as exc:
             failed[i] = exc
@@ -211,8 +217,10 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> list[SweepRow]:
                                  math.nan, math.nan, (), spec.base.seed, error))
         else:
             scenario, desc = points[i]
+            n_streamed = sum(_in_region(s)[0] for s, _ in runs[i])
             rows.append(SweepRow(*desc, scenario.n_atoms, spec.method, spec.replicates,
-                                 *aggregate(etas[i]), etas[i], spec.base.seed))
+                                 *aggregate(etas[i]), etas[i], spec.base.seed,
+                                 n_streamed=n_streamed))
     return rows
 
 

@@ -17,31 +17,34 @@ the lobe power carries a full speckle mode of noise because the speckle
 correlation angle of a ~30 um emitting column equals the lobe width).
 
 The numerator runs over the full physical ensemble by default (streaming,
-counter-based sampling, compensated chunk sums merged in ascending chunk
-order, so the result is bit-identical for any thread count). A subsampled
-estimator of the same full-N quantity is available through
-Scenario.mc_atoms for survey work; its numerator uses the pair-statistics
-rescaling N^2 max(mean_offdiag, 0) + N mean_diag. The clamp at 0 fires when
-the sampled off-diagonal mean comes out negative (it does at a 2 deg tilt
-and 200 us storage, where the coherent sum has decayed into its noise), and
-the estimate is not bounded above by 1 at small subsamples.
+counter-based sampling, compensated chunk sums merged in ascending
+(shell, chunk) order, so the result is bit-identical for any thread count).
+A subsampled estimator of the same full-N quantity is available through
+Scenario.mc_atoms for survey work: it streams the first atoms of each
+radial shell the full stream would stream, and its numerator uses the
+pair-statistics rescaling N_in^2 max(mean_offdiag, 0) + N_in mean_diag,
+with N_in the full ensemble's atom count in those shells. The clamp at 0
+fires when the sampled off-diagonal mean comes out negative (it does at a
+2 deg tilt and 200 us storage, where the coherent sum has decayed into its
+noise), and the estimate is not bounded above by 1 at small subsamples.
 
 No sweep axis moves the seed, the cloud width or the streamed count, so
 one stream can serve several scenarios: a chunk's counter words and
-positions are drawn once, the skip mask and the stored amplitudes A_j are
-rebuilt only where the beams, the tilt or the velocity spread change, and
-the projection runs per scenario. The same stream serves the angular
+positions are drawn once, each scenario folds only the chunks of its own
+shells, the skip mask and the stored amplitudes A_j are rebuilt only where
+the beams, the tilt or the velocity spread change, and the projection runs
+per scenario. The same stream serves the angular
 reference path, whose projection is the emitted field on a sphere grid
 (see ire_sim.angular). The lobe power C(t_m) is one reduction of a
 per-node table cached without t_m.
 
 Atoms whose stored amplitude is at most PRUNE_FLOOR of its peak are skipped
-before the per-atom kernels. Counter word 0 decides first: it fixes the
-transverse radius, and an atom far enough off the signal axis is ruled out
-by one integer comparison before any position is drawn (_screen). The
-positions of the rest decide exactly (_prune). The estimate records how
-many atoms were kept and a bound on the summed amplitude of the rest, which
-bounds what the skip can move (see EtaEstimate).
+before the per-atom kernels. The radial shell decides first: it bounds the
+transverse radius, so the shells far enough off the signal axis are never
+streamed at all (_screen_shell). The positions of the atoms in the other
+shells decide exactly (_prune). The estimate records how many atoms were
+kept and a bound on the summed amplitude of the rest, which bounds what the
+skip can move (see EtaEstimate).
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ import numpy as np
 from .beams import BeamMode, skew_transform, transverse_amplitude
 from .ensemble import (
     NORMAL_MAX,
+    SHELLS,
     AtomSample,
     C_LIGHT,
     CloudSpec,
@@ -64,15 +68,16 @@ from .ensemble import (
     _positions_from_raw,
     _raw_words,
     _sample_words,
-    _word0_floor,
+    _shell_floor,
     drift,
     sample_atoms,
+    shell_counts,
     thermal_velocity_sigma,
 )
 
-# Atoms per streamed chunk. Fixed (never derived from the thread count) so
-# the chunk decomposition, and therefore every accumulated bit, is the same
-# no matter how the chunks are farmed out.
+# Atoms per streamed chunk of one shell. Fixed (never derived from the
+# thread count) so the chunk decomposition, and therefore every accumulated
+# bit, is the same no matter how the chunks are farmed out.
 CHUNK_ATOMS = 1 << 20
 
 THREADS_ENV_VAR = "IRE_SIM_THREADS"
@@ -86,7 +91,7 @@ THREADS_ENV_VAR = "IRE_SIM_THREADS"
 PRUNE_FLOOR = 1e-18
 _LN_PRUNE_FLOOR = math.log(PRUNE_FLOOR)
 
-# Relative margin on the word-0 screen's radius. Rounding moves the sampled
+# Relative margin on the shell screen's radius. Rounding moves the sampled
 # rho^2 and the computed ln|A_j| by about 1e-15 relative; the margin keeps
 # every screened-out atom's |A_j| below PRUNE_FLOOR^2 amp0 by e^-8e-5.
 _SCREEN_MARGIN = 1.0 + 1e-6
@@ -266,8 +271,8 @@ class EtaEstimate:
     whose stored amplitude cleared PRUNE_FLOOR * amp0 and went through the
     per-atom kernel. dropped_amplitude D bounds sum |A_j| over the others:
     it is that sum over the atoms whose positions were drawn, plus
-    PRUNE_FLOOR^2 amp0 for each atom that counter word 0 ruled out first
-    (each of those has |A_j| <= PRUNE_FLOOR^2 amp0, see _screen_word).
+    PRUNE_FLOOR^2 amp0 for each atom of the shells that were not streamed
+    (each of those has |A_j| <= PRUNE_FLOOR^2 amp0, see _screen_shell).
     Skipping them moves the streamed sums by at most
 
         |dS1| <= c_P D              (c_P = sqrt(2)/(k_i W_i) >= |P_j|)
@@ -377,48 +382,65 @@ def _prune(r: np.ndarray, scenario: Scenario) -> tuple[np.ndarray, float]:
     return keep, amp0 * float(np.sum(np.exp(ln_rel[~keep])))
 
 
-def _screen_word(scenario: Scenario) -> int:
-    """Word-0 threshold below which an atom's |A_j| <= PRUNE_FLOOR^2 amp0.
+def _screen_shell(scenario: Scenario) -> int:
+    """First shell the scenario streams: every atom below it has |A_j| <= PRUNE_FLOOR^2 amp0.
 
-    Every term of ln(|A_j| / amp0) in _prune is at most 0, so it is at most
-    -rho^2 / (W_s^2 u_s), the signal envelope's exponent alone. No atom has
-    |z| > NORMAL_MAX r0, so u_s <= u_s,max = 1 + (NORMAL_MAX r0 / z_s)^2, and
-    rho^2 >= R^2 = 2 |ln PRUNE_FLOOR| W_s^2 u_s,max (times _SCREEN_MARGIN)
-    puts |A_j| at most PRUNE_FLOOR^2 amp0: _prune would drop the atom. The
-    bound leaves out the tilt and the write beam, so it holds for every tilt.
+    Every term of ln(|A_j| / amp0) in _prune is at most 0. No atom has |y|
+    or |z| above Z = NORMAL_MAX r0, so |z~| <= Z (|sin| + cos), and the two
+    envelope exponents are at most -rho^2 / a_s and -(x^2 + y~^2) / a_w with
+    a = W^2 (1 + (largest |z| in that beam's frame / z_R)^2). Since
+    y~ = y cos - z sin, x^2 + y~^2 >= max(0, rho cos - Z |sin|)^2, so
+
+        ln(|A_j| / amp0) <= -rho^2 / a_s - max(0, rho cos - Z |sin|)^2 / a_w,
+
+    which falls as rho grows and reaches 2 ln PRUNE_FLOOR (times
+    _SCREEN_MARGIN) at rho = R. Every atom with rho >= R has
+    |A_j| <= PRUNE_FLOOR^2 amp0, and _prune would drop it; the shells below
+    _shell_floor(R^2) hold only such atoms.
     """
-    s = scenario.signal_mode
+    w, s = scenario.write_mode, scenario.signal_mode
     r0 = scenario.cloud.sigma_r0
-    us_max = 1.0 + (NORMAL_MAX * r0 / s.rayleigh_z) ** 2
-    r2 = -2.0 * _LN_PRUNE_FLOOR * s.waist_w0**2 * us_max * _SCREEN_MARGIN
-    return _word0_floor(r2, r0)
+    big_z = NORMAL_MAX * r0
+    c, d = math.cos(scenario.skew_theta), big_z * abs(math.sin(scenario.skew_theta))
+    a_s = s.waist_w0**2 * (1.0 + (big_z / s.rayleigh_z) ** 2)
+    a_w = w.waist_w0**2 * (1.0 + ((d + big_z * c) / w.rayleigh_z) ** 2)
+    level = -2.0 * _LN_PRUNE_FLOOR * _SCREEN_MARGIN
+    rho = math.sqrt(level * a_s)  # the signal term alone, while rho cos <= Z |sin|
+    if rho * c > d:  # else the root of the quadratic beyond rho = Z |sin| / cos
+        qa, qb = c * c / a_w + 1.0 / a_s, c * d / a_w
+        rho = (qb + math.sqrt(qb * qb - qa * (d * d / a_w - level))) / qa
+    return _shell_floor(rho * rho, r0)
 
 
-def _screen(raw: np.ndarray, scenarios) -> tuple[np.ndarray, int]:
-    """Rows of the counter words raw (n, 8) that word 0 cannot rule out.
+def _in_region(scenario: Scenario) -> tuple[int, int, float]:
+    """(m, N_in, D0) of the scenario's shells, those at or above _screen_shell.
 
-    Uses the loosest threshold over scenarios, so every row it removes is
-    one that _prune drops for each of them. Returns the rows in their order
-    and how many were removed.
+    m counts the atoms the scenario streams there (of mc_atoms when
+    subsampling), N_in the full ensemble's atoms there, and D0 bounds
+    sum |A_j| over the streamed count's atoms in the shells below:
+    PRUNE_FLOOR^2 amp0 each.
     """
-    floor = np.uint64(min(_screen_word(s) for s in scenarios))
-    rows = raw.compress(raw[:, 0] >= floor, axis=0)  # a quarter of the time of raw[mask]
-    return rows, raw.shape[0] - rows.shape[0]
-
-
-def _skip(r: np.ndarray, scenario: Scenario, n_screened: int) -> tuple[np.ndarray, float]:
-    """_prune on the positions r of screened rows, D also bounding the n_screened others."""
-    keep, dropped = _prune(r, scenario)
+    first = _screen_shell(scenario)
+    streamed = _streamed_count(scenario)
+    m = int(shell_counts(scenario.seed, streamed)[first:].sum())
+    n_in = m if streamed == scenario.n_atoms else int(
+        shell_counts(scenario.seed, scenario.n_atoms)[first:].sum())
     amp0 = abs(scenario.write_mode.peak_amplitude * scenario.signal_mode.peak_amplitude)
-    return keep, dropped + n_screened * (PRUNE_FLOOR * PRUNE_FLOOR * amp0)
+    return m, n_in, (streamed - m) * (PRUNE_FLOOR * PRUNE_FLOOR * amp0)
 
 
 def draw_sample(scenario: Scenario, n: int | None = None) -> AtomSample:
-    """Sample the first n atoms of the scenario's stream, drift applied."""
+    """The atoms of the scenario's n-atom stream (default n_atoms), drift applied.
+
+    Every shell, in shell-major order: the atoms eta_paraxial streams with
+    mc_atoms = n are the ones of the shells at or above _screen_shell, the
+    tail of this sample.
+    """
     count = scenario.n_atoms if n is None else int(n)
     if count < 1 or count > scenario.n_atoms:
         raise ValueError(f"n must be in [1, {scenario.n_atoms}]")
-    return drift(sample_atoms(scenario.cloud, scenario.seed, 0, count), scenario.storage_tm)
+    sample = sample_atoms(scenario.cloud, scenario.seed, 0, count, count=count)
+    return drift(sample, scenario.storage_tm)
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -440,30 +462,32 @@ def _paraxial_sums(a, sample, scenario) -> tuple[float, float, float]:
 
 
 def _eta_worker(task):
-    """One chunk of the stream (top level for process pools).
+    """One chunk of one shell of the stream (top level for process pools).
 
-    Draws the chunk's counter words once for all the job's scenarios and
-    keeps the rows that pass the word-0 screen at the loosest threshold of
-    the job (_screen); positions are drawn for those rows only. The exact
-    skip mask (_prune), the kept atoms and their stored amplitudes A_j are
-    rebuilt only when something they depend on differs from the previous
+    Draws the chunk's counter words and positions once for all the job's
+    scenarios. A scenario whose first streamed shell (_screen_shell) lies
+    above this shell gets None. For the others the exact skip mask
+    (_prune), the kept atoms and their stored amplitudes A_j are rebuilt
+    only when something they depend on differs from the previous
     scenario's: the species, the beams, the tilt or the velocity spread.
-    Each scenario then calls project(A_j, kept atoms, scenario), which
-    returns a tuple of that method's sums. The kept rows, their order and
-    so the sums are those of an unscreened pass; D adds PRUNE_FLOOR^2 amp0
-    per screened-out atom. Returns one partial per scenario: the projection's
-    sums followed by S2 = sum |A_j|^2, D and n_kept over the kept atoms.
+    Each such scenario then calls project(A_j, kept atoms, scenario), which
+    returns a tuple of that method's sums. Returns one partial per scenario:
+    the projection's sums followed by S2 = sum |A_j|^2, D and n_kept over
+    the kept atoms.
     """
-    scenarios, lo, hi, project = task
-    raw, n_screened = _screen(_raw_words(scenarios[0].seed, lo, hi), scenarios)
+    scenarios, shell, lo, hi, project = task
+    raw = _raw_words(scenarios[0].seed, shell, lo, hi)
     r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
     out, built_for = [], None
     for scenario in scenarios:
+        if _screen_shell(scenario) > shell:
+            out.append(None)
+            continue
         key = (scenario.species, scenario.write_mode, scenario.signal_mode,
                scenario.skew_theta, thermal_velocity_sigma(scenario.cloud))
         if key != built_for:
             sample = a = None  # free the previous mask's atoms before the next mask
-            keep, dropped = _skip(r, scenario, n_screened)
+            keep, dropped = _prune(r, scenario)
             sample = _sample_words(raw[keep], scenario.cloud)
             a = spinwave_amplitude(sample, scenario)
             s2 = float(np.sum(a.real**2 + a.imag**2))
@@ -487,18 +511,23 @@ def _streamed_count(scenario: Scenario) -> int:
 
 
 def _estimate(scenario: Scenario, partials) -> EtaEstimate:
-    """Merge one scenario's chunk partials (ascending chunk order) into eta.
+    """Merge one scenario's chunk partials (ascending (shell, chunk) order) into eta.
 
-    partials holds (Re S1, Im S1, SXX, S2, dropped, n_kept) per chunk, as
-    _eta_stream returns them for this scenario.
+    partials holds (Re S1, Im S1, SXX, S2, dropped, n_kept) per chunk of the
+    scenario's shells, as _eta_stream returns them for this scenario (None
+    when it streamed no atom). A subsample's sums are rescaled from the m
+    atoms it streams to the N_in atoms of the full ensemble in the same
+    shells (_in_region).
     """
     n_total = scenario.n_atoms
-    mc = _streamed_count(scenario)
+    m, n_in, screened = _in_region(scenario)
+    partials = partials or []
     acc = [(0.0, 0.0)] * 5
     for part in partials:
         for k in range(5):
             acc[k] = _kahan(acc[k], part[k])
     s1r, s1i, sxx, s2, dropped = (a[0] + a[1] for a in acc)
+    dropped += screened
     n_kept = sum(part[5] for part in partials)
 
     if s2 <= 0.0:
@@ -510,15 +539,20 @@ def _estimate(scenario: Scenario, partials) -> EtaEstimate:
         raise ArithmeticError("degenerate cloud: sum |A_j|^2 = 0, no stored amplitude")
 
     clamped = False
-    if mc == n_total:
+    if _streamed_count(scenario) == n_total:
         numerator = s1r * s1r + s1i * s1i
         s2_full = s2
     else:
-        mean_diag = sxx / mc
-        mean_offdiag = ((s1r * s1r + s1i * s1i) - sxx) / (mc * (mc - 1))
+        if m < 2:
+            raise ArithmeticError(
+                f"the subsample holds {m} atom(s) in its streamed shells; "
+                "pair statistics need 2"
+            )
+        mean_diag = sxx / m
+        mean_offdiag = ((s1r * s1r + s1i * s1i) - sxx) / (m * (m - 1))
         clamped = mean_offdiag < 0.0
-        numerator = n_total * n_total * max(mean_offdiag, 0.0) + n_total * mean_diag
-        s2_full = s2 * (n_total / mc)
+        numerator = n_in * n_in * max(mean_offdiag, 0.0) + n_in * mean_diag
+        s2_full = s2 * (n_in / m)
     lobe = coherent_lobe_power(scenario) * (n_total - 1) / n_total
     denominator = s2_full + lobe
     return EtaEstimate(
@@ -544,29 +578,35 @@ def _eta_stream(jobs, threads=None, project=_paraxial_sums, chunk_atoms=None, fo
     """Chunk partials of jobs of scenarios that share one stream each, folded per scenario.
 
     A job is a tuple of scenarios with the same seed, cloud width sigma_r0
-    and streamed count (mc_atoms, else n_atoms); its atoms are drawn once,
-    in chunks of chunk_atoms (default CHUNK_ATOMS), and every scenario is
-    evaluated on them with project (see _eta_worker). Every chunk of every
-    job goes through one pool.map on one process pool (none for one thread
-    or one chunk). As each chunk's partials arrive, in ascending chunk
-    order, fold(total, partial) adds them to their scenario's total (None
-    at first); the totals are returned per job and per scenario. The
-    default fold lists the chunk partials, which _estimate merges into an
-    estimate bit-identical to eta_paraxial for every thread count.
+    and streamed count (mc_atoms, else n_atoms); it streams the shells from
+    the lowest _screen_shell of its scenarios up, each shell's atoms drawn
+    once in chunks of chunk_atoms (default CHUNK_ATOMS) that never cross a
+    shell, and every scenario is evaluated on them with project (see
+    _eta_worker). Every chunk of every job goes through one pool.map on one
+    process pool (none for one thread or one chunk). As each chunk's
+    partials arrive, in ascending (shell, chunk) order, fold(total, partial)
+    adds them to their scenario's total (None at first), skipping the
+    shells below the scenario's own first shell; the totals are returned per
+    job and per scenario. So each scenario's total is the one it gets
+    streamed alone. The default fold lists the chunk partials, which
+    _estimate merges into an estimate bit-identical to eta_paraxial for
+    every thread count.
     """
     threads = resolve_threads(threads)
     chunk_atoms = chunk_atoms or CHUNK_ATOMS
     tasks, owners = [], []
     for k, job in enumerate(jobs):
-        n = _streamed_count(job[0])
-        for lo in range(0, n, chunk_atoms):
-            tasks.append((job, lo, min(lo + chunk_atoms, n), project))
-            owners.append(k)
+        counts = shell_counts(job[0].seed, _streamed_count(job[0])).tolist()
+        for shell in range(min(_screen_shell(s) for s in job), SHELLS):
+            for lo in range(0, counts[shell], chunk_atoms):
+                tasks.append((job, shell, lo, min(lo + chunk_atoms, counts[shell]), project))
+                owners.append(k)
     totals = [[None] * len(job) for job in jobs]
 
     def fold_in(results):
-        for k, partials in zip(owners, results):  # chunk order
-            totals[k] = [fold(total, part) for total, part in zip(totals[k], partials)]
+        for k, partials in zip(owners, results):  # (shell, chunk) order
+            totals[k] = [total if part is None else fold(total, part)
+                         for total, part in zip(totals[k], partials)]
         return totals
 
     if threads == 1 or len(tasks) <= 1:
@@ -578,15 +618,18 @@ def _eta_stream(jobs, threads=None, project=_paraxial_sums, chunk_atoms=None, fo
 def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
     """Streaming paraxial estimate of the retrieval efficiency.
 
-    Streams the ensemble in fixed chunks of CHUNK_ATOMS, accumulating
-    S1 = sum A_j R_j P_j and the diagonal norms; chunk partials are merged
-    in ascending chunk order with compensated addition, so the output is
-    bit-identical for every thread count. Atoms below PRUNE_FLOOR are
-    skipped; the estimate records their summed amplitude (see EtaEstimate).
+    Streams the shells that can hold an atom above PRUNE_FLOOR in fixed
+    chunks of at most CHUNK_ATOMS, accumulating S1 = sum A_j R_j P_j and the
+    diagonal norms; chunk partials are merged in ascending (shell, chunk)
+    order with compensated addition, so the output is bit-identical for
+    every thread count. Atoms below PRUNE_FLOOR are skipped; the estimate
+    records their summed amplitude (see EtaEstimate).
 
-    With Scenario.mc_atoms set, only that many atoms are streamed and the
-    numerator is rescaled by pair statistics to estimate the full-N value,
-    N^2 max(mean_offdiag, 0) + N mean_diag. The clamp sets a negative
+    With Scenario.mc_atoms = M set, the stream holds M atoms, of which the
+    m in the scenario's shells are streamed, and the numerator is rescaled
+    by pair statistics to estimate the full-N value,
+    N_in^2 max(mean_offdiag, 0) + N_in mean_diag, with N_in the full
+    ensemble's atom count in those shells. The clamp sets a negative
     sampled off-diagonal mean to 0, leaving the diagonal term alone, and
     the estimate records that it fired (EtaEstimate.clamped); the rescaled
     estimate can also read above 1 at small subsamples.

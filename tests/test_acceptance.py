@@ -34,7 +34,7 @@ from ire_sim.cli import main as cli_main
 from conftest import CANONICAL_INI, SPECIES, TEMP, W_COLLECT, canonical_scenario
 
 # Subsample size of the survey points. Over seeds 1-12 its eta scatters
-# with sd 0.037 at (0 deg, 0 us) and 0.059 at (2 deg, 100 us), absolute.
+# with sd 0.023 at (0 deg, 0 us) and 0.030 at (2 deg, 100 us), absolute.
 MC_SURVEY = 4_000_000
 
 

@@ -3,8 +3,10 @@
 A subsampled estimate sets a negative sampled off-diagonal pair mean to 0.
 At a 2 degree tilt and 200 us storage the coherent sum has decayed into its
 noise, so the sign of that mean depends on the seed: on this 2000-atom
-subsample it is negative for seed 1 and positive for seed 4. The sign is
-recomputed here from the public per-atom building blocks.
+subsample it is negative for seed 2 and positive for seed 1. The sign is
+recomputed here from the public per-atom building blocks, over the m atoms
+of the subsample in the shells it streams, and the estimate rescales to
+the full ensemble's N_in atoms in those shells.
 """
 
 import math
@@ -14,6 +16,7 @@ import pytest
 
 from ire_sim import draw_sample, eta_paraxial, idler_projection, spinwave_amplitude
 from ire_sim.cli import main as cli_main
+from ire_sim.retrieval import _in_region
 
 from conftest import CANONICAL_INI, canonical_scenario
 
@@ -27,34 +30,34 @@ def decayed(seed, mc_atoms=MC_ATOMS):
 
 
 def pair_means(scn):
-    """(mean_offdiag, mean_diag) of x_j = A_j R_j P_j over the subsample."""
-    mc = scn.mc_atoms
-    sample = draw_sample(scn, mc)
-    x = spinwave_amplitude(sample, scn) * idler_projection(sample, scn)
+    """(mean_offdiag, mean_diag, N_in) of x_j = A_j R_j P_j over the streamed subsample."""
+    m, n_in, _ = _in_region(scn)
+    sample = draw_sample(scn, scn.mc_atoms)  # shell-major: the streamed shells come last
+    x = (spinwave_amplitude(sample, scn) * idler_projection(sample, scn))[-m:]
     sxx = float(np.sum(np.abs(x) ** 2))
-    return (abs(x.sum()) ** 2 - sxx) / (mc * (mc - 1)), sxx / mc
+    return (abs(x.sum()) ** 2 - sxx) / (m * (m - 1)), sxx / m, n_in
 
 
 def test_clamp_fires_on_a_negative_offdiagonal_mean():
-    scn = decayed(seed=1)
-    offdiag, diag = pair_means(scn)
+    scn = decayed(seed=2)
+    offdiag, diag, n_in = pair_means(scn)
     assert offdiag < -1e-5 * diag  # decisively negative
     est = eta_paraxial(scn)
     assert est.clamped is True
-    assert est.numerator == pytest.approx(N_ATOMS * diag, rel=1e-9)
+    assert est.numerator == pytest.approx(n_in * diag, rel=1e-9)
 
 
 def test_clamp_does_not_fire_on_a_positive_offdiagonal_mean():
-    scn = decayed(seed=4)
-    offdiag, diag = pair_means(scn)
+    scn = decayed(seed=1)
+    offdiag, diag, n_in = pair_means(scn)
     assert offdiag > 1e-5 * diag
     est = eta_paraxial(scn)
     assert est.clamped is False
-    assert est.numerator == pytest.approx(N_ATOMS**2 * offdiag + N_ATOMS * diag, rel=1e-9)
+    assert est.numerator == pytest.approx(n_in**2 * offdiag + n_in * diag, rel=1e-9)
 
 
 def test_full_stream_is_never_clamped():
-    assert eta_paraxial(decayed(seed=1, mc_atoms=None)).clamped is False
+    assert eta_paraxial(decayed(seed=2, mc_atoms=None)).clamped is False
 
 
 def test_eta_meta_records_the_clamp(tmp_path, capsys):
@@ -64,7 +67,7 @@ def test_eta_meta_records_the_clamp(tmp_path, capsys):
         .replace("theta_deg = 0.0", "theta_deg = 2.0")
         .replace("tm_us     = 0.0", "tm_us     = 200.0")
     )
-    for seed, expect in ((1, "True"), (4, "False")):
+    for seed, expect in ((2, "True"), (1, "False")):
         out = tmp_path / f"seed{seed}"
         argv = ["eta", "--config", str(ini), "--seed", str(seed),
                 "--mc-atoms", str(MC_ATOMS), "--out", str(out)]

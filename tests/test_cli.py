@@ -1,13 +1,16 @@
 import csv
+import json
 
+import numpy as np
 import pytest
 
-from ire_sim import __version__
+from ire_sim import SweepSpec, __version__, build_grid, eta_angular, run_sweep, wavenumbers
 from ire_sim.cli import ETA_CSV_COLUMNS, main
+from ire_sim.ensemble import SHELLS
 from ire_sim.experiments import SWEEP_CSV_COLUMNS
-from ire_sim.retrieval import PRUNE_FLOOR, THREADS_ENV_VAR
+from ire_sim.retrieval import PRUNE_FLOOR, THREADS_ENV_VAR, _in_region
 
-from conftest import CANONICAL_INI
+from conftest import CANONICAL_INI, canonical_scenario
 
 SMALL_INI = CANONICAL_INI.replace("target_od     = 24.7", "n_atoms_override = 20000")
 
@@ -34,6 +37,10 @@ def angular_ini(tmp_path):
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def read_meta(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
 
 
 def test_od_prints_report(canonical_ini_file, capsys):
@@ -69,6 +76,13 @@ def test_eta_writes_csv_and_meta(small_ini, tmp_path, capsys):
     assert "timestamp_utc=" in meta
     assert "config_path=" in meta
     assert f"package_version={__version__}" in meta
+    # which stream made the estimate: the shell counts come from numpy's multinomial
+    meta = read_meta(out_dir / "eta_meta.txt")
+    assert meta["numpy_version"] == np.__version__
+    assert meta["shells"] == str(SHELLS)
+    streamed = _in_region(canonical_scenario(n_atoms_override=20000))[0]
+    assert meta["streamed_in_region"] == str(streamed)
+    assert 0 < int(meta["n_kept"]) <= streamed < 20000
 
 
 def test_eta_rerun_is_byte_identical(small_ini, tmp_path, capsys):
@@ -146,6 +160,41 @@ def test_sweep_meta_records_threads_and_prune_floor(small_ini, tmp_path, monkeyp
     meta = (out_dir / "sweep_meta.txt").read_text().splitlines()
     assert "threads=2" in meta
     assert f"prune_floor={PRUNE_FLOOR}" in meta
+    meta = read_meta(out_dir / "sweep_meta.txt")
+    assert meta["numpy_version"] == np.__version__
+    assert meta["shells"] == str(SHELLS)
+    # one count per value: the tilt moves the first streamed shell
+    streamed = [_in_region(canonical_scenario(n_atoms_override=20000, skew_theta=np.radians(d)))[0]
+                for d in (0.0, 2.0)]
+    assert meta["streamed_in_region"] == ",".join(map(str, streamed))
+    assert streamed[0] < streamed[1]
+
+
+def test_angular_sweep_uses_the_ini_grid(tmp_path, capsys):
+    ini = tmp_path / "grid.ini"
+    ini.write_text(CANONICAL_INI.replace("target_od     = 24.7", "n_atoms_override = 3000")
+                   + "grid_n_cap  = 48\ngrid_n_base = 32\ngrid_n_phi  = 24\n")
+    common = ["--config", str(ini), "--method", "angular"]
+    assert main(["eta", *common, "--out", str(tmp_path / "e")]) == 0
+    assert main(["sweep", *common, "--sweep", "skew_angle", "--values", "0",
+                 "--replicates", "1", "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    (eta_row,) = read_rows(tmp_path / "e" / "eta.csv")
+    (sweep_row,) = read_rows(tmp_path / "s" / "sweep.csv")
+    assert sweep_row["eta_mean"] == eta_row["eta"]
+    assert json.loads(sweep_row["etas_json"]) == [float(eta_row["eta"])]
+    # the value is that of the INI's 48/32/24 grid, and a sweep on that grid
+    # carries the bits of eta_angular
+    scn = canonical_scenario(n_atoms_override=3000)
+    grid = build_grid(wavenumbers(scn.species).k_i, scn.idler_mode.waist_w0,
+                      n_cap=48, n_base=32, n_phi=24)
+    eta = eta_angular(scn, grid).eta
+    assert float(eta_row["eta"]) == float(f"{eta:.9g}")
+    spec = SweepSpec(scn, "skew_angle", (0.0,), replicates=1, method="angular")
+    assert run_sweep(spec, make_grid=lambda _: grid)[0].etas == (eta,)
+    meta = read_meta(tmp_path / "s" / "sweep_meta.txt")
+    assert (meta["grid_n_cap"], meta["grid_n_base"], meta["grid_n_phi"]) == ("48", "32", "24")
+    assert meta["grid_cap_mult"] == "20.0"
 
 
 def test_sweep_rejects_garbled_values(small_ini, tmp_path, capsys):

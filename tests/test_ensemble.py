@@ -82,15 +82,16 @@ def test_thermal_speed_formulas():
 
 
 def test_sampling_chunks_are_bit_identical_to_one_shot():
+    # the 10,000-atom stream: every chunk size below crosses shell boundaries
     c = cloud()
     n = 10_000
-    whole = sample_atoms(c, seed=42, chunk_index=0, chunk_size=n)
-    for chunk_size in (1024, 3000, n):
+    whole = sample_atoms(c, seed=42, chunk_index=0, chunk_size=n, count=n)
+    for chunk_size in (97, 1024, 3000, n):
         n_chunks = math.ceil(n / chunk_size)
         parts_r = []
         parts_v = []
         for ci in range(n_chunks):
-            s = sample_atoms(c, seed=42, chunk_index=ci, chunk_size=chunk_size)
+            s = sample_atoms(c, seed=42, chunk_index=ci, chunk_size=chunk_size, count=n)
             lo = ci * chunk_size
             hi = min(n, lo + chunk_size)
             parts_r.append(s.r_initial[: hi - lo])
@@ -116,7 +117,7 @@ def test_chunk_beyond_population_is_empty():
 def test_sample_moments_match_cloud_scales():
     c = cloud()
     n = 200_000
-    s = sample_atoms(c, seed=3, chunk_index=0, chunk_size=n)
+    s = sample_atoms(c, seed=3, chunk_index=0, chunk_size=n, count=n)
     # per-axis standard deviations: r0 for position, sigma_v for velocity
     np.testing.assert_allclose(s.r_initial.std(axis=0), R0, rtol=0.01)
     np.testing.assert_allclose(s.velocity.std(axis=0), SIGMA_V, rtol=0.01)
@@ -127,7 +128,7 @@ def test_sample_moments_match_cloud_scales():
 
 def test_sampled_mean_speed():
     c = cloud()
-    s = sample_atoms(c, seed=5, chunk_index=0, chunk_size=1_000_000)
+    s = sample_atoms(c, seed=5, chunk_index=0, chunk_size=1_000_000, count=1_000_000)
     speeds = np.linalg.norm(s.velocity, axis=1)
     assert speeds.mean() == pytest.approx(V_MEAN_3D, rel=5e-3)
 

@@ -18,13 +18,15 @@ from ire_sim import (
     transverse_amplitude,
     wavenumbers,
 )
-from ire_sim.ensemble import _GAUSS_VOLUME
+from ire_sim.ensemble import _GAUSS_VOLUME, SHELLS, shell_counts
 from ire_sim.retrieval import (
     CHUNK_ATOMS,
     THREADS_ENV_VAR,
     _eta_worker,
+    _in_region,
     _paraxial_sums,
     _prune,
+    _screen_shell,
 )
 
 from conftest import R0, SPECIES, TEMP, W_COLLECT, canonical_scenario
@@ -182,13 +184,13 @@ def test_spinwave_amplitude_composition():
 
 
 def test_kernel_matches_vectorized_reference():
-    # One chunk partial of the stream must reproduce, to near machine
-    # precision, the sums assembled from the public per-atom building
-    # blocks over the atoms the skip keeps.
+    # The chunk partials of the streamed shells, one chunk per shell here,
+    # must add up, to near machine precision, to the sums assembled from the
+    # public per-atom building blocks over the atoms of every shell the skip
+    # keeps.
     scn = canonical_scenario(
         n_atoms_override=4096, skew_theta=math.radians(2.0), storage_tm=50e-6, seed=13
     )
-    n = scn.n_atoms
     sample = draw_sample(scn)
     keep, dropped_ref = _prune(sample.r_initial, scn)
     a = spinwave_amplitude(sample, scn)[keep]
@@ -197,13 +199,16 @@ def test_kernel_matches_vectorized_reference():
     s2_ref = float(np.sum(np.abs(a) ** 2))
     sxx_ref = float(np.sum(np.abs(x) ** 2))
 
-    [(s1r, s1i, sxx, s2, dropped, n_kept)] = _eta_worker(((scn,), 0, n, _paraxial_sums))
+    counts = shell_counts(scn.seed, scn.n_atoms)
+    parts = [_eta_worker(((scn,), shell, 0, int(counts[shell]), _paraxial_sums))[0]
+             for shell in range(_screen_shell(scn), SHELLS)]
+    s1r, s1i, sxx, s2, dropped, n_kept = (sum(col) for col in zip(*parts))
     assert s1r == pytest.approx(s1_ref.real, rel=1e-10)
     assert s1i == pytest.approx(s1_ref.imag, rel=1e-10)
     assert s2 == pytest.approx(s2_ref, rel=1e-10)
     assert sxx == pytest.approx(sxx_ref, rel=1e-10)
     assert n_kept == int(keep.sum())
-    assert dropped >= dropped_ref
+    assert dropped + _in_region(scn)[2] >= dropped_ref
 
 
 def test_single_atom_efficiency_is_exact():
@@ -309,3 +314,22 @@ def test_resolve_threads_precedence(monkeypatch):
     monkeypatch.setenv(THREADS_ENV_VAR, "-2")
     with pytest.raises(ValueError):
         resolve_threads(None)
+
+
+def test_draw_sample_returns_the_atoms_of_the_stream():
+    # n_atoms above the cloud's implied count: the n-atom stream still holds
+    # exactly n atoms, shell-major across every shell
+    scn = replace(canonical_scenario(n_atoms_override=1000, seed=4), n_atoms=1500)
+    sample = draw_sample(scn, 1200)
+    assert len(sample) == 1200
+    whole = sample_atoms(scn.cloud, scn.seed, 0, 1200, count=1200)
+    np.testing.assert_array_equal(sample.r_initial, whole.r_initial)
+    np.testing.assert_array_equal(sample.velocity, whole.velocity)
+    # its last m atoms are the ones a 1200-atom subsample streams
+    m, _, _ = _in_region(replace(scn, mc_atoms=1200))
+    keep, _ = _prune(sample.r_initial[-m:], scn)
+    assert eta_paraxial(replace(scn, mc_atoms=1200)).n_kept == int(keep.sum()) > 0
+    assert not _prune(sample.r_initial[:-m], scn)[0].any()
+    for n in (0, 1501):
+        with pytest.raises(ValueError):
+            draw_sample(scn, n)

@@ -1,11 +1,11 @@
-"""The word-0 screen in front of the amplitude skip.
+"""The shell screen in front of the amplitude skip.
 
-Counter word 0 fixes an atom's transverse radius, so both estimators rule
-out atoms far off the signal axis with one integer comparison before any
-position is drawn, then run the exact mask (_prune) on the rest. The screen
-must be conservative: every atom it rejects is one _prune drops, with
-|A_j| <= PRUNE_FLOOR^2 amp0. The estimates keep the bits of an unscreened
-pass, and their D stays an upper bound of the unscreened D.
+An atom's radial shell bounds its transverse radius, so both estimators
+never stream the shells far off the signal axis, and run the exact mask
+(_prune) on the atoms of the rest. The screen must be conservative: every
+atom of a shell it leaves out is one _prune drops, with
+|A_j| <= PRUNE_FLOOR^2 amp0. The estimates keep the bits of a pass over
+every shell, and their D stays an upper bound of that pass's D.
 """
 
 import math
@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+import ire_sim.angular as angular
+import ire_sim.retrieval as retrieval
 from ire_sim import (
     PRUNE_FLOOR,
     AtomSample,
@@ -27,25 +29,25 @@ from ire_sim import (
     spinwave_amplitude,
     wavenumbers,
 )
-from ire_sim.angular import ANGULAR_CHUNK_ATOMS, _field_sums
+from ire_sim.angular import _field_sums
 from ire_sim.cli import main as cli_main
 from ire_sim.ensemble import (
     NORMAL_MAX,
+    SHELLS,
     _positions_from_raw,
     _raw_words,
     _sample_words,
     drift,
-    sample_atoms,
+    shell_counts,
 )
 from ire_sim.retrieval import (
     _SCREEN_MARGIN,
     CHUNK_ATOMS,
     _estimate,
     _eta_stream,
+    _in_region,
     _prune,
-    _screen,
-    _screen_word,
-    _skip,
+    _screen_shell,
 )
 
 from conftest import CANONICAL_INI, R0, SPECIES, TEMP, W_COLLECT, W_WRITE, canonical_scenario
@@ -77,9 +79,10 @@ def _amp0(scn):
 def test_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
     scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, seed=3,
                     n_atoms_override=CHUNK_ATOMS, write_amplitude=2.0)
-    raw = _raw_words(scn.seed, 0, CHUNK_ATOMS)
-    out = raw[raw[:, 0] < np.uint64(_screen_word(scn))]
-    assert 0 < out.shape[0] < CHUNK_ATOMS
+    first = _screen_shell(scn)
+    assert 0 < first < SHELLS
+    # the highest screened shell holds the atoms nearest the screen's radius
+    out = _raw_words(scn.seed, first - 1, 0, 1 << 16)
     keep, _ = _prune(_positions_from_raw(out, r0), scn)
     assert not keep.any()
     a = spinwave_amplitude(_sample_words(out, scn.cloud), scn)
@@ -88,40 +91,39 @@ def test_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
 
 def test_threshold_word_splits_the_radius_bound():
     scn = canonical_scenario(n_atoms_override=10, write_amplitude=2.0)
-    t = _screen_word(scn)
-    assert 0 < t < 2**64 - 1 and t % 2**11 == 0
+    first = _screen_shell(scn)
+    # the atoms with the largest u0 of the last screened shell and of the
+    # first streamed one: every word-0 bit below the shell bits set
     raw = np.full((2, 8), 12345, dtype=np.uint64)
-    raw[:, 0] = [t - 1, t]
-    rows, n_screened = _screen(raw, (scn,))
-    assert n_screened == 1
-    assert rows.tolist() == raw[1:].tolist()
-    # the radius bound _screen_word states, recomputed here
-    z_s = scn.signal_mode.rayleigh_z
-    r2 = (2.0 * abs(math.log(PRUNE_FLOOR)) * W_COLLECT**2
-          * (1.0 + (NORMAL_MAX * R0 / z_s) ** 2) * _SCREEN_MARGIN)
+    for row, shell in enumerate((first - 1, first)):
+        raw[row] = _raw_words(scn.seed, shell, 0, 1)
+        raw[row, 0] |= np.uint64((1 << 58) - 1)
+    # the radius bound _screen_shell states, recomputed here for no tilt:
+    # rho^2 (1 / a_s + 1 / a_w) = 2 |ln PRUNE_FLOOR| at rho = R
+    big_z = NORMAL_MAX * R0
+    a_s = W_COLLECT**2 * (1.0 + (big_z / scn.signal_mode.rayleigh_z) ** 2)
+    a_w = W_WRITE**2 * (1.0 + (big_z / scn.write_mode.rayleigh_z) ** 2)
+    r2 = 2.0 * abs(math.log(PRUNE_FLOOR)) * _SCREEN_MARGIN / (1.0 / a_s + 1.0 / a_w)
     r = _positions_from_raw(raw, R0)
     rho2 = r[:, 0] ** 2 + r[:, 1] ** 2
     assert rho2[0] >= r2 > rho2[1]
-    # D counts the drawn atom's own |A_j| and PRUNE_FLOOR^2 amp0 for the screened one
-    keep, dropped = _skip(r[1:], scn, n_screened)
-    assert not keep.any()
-    a = spinwave_amplitude(_sample_words(rows, scn.cloud), scn)
-    assert dropped == pytest.approx(abs(a[0]) + PRUNE_FLOOR**2 * _amp0(scn), rel=1e-12, abs=0.0)
+    # D counts PRUNE_FLOOR^2 amp0 for each streamed-count atom below the first shell
+    counts = shell_counts(scn.seed, scn.n_atoms)
+    m, n_in, d0 = _in_region(scn)
+    assert m == n_in == int(counts[first:].sum())
+    assert d0 == (scn.n_atoms - m) * PRUNE_FLOOR**2 * _amp0(scn)
 
 
 def test_tiny_cloud_screens_nothing():
     scn = _scenario(1e-9, n_atoms_override=1000)
-    assert _screen_word(scn) == 0
-    raw = _raw_words(scn.seed, 0, 1000)
-    rows, n_screened = _screen(raw, (scn,))
-    assert n_screened == 0
-    assert np.array_equal(rows, raw)
+    assert _screen_shell(scn) == 0
+    assert _in_region(scn) == (1000, 1000, 0.0)
 
 
 def _unscreened_eta_worker(task):
-    """The stream's chunk sums without the word-0 screen, from the public per-atom functions."""
-    scenarios, lo, hi = task
-    raw = _raw_words(scenarios[0].seed, lo, hi)
+    """The stream's chunk sums over any shell, from the public per-atom functions."""
+    scenarios, shell, lo, hi = task
+    raw = _raw_words(scenarios[0].seed, shell, lo, hi)
     r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
     out = []
     for scenario in scenarios:
@@ -136,8 +138,16 @@ def _unscreened_eta_worker(task):
     return out
 
 
-# Two chunks: a full one and a short one.
-STREAMED = CHUNK_ATOMS + 20_000
+def _shell_tasks(seed, count, chunk):
+    """(shell, lo, hi) of every chunk of every shell of the count-atom stream."""
+    return [(shell, lo, min(lo + chunk, c))
+            for shell, c in enumerate(shell_counts(seed, count).tolist())
+            for lo in range(0, c, chunk)]
+
+
+# Small chunks, so that each streamed shell spans a full chunk and a short one.
+SMALL_CHUNK = 1 << 12
+STREAMED = 64 * SMALL_CHUNK + 20_000
 JOBS = {
     "tilt": [dict(theta_deg=th, storage_tm=100e-6) for th in (0.0, 1.0, 2.0, 4.0)],
     "storage_time": [dict(theta_deg=2.0, storage_tm=tm) for tm in (0.0, 50e-6, 100e-6, 200e-6)],
@@ -146,38 +156,44 @@ JOBS = {
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("job", sorted(JOBS))
-def test_stream_keeps_the_bits_of_an_unscreened_pass(job, threads):
+def test_stream_keeps_the_bits_of_an_unscreened_pass(monkeypatch, job, threads):
+    monkeypatch.setattr(retrieval, "CHUNK_ATOMS", SMALL_CHUNK)
     scenarios = tuple(
         _scenario(target_od=24.7, mc_atoms=STREAMED, seed=11, **point) for point in JOBS[job]
     )
     got = _eta_stream([scenarios], threads=threads)[0]
-    tasks = [(scenarios, lo, min(lo + CHUNK_ATOMS, STREAMED))
-             for lo in range(0, STREAMED, CHUNK_ATOMS)]
-    want = list(zip(*[_unscreened_eta_worker(t) for t in tasks]))
-    for scn, parts, ref in zip(scenarios, got, want):
-        assert len(parts) == len(ref) == 2
-        for part, old in zip(parts, ref):
-            assert part[:4] == old[:4]  # Re S1, Im S1, SXX, S2
-            assert part[5] == old[5]  # n_kept
-            assert old[4] <= part[4] == pytest.approx(old[4], rel=1e-12, abs=0.0)
-        new_est, old_est = _estimate(scn, parts), _estimate(scn, ref)
+    lowest = min(_screen_shell(scn) for scn in scenarios)
+    assert all(c > SMALL_CHUNK for c in shell_counts(11, STREAMED)[lowest:])
+    tasks = _shell_tasks(11, STREAMED, SMALL_CHUNK)
+    ref = list(zip(*[_unscreened_eta_worker((scenarios, *t)) for t in tasks]))
+    for scn, parts, every in zip(scenarios, got, ref):
+        first = _screen_shell(scn)
+        below = [part for t, part in zip(tasks, every) if t[0] < first]
+        above = [part for t, part in zip(tasks, every) if t[0] >= first]
+        assert all(n_kept == 0 for *_, n_kept in below)
+        assert parts == above  # the same chunks, bit for bit, D included
+        # the screened shells' D is the bound of the estimate, not their own sum
+        m, n_in, d0 = _in_region(scn)
+        assert sum(part[4] for part in below) <= d0
+        new_est, old_est = _estimate(scn, parts), _estimate(scn, list(every))
         assert (new_est.eta, new_est.numerator, new_est.denominator, new_est.n_kept) == (
             old_est.eta, old_est.numerator, old_est.denominator, old_est.n_kept)
-        old_d = old_est.dropped_amplitude
-        assert old_d <= new_est.dropped_amplitude == pytest.approx(old_d, rel=1e-12, abs=0.0)
 
 
-def test_angular_field_keeps_the_bits_of_an_unscreened_pass():
+def test_angular_field_keeps_the_bits_of_an_unscreened_pass(monkeypatch):
+    chunk = 1 << 9
+    monkeypatch.setattr(angular, "ANGULAR_CHUNK_ATOMS", chunk)
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
-    n = 2 * ANGULAR_CHUNK_ATOMS + 700
+    n = 80 * chunk  # every shell spans a full chunk and a short one
     scn = canonical_scenario(n_atoms_override=n, skew_theta=math.radians(2.0),
                              storage_tm=100e-6, seed=6)
+    assert all(chunk < c < 2 * chunk for c in shell_counts(scn.seed, n))
     field = angular_field(scn, grid, threads=2)
     acc = np.zeros(grid.n_nodes, dtype=complex)
     s2 = dropped = 0.0
     n_kept = 0
-    for lo in range(0, n, ANGULAR_CHUNK_ATOMS):  # the unscreened chunk worker, in chunk order
-        sample = sample_atoms(scn.cloud, scn.seed, lo // ANGULAR_CHUNK_ATOMS, ANGULAR_CHUNK_ATOMS)
+    for shell, lo, hi in _shell_tasks(scn.seed, n, chunk):  # in stream order
+        sample = _sample_words(_raw_words(scn.seed, shell, lo, hi), scn.cloud)
         keep, part_dropped = _prune(sample.r_initial, scn)
         sample = drift(AtomSample(sample.r_initial[keep], sample.velocity[keep]), scn.storage_tm)
         amps = spinwave_amplitude(sample, scn)

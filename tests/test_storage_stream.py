@@ -67,7 +67,7 @@ def test_storage_sweep_uses_one_pool(created_pools):
     base = canonical_scenario(n_atoms_override=20_000, seed=5)
     rows = run_sweep(SweepSpec(base, "storage_time", (0.0, 40.0, 80.0), replicates=3), threads=2)
     assert all(r.error is None for r in rows)
-    assert created_pools == [2]  # 3 one-chunk replicates, all on one pool
+    assert created_pools == [2]  # 3 replicates of one chunk per shell, all on one pool
 
 
 def test_stream_error_fails_every_valid_value(monkeypatch):

@@ -20,10 +20,11 @@ from ire_sim import SweepSpec, eta_angular, eta_paraxial, run_sweep, scenario_fo
 
 from conftest import canonical_scenario
 
-# Small chunks make every replicate below span two of them, so the ordered
-# chunk merge is exercised without streaming 2^20 atoms per replicate.
-SMALL_CHUNK = 1 << 12
-STREAMED = SMALL_CHUNK + 1904
+# Small chunks, and streamed counts whose shells span two or more of them,
+# so the ordered (shell, chunk) merge is exercised without streaming 2^20
+# atoms per shell.
+SMALL_CHUNK = 1 << 6
+STREAMED = 96 * SMALL_CHUNK + 1904
 
 # Each sweep has a NaN in the middle: it passes SweepSpec's ordering check
 # and must become an error row of its own.
@@ -49,7 +50,7 @@ def test_sweep_rows_match_per_point_estimates(small_chunks, case, threads):
     base = canonical_scenario(skew_theta=math.radians(2.0), storage_tm=100e-6, seed=3, **knobs)
     rows = run_sweep(SweepSpec(base, axis, values, replicates=2), threads=threads)
     assert len(rows) == len(values)
-    streamed = set()
+    streamed, firsts = set(), set()
     for row, value in zip(rows, values):
         if math.isnan(value):
             assert row.error is not None and row.etas == ()
@@ -62,21 +63,24 @@ def test_sweep_rows_match_per_point_estimates(small_chunks, case, threads):
         assert row.etas == expected
         assert row.n_atoms == point.n_atoms
         streamed.add(retrieval._streamed_count(point))
-    assert all(SMALL_CHUNK < n <= 2 * SMALL_CHUNK for n in streamed)
+        firsts.add(retrieval._screen_shell(point))
+    assert all(n > 64 * SMALL_CHUNK for n in streamed)
     assert len(streamed) == (3 if case == "optical_depth_full" else 1)
+    # the values of one job fold from different first shells
+    assert len(firsts) > 1 or axis in ("optical_depth",)
 
 
 def test_tilt_sweep_uses_one_pool(created_pools):
     base = canonical_scenario(n_atoms_override=20_000, seed=5)
     rows = run_sweep(SweepSpec(base, "skew_angle", (0.0, 1.0, 2.0), replicates=3), threads=2)
     assert all(r.error is None for r in rows)
-    assert created_pools == [2]  # 3 one-chunk replicates, all on one pool
+    assert created_pools == [2]  # 3 replicates of one chunk per shell, all on one pool
 
 
-# The angular method on the default grid, with chunks small enough that each
-# replicate spans three of them (the last one short).
-ANGULAR_CHUNK = 1 << 9
-ANGULAR_N = 2 * ANGULAR_CHUNK + 476
+# The angular method on the default grid, with chunks small enough that most
+# shells of each replicate (about 23 atoms each) span two of them.
+ANGULAR_CHUNK = 1 << 4
+ANGULAR_N = 64 * ANGULAR_CHUNK + 476
 ANGULAR_SWEEPS = {
     "skew_angle": (0.0, math.nan, 2.0),
     "width_ratio": (0.58, math.nan, 1.0),  # the grid changes with the value
@@ -133,7 +137,7 @@ def test_angular_sweep_uses_one_pool(small_angular_chunks, created_pools):
                      method="angular")
     rows = run_sweep(spec, threads=2)
     assert all(r.error is None for r in rows)
-    assert created_pools == [2]  # 3 three-chunk replicates, all on one pool
+    assert created_pools == [2]  # 3 replicates of a chunk or two per shell, all on one pool
 
 
 def test_value_error_of_one_estimate_fails_only_its_row(monkeypatch):
