@@ -258,15 +258,9 @@ def _field_projection(grids, a, sample, scenario):
     return (_field_sums(a, r, scenario.skew_theta, kn.k_r, kn.k_i, grids[scenario.idler_mode]),)
 
 
-def _add(total, part):
-    """The angular fold: add a chunk's (field, S2, D, n_kept) to the running total."""
-    return part if total is None else tuple(t + p for t, p in zip(total, part))
-
-
 def _angular_method(grids):
     """_eta_stream's arguments for fields on grids (idler mode -> grid), and the merge of a total."""
-    how = dict(project=partial(_field_projection, grids), chunk_atoms=ANGULAR_CHUNK_ATOMS,
-               fold=_add)
+    how = dict(project=partial(_field_projection, grids), chunk_atoms=ANGULAR_CHUNK_ATOMS)
     def merge(scenario, total):
         grid = grids[scenario.idler_mode]
         return _field_estimate(_as_field(scenario, total, grid), grid)
@@ -275,7 +269,7 @@ def _angular_method(grids):
 
 
 def _as_field(scenario: Scenario, total, grid: AngularGrid) -> AngularField:
-    """The emitted field of a scenario's folded stream total (None: no atom streamed)."""
+    """The emitted field of a scenario's stream total: (field, S2, D, n_kept), None if empty."""
     if total is None:
         total = (np.zeros(grid.n_nodes, dtype=np.complex128), 0.0, 0.0, 0)
     field, s2, dropped, n_kept = total
@@ -307,7 +301,7 @@ def angular_field(
             "build the scenario with n_atoms_override instead"
         )
     how, _ = _angular_method({scenario.idler_mode: grid})
-    [[total]] = _eta_stream([(scenario,)], threads, **how)
+    [total] = _eta_stream([scenario], threads, **how)
     return _as_field(scenario, total, grid)
 
 
@@ -341,15 +335,7 @@ def eta_reference(field: AngularField, grid: AngularGrid) -> float:
     """
     if field.normalized:
         raise ValueError("eta_reference needs the unnormalized field")
-    if field.source_s2 <= 0.0:
-        raise ArithmeticError("degenerate source: sum |A_j|^2 = 0")
-    return _fiber_overlap(field, grid) / field.source_s2
-
-
-def _fiber_overlap(field: AngularField, grid: AngularGrid) -> float:
-    """Squared collection-mode overlap |sum_nodes w g F|^2 of the field."""
-    g = fiber_mode(grid)
-    return float(abs(np.sum(grid.node_weight * g * field.values)) ** 2)
+    return _field_estimate(field, grid).eta
 
 
 def _default_grid(scenario: Scenario) -> AngularGrid:
@@ -370,8 +356,8 @@ def eta_angular(
 
 
 def _field_estimate(field: AngularField, grid: AngularGrid) -> EtaEstimate:
-    """The angular merge: the estimate of a raw field, its fiber overlap over sum |A_j|^2."""
-    numerator = _fiber_overlap(field, grid)
+    """The estimate of a raw field: |sum_nodes w g F|^2 over sum |A_j|^2."""
+    numerator = float(abs(np.sum(grid.node_weight * fiber_mode(grid) * field.values)) ** 2)
     denominator = field.source_s2
     if denominator <= 0.0:
         raise ArithmeticError("degenerate source: sum |A_j|^2 = 0")

@@ -41,7 +41,15 @@ from .angular import (
 from .config import ConfigError, build_scenario, read_config, resolution_report
 from .experiments import SWEEP_AXES, SweepSpec, _g9, run_sweep, write_sweep_csv
 from .ensemble import SHELLS
-from .retrieval import PRUNE_FLOOR, Scenario, _in_region, eta_paraxial, resolve_threads, wavenumbers
+from .retrieval import (
+    PRUNE_FLOOR,
+    THREADS_ENV_VAR,
+    Scenario,
+    _in_region,
+    eta_paraxial,
+    resolve_threads,
+    wavenumbers,
+)
 
 ETA_CSV_COLUMNS = (
     "od",
@@ -150,17 +158,22 @@ def _load(args, method_override: bool = False, mc_override: bool = False):
         updates["mc_atoms"] = args.mc_atoms
     if updates:
         doc = replace(doc, **updates)
+    source = "--threads" if args.threads is not None else THREADS_ENV_VAR
+    try:
+        args.threads = resolve_threads(args.threads)
+    except ValueError:
+        raise ConfigError(f"{source} must be an integer >= 1") from None
     scenario = build_scenario(doc)
     return doc, scenario
 
 
-def _stream_record(threads) -> dict:
+def _stream_record(threads: int) -> dict:
     """The meta keys that say which stream made a result.
 
     numpy does not promise the same Generator.multinomial draw across its
     versions (NEP 19), and that draw sets how many atoms each shell holds.
     """
-    return {"threads": resolve_threads(threads), "numpy_version": np.__version__,
+    return {"threads": threads, "numpy_version": np.__version__,
             "shells": SHELLS, "prune_floor": PRUNE_FLOOR}
 
 
@@ -314,7 +327,7 @@ def _cmd_angular(args) -> int:
         scenario,
         args.out,
         raster_n=doc.raster_n,
-        extra={"config_path": os.path.abspath(args.config)},
+        extra={"config_path": os.path.abspath(args.config), **_stream_record(args.threads)},
     )
     for path in paths:
         print(f"wrote {path}")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .angular import _angular_method, _default_grid
 from .ensemble import density_for_od, optical_depth
-from .retrieval import Scenario, _estimate, _eta_stream, _in_region, _streamed_count
+from .retrieval import Scenario, _estimate, _eta_stream, _in_region
 
 SWEEP_AXES = ("width_ratio", "optical_depth", "storage_time", "skew_angle")
 SWEEP_METHODS = ("paraxial", "angular")
@@ -135,7 +135,7 @@ def scenario_for_value(base: Scenario, axis: str, value: float) -> Scenario:
             raise ValueError("optical_depth must be > 0")
         n0 = density_for_od(value, base.cloud, base.species, base.write_mode)
         cloud = replace(base.cloud, peak_density_n0=n0)
-        return replace(base, cloud=cloud, n_atoms=cloud.atom_count)
+        return replace(base, cloud=cloud)
     if axis == "storage_time":
         if not 0.0 <= value < math.inf:
             raise ValueError("storage_time must be finite and >= 0 (microseconds)")
@@ -170,8 +170,9 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
     bit-identical to eta_paraxial, or eta_angular on the grid
     make_grid(scenario) (default: the idler's default grid), at its point.
     The methods differ only in the projection, the chunk size and the
-    merge. An error of that shared stream fails every valid value;
-    an error of one value's estimate fails that value alone.
+    estimate read from a stream total. An error of that shared stream
+    fails every valid value; an error of one value's estimate fails that
+    value alone.
     """
     seeds = range(spec.base.seed, spec.base.seed + spec.replicates)
     points, etas, failed = {}, {}, {}  # keyed by the value's index
@@ -186,20 +187,16 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
         except (ValueError, ArithmeticError) as exc:
             failed[i] = exc
     how, merge = _angular_method(grids) if spec.method == "angular" else ({}, _estimate)
-    groups: dict[int, list[int]] = {}  # streamed count -> value indices
-    for i, (scenario, _) in points.items():
-        groups.setdefault(_streamed_count(scenario), []).append(i)
-    owners = [idx for _ in seeds for idx in groups.values()]
-    jobs = [tuple(replace(points[i][0], seed=seed) for i in idx)
-            for seed in seeds for idx in groups.values()]
+    scenarios = [(i, replace(points[i][0], seed=seed)) for seed in seeds for i in points]
     runs: dict[int, list] = {i: [] for i in points}  # (scenario, total) per seed
     try:
-        for idx, job, totals in zip(owners, jobs, _eta_stream(jobs, threads, **how)):
-            for i, scenario, total in zip(idx, job, totals):
-                runs[i].append((scenario, total))
+        totals = _eta_stream([scenario for _, scenario in scenarios], threads, **how)
     except (ValueError, ArithmeticError) as exc:
         failed.update(dict.fromkeys(points, exc))
         runs = {}
+    else:
+        for (i, scenario), total in zip(scenarios, totals):
+            runs[i].append((scenario, total))
     for i, per_seed in runs.items():
         try:
             etas[i] = tuple(merge(scenario, total).eta for scenario, total in per_seed)

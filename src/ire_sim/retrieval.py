@@ -17,8 +17,8 @@ the lobe power carries a full speckle mode of noise because the speckle
 correlation angle of a ~30 um emitting column equals the lobe width).
 
 The numerator runs over the full physical ensemble by default (streaming,
-counter-based sampling, compensated chunk sums merged in ascending
-(shell, chunk) order, so the result is bit-identical for any thread count).
+counter-based sampling, chunk sums added in ascending (shell, chunk)
+order, so the result is bit-identical for any thread count).
 A subsampled estimator of the same full-N quantity is available through
 Scenario.mc_atoms for survey work: it streams the first atoms of each
 radial shell the full stream would stream, and its numerator uses the
@@ -30,7 +30,7 @@ noise), and the estimate is not bounded above by 1 at small subsamples.
 
 No sweep axis moves the seed, the cloud width or the streamed count, so
 one stream can serve several scenarios: a chunk's counter words and
-positions are drawn once, each scenario folds only the chunks of its own
+positions are drawn once, each scenario adds up only the chunks of its own
 shells, the skip mask and the stored amplitudes A_j are rebuilt only where
 the beams, the tilt or the velocity spread change, and the projection runs
 per scenario. The same stream serves the angular
@@ -140,7 +140,7 @@ class Scenario:
 
     The write (and the plane-wave read drive) live on the axis tilted by
     skew_theta about x; the signal and idler collection modes live on the
-    lab z axis. n_atoms is the resolved ensemble size; mc_atoms, when set,
+    lab z axis. n_atoms is the cloud's atom count; mc_atoms, when set,
     makes the efficiency estimator subsample that many atoms of the same
     stream instead of streaming all of them, and rescale the sums to
     estimate the full-N value (see eta_paraxial for the clamp this uses).
@@ -154,7 +154,6 @@ class Scenario:
     skew_theta: float
     storage_tm: float
     seed: int
-    n_atoms: int
     mc_atoms: int | None = None
 
     def __post_init__(self) -> None:
@@ -181,13 +180,16 @@ class Scenario:
             raise ValueError("storage_tm must be finite and >= 0")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be >= 1")
         if self.mc_atoms is not None:
             if self.mc_atoms < 2:
                 raise ValueError("mc_atoms must be >= 2 (pair statistics)")
             if self.mc_atoms > self.n_atoms:
                 raise ValueError("mc_atoms cannot exceed n_atoms")
+
+    @property
+    def n_atoms(self) -> int:
+        """Ensemble size: the cloud's implied atom count."""
+        return self.cloud.atom_count
 
     @property
     def width_ratio(self) -> float:
@@ -235,16 +237,12 @@ def make_scenario(
         if n_atoms_override < 1:
             raise ValueError("n_atoms_override must be >= 1")
         n0 = n_atoms_override / (_GAUSS_VOLUME * sigma_r0**3)
-        cloud = CloudSpec(n0, sigma_r0, temperature_t, species.atom_mass)
-        n_atoms = n_atoms_override
+    elif target_od is not None:
+        template = CloudSpec(1e17, sigma_r0, temperature_t, species.atom_mass)
+        n0 = density_for_od(target_od, template, species, write)
     else:
-        if target_od is not None:
-            template = CloudSpec(1e17, sigma_r0, temperature_t, species.atom_mass)
-            n0 = density_for_od(target_od, template, species, write)
-        else:
-            n0 = peak_density_n0
-        cloud = CloudSpec(n0, sigma_r0, temperature_t, species.atom_mass)
-        n_atoms = cloud.atom_count
+        n0 = peak_density_n0
+    cloud = CloudSpec(n0, sigma_r0, temperature_t, species.atom_mass)
     return Scenario(
         species=species,
         cloud=cloud,
@@ -254,7 +252,6 @@ def make_scenario(
         skew_theta=float(skew_theta),
         storage_tm=float(storage_tm),
         seed=int(seed),
-        n_atoms=n_atoms,
         mc_atoms=mc_atoms,
     )
 
@@ -464,9 +461,9 @@ def _paraxial_sums(a, sample, scenario) -> tuple[float, float, float]:
 def _eta_worker(task):
     """One chunk of one shell of the stream (top level for process pools).
 
-    Draws the chunk's counter words and positions once for all the job's
-    scenarios. A scenario whose first streamed shell (_screen_shell) lies
-    above this shell gets None. For the others the exact skip mask
+    Draws the chunk's counter words and positions once for all the
+    scenarios of its stream. A scenario whose first streamed shell
+    (_screen_shell) lies above this shell gets None. For the others the exact skip mask
     (_prune), the kept atoms and their stored amplitudes A_j are rebuilt
     only when something they depend on differs from the previous
     scenario's: the species, the beams, the tilt or the velocity spread.
@@ -496,39 +493,23 @@ def _eta_worker(task):
     return out
 
 
-def _kahan(state, x):
-    s, c = state
-    t = s + x
-    if abs(s) >= abs(x):
-        c += (s - t) + x
-    else:
-        c += (x - t) + s
-    return t, c
-
-
 def _streamed_count(scenario: Scenario) -> int:
     return scenario.mc_atoms if scenario.mc_atoms is not None else scenario.n_atoms
 
 
-def _estimate(scenario: Scenario, partials) -> EtaEstimate:
-    """Merge one scenario's chunk partials (ascending (shell, chunk) order) into eta.
+def _estimate(scenario: Scenario, total) -> EtaEstimate:
+    """The estimate of one scenario's stream total.
 
-    partials holds (Re S1, Im S1, SXX, S2, dropped, n_kept) per chunk of the
-    scenario's shells, as _eta_stream returns them for this scenario (None
-    when it streamed no atom). A subsample's sums are rescaled from the m
-    atoms it streams to the N_in atoms of the full ensemble in the same
-    shells (_in_region).
+    total is (Re S1, Im S1, SXX, S2, dropped, n_kept), summed over the
+    chunks of the scenario's shells as _eta_stream returns it (None when it
+    streamed no atom). A subsample's sums are rescaled from the m atoms it
+    streams to the N_in atoms of the full ensemble in the same shells
+    (_in_region).
     """
     n_total = scenario.n_atoms
     m, n_in, screened = _in_region(scenario)
-    partials = partials or []
-    acc = [(0.0, 0.0)] * 5
-    for part in partials:
-        for k in range(5):
-            acc[k] = _kahan(acc[k], part[k])
-    s1r, s1i, sxx, s2, dropped = (a[0] + a[1] for a in acc)
+    s1r, s1i, sxx, s2, dropped, n_kept = total or (0.0, 0.0, 0.0, 0.0, 0.0, 0)
     dropped += screened
-    n_kept = sum(part[5] for part in partials)
 
     if s2 <= 0.0:
         if n_kept == 0:
@@ -569,50 +550,53 @@ def _estimate(scenario: Scenario, partials) -> EtaEstimate:
     )
 
 
-def _collect(parts, part):
-    """The paraxial fold: keep every chunk partial for _estimate's compensated merge."""
-    return [part] if parts is None else parts + [part]
+def _add(total, part):
+    """Add a chunk partial to its scenario's running total (None: nothing added yet)."""
+    return part if total is None else tuple(t + p for t, p in zip(total, part))
 
 
-def _eta_stream(jobs, threads=None, project=_paraxial_sums, chunk_atoms=None, fold=_collect):
-    """Chunk partials of jobs of scenarios that share one stream each, folded per scenario.
+def _eta_stream(scenarios, threads=None, project=_paraxial_sums, chunk_atoms=None):
+    """Each scenario's chunk partials, summed in ascending (shell, chunk) order.
 
-    A job is a tuple of scenarios with the same seed, cloud width sigma_r0
-    and streamed count (mc_atoms, else n_atoms); it streams the shells from
+    Scenarios with the same seed, cloud width sigma_r0 and streamed count
+    (mc_atoms, else n_atoms) share one stream: it covers the shells from
     the lowest _screen_shell of its scenarios up, each shell's atoms drawn
     once in chunks of chunk_atoms (default CHUNK_ATOMS) that never cross a
     shell, and every scenario is evaluated on them with project (see
-    _eta_worker). Every chunk of every job goes through one pool.map on one
-    process pool (none for one thread or one chunk). As each chunk's
-    partials arrive, in ascending (shell, chunk) order, fold(total, partial)
-    adds them to their scenario's total (None at first), skipping the
-    shells below the scenario's own first shell; the totals are returned per
-    job and per scenario. So each scenario's total is the one it gets
-    streamed alone. The default fold lists the chunk partials, which
-    _estimate merges into an estimate bit-identical to eta_paraxial for
-    every thread count.
+    _eta_worker). Every chunk of every stream goes through one pool.map on
+    one process pool (none for one thread or one chunk). As each chunk's
+    partials arrive, in ascending (shell, chunk) order, _add adds them to
+    their scenario's total, skipping the shells below the scenario's own
+    first shell. Returns one total per scenario, in input order (None when
+    it streamed no atom): the total it gets streamed alone, bit-identical
+    for every thread count.
     """
     threads = resolve_threads(threads)
     chunk_atoms = chunk_atoms or CHUNK_ATOMS
+    streams: dict[tuple, list[int]] = {}  # (seed, sigma_r0, streamed count) -> indices
+    for i, s in enumerate(scenarios):
+        streams.setdefault((s.seed, s.cloud.sigma_r0, _streamed_count(s)), []).append(i)
     tasks, owners = [], []
-    for k, job in enumerate(jobs):
-        counts = shell_counts(job[0].seed, _streamed_count(job[0])).tolist()
-        for shell in range(min(_screen_shell(s) for s in job), SHELLS):
+    for (seed, _, count), idx in streams.items():
+        shared = tuple(scenarios[i] for i in idx)
+        counts = shell_counts(seed, count).tolist()
+        for shell in range(min(_screen_shell(s) for s in shared), SHELLS):
             for lo in range(0, counts[shell], chunk_atoms):
-                tasks.append((job, shell, lo, min(lo + chunk_atoms, counts[shell]), project))
-                owners.append(k)
-    totals = [[None] * len(job) for job in jobs]
+                tasks.append((shared, shell, lo, min(lo + chunk_atoms, counts[shell]), project))
+                owners.append(idx)
+    totals = [None] * len(scenarios)
 
-    def fold_in(results):
-        for k, partials in zip(owners, results):  # (shell, chunk) order
-            totals[k] = [total if part is None else fold(total, part)
-                         for total, part in zip(totals[k], partials)]
+    def add_up(results):
+        for idx, partials in zip(owners, results):  # (shell, chunk) order per stream
+            for i, part in zip(idx, partials):
+                if part is not None:
+                    totals[i] = _add(totals[i], part)
         return totals
 
     if threads == 1 or len(tasks) <= 1:
-        return fold_in(map(_eta_worker, tasks))
+        return add_up(map(_eta_worker, tasks))
     with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-        return fold_in(pool.map(_eta_worker, tasks, chunksize=1))
+        return add_up(pool.map(_eta_worker, tasks, chunksize=1))
 
 
 def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
@@ -620,10 +604,10 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
 
     Streams the shells that can hold an atom above PRUNE_FLOOR in fixed
     chunks of at most CHUNK_ATOMS, accumulating S1 = sum A_j R_j P_j and the
-    diagonal norms; chunk partials are merged in ascending (shell, chunk)
-    order with compensated addition, so the output is bit-identical for
-    every thread count. Atoms below PRUNE_FLOOR are skipped; the estimate
-    records their summed amplitude (see EtaEstimate).
+    diagonal norms; chunk partials are added in ascending (shell, chunk)
+    order, so the output is bit-identical for every thread count. Atoms
+    below PRUNE_FLOOR are skipped; the estimate records their summed
+    amplitude (see EtaEstimate).
 
     With Scenario.mc_atoms = M set, the stream holds M atoms, of which the
     m in the scenario's shells are streamed, and the numerator is rescaled
@@ -634,7 +618,7 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
     the estimate records that it fired (EtaEstimate.clamped); the rescaled
     estimate can also read above 1 at small subsamples.
     """
-    return _estimate(scenario, _eta_stream([(scenario,)], threads)[0][0])
+    return _estimate(scenario, _eta_stream([scenario], threads)[0])
 
 
 # Cache of lobe tables: the per-node quadrature table is deterministic in

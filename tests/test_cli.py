@@ -225,7 +225,8 @@ def test_sweep_all_rows_failing_exits_nonzero(small_ini, tmp_path, capsys):
     assert "row failed" in printed
 
 
-def test_angular_writes_rasters(angular_ini, tmp_path, capsys):
+def test_angular_writes_rasters(angular_ini, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
     out_dir = tmp_path / "o"
     rc = main(["angular", "--config", angular_ini, "--out", str(out_dir)])
     printed = capsys.readouterr().out
@@ -237,6 +238,11 @@ def test_angular_writes_rasters(angular_ini, tmp_path, capsys):
     assert header == "theta_rad,phi_rad,re,im"
     # raster_n came from the config: 64 x 64 cells
     assert len((out_dir / "heatmap_cap.csv").read_text().splitlines()) == 1 + 64 * 64
+    # the record names the stream that drew the atoms
+    meta = read_meta(out_dir / "heatmap_meta.txt")
+    assert meta["threads"] == "1"
+    assert meta["numpy_version"] == np.__version__
+    assert meta["shells"] == str(SHELLS)
 
 
 def test_angular_guards_ensemble_size(canonical_ini_file, tmp_path, capsys):

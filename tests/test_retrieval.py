@@ -18,6 +18,7 @@ from ire_sim import (
     transverse_amplitude,
     wavenumbers,
 )
+from ire_sim.cli import main as cli_main
 from ire_sim.ensemble import _GAUSS_VOLUME, SHELLS, shell_counts
 from ire_sim.retrieval import (
     CHUNK_ATOMS,
@@ -302,7 +303,7 @@ def test_lobe_power_scales_with_density_squared():
     assert c2 / c1 == pytest.approx(4.0, rel=1e-12)
 
 
-def test_resolve_threads_precedence(monkeypatch):
+def test_resolve_threads_precedence(monkeypatch, canonical_ini_file, capsys):
     monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
     assert resolve_threads(None) == 1
     assert resolve_threads(7) == 7
@@ -314,12 +315,19 @@ def test_resolve_threads_precedence(monkeypatch):
     monkeypatch.setenv(THREADS_ENV_VAR, "-2")
     with pytest.raises(ValueError):
         resolve_threads(None)
+    # the CLI turns a bad count into a usage error before printing anything
+    for env, flags, named in (("3", ["--threads", "0"], "--threads"),
+                              ("two", [], THREADS_ENV_VAR)):
+        monkeypatch.setenv(THREADS_ENV_VAR, env)
+        assert cli_main(["eta", "--config", canonical_ini_file, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert named in err
 
 
 def test_draw_sample_returns_the_atoms_of_the_stream():
-    # n_atoms above the cloud's implied count: the n-atom stream still holds
-    # exactly n atoms, shell-major across every shell
-    scn = replace(canonical_scenario(n_atoms_override=1000, seed=4), n_atoms=1500)
+    # the n-atom stream holds exactly n atoms, shell-major across every shell
+    scn = canonical_scenario(n_atoms_override=1500, seed=4)
     sample = draw_sample(scn, 1200)
     assert len(sample) == 1200
     whole = sample_atoms(scn.cloud, scn.seed, 0, 1200, count=1200)

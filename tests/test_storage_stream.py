@@ -13,10 +13,10 @@ import pytest
 
 import ire_sim.experiments as experiments
 import ire_sim.retrieval as retrieval
-from ire_sim import SweepSpec, eta_paraxial, run_sweep, scenario_for_value
+from ire_sim import SweepSpec, eta_paraxial, make_scenario, run_sweep, scenario_for_value
 from ire_sim.retrieval import CHUNK_ATOMS
 
-from conftest import canonical_scenario
+from conftest import R0, SPECIES, TEMP, W_COLLECT, W_WRITE, canonical_scenario
 
 # A negative value first and a NaN in the middle: both pass SweepSpec's
 # ordering check and must become error rows of their own.
@@ -97,13 +97,32 @@ def test_programming_errors_propagate(monkeypatch, axis, method):
 
 
 def test_job_rebuilds_the_amplitudes_when_the_velocity_spread_changes():
-    # No sweep axis moves the temperature, but one job may hold scenarios
+    # No sweep axis moves the temperature, but one stream may serve scenarios
     # that differ only there: each must be drifted with its own velocities.
     base = canonical_scenario(skew_theta=math.radians(2.0), storage_tm=100e-6,
                               mc_atoms=20_000, seed=3)
     hot = replace(base, cloud=replace(base.cloud, temperature_t=4.0 * base.cloud.temperature_t))
-    job = (base, hot, base)
-    got = retrieval._eta_stream([job], threads=1)[0]
-    for scn, parts in zip(job, got):
-        assert parts == retrieval._eta_stream([(scn,)], threads=1)[0][0]
+    scenarios = [base, hot, base]
+    got = retrieval._eta_stream(scenarios, threads=1)
+    for scn, total in zip(scenarios, got):
+        assert total == retrieval._eta_stream([scn], threads=1)[0]
     assert got[0] != got[1]
+
+
+def test_one_call_groups_interleaved_scenarios_into_their_streams(created_pools):
+    # Two seeds and two cloud widths, interleaved: the stream groups them by
+    # (seed, width, streamed count) itself and returns one total per scenario,
+    # in input order, each the total it gets streamed alone.
+    def point(seed, r0, theta_deg):
+        return make_scenario(SPECIES, r0, TEMP, W_WRITE, W_COLLECT, W_COLLECT,
+                             skew_theta=math.radians(theta_deg), storage_tm=50e-6,
+                             seed=seed, n_atoms_override=20_000)
+
+    scenarios = [point(5, R0, 0.0), point(6, 5e-4, 2.0), point(6, R0, 2.0),
+                 point(5, 5e-4, 0.0), point(5, R0, 2.0), point(6, 5e-4, 0.0)]
+    alone = [retrieval._eta_stream([scn], threads=1)[0] for scn in scenarios]
+    assert created_pools == []
+    got = retrieval._eta_stream(scenarios, threads=2)
+    assert created_pools == [2]
+    assert got == alone
+    assert len(set(alone)) == len(alone)
