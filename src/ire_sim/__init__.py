@@ -23,9 +23,7 @@ from .angular import (
     sphere_norm,
 )
 from .beams import (
-    BeamGeometry,
     BeamMode,
-    beam_geometry,
     skew_transform,
     transverse_amplitude,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "AngularField",
     "AngularGrid",
     "AtomSample",
-    "BeamGeometry",
     "BeamMode",
     "CloudSpec",
     "ConfigDocument",
@@ -92,7 +89,6 @@ __all__ = [
     "Wavenumbers",
     "aggregate",
     "angular_field",
-    "beam_geometry",
     "build_grid",
     "build_scenario",
     "coherent_lobe_power",

@@ -340,7 +340,7 @@ def eta_reference(field: AngularField, grid: AngularGrid) -> float:
 
 def _default_grid(scenario: Scenario) -> AngularGrid:
     """build_grid's default sphere grid for the scenario's idler."""
-    return build_grid(wavenumbers(scenario.species).k_i, scenario.idler_mode.waist_w0)
+    return build_grid(wavenumbers(scenario.species).k_i, scenario.w_collect)
 
 
 def eta_angular(
@@ -479,10 +479,10 @@ def export_heatmap(
         "peak_density_n0_m3": scenario.cloud.peak_density_n0,
         "sigma_r0_m": scenario.cloud.sigma_r0,
         "temperature_t_k": scenario.cloud.temperature_t,
-        "w_write_m": scenario.write_mode.waist_w0,
-        "w_signal_m": scenario.signal_mode.waist_w0,
-        "w_idler_m": scenario.idler_mode.waist_w0,
-        "write_amplitude": scenario.write_mode.peak_amplitude,
+        "w_write_m": scenario.w_write,
+        "w_signal_m": scenario.w_collect,
+        "w_idler_m": scenario.w_collect,
+        "write_amplitude": scenario.write_amplitude,
         "skew_theta_rad": scenario.skew_theta,
         "storage_tm_s": scenario.storage_tm,
         "seed": scenario.seed,

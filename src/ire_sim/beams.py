@@ -1,11 +1,13 @@
-"""Gaussian beam geometry and the rotated-frame coordinate transform.
+"""Gaussian beam modes and the rotated-frame coordinate transform.
 
 All beams are ideal TEM00 modes focused at the origin of their own frame,
 characterized by a focal waist w0 (the 1/e^2 intensity radius) and a
-wavenumber k. Two frames appear throughout the simulator: the lab frame,
-whose z axis carries the collection (signal/idler) modes, and a frame
-rotated by an angle theta about the x axis, whose z axis carries the
-control (write/read) beams.
+wavenumber k. A mode carries no frame or propagation sense: the scenario
+(ire_sim.retrieval.Scenario) puts the write beam on the axis rotated by
+theta about x (skew_transform carries lab positions into that frame) and
+the signal and idler collection modes on the lab z axis, and the idler
+projection writes the conjugate phase of the backward collection mode
+itself.
 
 Everything in this module is pure and stateless; identical inputs give
 bit-identical outputs.
@@ -22,9 +24,6 @@ import numpy as np
 # is paraxial, and the error terms scale like (k*w0)^-2.
 PARAXIAL_MIN_KW0 = 50.0
 
-_DIRECTIONS = ("plus_z", "minus_z")
-_FRAMES = ("lab", "skewed")
-
 
 @dataclass(frozen=True)
 class BeamMode:
@@ -32,15 +31,11 @@ class BeamMode:
 
     waist_w0        m, 1/e^2 intensity radius at focus
     wavenumber_k    rad/m
-    direction       'plus_z' or 'minus_z' (propagation sense along the axis)
-    frame           'lab' or 'skewed' (which frame owns the mode's z axis)
     peak_amplitude  dimensionless, arbitrary units (cancels in efficiency)
     """
 
     waist_w0: float
     wavenumber_k: float
-    direction: str = "plus_z"
-    frame: str = "lab"
     peak_amplitude: float = 1.0
 
     def __post_init__(self) -> None:
@@ -48,10 +43,6 @@ class BeamMode:
             raise ValueError(f"waist_w0 must be positive, got {self.waist_w0}")
         if not (self.wavenumber_k > 0.0):
             raise ValueError(f"wavenumber_k must be positive, got {self.wavenumber_k}")
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(f"direction must be one of {_DIRECTIONS}, got {self.direction!r}")
-        if self.frame not in _FRAMES:
-            raise ValueError(f"frame must be one of {_FRAMES}, got {self.frame!r}")
         kw0 = self.wavenumber_k * self.waist_w0
         if kw0 < PARAXIAL_MIN_KW0:
             raise ValueError(
@@ -65,48 +56,15 @@ class BeamMode:
         return 0.5 * self.wavenumber_k * self.waist_w0**2
 
 
-@dataclass(frozen=True)
-class BeamGeometry:
-    """Geometry of a Gaussian beam at one axial position.
-
-    rayleigh_z          m
-    curvature_radius_r  m, signed; +inf sentinel at the focal plane (flat front)
-    gouy_psi            rad, in (-pi/2, pi/2)
-    spot_w              m, 1/e^2 radius at z
-    """
-
-    rayleigh_z: float
-    curvature_radius_r: float
-    gouy_psi: float
-    spot_w: float
-
-
-def beam_geometry(mode: BeamMode, z: float) -> BeamGeometry:
-    """Evaluate Rayleigh range, wavefront curvature, Gouy phase and spot size at z.
-
-    The focal plane has a flat wavefront; its curvature radius is reported as
-    the +inf sentinel rather than raising, so callers can stay branch-free.
-    """
-    zr = mode.rayleigh_z
-    if z == 0.0:
-        curvature = math.inf
-    else:
-        curvature = z * (1.0 + (zr / z) ** 2)
-    psi = math.atan(z / zr)
-    spot = mode.waist_w0 * math.sqrt(1.0 + (z / zr) ** 2)
-    return BeamGeometry(rayleigh_z=zr, curvature_radius_r=curvature, gouy_psi=psi, spot_w=spot)
-
-
 def transverse_amplitude(mode: BeamMode, x, y, z):
     """Complex transverse mode profile at (x, y, z) in the mode's own frame.
 
     Returns
 
         E0 / sqrt(1+z^2/zr^2) * exp(-rho^2 / (w0^2 (1+z^2/zr^2)))
-           * exp(+-i [k rho^2/(2 R(z)) - psi(z)])
+           * exp(i [k rho^2/(2 R(z)) - psi(z)])
 
-    with rho^2 = x^2 + y^2. The phase sign follows the propagation sense:
-    'minus_z' carries the conjugate phase of 'plus_z'. The longitudinal
+    with rho^2 = x^2 + y^2, for a mode propagating along +z. The longitudinal
     plane-wave factor e^{ikz} is deliberately not included here; the
     retrieval formulas attach their own longitudinal phases.
 
@@ -125,8 +83,6 @@ def transverse_amplitude(mode: BeamMode, x, y, z):
     rho2 = x * x + y * y
     envelope = mode.peak_amplitude * np.exp(-rho2 / (mode.waist_w0**2 * u)) / np.sqrt(u)
     phase = k * rho2 * z / (2.0 * (z * z + zr * zr)) - np.arctan(z / zr)
-    if mode.direction == "minus_z":
-        phase = -phase
     out = envelope * np.exp(1j * phase)
     if out.ndim == 0:
         return complex(out)

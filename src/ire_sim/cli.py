@@ -186,15 +186,18 @@ _GRID_KEYS = ("grid_n_cap", "grid_n_base", "grid_n_phi", "grid_cap_mult")
 
 
 def _grid_from_doc(doc, scenario: Scenario):
-    kn = wavenumbers(scenario.species)
-    return build_grid(
-        kn.k_i,
-        scenario.idler_mode.waist_w0,
-        n_cap=doc.grid_n_cap,
-        n_base=doc.grid_n_base,
-        n_phi=doc.grid_n_phi,
-        cap_mult=doc.grid_cap_mult,
-    )
+    """The INI's sphere grid for the scenario's idler; ConfigError if build_grid rejects it."""
+    try:
+        return build_grid(
+            wavenumbers(scenario.species).k_i,
+            scenario.w_collect,
+            n_cap=doc.grid_n_cap,
+            n_base=doc.grid_n_base,
+            n_phi=doc.grid_n_phi,
+            cap_mult=doc.grid_cap_mult,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[run] grid_*: {exc}") from None
 
 
 def _guard_angular(scenario: Scenario) -> None:
@@ -215,13 +218,14 @@ def _guard_angular(scenario: Scenario) -> None:
 
 def _cmd_eta(args) -> int:
     doc, scenario = _load(args, method_override=True, mc_override=True)
-    report = resolution_report(scenario)
-    _print_report(report)
     if doc.method == "angular":
         _guard_angular(scenario)
-        est = eta_angular(scenario, grid=_grid_from_doc(doc, scenario), threads=args.threads)
+        estimate = partial(eta_angular, grid=_grid_from_doc(doc, scenario))
     else:
-        est = eta_paraxial(scenario, threads=args.threads)
+        estimate = eta_paraxial
+    report = resolution_report(scenario)
+    _print_report(report)
+    est = estimate(scenario, threads=args.threads)
     print(f"eta = {est.eta:.9g}")
     print(f"numerator = {est.numerator:.9g}")
     print(f"denominator = {est.denominator:.9g}")
@@ -274,6 +278,7 @@ def _cmd_sweep(args) -> int:
     values = _parse_values(args.values)
     if doc.method == "angular":
         _guard_angular(scenario)
+        _grid_from_doc(doc, scenario)  # the base's grid: a bad INI grid fails before any row
     spec = SweepSpec(
         base=scenario,
         axis=args.sweep,

@@ -2,7 +2,7 @@
 
 A sweep takes a base scenario and varies exactly one axis:
 
-    width_ratio    collection waists W_s = W_i = value * W_w
+    width_ratio    collection waist w_collect = value * w_write
     optical_depth  cloud density re-resolved so the write-axis OD = value
     storage_time   storage before retrieval, value in microseconds
     skew_angle     write/read axis tilt, value in degrees
@@ -124,12 +124,7 @@ def scenario_for_value(base: Scenario, axis: str, value: float) -> Scenario:
     if axis == "width_ratio":
         if value <= 0.0:
             raise ValueError("width_ratio must be > 0")
-        w_new = value * base.write_mode.waist_w0
-        return replace(
-            base,
-            signal_mode=replace(base.signal_mode, waist_w0=w_new),
-            idler_mode=replace(base.idler_mode, waist_w0=w_new),
-        )
+        return replace(base, w_collect=value * base.w_write)
     if axis == "optical_depth":
         if value <= 0.0:
             raise ValueError("optical_depth must be > 0")
@@ -181,7 +176,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
     for i, value in enumerate(spec.values):
         try:
             scenario = scenario_for_value(spec.base, spec.axis, value)
-            if spec.method == "angular":
+            if spec.method == "angular" and scenario.idler_mode not in grids:
                 grids[scenario.idler_mode] = make_grid(scenario)
             points[i] = (scenario, _descriptors(scenario))
         except (ValueError, ArithmeticError) as exc:

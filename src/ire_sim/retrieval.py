@@ -49,6 +49,7 @@ skip can move (see EtaEstimate).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -138,42 +139,33 @@ def wavenumbers(species: SpeciesConstants) -> Wavenumbers:
 class Scenario:
     """Complete description of one simulated experiment.
 
-    The write (and the plane-wave read drive) live on the axis tilted by
-    skew_theta about x; the signal and idler collection modes live on the
-    lab z axis. n_atoms is the cloud's atom count; mc_atoms, when set,
-    makes the efficiency estimator subsample that many atoms of the same
-    stream instead of streaming all of them, and rescale the sums to
-    estimate the full-N value (see eta_paraxial for the clamp this uses).
+    The write beam (and the plane-wave read drive) live on the axis tilted
+    by skew_theta about x; the signal and idler collection modes live on
+    the lab z axis and share one waist, w_collect. The three modes are not
+    stored: each is built from its waist and its wavenumber in
+    wavenumbers(species) (k_w, k_s, k_i), so no scenario can carry a mode
+    that disagrees with its species. write_amplitude is the write mode's
+    peak amplitude; the collection modes have peak amplitude 1, since they
+    are unit-normalized projection targets. n_atoms is the cloud's atom
+    count; mc_atoms, when set, makes the efficiency estimator subsample
+    that many atoms of the same stream instead of streaming all of them,
+    and rescale the sums to estimate the full-N value (see eta_paraxial for
+    the clamp this uses).
     """
 
     species: SpeciesConstants
     cloud: CloudSpec
-    write_mode: BeamMode
-    signal_mode: BeamMode
-    idler_mode: BeamMode
+    w_write: float
+    w_collect: float
     skew_theta: float
     storage_tm: float
     seed: int
     mc_atoms: int | None = None
+    write_amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.write_mode.frame != "skewed":
-            raise ValueError("write_mode must live in the skewed frame")
-        if self.signal_mode.frame != "lab" or self.idler_mode.frame != "lab":
-            raise ValueError("signal_mode and idler_mode must live in the lab frame")
-        if self.signal_mode.waist_w0 != self.idler_mode.waist_w0:
-            raise ValueError(
-                "signal and idler waists must be equal (single width-ratio convention)"
-            )
-        if self.write_mode.direction != "plus_z" or self.signal_mode.direction != "plus_z":
-            raise ValueError("write_mode and signal_mode must propagate along +z")
-        if self.idler_mode.direction != "minus_z":
-            raise ValueError("idler_mode must propagate along -z (backward collection)")
-        if self.idler_mode.peak_amplitude != 1.0:
-            raise ValueError(
-                "idler_mode.peak_amplitude must be 1: the collection mode is a "
-                "unit-normalized projection target, not a field"
-            )
+        # building the modes runs BeamMode's checks (paraxial guard) on both waists
+        self.write_mode, self.signal_mode, self.idler_mode
         if not (abs(self.skew_theta) < 0.5 * math.pi):
             raise ValueError("skew_theta must satisfy |theta| < pi/2")
         if not 0.0 <= self.storage_tm < math.inf:
@@ -187,6 +179,21 @@ class Scenario:
                 raise ValueError("mc_atoms cannot exceed n_atoms")
 
     @property
+    def write_mode(self) -> BeamMode:
+        """The write beam, in the tilted frame: waist w_write, wavenumber k_w."""
+        return BeamMode(self.w_write, wavenumbers(self.species).k_w, self.write_amplitude)
+
+    @property
+    def signal_mode(self) -> BeamMode:
+        """The signal collection mode, in the lab frame: waist w_collect, wavenumber k_s."""
+        return BeamMode(self.w_collect, wavenumbers(self.species).k_s)
+
+    @property
+    def idler_mode(self) -> BeamMode:
+        """The idler collection mode, in the lab frame: waist w_collect, wavenumber k_i."""
+        return BeamMode(self.w_collect, wavenumbers(self.species).k_i)
+
+    @property
     def n_atoms(self) -> int:
         """Ensemble size: the cloud's implied atom count."""
         return self.cloud.atom_count
@@ -194,7 +201,7 @@ class Scenario:
     @property
     def width_ratio(self) -> float:
         """Collection-to-control waist ratio W_i / W_w (= W_s / W_w)."""
-        return self.idler_mode.waist_w0 / self.write_mode.waist_w0
+        return self.w_collect / self.w_write
 
 
 def make_scenario(
@@ -216,8 +223,9 @@ def make_scenario(
 ) -> Scenario:
     """Build a validated Scenario, resolving the cloud density.
 
-    Exactly one of peak_density_n0, target_od, n_atoms_override must be
-    given. An atom-count override resolves the density from the count
+    The signal and idler waists must be equal: they are the one collection
+    waist. Exactly one of peak_density_n0, target_od, n_atoms_override must
+    be given. An atom-count override resolves the density from the count
     (a deliberately non-physical small instance for cross-checks).
     """
     from .ensemble import density_for_od
@@ -227,11 +235,10 @@ def make_scenario(
         raise ValueError(
             "exactly one of peak_density_n0 | target_od | n_atoms_override must be given"
         )
-    kn = wavenumbers(species)
-    write = BeamMode(w_write, kn.k_w, direction="plus_z", frame="skewed",
-                     peak_amplitude=write_amplitude)
-    signal = BeamMode(w_signal, kn.k_s, direction="plus_z", frame="lab")
-    idler = BeamMode(w_idler, kn.k_i, direction="minus_z", frame="lab")
+    if w_signal != w_idler:
+        raise ValueError(
+            "signal and idler waists must be equal (single width-ratio convention)"
+        )
 
     if n_atoms_override is not None:
         if n_atoms_override < 1:
@@ -239,20 +246,21 @@ def make_scenario(
         n0 = n_atoms_override / (_GAUSS_VOLUME * sigma_r0**3)
     elif target_od is not None:
         template = CloudSpec(1e17, sigma_r0, temperature_t, species.atom_mass)
-        n0 = density_for_od(target_od, template, species, write)
+        probe = BeamMode(w_write, wavenumbers(species).k_w)
+        n0 = density_for_od(target_od, template, species, probe)
     else:
         n0 = peak_density_n0
     cloud = CloudSpec(n0, sigma_r0, temperature_t, species.atom_mass)
     return Scenario(
         species=species,
         cloud=cloud,
-        write_mode=write,
-        signal_mode=signal,
-        idler_mode=idler,
+        w_write=w_write,
+        w_collect=w_signal,
         skew_theta=float(skew_theta),
         storage_tm=float(storage_tm),
         seed=int(seed),
         mc_atoms=mc_atoms,
+        write_amplitude=write_amplitude,
     )
 
 
@@ -334,8 +342,8 @@ def idler_projection(sample: AtomSample, scenario: Scenario) -> np.ndarray:
     if sample.r_drifted is None:
         raise ValueError("drift must be applied before projecting (r_drifted is None)")
     kn = wavenumbers(scenario.species)
-    w_i = scenario.idler_mode.waist_w0
-    z_i = scenario.idler_mode.rayleigh_z
+    idler = scenario.idler_mode
+    w_i, z_i = idler.waist_w0, idler.rayleigh_z
     ct = math.cos(scenario.skew_theta)
     st = math.sin(scenario.skew_theta)
     x, y, z = sample.r_drifted[:, 0], sample.r_drifted[:, 1], sample.r_drifted[:, 2]
@@ -480,7 +488,7 @@ def _eta_worker(task):
         if _screen_shell(scenario) > shell:
             out.append(None)
             continue
-        key = (scenario.species, scenario.write_mode, scenario.signal_mode,
+        key = (scenario.species, scenario.w_write, scenario.w_collect, scenario.write_amplitude,
                scenario.skew_theta, thermal_velocity_sigma(scenario.cloud))
         if key != built_for:
             sample = a = None  # free the previous mask's atoms before the next mask
@@ -621,12 +629,6 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
     return _estimate(scenario, _eta_stream([scenario], threads)[0])
 
 
-# Cache of lobe tables: the per-node quadrature table is deterministic in
-# these inputs, and neither the storage time nor the seed enters it, so a
-# storage sweep builds it once and every replicate and storage time reuses it.
-_LOBE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_LOBE_CACHE_MAX = 16
-
 # Validated quadrature densities for the lobe integral: polar node spacing
 # (rad) and azimuthal node count per cap-width unit; refining either by 1.5x
 # moves the canonical results by < 1e-3 relative.
@@ -661,32 +663,20 @@ def coherent_lobe_power(scenario: Scenario) -> float:
     reduction over that table, the same on a cold call and on a cached
     one, so a storage sweep pays for the table once.
     """
-    kn = wavenumbers(scenario.species)
-    cloud = scenario.cloud
-    w_w = scenario.write_mode.waist_w0
-    w_s = scenario.signal_mode.waist_w0
-    amp0 = scenario.write_mode.peak_amplitude * scenario.signal_mode.peak_amplitude
-
-    w_eff = 1.0 / math.sqrt(1.0 / w_w**2 + 1.0 / w_s**2)
-    th_cap = abs(scenario.skew_theta) + 12.0 / (kn.k_i * w_eff)
-
-    key = (
-        kn.k_w, kn.k_s, kn.k_r, kn.k_i, w_w, w_s, cloud.sigma_r0,
-        cloud.peak_density_n0, scenario.skew_theta, amp0,
+    weight, q2 = _lobe_table(
+        wavenumbers(scenario.species), scenario.write_mode, scenario.signal_mode,
+        scenario.cloud.sigma_r0, scenario.cloud.peak_density_n0, scenario.skew_theta,
     )
-    table = _LOBE_CACHE.get(key)
-    if table is None:
-        table = _lobe_table(scenario, kn, w_eff, th_cap)
-        if len(_LOBE_CACHE) >= _LOBE_CACHE_MAX:
-            _LOBE_CACHE.clear()
-        _LOBE_CACHE[key] = table
-    weight, q2 = table
-    damp = (scenario.storage_tm * thermal_velocity_sigma(cloud)) ** 2
+    damp = (scenario.storage_tm * thermal_velocity_sigma(scenario.cloud)) ** 2
     return float(np.sum(weight * np.exp(-damp * q2)))
 
 
+# The per-node table is deterministic in its arguments, and neither the
+# storage time nor the seed is among them, so a storage sweep builds it
+# once and every replicate and storage time reuses it.
+@functools.lru_cache(maxsize=16)
 def _lobe_table(
-    scenario: Scenario, kn: Wavenumbers, w_eff: float, th_cap: float
+    kn: Wavenumbers, write: BeamMode, signal: BeamMode, r0: float, n0: float, theta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node w |Fbar_0|^2 and |q|^2 of coherent_lobe_power, one row per polar level.
 
@@ -694,17 +684,14 @@ def _lobe_table(
     (n_z, n_y) x (n_y, columns) product; the x factor and the z sum follow
     per level.
     """
+    w_w, w_s = write.waist_w0, signal.waist_w0
+    z_w, z_s = write.rayleigh_z, signal.rayleigh_z
+    amp0 = write.peak_amplitude * signal.peak_amplitude
+    w_eff = 1.0 / math.sqrt(1.0 / w_w**2 + 1.0 / w_s**2)
+    th_cap = abs(theta) + 12.0 / (kn.k_i * w_eff)
     n_theta = max(96, int(math.ceil(th_cap / _LOBE_THETA_SPACING)))
     n_phi = max(24, 2 * int(math.ceil(_LOBE_PHI_PER_CAP * th_cap / 0.0502 / 2.0)))
-    cloud = scenario.cloud
-    w_w = scenario.write_mode.waist_w0
-    w_s = scenario.signal_mode.waist_w0
-    z_w = scenario.write_mode.rayleigh_z
-    z_s = scenario.signal_mode.rayleigh_z
-    amp0 = scenario.write_mode.peak_amplitude * scenario.signal_mode.peak_amplitude
-    ct, st = math.cos(scenario.skew_theta), math.sin(scenario.skew_theta)
-    r0 = cloud.sigma_r0
-    n0 = cloud.peak_density_n0
+    ct, st = math.cos(theta), math.sin(theta)
 
     xg, wg = np.polynomial.legendre.leggauss(n_theta)
     thp = 0.5 * th_cap * (xg + 1.0)

@@ -250,7 +250,7 @@ def test_criterion_10_thread_count_determinism(tmp_path, capsys):
     verdict(
         "10",
         ok,
-        "eta.csv (3,157,977 atoms, 4 chunks) and both heatmap rasters "
+        "eta.csv (3,157,977 atoms, 9 shell chunks) and both heatmap rasters "
         "(50,000 atoms) byte-identical across thread counts 1, 4, 16",
     )
 

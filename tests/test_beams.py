@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ire_sim import BeamMode, beam_geometry, skew_transform, transverse_amplitude
+from ire_sim import BeamMode, skew_transform, transverse_amplitude
 
 K_TEST = 7.9e6  # rad/m, typical optical wavenumber used throughout
 
@@ -11,31 +11,6 @@ K_TEST = 7.9e6  # rad/m, typical optical wavenumber used throughout
 def test_rayleigh_range():
     mode = BeamMode(35e-6, K_TEST)
     assert mode.rayleigh_z == pytest.approx(0.5 * K_TEST * 35e-6**2, rel=1e-15)
-
-
-def test_geometry_at_focus_posts_flat_curvature():
-    mode = BeamMode(35e-6, K_TEST)
-    geo = beam_geometry(mode, 0.0)
-    assert geo.curvature_radius_r == math.inf
-    assert geo.gouy_psi == 0.0
-    assert geo.spot_w == pytest.approx(35e-6, rel=1e-15)
-    assert geo.rayleigh_z == pytest.approx(mode.rayleigh_z, rel=1e-15)
-
-
-def test_geometry_at_rayleigh_range():
-    mode = BeamMode(35e-6, K_TEST)
-    zr = mode.rayleigh_z
-    geo = beam_geometry(mode, zr)
-    assert geo.curvature_radius_r == pytest.approx(2.0 * zr, rel=1e-12)
-    assert geo.gouy_psi == pytest.approx(math.pi / 4.0, rel=1e-12)
-    assert geo.spot_w == pytest.approx(35e-6 * math.sqrt(2.0), rel=1e-12)
-
-
-def test_geometry_signs_follow_z():
-    mode = BeamMode(50e-6, K_TEST)
-    geo_neg = beam_geometry(mode, -3e-3)
-    assert geo_neg.curvature_radius_r < 0.0
-    assert geo_neg.gouy_psi < 0.0
 
 
 def test_transverse_amplitude_matches_hand_expansion():
@@ -63,15 +38,6 @@ def test_transverse_amplitude_no_longitudinal_phase():
     assert np.angle(val) == pytest.approx(-math.atan(2e-3 / mode.rayleigh_z), rel=1e-12)
 
 
-def test_minus_z_conjugates_phase():
-    plus = BeamMode(42e-6, K_TEST, direction="plus_z")
-    minus = BeamMode(42e-6, K_TEST, direction="minus_z")
-    x, y, z = 12e-6, -8e-6, 1.5e-3
-    a_plus = transverse_amplitude(plus, x, y, z)
-    a_minus = transverse_amplitude(minus, x, y, z)
-    assert a_minus == pytest.approx(np.conj(a_plus), rel=1e-14)
-
-
 def test_amplitude_at_focus_is_peak():
     mode = BeamMode(42e-6, K_TEST, peak_amplitude=2.5)
     assert transverse_amplitude(mode, 0.0, 0.0, 0.0) == pytest.approx(2.5, rel=1e-15)
@@ -82,10 +48,6 @@ def test_mode_validation():
         BeamMode(-1e-6, K_TEST)
     with pytest.raises(ValueError):
         BeamMode(35e-6, -K_TEST)
-    with pytest.raises(ValueError):
-        BeamMode(35e-6, K_TEST, direction="sideways")
-    with pytest.raises(ValueError):
-        BeamMode(35e-6, K_TEST, frame="galactic")
 
 
 def test_paraxiality_guard():

@@ -252,6 +252,25 @@ def test_angular_guards_ensemble_size(canonical_ini_file, tmp_path, capsys):
     assert "n_atoms_override" in err  # the remedy is named
 
 
+@pytest.mark.parametrize("command", [
+    ["eta", "--method", "angular"],
+    ["sweep", "--method", "angular", "--sweep", "storage_time", "--values", "0,50",
+     "--replicates", "1"],
+    ["angular"],
+])
+def test_ini_grid_that_build_grid_rejects_is_a_usage_error(command, tmp_path, capsys):
+    # the INI grammar takes grid_n_phi = 4; build_grid needs 8 azimuth nodes
+    ini = tmp_path / "coarse.ini"
+    ini.write_text(ANGULAR_INI.replace("grid_n_phi  = 32", "grid_n_phi  = 4"))
+    out_dir = tmp_path / "o"
+    rc = main([command[0], "--config", str(ini), *command[1:], "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "grid" in captured.err
+    assert not (out_dir / "sweep.csv").exists()
+
+
 def test_angular_env_thread_count_is_equivalent(angular_ini, tmp_path, capsys, monkeypatch):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     monkeypatch.delenv("IRE_SIM_THREADS", raising=False)

@@ -1,4 +1,4 @@
-"""The README's library example runs, and the declared dependencies match the imports."""
+"""The README example runs, the package exports resolve, and dependencies match imports."""
 
 import ast
 import re
@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import ire_sim
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,3 +37,9 @@ def test_declared_dependencies_are_the_third_party_imports():
     third_party = {name for name in imported
                    if name not in sys.stdlib_module_names and name != "ire_sim"}
     assert third_party == declared
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in ire_sim.__all__ if not hasattr(ire_sim, name)]
+    assert missing == []
+    assert len(set(ire_sim.__all__)) == len(ire_sim.__all__)

@@ -107,12 +107,13 @@ def test_table_matches_node_by_node_quadrature(theta_deg, tm_us):
     assert coherent_lobe_power(scn) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
 
-def test_cached_table_gives_the_cold_bits(monkeypatch):
-    monkeypatch.setattr(retrieval, "_LOBE_CACHE", {})
+def test_cached_table_gives_the_cold_bits():
     at_100 = canonical_scenario(skew_theta=math.radians(2.0), storage_tm=100e-6)
+    retrieval._lobe_table.cache_clear()
     cold = coherent_lobe_power(at_100)
-    retrieval._LOBE_CACHE.clear()
+    retrieval._lobe_table.cache_clear()
     coherent_lobe_power(canonical_scenario(skew_theta=math.radians(2.0)))  # fills the table
-    assert len(retrieval._LOBE_CACHE) == 1
+    assert retrieval._lobe_table.cache_info().currsize == 1
     assert coherent_lobe_power(at_100) == cold
-    assert len(retrieval._LOBE_CACHE) == 1  # no second table for another storage time
+    # no second table for another storage time
+    assert retrieval._lobe_table.cache_info().currsize == 1

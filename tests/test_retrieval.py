@@ -30,7 +30,7 @@ from ire_sim.retrieval import (
     _screen_shell,
 )
 
-from conftest import R0, SPECIES, TEMP, W_COLLECT, canonical_scenario
+from conftest import R0, SPECIES, TEMP, W_COLLECT, W_WRITE, canonical_scenario
 
 # Wavenumbers for the test species, frozen from a direct evaluation of
 # omega/c with c = 299792458 m/s (residual = 2 omega_sg / c).
@@ -126,17 +126,23 @@ def test_scenario_validation():
     canonical_scenario(n_atoms_override=100, mc_atoms=100)
 
 
-def test_scenario_frame_discipline():
-    scn = canonical_scenario(n_atoms_override=10)
+def test_modes_follow_the_species():
+    # The modes are built from the species, so swapping it moves every
+    # wavenumber with it, and the estimate equals that of a scenario built
+    # for the new species from the start.
+    scn = canonical_scenario(n_atoms_override=20_000)
+    other = replace(SPECIES, transition_wavelength=1064e-9)
+    moved = replace(scn, species=other)
+    kn = wavenumbers(other)
+    assert moved.write_mode.wavenumber_k == kn.k_w
+    assert moved.signal_mode.wavenumber_k == kn.k_s
+    assert moved.idler_mode.wavenumber_k == kn.k_i
+    fresh = make_scenario(other, R0, TEMP, W_WRITE, W_COLLECT, W_COLLECT,
+                          n_atoms_override=20_000)
+    assert eta_paraxial(moved, threads=1) == eta_paraxial(fresh, threads=1)
+    # a waist with k w0 < 50 still fails when the scenario is built
     with pytest.raises(ValueError):
-        replace(scn, write_mode=replace(scn.write_mode, frame="lab"))
-    with pytest.raises(ValueError):
-        replace(scn, signal_mode=replace(scn.signal_mode, frame="skewed"))
-    with pytest.raises(ValueError):
-        replace(scn, idler_mode=replace(scn.idler_mode, peak_amplitude=2.0))
-    with pytest.raises(ValueError):
-        replace(scn, idler_mode=replace(scn.idler_mode, direction="plus_z"))
-
+        replace(scn, w_write=1e-7)
 
 def test_projection_oracle_points():
     scn = canonical_scenario(n_atoms_override=1)
