@@ -22,7 +22,6 @@ from ire_sim import (
     eta_reference,
     export_heatmap,
     make_scenario,
-    normalize_field,
     sphere_norm,
     wavenumbers,
 )
@@ -66,8 +65,7 @@ def main():
     print(f"backward-cap power fraction = "
           f"{float(np.sum(w[cap] * intensity[cap]) / np.sum(w * intensity)):.4f}")
 
-    paths = export_heatmap(normalize_field(field, grid), grid, scn, OUT_DIR,
-                           raster_n=256)
+    paths = export_heatmap(field, grid, scn, OUT_DIR, raster_n=256)
     for path in paths:
         print(f"wrote {path}")
 

@@ -19,7 +19,6 @@ from .angular import (
     export_heatmap,
     fiber_mode,
     field_from_atoms,
-    normalize_field,
     sphere_norm,
 )
 from .beams import (
@@ -103,7 +102,6 @@ __all__ = [
     "field_from_atoms",
     "make_scenario",
     "most_probable_speed",
-    "normalize_field",
     "optical_depth",
     "parse_and_validate",
     "parse_config_text",

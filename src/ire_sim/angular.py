@@ -28,6 +28,10 @@ The sphere grid concentrates polar nodes in a cap around the backward axis
 covers the rest of the sphere with Gauss-Legendre nodes in cos theta, and
 uses uniform midpoint nodes in azimuth. Total weight is 4 pi to quadrature
 accuracy.
+
+A field holds the raw values, in the units of the stored amplitudes A_j,
+so its overlap and sum |A_j|^2 share one scale; export_heatmap scales it
+to sphere norm 1 for the rasters it writes.
 """
 
 from __future__ import annotations
@@ -173,31 +177,25 @@ def fiber_mode(grid: AngularGrid, forward: bool = False) -> np.ndarray:
 class AngularField:
     """Emitted field sampled on a grid's nodes, with the run that made it.
 
-    values has one complex entry per node (level-major). source_s2 is
-    sum_j |A_j|^2 over the atoms that generated the field; it is the
-    denominator of the reference efficiency and survives normalization.
+    values has one complex entry per node (level-major): the raw field, in
+    the units of A. source_s2 is sum_j |A_j|^2 over the atoms that
+    generated the field; it is the denominator of the reference efficiency.
     n_atoms is the ensemble size.
 
-    n_kept atoms cleared PRUNE_FLOOR and were summed; dropped_amplitude D,
-    in the units of A (before normalization), bounds sum |A_j| over the
-    rest: it is that sum over the atoms whose positions were drawn, plus
-    PRUNE_FLOOR^2 amp0 for each atom of the shells that were not streamed.
-    Skipping them moves the raw field by at most D / sqrt(4 pi) at every
-    node and source_s2 by at most PRUNE_FLOOR amp0 D. The defaults,
-    n_kept = n_atoms and D = 0, mean nothing was dropped.
+    n_kept atoms cleared PRUNE_FLOOR and were summed; dropped_amplitude D
+    bounds sum |A_j| over the rest: it is that sum over the atoms whose
+    positions were drawn, plus PRUNE_FLOOR^2 for each atom of the shells
+    that were not streamed. Skipping them moves the field by at most
+    D / sqrt(4 pi) at every node and source_s2 by at most PRUNE_FLOOR D.
+    D = 0 means nothing was dropped.
     """
 
     values: np.ndarray
-    normalized: bool
     source_s2: float
     n_atoms: int
     seed: int
-    n_kept: int | None = None
+    n_kept: int
     dropped_amplitude: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n_kept is None:
-            object.__setattr__(self, "n_kept", self.n_atoms)
 
 
 def _field_sums(amplitudes, positions, skew_theta, k_r, k_i, grid):
@@ -241,10 +239,10 @@ def field_from_atoms(
     s2 = float(np.sum(amplitudes.real**2 + amplitudes.imag**2))
     return AngularField(
         values=field / math.sqrt(4.0 * math.pi),
-        normalized=False,
         source_s2=s2,
         n_atoms=positions.shape[0],
         seed=seed,
+        n_kept=len(positions),
     )
 
 
@@ -274,7 +272,7 @@ def _as_field(scenario: Scenario, total, grid: AngularGrid) -> AngularField:
         total = (np.zeros(grid.n_nodes, dtype=np.complex128), 0.0, 0.0, 0)
     field, s2, dropped, n_kept = total
     return AngularField(
-        values=field / math.sqrt(4.0 * math.pi), normalized=False, source_s2=s2,
+        values=field / math.sqrt(4.0 * math.pi), source_s2=s2,
         n_atoms=scenario.n_atoms, seed=scenario.seed, n_kept=n_kept,
         dropped_amplitude=dropped + _in_region(scenario)[2],
     )
@@ -311,30 +309,8 @@ def sphere_norm(field: AngularField, grid: AngularGrid) -> float:
     return float(np.sum(grid.node_weight * (v.real**2 + v.imag**2)))
 
 
-def normalize_field(field: AngularField, grid: AngularGrid) -> AngularField:
-    """Rescale so the sphere norm is exactly 1; rejects a vanishing field."""
-    norm = sphere_norm(field, grid)
-    if norm <= 0.0 or not math.isfinite(norm):
-        raise ArithmeticError("cannot normalize a vanishing or non-finite field")
-    return AngularField(
-        values=field.values / math.sqrt(norm),
-        normalized=True,
-        source_s2=field.source_s2,
-        n_atoms=field.n_atoms,
-        seed=field.seed,
-        n_kept=field.n_kept,
-        dropped_amplitude=field.dropped_amplitude,
-    )
-
-
 def eta_reference(field: AngularField, grid: AngularGrid) -> float:
-    """Reference efficiency: squared collection-mode overlap over source norm.
-
-    Requires the raw (unnormalized) field: the overlap and sum|A|^2 must be
-    taken in the same scale.
-    """
-    if field.normalized:
-        raise ValueError("eta_reference needs the unnormalized field")
+    """Reference efficiency: squared collection-mode overlap over source norm."""
     return _field_estimate(field, grid).eta
 
 
@@ -393,7 +369,7 @@ def _raster_nodes(
 
 def _write_raster(
     fh,
-    field: AngularField,
+    values: np.ndarray,
     grid: AngularGrid,
     theta_axis: np.ndarray,
     phi_axis: np.ndarray,
@@ -405,7 +381,7 @@ def _write_raster(
     once, and each theta row of cells is joined from those strings.
     """
     used, cell = np.unique(_raster_nodes(grid, theta_axis, phi_axis), return_inverse=True)
-    v = field.values[used]
+    v = values[used]
     node_txt = ["%.17g,%.17g\n" % pair for pair in zip(v.real.tolist(), v.imag.tolist())]
     phi_txt = ["%.17g," % p for p in phi_axis.tolist()]
     for t, row in zip(theta_axis.tolist(), cell.reshape(theta_axis.size, phi_axis.size)):
@@ -427,7 +403,7 @@ def export_heatmap(
     raster_n: int = 512,
     extra: dict | None = None,
 ) -> list[str]:
-    """Write the normalized field as regular (theta, phi) CSV rasters.
+    """Write the field, scaled to sphere norm 1, as regular (theta, phi) CSV rasters.
 
     Produces three files in out_dir and returns their paths:
 
@@ -438,14 +414,13 @@ def export_heatmap(
 
     Raster rows are `theta_rad,phi_rad,re,im`, row-major in theta then phi,
     on uniform midpoint axes, each cell resampled from the nearest grid
-    node. The field must be normalized (sphere norm 1 within 1e-8).
+    node of values / sqrt(sphere_norm). A vanishing or non-finite sphere
+    norm raises ArithmeticError.
     """
     norm = sphere_norm(field, grid)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(
-            f"field sphere norm is {norm!r}, expected 1 within 1e-8; "
-            "pass the field through normalize_field first"
-        )
+    if norm <= 0.0 or not math.isfinite(norm):
+        raise ArithmeticError("cannot scale a vanishing or non-finite field to sphere norm 1")
+    values = field.values / math.sqrt(norm)
     if raster_n < 2:
         raise ValueError("raster_n must be >= 2")
     os.makedirs(out_dir, exist_ok=True)
@@ -463,7 +438,7 @@ def export_heatmap(
         path = os.path.join(out_dir, name)
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            _write_raster(fh, field, grid, axis(tlo, thi, raster_n), phi_axis)
+            _write_raster(fh, values, grid, axis(tlo, thi, raster_n), phi_axis)
         paths.append(path)
 
     meta = {
@@ -482,7 +457,6 @@ def export_heatmap(
         "w_write_m": scenario.w_write,
         "w_signal_m": scenario.w_collect,
         "w_idler_m": scenario.w_collect,
-        "write_amplitude": scenario.write_amplitude,
         "skew_theta_rad": scenario.skew_theta,
         "storage_tm_s": scenario.storage_tm,
         "seed": scenario.seed,

@@ -2,7 +2,9 @@
 
 All beams are ideal TEM00 modes focused at the origin of their own frame,
 characterized by a focal waist w0 (the 1/e^2 intensity radius) and a
-wavenumber k. A mode carries no frame or propagation sense: the scenario
+wavenumber k, with peak amplitude 1: the efficiency is a ratio of powers,
+so an absolute amplitude would cancel from it. A mode carries no frame or
+propagation sense: the scenario
 (ire_sim.retrieval.Scenario) puts the write beam on the axis rotated by
 theta about x (skew_transform carries lab positions into that frame) and
 the signal and idler collection modes on the lab z axis, and the idler
@@ -31,12 +33,10 @@ class BeamMode:
 
     waist_w0        m, 1/e^2 intensity radius at focus
     wavenumber_k    rad/m
-    peak_amplitude  dimensionless, arbitrary units (cancels in efficiency)
     """
 
     waist_w0: float
     wavenumber_k: float
-    peak_amplitude: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.waist_w0 > 0.0):
@@ -61,7 +61,7 @@ def transverse_amplitude(mode: BeamMode, x, y, z):
 
     Returns
 
-        E0 / sqrt(1+z^2/zr^2) * exp(-rho^2 / (w0^2 (1+z^2/zr^2)))
+        1 / sqrt(1+z^2/zr^2) * exp(-rho^2 / (w0^2 (1+z^2/zr^2)))
            * exp(i [k rho^2/(2 R(z)) - psi(z)])
 
     with rho^2 = x^2 + y^2, for a mode propagating along +z. The longitudinal
@@ -81,7 +81,7 @@ def transverse_amplitude(mode: BeamMode, x, y, z):
     k = mode.wavenumber_k
     u = 1.0 + (z / zr) ** 2
     rho2 = x * x + y * y
-    envelope = mode.peak_amplitude * np.exp(-rho2 / (mode.waist_w0**2 * u)) / np.sqrt(u)
+    envelope = np.exp(-rho2 / (mode.waist_w0**2 * u)) / np.sqrt(u)
     phase = k * rho2 * z / (2.0 * (z * z + zr * zr)) - np.arctan(z / zr)
     out = envelope * np.exp(1j * phase)
     if out.ndim == 0:

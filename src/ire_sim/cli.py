@@ -35,7 +35,6 @@ from .angular import (
     eta_angular,
     eta_reference,
     export_heatmap,
-    normalize_field,
     write_meta,
 )
 from .config import ConfigError, build_scenario, read_config, resolution_report
@@ -327,7 +326,7 @@ def _cmd_angular(args) -> int:
     eta_ref = eta_reference(field, grid)
     print(f"eta_reference = {eta_ref:.9g}")
     paths = export_heatmap(
-        normalize_field(field, grid),
+        field,
         grid,
         scenario,
         args.out,

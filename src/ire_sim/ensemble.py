@@ -197,7 +197,7 @@ def _positions_from_raw(raw: np.ndarray, r0: float) -> np.ndarray:
 
     The sampler's Box-Muller map restricted to the position normals: pair 0
     gives x and y, the cosine half of pair 1 gives z. Lets a caller decide
-    per atom before it pays for the velocity words.
+    per atom before it pays for the velocity words (_velocities_from_raw).
     """
     ra = np.sqrt(-2.0 * np.log(_uniform(raw[:, 0])))
     aa = 2.0 * np.pi * _uniform(raw[:, 1])
@@ -222,20 +222,29 @@ def _shell_floor(rho2_min: float, r0: float) -> int:
     return math.floor(math.exp(-0.5 * rho2_min / (r0 * r0)) * SHELLS)
 
 
+def _velocities_from_raw(raw: np.ndarray, cloud: CloudSpec) -> np.ndarray:
+    """Initial velocities (n, 3) from counter words 2..5 alone.
+
+    The sampler's Box-Muller map restricted to the velocity normals: the
+    sine half of pair 1 gives vx, pair 2 gives vy and vz.
+    """
+    u = _uniform(raw[:, 2:6])
+    rad = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    ang = 2.0 * np.pi * u[:, 1::2]
+    g = np.empty((raw.shape[0], 3))
+    g[:, 0] = rad[:, 0] * np.sin(ang[:, 0])
+    g[:, 1] = rad[:, 1] * np.cos(ang[:, 1])
+    g[:, 2] = rad[:, 1] * np.sin(ang[:, 1])
+    return g * thermal_velocity_sigma(cloud)
+
+
 def _sample_words(raw: np.ndarray, cloud: CloudSpec) -> AtomSample:
     """Samples from counter words (n, 8), one atom per row.
 
     Words 0..5 feed three fixed Box-Muller pairs, giving the normals
     (x, y), (z, vx), (vy, vz); words 6..7 are reserved.
     """
-    u = _uniform(raw[:, :6])
-    rad = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    ang = 2.0 * np.pi * u[:, 1::2]
-    g = np.empty((raw.shape[0], 6))
-    g[:, 0::2] = rad * np.cos(ang)
-    g[:, 1::2] = rad * np.sin(ang)
-    v = g[:, 3:6] * thermal_velocity_sigma(cloud)
-    return AtomSample(r_initial=g[:, 0:3] * cloud.sigma_r0, velocity=v)
+    return AtomSample(_positions_from_raw(raw, cloud.sigma_r0), _velocities_from_raw(raw, cloud))
 
 
 def sample_atoms(

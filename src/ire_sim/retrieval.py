@@ -38,13 +38,15 @@ reference path, whose projection is the emitted field on a sphere grid
 (see ire_sim.angular). The lobe power C(t_m) is one reduction of a
 per-node table cached without t_m.
 
-Atoms whose stored amplitude is at most PRUNE_FLOOR of its peak are skipped
-before the per-atom kernels. The radial shell decides first: it bounds the
-transverse radius, so the shells far enough off the signal axis are never
-streamed at all (_screen_shell). The positions of the atoms in the other
-shells decide exactly (_prune). The estimate records how many atoms were
-kept and a bound on the summed amplitude of the rest, which bounds what the
-skip can move (see EtaEstimate).
+Every beam mode peaks at 1, so |A_j| <= 1, and atoms whose stored
+amplitude is at most PRUNE_FLOOR are skipped before the per-atom kernels.
+The radial shell decides first: it bounds the transverse radius, so the
+shells far enough off the signal axis are never streamed at all
+(_screen_shell). The positions of the atoms in the other shells decide
+exactly (_prune), and the kept atoms keep those positions: only their
+velocities are mapped from their words afterwards. The estimate records how
+many atoms were kept and a bound on the summed amplitude of the rest, which
+bounds what the skip can move (see EtaEstimate).
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ from .ensemble import (
     _GAUSS_VOLUME,
     _positions_from_raw,
     _raw_words,
-    _sample_words,
     _shell_floor,
+    _velocities_from_raw,
     drift,
     sample_atoms,
     shell_counts,
@@ -83,18 +85,18 @@ CHUNK_ATOMS = 1 << 20
 
 THREADS_ENV_VAR = "IRE_SIM_THREADS"
 
-# An atom whose stored amplitude |A_j| is at most PRUNE_FLOOR * amp0, with
-# amp0 = write peak x signal peak the largest |A| any position can have, is
-# skipped before the per-atom kernels. On the canonical cloud that is about
-# 97 % of the atoms, and what they carry together is below 1e-15 of the
-# total sum |A_j|. A module constant, not a setting: the estimates record
-# the dropped amplitude, so the bound travels with every result.
+# An atom whose stored amplitude |A_j| is at most PRUNE_FLOOR (1 is the
+# largest |A| any position can have) is skipped before the per-atom
+# kernels. On the canonical cloud that is about 97 % of the atoms, and what
+# they carry together is below 1e-15 of the total sum |A_j|. A module
+# constant, not a setting: the estimates record the dropped amplitude, so
+# the bound travels with every result.
 PRUNE_FLOOR = 1e-18
 _LN_PRUNE_FLOOR = math.log(PRUNE_FLOOR)
 
 # Relative margin on the shell screen's radius. Rounding moves the sampled
 # rho^2 and the computed ln|A_j| by about 1e-15 relative; the margin keeps
-# every screened-out atom's |A_j| below PRUNE_FLOOR^2 amp0 by e^-8e-5.
+# every screened-out atom's |A_j| below PRUNE_FLOOR^2 by e^-8e-5.
 _SCREEN_MARGIN = 1.0 + 1e-6
 
 
@@ -144,13 +146,14 @@ class Scenario:
     the lab z axis and share one waist, w_collect. The three modes are not
     stored: each is built from its waist and its wavenumber in
     wavenumbers(species) (k_w, k_s, k_i), so no scenario can carry a mode
-    that disagrees with its species. write_amplitude is the write mode's
-    peak amplitude; the collection modes have peak amplitude 1, since they
-    are unit-normalized projection targets. n_atoms is the cloud's atom
-    count; mc_atoms, when set, makes the efficiency estimator subsample
-    that many atoms of the same stream instead of streaming all of them,
-    and rescale the sums to estimate the full-N value (see eta_paraxial for
-    the clamp this uses).
+    that disagrees with its species. Each mode peaks at 1: the efficiency is
+    a ratio of powers, so an absolute amplitude would cancel from it. The
+    cloud's atom mass must equal the species' (a species swap that leaves
+    the cloud's mass, and so its velocity spread, behind is rejected).
+    n_atoms is the cloud's atom count; mc_atoms, when set, makes the
+    efficiency estimator subsample that many atoms of the same stream
+    instead of streaming all of them, and rescale the sums to estimate the
+    full-N value (see eta_paraxial for the clamp this uses).
     """
 
     species: SpeciesConstants
@@ -161,11 +164,15 @@ class Scenario:
     storage_tm: float
     seed: int
     mc_atoms: int | None = None
-    write_amplitude: float = 1.0
 
     def __post_init__(self) -> None:
         # building the modes runs BeamMode's checks (paraxial guard) on both waists
         self.write_mode, self.signal_mode, self.idler_mode
+        if self.cloud.atom_mass_m != self.species.atom_mass:
+            raise ValueError(
+                f"cloud atom mass {self.cloud.atom_mass_m!r} kg differs from the species' "
+                f"{self.species.atom_mass!r} kg; build the scenario with make_scenario"
+            )
         if not (abs(self.skew_theta) < 0.5 * math.pi):
             raise ValueError("skew_theta must satisfy |theta| < pi/2")
         if not 0.0 <= self.storage_tm < math.inf:
@@ -181,7 +188,7 @@ class Scenario:
     @property
     def write_mode(self) -> BeamMode:
         """The write beam, in the tilted frame: waist w_write, wavenumber k_w."""
-        return BeamMode(self.w_write, wavenumbers(self.species).k_w, self.write_amplitude)
+        return BeamMode(self.w_write, wavenumbers(self.species).k_w)
 
     @property
     def signal_mode(self) -> BeamMode:
@@ -219,7 +226,6 @@ def make_scenario(
     target_od: float | None = None,
     n_atoms_override: int | None = None,
     mc_atoms: int | None = None,
-    write_amplitude: float = 1.0,
 ) -> Scenario:
     """Build a validated Scenario, resolving the cloud density.
 
@@ -260,7 +266,6 @@ def make_scenario(
         storage_tm=float(storage_tm),
         seed=int(seed),
         mc_atoms=mc_atoms,
-        write_amplitude=write_amplitude,
     )
 
 
@@ -273,19 +278,18 @@ class EtaEstimate:
     ensemble size.
 
     n_kept counts the atoms (of those streamed: mc_atoms when subsampling)
-    whose stored amplitude cleared PRUNE_FLOOR * amp0 and went through the
+    whose stored amplitude cleared PRUNE_FLOOR and went through the
     per-atom kernel. dropped_amplitude D bounds sum |A_j| over the others:
     it is that sum over the atoms whose positions were drawn, plus
-    PRUNE_FLOOR^2 amp0 for each atom of the shells that were not streamed
-    (each of those has |A_j| <= PRUNE_FLOOR^2 amp0, see _screen_shell).
+    PRUNE_FLOOR^2 for each atom of the shells that were not streamed
+    (each of those has |A_j| <= PRUNE_FLOOR^2, see _screen_shell).
     Skipping them moves the streamed sums by at most
 
-        |dS1| <= c_P D              (c_P = sqrt(2)/(k_i W_i) >= |P_j|)
-        |dS2| <= PRUNE_FLOOR amp0 D (each dropped |A_j| <= PRUNE_FLOOR amp0)
+        |dS1| <= c_P D          (c_P = sqrt(2)/(k_i W_i) >= |P_j|)
+        |dS2| <= PRUNE_FLOOR D  (each dropped |A_j| <= PRUNE_FLOOR)
 
     and, for the angular estimate, the emitted field by at most
-    D / sqrt(4 pi) at every node. The defaults, n_kept = n_atoms and D = 0,
-    mean nothing was dropped.
+    D / sqrt(4 pi) at every node. D = 0 means nothing was dropped.
 
     clamped is True when a subsampled estimate's off-diagonal pair mean came
     out negative and was set to 0, so that numerator is the diagonal term
@@ -303,14 +307,10 @@ class EtaEstimate:
     n_atoms: int
     method: str
     seed: int
-    n_kept: int | None = None
+    n_kept: int
     dropped_amplitude: float = 0.0
     clamped: bool = False
     lobe_fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n_kept is None:
-            object.__setattr__(self, "n_kept", self.n_atoms)
 
 
 def spinwave_amplitude(sample: AtomSample, scenario: Scenario) -> np.ndarray:
@@ -363,10 +363,10 @@ def idler_projection(sample: AtomSample, scenario: Scenario) -> np.ndarray:
 def _prune(r: np.ndarray, scenario: Scenario) -> tuple[np.ndarray, float]:
     """Which atoms at initial positions r (n, 3) the kernels need.
 
-    ln(|A_j| / amp0) is the sum of the log envelopes of the tilted write
-    mode and the signal mode, ln[exp(-rho^2 / (w0^2 u)) / sqrt(u)] with
-    u = 1 + z^2/z_R^2; each is at most 0, so amp0 bounds |A_j| from above.
-    Returns the mask of atoms with |A_j| > PRUNE_FLOOR * amp0 and
+    ln|A_j| is the sum of the log envelopes of the tilted write mode and the
+    signal mode, ln[exp(-rho^2 / (w0^2 u)) / sqrt(u)] with u = 1 + z^2/z_R^2;
+    each is at most 0, so |A_j| <= 1.
+    Returns the mask of atoms with |A_j| > PRUNE_FLOOR and
     D = sum |A_j| over the rest. Decided atom by atom, so any chunking of
     the stream keeps the same atoms.
     """
@@ -376,31 +376,30 @@ def _prune(r: np.ndarray, scenario: Scenario) -> tuple[np.ndarray, float]:
     # term by term, in place, so that few chunk-sized temporaries live at once
     uw = 1.0 + ((y * st + z * ct) / w.rayleigh_z) ** 2
     yt = y * ct - z * st
-    ln_rel = -(x2 + yt * yt) / (w.waist_w0**2 * uw)
+    ln_a = -(x2 + yt * yt) / (w.waist_w0**2 * uw)
     del yt
     us = 1.0 + (z / s.rayleigh_z) ** 2
-    ln_rel -= (x2 + y * y) / (s.waist_w0**2 * us)
+    ln_a -= (x2 + y * y) / (s.waist_w0**2 * us)
     uw *= us
-    ln_rel -= 0.5 * np.log(uw)
-    keep = ln_rel > _LN_PRUNE_FLOOR
-    amp0 = abs(w.peak_amplitude * s.peak_amplitude)
-    return keep, amp0 * float(np.sum(np.exp(ln_rel[~keep])))
+    ln_a -= 0.5 * np.log(uw)
+    keep = ln_a > _LN_PRUNE_FLOOR
+    return keep, float(np.sum(np.exp(ln_a[~keep])))
 
 
 def _screen_shell(scenario: Scenario) -> int:
-    """First shell the scenario streams: every atom below it has |A_j| <= PRUNE_FLOOR^2 amp0.
+    """First shell the scenario streams: every atom below it has |A_j| <= PRUNE_FLOOR^2.
 
-    Every term of ln(|A_j| / amp0) in _prune is at most 0. No atom has |y|
+    Every term of ln|A_j| in _prune is at most 0. No atom has |y|
     or |z| above Z = NORMAL_MAX r0, so |z~| <= Z (|sin| + cos), and the two
     envelope exponents are at most -rho^2 / a_s and -(x^2 + y~^2) / a_w with
     a = W^2 (1 + (largest |z| in that beam's frame / z_R)^2). Since
     y~ = y cos - z sin, x^2 + y~^2 >= max(0, rho cos - Z |sin|)^2, so
 
-        ln(|A_j| / amp0) <= -rho^2 / a_s - max(0, rho cos - Z |sin|)^2 / a_w,
+        ln|A_j| <= -rho^2 / a_s - max(0, rho cos - Z |sin|)^2 / a_w,
 
     which falls as rho grows and reaches 2 ln PRUNE_FLOOR (times
     _SCREEN_MARGIN) at rho = R. Every atom with rho >= R has
-    |A_j| <= PRUNE_FLOOR^2 amp0, and _prune would drop it; the shells below
+    |A_j| <= PRUNE_FLOOR^2, and _prune would drop it; the shells below
     _shell_floor(R^2) hold only such atoms.
     """
     w, s = scenario.write_mode, scenario.signal_mode
@@ -423,15 +422,14 @@ def _in_region(scenario: Scenario) -> tuple[int, int, float]:
     m counts the atoms the scenario streams there (of mc_atoms when
     subsampling), N_in the full ensemble's atoms there, and D0 bounds
     sum |A_j| over the streamed count's atoms in the shells below:
-    PRUNE_FLOOR^2 amp0 each.
+    PRUNE_FLOOR^2 each.
     """
     first = _screen_shell(scenario)
     streamed = _streamed_count(scenario)
     m = int(shell_counts(scenario.seed, streamed)[first:].sum())
     n_in = m if streamed == scenario.n_atoms else int(
         shell_counts(scenario.seed, scenario.n_atoms)[first:].sum())
-    amp0 = abs(scenario.write_mode.peak_amplitude * scenario.signal_mode.peak_amplitude)
-    return m, n_in, (streamed - m) * (PRUNE_FLOOR * PRUNE_FLOOR * amp0)
+    return m, n_in, (streamed - m) * (PRUNE_FLOOR * PRUNE_FLOOR)
 
 
 def draw_sample(scenario: Scenario, n: int | None = None) -> AtomSample:
@@ -471,9 +469,10 @@ def _eta_worker(task):
 
     Draws the chunk's counter words and positions once for all the
     scenarios of its stream. A scenario whose first streamed shell
-    (_screen_shell) lies above this shell gets None. For the others the exact skip mask
-    (_prune), the kept atoms and their stored amplitudes A_j are rebuilt
-    only when something they depend on differs from the previous
+    (_screen_shell) lies above this shell gets None. For the others the
+    exact skip mask (_prune), the kept atoms (their positions, and
+    velocities mapped from their words) and their stored amplitudes A_j are
+    rebuilt only when something they depend on differs from the previous
     scenario's: the species, the beams, the tilt or the velocity spread.
     Each such scenario then calls project(A_j, kept atoms, scenario), which
     returns a tuple of that method's sums. Returns one partial per scenario:
@@ -488,12 +487,12 @@ def _eta_worker(task):
         if _screen_shell(scenario) > shell:
             out.append(None)
             continue
-        key = (scenario.species, scenario.w_write, scenario.w_collect, scenario.write_amplitude,
-               scenario.skew_theta, thermal_velocity_sigma(scenario.cloud))
+        key = (scenario.species, scenario.w_write, scenario.w_collect, scenario.skew_theta,
+               thermal_velocity_sigma(scenario.cloud))
         if key != built_for:
             sample = a = None  # free the previous mask's atoms before the next mask
             keep, dropped = _prune(r, scenario)
-            sample = _sample_words(raw[keep], scenario.cloud)
+            sample = AtomSample(r[keep], _velocities_from_raw(raw[keep], scenario.cloud))
             a = spinwave_amplitude(sample, scenario)
             s2 = float(np.sum(a.real**2 + a.imag**2))
             built_for = key
@@ -686,7 +685,6 @@ def _lobe_table(
     """
     w_w, w_s = write.waist_w0, signal.waist_w0
     z_w, z_s = write.rayleigh_z, signal.rayleigh_z
-    amp0 = write.peak_amplitude * signal.peak_amplitude
     w_eff = 1.0 / math.sqrt(1.0 / w_w**2 + 1.0 / w_s**2)
     th_cap = abs(theta) + 12.0 / (kn.k_i * w_eff)
     n_theta = max(96, int(math.ceil(th_cap / _LOBE_THETA_SPACING)))
@@ -721,7 +719,7 @@ def _lobe_table(
         / np.sqrt(uw)
         * np.exp(-(yg**2) / (w_s**2 * us))
         / np.sqrt(us)
-        * (amp0 * n0)
+        * n0
         * np.exp(-(yg**2 + zg**2) / (2.0 * r0 * r0))
     )
     ph = (

@@ -4,6 +4,7 @@ import pytest
 
 import ire_sim.retrieval as retrieval
 from ire_sim import SpeciesConstants, make_scenario
+from ire_sim.ensemble import shell_counts
 
 # Rubidium-like D1 memory: 795 nm transition, write detuned by 2pi x 10 MHz,
 # 6.8 GHz ground splitting (signal red of the write, so omega_sg is signed
@@ -33,6 +34,13 @@ def canonical_scenario(**kwargs):
         base.pop("target_od")
     base.update(kwargs)
     return make_scenario(SPECIES, R0, TEMP, W_WRITE, W_COLLECT, W_COLLECT, **base)
+
+
+def largest_streamed_shell(scenario):
+    """The most atoms any shell the scenario streams holds (of mc_atoms when subsampling)."""
+    count = scenario.mc_atoms if scenario.mc_atoms is not None else scenario.n_atoms
+    first = retrieval._screen_shell(scenario)
+    return int(shell_counts(scenario.seed, count)[first:].max())
 
 
 CANONICAL_INI = """\

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ire_sim.angular as angular
 from ire_sim import (
     AngularField,
     angular_field,
@@ -11,15 +12,18 @@ from ire_sim import (
     export_heatmap,
     fiber_mode,
     field_from_atoms,
-    normalize_field,
     sphere_norm,
     wavenumbers,
 )
-from ire_sim.angular import ANGULAR_CHUNK_ATOMS
+from ire_sim.angular import ANGULAR_CHUNK_ATOMS, _raster_nodes
 
-from conftest import SPECIES, W_COLLECT, canonical_scenario
+from conftest import SPECIES, W_COLLECT, canonical_scenario, largest_streamed_shell
 
 KN = wavenumbers(SPECIES)
+
+# An angular chunk size below the atoms of a streamed shell, so the chunking
+# tests cross chunk boundaries inside shells.
+SMALL_ANGULAR_CHUNK = 1 << 7
 
 # Frozen from independent 1-D quadratures of the collection-mode far field
 # exp(-(k w sin theta)^2 / 4) over the backward hemisphere:
@@ -162,21 +166,26 @@ def test_angular_field_rejects_subsampling(small_grid):
         angular_field(scn, small_grid)
 
 
-def test_angular_field_thread_count_does_not_change_bits():
+def test_angular_field_thread_count_does_not_change_bits(monkeypatch):
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
     scn = canonical_scenario(n_atoms_override=2 * ANGULAR_CHUNK_ATOMS + 700, seed=6)
+    # chunks smaller than a shell, so the threads split shells between them
+    monkeypatch.setattr(angular, "ANGULAR_CHUNK_ATOMS", SMALL_ANGULAR_CHUNK)
+    assert largest_streamed_shell(scn) >= 2 * SMALL_ANGULAR_CHUNK
     f1 = angular_field(scn, grid, threads=1)
     f3 = angular_field(scn, grid, threads=3)
     np.testing.assert_array_equal(f1.values, f3.values)
     assert f1.source_s2 == f3.source_s2
 
 
-def test_chunking_does_not_change_the_field(small_grid):
+def test_chunking_does_not_change_the_field(small_grid, monkeypatch):
     # angular_field in chunks must equal the one-shot field built from the
     # same atoms through the public sampling path.
     from ire_sim import draw_sample, spinwave_amplitude
 
     scn = canonical_scenario(n_atoms_override=ANGULAR_CHUNK_ATOMS + 123, seed=8)
+    monkeypatch.setattr(angular, "ANGULAR_CHUNK_ATOMS", SMALL_ANGULAR_CHUNK)
+    assert largest_streamed_shell(scn) >= 2 * SMALL_ANGULAR_CHUNK
     streamed = angular_field(scn, small_grid)
     sample = draw_sample(scn)
     amps = spinwave_amplitude(sample, scn)
@@ -214,11 +223,6 @@ def test_collection_is_direction_selective(small_grid):
     assert eta_fwd < 1e-2 * eta_back
 
 
-def test_eta_reference_requires_raw_field(field_10k, small_grid):
-    with pytest.raises(ValueError):
-        eta_reference(normalize_field(field_10k, small_grid), small_grid)
-
-
 def test_eta_reference_stable_under_grid_refinement(small_grid, field_10k):
     fine_grid = build_grid(KN.k_i, W_COLLECT, n_cap=192, n_base=144, n_phi=96)
     scn = canonical_scenario(n_atoms_override=10_000, seed=4)
@@ -227,26 +231,25 @@ def test_eta_reference_stable_under_grid_refinement(small_grid, field_10k):
     assert eta_coarse == pytest.approx(eta_fine, rel=5e-3)
 
 
-def test_normalize_field(field_10k, small_grid):
-    unit = normalize_field(field_10k, small_grid)
-    assert unit.normalized
-    assert sphere_norm(unit, small_grid) == pytest.approx(1.0, rel=1e-12)
-    assert unit.source_s2 == field_10k.source_s2
+def test_export_heatmap_rejects_a_zero_field(tmp_path, small_grid):
+    scn = canonical_scenario(n_atoms_override=100, seed=1)
     zero = AngularField(
         values=np.zeros(small_grid.n_nodes, dtype=complex),
-        normalized=False,
         source_s2=0.0,
         n_atoms=0,
         seed=0,
+        n_kept=0,
     )
     with pytest.raises(ArithmeticError):
-        normalize_field(zero, small_grid)
+        export_heatmap(zero, small_grid, scn, str(tmp_path), raster_n=16)
+    assert not any(tmp_path.iterdir())
 
 
 def test_export_heatmap_layout(tmp_path):
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=64, n_base=48, n_phi=32)
     scn = canonical_scenario(n_atoms_override=2000, seed=11)
-    field = normalize_field(angular_field(scn, grid), grid)
+    field = angular_field(scn, grid)
+    unit = field.values / math.sqrt(sphere_norm(field, grid))
     raster_n = 64
     paths = export_heatmap(field, grid, scn, str(tmp_path / "out"), raster_n=raster_n)
     names = [p.split("/")[-1] for p in paths]
@@ -265,7 +268,7 @@ def test_export_heatmap_layout(tmp_path):
     values = rows[:, 2] + 1j * rows[:, 3]
     rng = np.random.default_rng(0)
     for idx in rng.integers(0, values.size, size=20):
-        assert np.min(np.abs(field.values - values[idx])) == 0.0
+        assert np.min(np.abs(unit - values[idx])) == 0.0
 
     cap = np.loadtxt(paths[1], delimiter=",", skiprows=1)
     assert cap[:, 0].min() > grid.cap_theta_min
@@ -283,18 +286,26 @@ def test_export_heatmap_layout(tmp_path):
         assert key in meta
 
 
-def test_export_heatmap_rejects_unnormalized(tmp_path):
+def test_export_heatmap_scales_the_raw_field(tmp_path):
+    # the rasters hold values / sqrt(sphere_norm) of the raw field, bit for bit
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=64, n_base=48, n_phi=32)
     scn = canonical_scenario(n_atoms_override=100, seed=1)
     field = angular_field(scn, grid)
-    with pytest.raises(ValueError):
-        export_heatmap(field, grid, scn, str(tmp_path), raster_n=16)
+    unit = field.values / math.sqrt(sphere_norm(field, grid))
+    raster_n = 16
+    paths = export_heatmap(field, grid, scn, str(tmp_path), raster_n=raster_n)
+    phi_axis = (np.arange(raster_n) + 0.5) * 2.0 * math.pi / raster_n
+    for path, lo in zip(paths[:2], (0.0, grid.cap_theta_min)):
+        theta_axis = lo + (math.pi - lo) * (np.arange(raster_n) + 0.5) / raster_n
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        got = rows[:, 2] + 1j * rows[:, 3]
+        np.testing.assert_array_equal(got, unit[_raster_nodes(grid, theta_axis, phi_axis)].ravel())
 
 
 def test_export_heatmap_reruns_byte_identical(tmp_path):
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=64, n_base=48, n_phi=32)
     scn = canonical_scenario(n_atoms_override=500, seed=2)
-    field = normalize_field(angular_field(scn, grid), grid)
+    field = angular_field(scn, grid)
     p1 = export_heatmap(field, grid, scn, str(tmp_path / "a"), raster_n=32)
     p2 = export_heatmap(field, grid, scn, str(tmp_path / "b"), raster_n=32)
     for a, b in zip(p1[:2], p2[:2]):
@@ -304,17 +315,16 @@ def test_export_heatmap_reruns_byte_identical(tmp_path):
 def test_export_heatmap_matches_savetxt_bytes(tmp_path):
     # The raster writer formats each value once and joins the strings; its
     # bytes must equal np.savetxt's of the same rows.
-    from ire_sim.angular import _raster_nodes
-
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=64, n_base=48, n_phi=32)
     scn = canonical_scenario(n_atoms_override=3000, seed=5)
-    field = normalize_field(angular_field(scn, grid), grid)
+    field = angular_field(scn, grid)
+    unit = field.values / math.sqrt(sphere_norm(field, grid))
     raster_n = 40
     paths = export_heatmap(field, grid, scn, str(tmp_path / "out"), raster_n=raster_n)
     phi_axis = (np.arange(raster_n) + 0.5) * 2.0 * math.pi / raster_n
     for path, lo in zip(paths[:2], (0.0, grid.cap_theta_min)):
         theta_axis = lo + (math.pi - lo) * (np.arange(raster_n) + 0.5) / raster_n
-        v = field.values[_raster_nodes(grid, theta_axis, phi_axis)].ravel()
+        v = unit[_raster_nodes(grid, theta_axis, phi_axis)].ravel()
         rows = np.column_stack(
             [np.repeat(theta_axis, raster_n), np.tile(phi_axis, raster_n), v.real, v.imag]
         )

@@ -14,7 +14,7 @@ def test_rayleigh_range():
 
 
 def test_transverse_amplitude_matches_hand_expansion():
-    mode = BeamMode(42e-6, K_TEST, peak_amplitude=1.7)
+    mode = BeamMode(42e-6, K_TEST)
     rng = np.random.default_rng(11)
     x = rng.normal(scale=30e-6, size=64)
     y = rng.normal(scale=30e-6, size=64)
@@ -24,7 +24,7 @@ def test_transverse_amplitude_matches_hand_expansion():
     zr = mode.rayleigh_z
     u = 1.0 + (z / zr) ** 2
     rho2 = x * x + y * y
-    env = 1.7 * np.exp(-rho2 / (42e-6**2 * u)) / np.sqrt(u)
+    env = np.exp(-rho2 / (42e-6**2 * u)) / np.sqrt(u)
     phase = K_TEST * rho2 * z / (2.0 * (z * z + zr * zr)) - np.arctan(z / zr)
     expect = env * np.exp(1j * phase)
     np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
@@ -39,8 +39,8 @@ def test_transverse_amplitude_no_longitudinal_phase():
 
 
 def test_amplitude_at_focus_is_peak():
-    mode = BeamMode(42e-6, K_TEST, peak_amplitude=2.5)
-    assert transverse_amplitude(mode, 0.0, 0.0, 0.0) == pytest.approx(2.5, rel=1e-15)
+    mode = BeamMode(42e-6, K_TEST)
+    assert transverse_amplitude(mode, 0.0, 0.0, 0.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_mode_validation():

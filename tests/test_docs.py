@@ -1,7 +1,8 @@
-"""The README example runs, the package exports resolve, and dependencies match imports."""
+"""The README example runs, the demos import, the exports resolve, and dependencies match imports."""
 
 import ast
 import re
+import runpy
 import sys
 from pathlib import Path
 
@@ -20,6 +21,14 @@ def test_readme_python_block_runs_and_prints_its_comment(capsys):
     # the block's last line prints eta and states the value in its comment
     claimed = re.search(r"print\(est\.eta\)\s+# ([0-9.]+)", blocks[0]).group(1)
     assert f"{float(printed[-1]):.{len(claimed) - 2}f}" == claimed
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_imports(path):
+    # every name a demo imports from the package still exists; main() is
+    # guarded, so nothing heavy runs
+    namespace = runpy.run_path(str(path), run_name="demo")
+    assert callable(namespace["main"])
 
 
 def test_declared_dependencies_are_the_third_party_imports():

@@ -28,7 +28,6 @@ def node_by_node_lobe(scenario, n_z=256, n_y=448):
     theta = scenario.skew_theta
     tm = scenario.storage_tm
     sig_v = thermal_velocity_sigma(cloud)
-    amp0 = scenario.write_mode.peak_amplitude * scenario.signal_mode.peak_amplitude
     w_eff = 1.0 / math.sqrt(1.0 / w_w**2 + 1.0 / w_s**2)
     th_cap = abs(theta) + 12.0 / (kn.k_i * w_eff)
     n_theta = max(96, int(math.ceil(th_cap / 5.25e-4)))
@@ -56,7 +55,7 @@ def node_by_node_lobe(scenario, n_z=256, n_y=448):
     env = (
         np.exp(-(yt**2) / (w_w**2 * uw)) / np.sqrt(uw)
         * np.exp(-(yg**2) / (w_s**2 * us)) / np.sqrt(us)
-        * (amp0 * n0)
+        * n0
         * np.exp(-(yg**2 + zg**2) / (2.0 * r0 * r0))
     )
     ph = (

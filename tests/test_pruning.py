@@ -1,9 +1,9 @@
 """The skip of atoms with negligible stored amplitude, and its recorded bound.
 
-Both estimators skip atom j when |A_j| <= PRUNE_FLOOR * amp0 and record
-n_kept and D = sum of the skipped |A_j|. The bounds checked here are the
-ones EtaEstimate and AngularField state: |dS1| <= c_P D,
-|dS2| <= PRUNE_FLOOR amp0 D and |dF| <= D / sqrt(4 pi) at every node.
+Both estimators skip atom j when |A_j| <= PRUNE_FLOOR and record n_kept
+and D = sum of the skipped |A_j|. The bounds checked here are the ones
+EtaEstimate and AngularField state: |dS1| <= c_P D,
+|dS2| <= PRUNE_FLOOR D and |dF| <= D / sqrt(4 pi) at every node.
 """
 
 import math
@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 
+import ire_sim.angular as angular
+import ire_sim.retrieval as retrieval
 from ire_sim import (
     PRUNE_FLOOR,
     AtomSample,
@@ -29,7 +31,14 @@ from ire_sim.angular import ANGULAR_CHUNK_ATOMS
 from ire_sim.cli import main as cli_main
 from ire_sim.retrieval import CHUNK_ATOMS, _prune
 
-from conftest import CANONICAL_INI, SPECIES, W_COLLECT, W_WRITE, canonical_scenario
+from conftest import (
+    CANONICAL_INI,
+    SPECIES,
+    W_COLLECT,
+    W_WRITE,
+    canonical_scenario,
+    largest_streamed_shell,
+)
 
 KN = wavenumbers(SPECIES)
 C_P = math.sqrt(2.0) / (KN.k_i * W_COLLECT)
@@ -104,10 +113,8 @@ def test_single_atom_at_focus_is_kept(tiny_grid):
 
 
 def test_far_off_axis_atom_is_dropped_and_counted():
-    # write_amplitude 2 makes amp0 = 2, so D must carry the peak scale too
-    scn = canonical_scenario(n_atoms_override=4, write_amplitude=2.0)
-    amp0 = 2.0
-    # on the focal plane ln(|A| / amp0) = -x^2 (1/W_w^2 + 1/W_s^2)
+    scn = canonical_scenario(n_atoms_override=4)
+    # on the focal plane ln|A| = -x^2 (1/W_w^2 + 1/W_s^2)
     x_floor = math.sqrt(-math.log(PRUNE_FLOOR) / (W_WRITE**-2 + W_COLLECT**-2))
     r = np.array(
         [
@@ -120,10 +127,10 @@ def test_far_off_axis_atom_is_dropped_and_counted():
     keep, dropped = _prune(r, scn)
     assert keep.tolist() == [True, True, False, False]
     a = spinwave_amplitude(AtomSample(r_initial=r, velocity=np.zeros_like(r)), scn)
-    assert np.abs(a[0]) == pytest.approx(amp0, rel=1e-15)
-    assert np.abs(a[1]) > PRUNE_FLOOR * amp0 > np.abs(a[2])
+    assert np.abs(a[0]) == pytest.approx(1.0, rel=1e-15)
+    assert np.abs(a[1]) > PRUNE_FLOOR > np.abs(a[2])
     assert dropped == pytest.approx(float(np.abs(a[2]) + np.abs(a[3])), rel=1e-12, abs=0.0)
-    assert dropped <= 2.0 * PRUNE_FLOOR * amp0
+    assert dropped <= 2.0 * PRUNE_FLOOR
 
 
 def test_all_atoms_below_the_floor_is_an_arithmetic_error():
@@ -141,9 +148,13 @@ def test_all_atoms_below_the_floor_is_an_arithmetic_error():
         eta_paraxial(scn)
 
 
-def test_kept_count_and_dropped_amplitude_ignore_thread_count():
-    n = 2 * CHUNK_ATOMS + 12345  # three chunks
+def test_kept_count_and_dropped_amplitude_ignore_thread_count(monkeypatch):
+    # chunks smaller than a shell, so the threads split shells between them
+    monkeypatch.setattr(retrieval, "CHUNK_ATOMS", 1 << 14)
+    monkeypatch.setattr(angular, "ANGULAR_CHUNK_ATOMS", 1 << 7)
+    n = 2 * CHUNK_ATOMS + 12345
     scn = canonical_scenario(mc_atoms=n, seed=2)
+    assert largest_streamed_shell(scn) >= 2 * retrieval.CHUNK_ATOMS
     one = eta_paraxial(scn, threads=1)
     two = eta_paraxial(scn, threads=2)
     assert one.n_kept == two.n_kept
@@ -152,6 +163,7 @@ def test_kept_count_and_dropped_amplitude_ignore_thread_count():
 
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
     scn = canonical_scenario(n_atoms_override=2 * ANGULAR_CHUNK_ATOMS + 700, seed=6)
+    assert largest_streamed_shell(scn) >= 2 * angular.ANGULAR_CHUNK_ATOMS
     f1 = angular_field(scn, grid, threads=1)
     f3 = angular_field(scn, grid, threads=3)
     assert f1.n_kept == f3.n_kept

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ire_sim.retrieval as retrieval
 from ire_sim import (
     AtomSample,
     BeamMode,
@@ -19,7 +20,7 @@ from ire_sim import (
     wavenumbers,
 )
 from ire_sim.cli import main as cli_main
-from ire_sim.ensemble import _GAUSS_VOLUME, SHELLS, shell_counts
+from ire_sim.ensemble import _GAUSS_VOLUME, ATOMIC_MASS_UNIT, SHELLS, shell_counts
 from ire_sim.retrieval import (
     CHUNK_ATOMS,
     THREADS_ENV_VAR,
@@ -30,7 +31,15 @@ from ire_sim.retrieval import (
     _screen_shell,
 )
 
-from conftest import R0, SPECIES, TEMP, W_COLLECT, W_WRITE, canonical_scenario
+from conftest import (
+    R0,
+    SPECIES,
+    TEMP,
+    W_COLLECT,
+    W_WRITE,
+    canonical_scenario,
+    largest_streamed_shell,
+)
 
 # Wavenumbers for the test species, frozen from a direct evaluation of
 # omega/c with c = 299792458 m/s (residual = 2 omega_sg / c).
@@ -44,6 +53,10 @@ RESIDUAL = -285.03492298629135
 # from an independent bisection against adaptive-quadrature optical depth.
 N0_OD_24P7 = 1.2162272760471526e17
 N_ATOMS_OD_24P7 = 808106001
+
+# A chunk size below the atoms of a streamed shell, so the thread-count
+# tests cross chunk boundaries inside shells.
+SMALL_CHUNK = 1 << 14
 
 # Exact fiber-projection amplitudes P(rho, z) for the canonical collection
 # mode, from numerical evaluation of the mode-overlap diffraction integral
@@ -143,6 +156,21 @@ def test_modes_follow_the_species():
     # a waist with k w0 < 50 still fails when the scenario is built
     with pytest.raises(ValueError):
         replace(scn, w_write=1e-7)
+
+
+def test_species_swap_must_carry_the_cloud_mass():
+    # The cloud's mass sets sigma_v; a species of another mass swapped in
+    # alone would leave the thermal motion of the old one behind.
+    scn = canonical_scenario(n_atoms_override=20_000)
+    heavy = replace(SPECIES, atom_mass=133.0 * ATOMIC_MASS_UNIT)
+    with pytest.raises(ValueError, match="atom mass"):
+        replace(scn, species=heavy)
+    with pytest.raises(ValueError, match="atom mass"):
+        replace(scn, cloud=replace(scn.cloud, atom_mass_m=heavy.atom_mass))
+    # swapping both together is a consistent scenario
+    both = replace(scn, species=heavy, cloud=replace(scn.cloud, atom_mass_m=heavy.atom_mass))
+    assert both.cloud.atom_mass_m == both.species.atom_mass
+
 
 def test_projection_oracle_points():
     scn = canonical_scenario(n_atoms_override=1)
@@ -246,9 +274,12 @@ def test_exact_equals_subsample_at_full_count():
     assert degenerate.denominator == full.denominator
 
 
-def test_thread_count_does_not_change_bits():
-    n = 2 * CHUNK_ATOMS + 12345  # three chunks
+def test_thread_count_does_not_change_bits(monkeypatch):
+    n = 2 * CHUNK_ATOMS + 12345
     scn = canonical_scenario(mc_atoms=n, seed=2)
+    # chunks smaller than a shell, so the threads split shells between them
+    monkeypatch.setattr(retrieval, "CHUNK_ATOMS", SMALL_CHUNK)
+    assert largest_streamed_shell(scn) >= 2 * SMALL_CHUNK
     one = eta_paraxial(scn, threads=1)
     two = eta_paraxial(scn, threads=2)
     five = eta_paraxial(scn, threads=5)

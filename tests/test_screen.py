@@ -4,7 +4,7 @@ An atom's radial shell bounds its transverse radius, so both estimators
 never stream the shells far off the signal axis, and run the exact mask
 (_prune) on the atoms of the rest. The screen must be conservative: every
 atom of a shell it leaves out is one _prune drops, with
-|A_j| <= PRUNE_FLOOR^2 amp0. The estimates keep the bits of a pass over
+|A_j| <= PRUNE_FLOOR^2. The estimates keep the bits of a pass over
 every shell, and their D stays an upper bound of that pass's D.
 """
 
@@ -64,10 +64,6 @@ def _scenario(r0=R0, theta_deg=0.0, w_signal=W_COLLECT, **kwargs):
     )
 
 
-def _amp0(scn):
-    return abs(scn.write_mode.peak_amplitude * scn.signal_mode.peak_amplitude)
-
-
 @pytest.mark.parametrize(
     "r0, theta_deg, w_signal",
     [
@@ -80,7 +76,7 @@ def _amp0(scn):
 )
 def test_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
     scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, seed=3,
-                    n_atoms_override=CHUNK_ATOMS, write_amplitude=2.0)
+                    n_atoms_override=CHUNK_ATOMS)
     first = _screen_shell(scn)
     assert 0 < first < SHELLS
     # the highest screened shell holds the atoms nearest the screen's radius
@@ -88,11 +84,11 @@ def test_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
     keep, _ = _prune(_positions_from_raw(out, r0), scn)
     assert not keep.any()
     a = spinwave_amplitude(_sample_words(out, scn.cloud), scn)
-    assert np.max(np.abs(a)) <= PRUNE_FLOOR**2 * _amp0(scn)
+    assert np.max(np.abs(a)) <= PRUNE_FLOOR**2
 
 
 def test_threshold_word_splits_the_radius_bound():
-    scn = canonical_scenario(n_atoms_override=10, write_amplitude=2.0)
+    scn = canonical_scenario(n_atoms_override=10)
     first = _screen_shell(scn)
     # the atoms with the largest u0 of the last screened shell and of the
     # first streamed one: every word-0 bit below the shell bits set
@@ -109,11 +105,11 @@ def test_threshold_word_splits_the_radius_bound():
     r = _positions_from_raw(raw, R0)
     rho2 = r[:, 0] ** 2 + r[:, 1] ** 2
     assert rho2[0] >= r2 > rho2[1]
-    # D counts PRUNE_FLOOR^2 amp0 for each streamed-count atom below the first shell
+    # D counts PRUNE_FLOOR^2 for each streamed-count atom below the first shell
     counts = shell_counts(scn.seed, scn.n_atoms)
     m, n_in, d0 = _in_region(scn)
     assert m == n_in == int(counts[first:].sum())
-    assert d0 == (scn.n_atoms - m) * PRUNE_FLOOR**2 * _amp0(scn)
+    assert d0 == (scn.n_atoms - m) * PRUNE_FLOOR**2
 
 
 def test_tiny_cloud_screens_nothing():
