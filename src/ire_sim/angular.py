@@ -17,11 +17,10 @@ wherever both are affordable. Cost scales as atoms x nodes; it is meant for
 ensembles up to about a million atoms on the default grid.
 
 The atoms come from the paraxial estimator's chunk stream
-(retrieval._eta_stream): the same shells, counter words, skip mask and
-stored amplitudes, with the field on the grid as the per-scenario
-projection and chunks of at most ANGULAR_CHUNK_ATOMS within a shell. A
-field, or each replicate of an angular sweep, streams once on at most one
-process pool.
+(retrieval._eta_stream): the same shells, chunks, counter words, skip mask
+and stored amplitudes, with the field on the grid as the per-scenario
+projection. A field, or each replicate of an angular sweep, streams once
+on at most one process pool.
 
 The sphere grid concentrates polar nodes in a cap around the backward axis
 (where the phase-matched lobe lives) using Gauss-Legendre nodes in theta,
@@ -47,12 +46,6 @@ import numpy as np
 from ._version import __version__
 from .ensemble import drift
 from .retrieval import PRUNE_FLOOR, EtaEstimate, Scenario, _eta_stream, _in_region, wavenumbers
-
-# Atoms per chunk on the angular path. Much smaller than the streaming
-# estimator's chunk because each atom touches every grid node; fixed so the
-# decomposition (and the accumulated bits) never depends on thread count.
-ANGULAR_CHUNK_ATOMS = 1 << 14
-
 
 @dataclass(frozen=True, eq=False)
 class AngularGrid:
@@ -157,16 +150,14 @@ def build_grid(
     )
 
 
-def fiber_mode(grid: AngularGrid, forward: bool = False) -> np.ndarray:
+def fiber_mode(grid: AngularGrid) -> np.ndarray:
     """Far-field collection-mode amplitude g on the grid nodes.
 
-    Gaussian profile exp(-(k w sin theta)^2 / 4) on the backward hemisphere
-    (forward hemisphere when forward=True, for mis-pointing checks), zero on
-    the other half, normalized so sum w |g|^2 = 1 on this grid.
+    Gaussian profile exp(-(k w sin theta)^2 / 4) on the backward hemisphere,
+    zero on the forward one, normalized so sum w |g|^2 = 1 on this grid.
     """
     th = grid.node_theta
-    mask = (th < 0.5 * math.pi) if forward else (th > 0.5 * math.pi)
-    prof = np.where(mask, np.exp(-((grid.k_times_w * np.sin(th)) ** 2) / 4.0), 0.0)
+    prof = np.where(th > 0.5 * math.pi, np.exp(-((grid.k_times_w * np.sin(th)) ** 2) / 4.0), 0.0)
     norm = math.sqrt(float(np.sum(grid.node_weight * prof * prof)))
     if norm == 0.0:
         raise ArithmeticError("collection mode vanishes on this grid")
@@ -257,13 +248,17 @@ def _field_projection(grids, a, sample, scenario):
 
 
 def _angular_method(grids):
-    """_eta_stream's arguments for fields on grids (idler mode -> grid), and the merge of a total."""
-    how = dict(project=partial(_field_projection, grids), chunk_atoms=ANGULAR_CHUNK_ATOMS)
-    def merge(scenario, total):
+    """The angular (project, estimate) pair on grids (idler mode -> grid).
+
+    The counterpart of (_paraxial_sums, _estimate): project is
+    _eta_stream's per-scenario projection, and estimate(scenario, total)
+    reads the efficiency from a scenario's stream total.
+    """
+    def estimate(scenario, total):
         grid = grids[scenario.idler_mode]
         return _field_estimate(_as_field(scenario, total, grid), grid)
 
-    return how, merge
+    return partial(_field_projection, grids), estimate
 
 
 def _as_field(scenario: Scenario, total, grid: AngularGrid) -> AngularField:
@@ -285,7 +280,7 @@ def angular_field(
 
     The one-scenario case of the paraxial estimator's stream (_eta_stream):
     the shells that can matter stream in fixed chunks of at most
-    ANGULAR_CHUNK_ATOMS on at most one process pool, and each chunk's
+    retrieval.CHUNK_ATOMS on at most one process pool, and each chunk's
     partial field is added, in ascending (shell, chunk) order, to the total
     as it arrives, so the result is bit-identical for every thread count and
     holds no field per chunk. Atoms below PRUNE_FLOOR are skipped before the
@@ -298,8 +293,8 @@ def angular_field(
             "the angular path has no subsample estimator (mc_atoms is set); "
             "build the scenario with n_atoms_override instead"
         )
-    how, _ = _angular_method({scenario.idler_mode: grid})
-    [total] = _eta_stream([scenario], threads, **how)
+    project, _ = _angular_method({scenario.idler_mode: grid})
+    [total] = _eta_stream([scenario], threads, project)
     return _as_field(scenario, total, grid)
 
 
@@ -414,7 +409,9 @@ def export_heatmap(
 
     Raster rows are `theta_rad,phi_rad,re,im`, row-major in theta then phi,
     on uniform midpoint axes, each cell resampled from the nearest grid
-    node of values / sqrt(sphere_norm). A vanishing or non-finite sphere
+    node of values / sqrt(sphere_norm). The meta records that sphere_norm,
+    so dropped_amplitude (in the units of the raw field) applies to the
+    raster values after the same division. A vanishing or non-finite sphere
     norm raises ArithmeticError.
     """
     norm = sphere_norm(field, grid)
@@ -467,6 +464,7 @@ def export_heatmap(
         "prune_floor": PRUNE_FLOOR,
         "n_kept": field.n_kept,
         "dropped_amplitude": field.dropped_amplitude,
+        "sphere_norm": norm,
         "grid_n_levels": grid.n_levels,
         "grid_n_phi": grid.n_phi,
         "grid_cap_theta_min_rad": grid.cap_theta_min,

@@ -37,7 +37,7 @@ from .angular import (
     export_heatmap,
     write_meta,
 )
-from .config import ConfigError, build_scenario, read_config, resolution_report
+from .config import ConfigError, _as_float, build_scenario, read_config, resolution_report
 from .experiments import SWEEP_AXES, SweepSpec, _g9, run_sweep, write_sweep_csv
 from .ensemble import SHELLS
 from .retrieval import (
@@ -142,19 +142,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, method_override: bool = False, mc_override: bool = False):
+def _load(args):
+    """The INI document, with the subcommand's overrides applied, and its scenario."""
     doc = read_config(args.config)
     updates = {}
     if args.seed is not None:
         if not 0 <= args.seed < 2**64:
             raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         updates["seed"] = args.seed
-    if method_override and args.method is not None:
+    if getattr(args, "method", None) is not None:
         updates["method"] = args.method
-    if mc_override and args.mc_atoms is not None:
-        if args.mc_atoms < 2:
+    mc_atoms = getattr(args, "mc_atoms", None)
+    if mc_atoms is not None:
+        if mc_atoms < 2:
             raise ConfigError("--mc-atoms must be >= 2")
-        updates["mc_atoms"] = args.mc_atoms
+        updates["mc_atoms"] = mc_atoms
     if updates:
         doc = replace(doc, **updates)
     source = "--threads" if args.threads is not None else THREADS_ENV_VAR
@@ -216,7 +218,7 @@ def _guard_angular(scenario: Scenario) -> None:
 
 
 def _cmd_eta(args) -> int:
-    doc, scenario = _load(args, method_override=True, mc_override=True)
+    doc, scenario = _load(args)
     if doc.method == "angular":
         _guard_angular(scenario)
         estimate = partial(eta_angular, grid=_grid_from_doc(doc, scenario))
@@ -263,28 +265,22 @@ def _cmd_eta(args) -> int:
 
 
 def _parse_values(raw: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
-    except ValueError:
-        raise ConfigError(f"--values: {raw!r} is not a comma-separated number list") from None
+    values = tuple(_as_float(tok, "--values") for tok in raw.split(",") if tok.strip() != "")
     if not values:
         raise ConfigError("--values: empty list")
     return values
 
 
 def _cmd_sweep(args) -> int:
-    doc, scenario = _load(args, method_override=True, mc_override=True)
+    doc, scenario = _load(args)
     values = _parse_values(args.values)
     if doc.method == "angular":
         _guard_angular(scenario)
         _grid_from_doc(doc, scenario)  # the base's grid: a bad INI grid fails before any row
-    spec = SweepSpec(
-        base=scenario,
-        axis=args.sweep,
-        values=values,
-        replicates=args.replicates,
-        method=doc.method,
-    )
+    try:
+        spec = SweepSpec(scenario, args.sweep, values, args.replicates, doc.method)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     rows = run_sweep(spec, threads=args.threads, make_grid=partial(_grid_from_doc, doc))
     for row in rows:
         if row.error is not None:

@@ -349,8 +349,8 @@ def resolution_report(scenario: Scenario) -> dict:
     }
 
 
-def parse_and_validate(source: str, is_text: bool = False):
-    """One-call entry: source (path or text) to (document, scenario, report)."""
-    doc = parse_config_text(source) if is_text else read_config(source)
+def parse_and_validate(path: str):
+    """One-call entry: INI file path to (document, scenario, report)."""
+    doc = read_config(path)
     scenario = build_scenario(doc)
     return doc, scenario, resolution_report(scenario)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .angular import _angular_method, _default_grid
 from .ensemble import density_for_od, optical_depth
-from .retrieval import Scenario, _estimate, _eta_stream, _in_region
+from .retrieval import Scenario, _estimate, _eta_stream, _in_region, _paraxial_sums
 
 SWEEP_AXES = ("width_ratio", "optical_depth", "storage_time", "skew_angle")
 SWEEP_METHODS = ("paraxial", "angular")
@@ -70,7 +70,7 @@ class SweepSpec:
         values = tuple(float(v) for v in self.values)
         if len(values) == 0:
             raise ValueError("values must be non-empty")
-        if any(b <= a for a, b in zip(values, values[1:])):
+        if not all(a < b for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
         object.__setattr__(self, "values", values)
         if self.replicates < 1:
@@ -122,8 +122,8 @@ def scenario_for_value(base: Scenario, axis: str, value: float) -> Scenario:
     """Rebuild the base scenario with one axis moved to the given value."""
     value = float(value)
     if axis == "width_ratio":
-        if value <= 0.0:
-            raise ValueError("width_ratio must be > 0")
+        if not 0.0 < value < math.inf:
+            raise ValueError("width_ratio must be finite and > 0")
         return replace(base, w_collect=value * base.w_write)
     if axis == "optical_depth":
         if value <= 0.0:
@@ -164,10 +164,9 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
     the full ensemble), with all chunks on one process pool; each row is
     bit-identical to eta_paraxial, or eta_angular on the grid
     make_grid(scenario) (default: the idler's default grid), at its point.
-    The methods differ only in the projection, the chunk size and the
-    estimate read from a stream total. An error of that shared stream
-    fails every valid value; an error of one value's estimate fails that
-    value alone.
+    The methods differ only in the projection and the estimate read from a
+    stream total. An error of that shared stream fails every valid value;
+    an error of one value's estimate fails that value alone.
     """
     seeds = range(spec.base.seed, spec.base.seed + spec.replicates)
     points, etas, failed = {}, {}, {}  # keyed by the value's index
@@ -181,11 +180,12 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
             points[i] = (scenario, _descriptors(scenario))
         except (ValueError, ArithmeticError) as exc:
             failed[i] = exc
-    how, merge = _angular_method(grids) if spec.method == "angular" else ({}, _estimate)
+    project, estimate = (_angular_method(grids) if spec.method == "angular"
+                         else (_paraxial_sums, _estimate))
     scenarios = [(i, replace(points[i][0], seed=seed)) for seed in seeds for i in points]
     runs: dict[int, list] = {i: [] for i in points}  # (scenario, total) per seed
     try:
-        totals = _eta_stream([scenario for _, scenario in scenarios], threads, **how)
+        totals = _eta_stream([scenario for _, scenario in scenarios], threads, project)
     except (ValueError, ArithmeticError) as exc:
         failed.update(dict.fromkeys(points, exc))
         runs = {}
@@ -194,7 +194,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
             runs[i].append((scenario, total))
     for i, per_seed in runs.items():
         try:
-            etas[i] = tuple(merge(scenario, total).eta for scenario, total in per_seed)
+            etas[i] = tuple(estimate(scenario, total).eta for scenario, total in per_seed)
         except (ValueError, ArithmeticError) as exc:
             failed[i] = exc
 

@@ -78,9 +78,9 @@ from .ensemble import (
     thermal_velocity_sigma,
 )
 
-# Atoms per streamed chunk of one shell. Fixed (never derived from the
-# thread count) so the chunk decomposition, and therefore every accumulated
-# bit, is the same no matter how the chunks are farmed out.
+# Atoms per streamed chunk of one shell, for both estimators. Fixed (never
+# derived from the thread count) so the chunk decomposition, and therefore
+# every accumulated bit, is the same no matter how the chunks are farmed out.
 CHUNK_ATOMS = 1 << 20
 
 THREADS_ENV_VAR = "IRE_SIM_THREADS"
@@ -562,16 +562,17 @@ def _add(total, part):
     return part if total is None else tuple(t + p for t, p in zip(total, part))
 
 
-def _eta_stream(scenarios, threads=None, project=_paraxial_sums, chunk_atoms=None):
+def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
     """Each scenario's chunk partials, summed in ascending (shell, chunk) order.
 
     Scenarios with the same seed, cloud width sigma_r0 and streamed count
     (mc_atoms, else n_atoms) share one stream: it covers the shells from
     the lowest _screen_shell of its scenarios up, each shell's atoms drawn
-    once in chunks of chunk_atoms (default CHUNK_ATOMS) that never cross a
-    shell, and every scenario is evaluated on them with project (see
-    _eta_worker). Every chunk of every stream goes through one pool.map on
-    one process pool (none for one thread or one chunk). As each chunk's
+    once in chunks of at most CHUNK_ATOMS that never cross a shell, and
+    every scenario is evaluated on them with project (_paraxial_sums, or
+    the angular field; see _eta_worker). Every chunk of every stream goes
+    through one pool.map on one process pool (none for one thread or one
+    chunk). As each chunk's
     partials arrive, in ascending (shell, chunk) order, _add adds them to
     their scenario's total, skipping the shells below the scenario's own
     first shell. Returns one total per scenario, in input order (None when
@@ -579,7 +580,6 @@ def _eta_stream(scenarios, threads=None, project=_paraxial_sums, chunk_atoms=Non
     for every thread count.
     """
     threads = resolve_threads(threads)
-    chunk_atoms = chunk_atoms or CHUNK_ATOMS
     streams: dict[tuple, list[int]] = {}  # (seed, sigma_r0, streamed count) -> indices
     for i, s in enumerate(scenarios):
         streams.setdefault((s.seed, s.cloud.sigma_r0, _streamed_count(s)), []).append(i)
@@ -588,8 +588,8 @@ def _eta_stream(scenarios, threads=None, project=_paraxial_sums, chunk_atoms=Non
         shared = tuple(scenarios[i] for i in idx)
         counts = shell_counts(seed, count).tolist()
         for shell in range(min(_screen_shell(s) for s in shared), SHELLS):
-            for lo in range(0, counts[shell], chunk_atoms):
-                tasks.append((shared, shell, lo, min(lo + chunk_atoms, counts[shell]), project))
+            for lo in range(0, counts[shell], CHUNK_ATOMS):
+                tasks.append((shared, shell, lo, min(lo + CHUNK_ATOMS, counts[shell]), project))
                 owners.append(idx)
     totals = [None] * len(scenarios)
 

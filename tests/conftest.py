@@ -83,6 +83,21 @@ def canonical_ini_file(tmp_path_factory):
 
 
 @pytest.fixture()
+def small_chunks(monkeypatch):
+    """Set the stream's chunk size (retrieval.CHUNK_ATOMS) for one test.
+
+    Returns the setter, which returns the size it set. A test that uses it
+    asserts that its chunks are smaller than the shells it streams, so the
+    ordered (shell, chunk) sum crosses chunk boundaries inside shells.
+    """
+    def set_chunk_atoms(atoms):
+        monkeypatch.setattr(retrieval, "CHUNK_ATOMS", atoms)
+        return atoms
+
+    return set_chunk_atoms
+
+
+@pytest.fixture()
 def created_pools(monkeypatch):
     """The max_workers of every process pool the stream builds, in order of creation."""
     created = []

@@ -207,6 +207,21 @@ def test_sweep_rejects_garbled_values(small_ini, tmp_path, capsys):
     assert "--values" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--values", "3,1"],  # not increasing
+    ["--values", "1,2", "--replicates", "0"],
+    ["--values", "0.5,nan,0.3"],  # NaN hid the order
+    ["--values", "0,inf"],  # not finite, as no INI number may be
+])
+def test_sweep_usage_errors_exit_2(small_ini, tmp_path, capsys, flags):
+    out_dir = tmp_path / "o"
+    rc = main(["sweep", "--config", small_ini, "--sweep", "storage_time", *flags,
+               "--out", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
 def test_sweep_rejects_unknown_axis(small_ini, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", small_ini, "--sweep", "detuning",

@@ -64,7 +64,8 @@ def test_minimal_document_uses_species_and_run_defaults():
 
 
 def test_canonical_resolution_report():
-    doc, scenario, report = parse_and_validate(CANONICAL_INI, is_text=True)
+    scenario = build_scenario(parse_config_text(CANONICAL_INI))
+    report = resolution_report(scenario)
     assert scenario.n_atoms == 808106001
     assert report["n_atoms"] == 808106001
     assert report["peak_density_n0_m3"] == pytest.approx(1.2162272760471526e17, rel=1e-12)

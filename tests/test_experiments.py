@@ -32,6 +32,9 @@ def test_spec_validation():
         SweepSpec(base, "storage_time", (2.0, 1.0))
     with pytest.raises(ValueError):
         SweepSpec(base, "storage_time", (1.0, 1.0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        # NaN compares false both ways, so it must not hide 0.5 > 0.3
+        SweepSpec(base, "storage_time", (0.5, math.nan, 0.3))
     with pytest.raises(ValueError):
         SweepSpec(base, "storage_time", (1.0, 2.0), replicates=0)
     with pytest.raises(ValueError):
@@ -77,6 +80,9 @@ def test_scenario_for_value_semantics():
 
     with pytest.raises(ValueError):
         scenario_for_value(base, "width_ratio", -1.0)
+    with pytest.raises(ValueError, match="width_ratio"):
+        # an infinite collection waist is an error, not a row with eta = 0
+        scenario_for_value(base, "width_ratio", math.inf)
     with pytest.raises(ValueError):
         scenario_for_value(base, "optical_depth", 0.0)
 

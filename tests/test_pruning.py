@@ -11,8 +11,6 @@ import math
 import numpy as np
 import pytest
 
-import ire_sim.angular as angular
-import ire_sim.retrieval as retrieval
 from ire_sim import (
     PRUNE_FLOOR,
     AtomSample,
@@ -27,7 +25,6 @@ from ire_sim import (
     spinwave_amplitude,
     wavenumbers,
 )
-from ire_sim.angular import ANGULAR_CHUNK_ATOMS
 from ire_sim.cli import main as cli_main
 from ire_sim.retrieval import CHUNK_ATOMS, _prune
 
@@ -148,13 +145,11 @@ def test_all_atoms_below_the_floor_is_an_arithmetic_error():
         eta_paraxial(scn)
 
 
-def test_kept_count_and_dropped_amplitude_ignore_thread_count(monkeypatch):
+def test_kept_count_and_dropped_amplitude_ignore_thread_count(small_chunks):
     # chunks smaller than a shell, so the threads split shells between them
-    monkeypatch.setattr(retrieval, "CHUNK_ATOMS", 1 << 14)
-    monkeypatch.setattr(angular, "ANGULAR_CHUNK_ATOMS", 1 << 7)
     n = 2 * CHUNK_ATOMS + 12345
     scn = canonical_scenario(mc_atoms=n, seed=2)
-    assert largest_streamed_shell(scn) >= 2 * retrieval.CHUNK_ATOMS
+    assert largest_streamed_shell(scn) >= 2 * small_chunks(1 << 14)
     one = eta_paraxial(scn, threads=1)
     two = eta_paraxial(scn, threads=2)
     assert one.n_kept == two.n_kept
@@ -162,8 +157,8 @@ def test_kept_count_and_dropped_amplitude_ignore_thread_count(monkeypatch):
     assert one.n_atoms == scn.n_atoms  # the ensemble, not the streamed count
 
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
-    scn = canonical_scenario(n_atoms_override=2 * ANGULAR_CHUNK_ATOMS + 700, seed=6)
-    assert largest_streamed_shell(scn) >= 2 * angular.ANGULAR_CHUNK_ATOMS
+    scn = canonical_scenario(n_atoms_override=33_468, seed=6)
+    assert largest_streamed_shell(scn) >= 2 * small_chunks(1 << 7)
     f1 = angular_field(scn, grid, threads=1)
     f3 = angular_field(scn, grid, threads=3)
     assert f1.n_kept == f3.n_kept

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import ire_sim.retrieval as retrieval
 from ire_sim import (
     AtomSample,
     BeamMode,
@@ -274,12 +273,11 @@ def test_exact_equals_subsample_at_full_count():
     assert degenerate.denominator == full.denominator
 
 
-def test_thread_count_does_not_change_bits(monkeypatch):
+def test_thread_count_does_not_change_bits(small_chunks):
     n = 2 * CHUNK_ATOMS + 12345
     scn = canonical_scenario(mc_atoms=n, seed=2)
     # chunks smaller than a shell, so the threads split shells between them
-    monkeypatch.setattr(retrieval, "CHUNK_ATOMS", SMALL_CHUNK)
-    assert largest_streamed_shell(scn) >= 2 * SMALL_CHUNK
+    assert largest_streamed_shell(scn) >= 2 * small_chunks(SMALL_CHUNK)
     one = eta_paraxial(scn, threads=1)
     two = eta_paraxial(scn, threads=2)
     five = eta_paraxial(scn, threads=5)

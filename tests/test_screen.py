@@ -15,8 +15,6 @@ import operator
 import numpy as np
 import pytest
 
-import ire_sim.angular as angular
-import ire_sim.retrieval as retrieval
 from ire_sim import (
     PRUNE_FLOOR,
     AtomSample,
@@ -159,8 +157,8 @@ JOBS = {
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("job", sorted(JOBS))
-def test_stream_keeps_the_bits_of_an_unscreened_pass(monkeypatch, job, threads):
-    monkeypatch.setattr(retrieval, "CHUNK_ATOMS", SMALL_CHUNK)
+def test_stream_keeps_the_bits_of_an_unscreened_pass(small_chunks, job, threads):
+    small_chunks(SMALL_CHUNK)
     scenarios = tuple(
         _scenario(target_od=24.7, mc_atoms=STREAMED, seed=11, **point) for point in JOBS[job]
     )
@@ -185,9 +183,8 @@ def test_stream_keeps_the_bits_of_an_unscreened_pass(monkeypatch, job, threads):
             old_est.eta, old_est.numerator, old_est.denominator, old_est.n_kept)
 
 
-def test_angular_field_keeps_the_bits_of_an_unscreened_pass(monkeypatch):
-    chunk = 1 << 9
-    monkeypatch.setattr(angular, "ANGULAR_CHUNK_ATOMS", chunk)
+def test_angular_field_keeps_the_bits_of_an_unscreened_pass(small_chunks):
+    chunk = small_chunks(1 << 9)
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
     n = 80 * chunk  # every shell spans a full chunk and a short one
     scn = canonical_scenario(n_atoms_override=n, skew_theta=math.radians(2.0),

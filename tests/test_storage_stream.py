@@ -18,9 +18,9 @@ from ire_sim.retrieval import CHUNK_ATOMS
 
 from conftest import R0, SPECIES, TEMP, W_COLLECT, W_WRITE, canonical_scenario
 
-# A negative value first and a NaN in the middle: both pass SweepSpec's
+# A negative value first and an infinite one last: both pass SweepSpec's
 # ordering check and must become error rows of their own.
-VALUES_US = (-5.0, 0.0, 50.0, math.nan, 100.0)
+VALUES_US = (-5.0, 0.0, 50.0, 100.0, math.inf)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def per_point(two_chunk_base):
             for seed in (3, 4)
         )
         for value in VALUES_US
-        if value >= 0.0
+        if 0.0 <= value < math.inf
     }
 
 
@@ -71,7 +71,7 @@ def test_storage_sweep_uses_one_pool(created_pools):
 
 
 def test_stream_error_fails_every_valid_value(monkeypatch):
-    def all_dropped(jobs, threads=None, **how):
+    def all_dropped(scenarios, threads, project):
         raise ArithmeticError("every streamed atom's stored amplitude is below PRUNE_FLOOR")
 
     monkeypatch.setattr(experiments, "_eta_stream", all_dropped)

@@ -13,12 +13,11 @@ from dataclasses import replace
 
 import pytest
 
-import ire_sim.angular as angular
 import ire_sim.experiments as experiments
 import ire_sim.retrieval as retrieval
 from ire_sim import SweepSpec, eta_angular, eta_paraxial, run_sweep, scenario_for_value
 
-from conftest import canonical_scenario
+from conftest import canonical_scenario, largest_streamed_shell
 
 # Small chunks, and streamed counts whose shells span two or more of them,
 # so the ordered (shell, chunk) merge is exercised without streaming 2^20
@@ -26,33 +25,30 @@ from conftest import canonical_scenario
 SMALL_CHUNK = 1 << 6
 STREAMED = 96 * SMALL_CHUNK + 1904
 
-# Each sweep has a NaN in the middle: it passes SweepSpec's ordering check
-# and must become an error row of its own.
+# Each sweep has one value out of its axis's range, first or last (the
+# valid range is one interval, and the values must increase): it passes
+# SweepSpec's ordering check and must become an error row of its own.
 SWEEPS = {
-    "skew_angle": ({"mc_atoms": STREAMED}, (0.0, 1.0, math.nan, 2.0, 4.0)),
-    "width_ratio": ({"mc_atoms": STREAMED}, (0.3, 0.58, math.nan, 1.0)),
-    "optical_depth": ({"mc_atoms": STREAMED}, (5.0, 10.0, math.nan, 24.7)),
+    "skew_angle": ({"mc_atoms": STREAMED}, (0.0, 1.0, 2.0, 4.0, 90.0), 90.0),
+    "width_ratio": ({"mc_atoms": STREAMED}, (0.3, 0.58, 1.0, math.inf), math.inf),
+    "optical_depth": ({"mc_atoms": STREAMED}, (0.0, 5.0, 10.0, 24.7), 0.0),
     # no subsample: each value streams its own ensemble size (~4.3e3-7.9e3)
-    "optical_depth_full": ({"n_atoms_override": STREAMED}, (1.3e-4, 1.8e-4, math.nan, 2.4e-4)),
+    "optical_depth_full": ({"n_atoms_override": STREAMED}, (0.0, 1.3e-4, 1.8e-4, 2.4e-4), 0.0),
 }
-
-
-@pytest.fixture()
-def small_chunks(monkeypatch):
-    monkeypatch.setattr(retrieval, "CHUNK_ATOMS", SMALL_CHUNK)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("case", sorted(SWEEPS))
 def test_sweep_rows_match_per_point_estimates(small_chunks, case, threads):
-    knobs, values = SWEEPS[case]
+    knobs, values, bad = SWEEPS[case]
     axis = case.removesuffix("_full")
     base = canonical_scenario(skew_theta=math.radians(2.0), storage_tm=100e-6, seed=3, **knobs)
+    assert largest_streamed_shell(base) > small_chunks(SMALL_CHUNK)
     rows = run_sweep(SweepSpec(base, axis, values, replicates=2), threads=threads)
     assert len(rows) == len(values)
     streamed, firsts = set(), set()
     for row, value in zip(rows, values):
-        if math.isnan(value):
+        if value == bad:
             assert row.error is not None and row.etas == ()
             continue
         point = scenario_for_value(base, axis, value)
@@ -81,9 +77,9 @@ def test_tilt_sweep_uses_one_pool(created_pools):
 # shells of each replicate (about 23 atoms each) span two of them.
 ANGULAR_CHUNK = 1 << 4
 ANGULAR_N = 64 * ANGULAR_CHUNK + 476
-ANGULAR_SWEEPS = {
-    "skew_angle": (0.0, math.nan, 2.0),
-    "width_ratio": (0.58, math.nan, 1.0),  # the grid changes with the value
+ANGULAR_SWEEPS = {  # the last value is out of the axis's range
+    "skew_angle": (0.0, 2.0, 90.0),
+    "width_ratio": (0.58, 1.0, math.inf),  # the grid changes with the value
 }
 
 
@@ -92,16 +88,11 @@ def angular_base():
                               storage_tm=100e-6, seed=3)
 
 
-@pytest.fixture()
-def small_angular_chunks(monkeypatch):
-    monkeypatch.setattr(angular, "ANGULAR_CHUNK_ATOMS", ANGULAR_CHUNK)
-
-
 @pytest.fixture(scope="module")
 def angular_per_point():
     """eta_angular at every valid value and replicate, on one process, in small chunks."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(angular, "ANGULAR_CHUNK_ATOMS", ANGULAR_CHUNK)
+        mp.setattr(retrieval, "CHUNK_ATOMS", ANGULAR_CHUNK)
         return {
             (axis, value): tuple(
                 eta_angular(replace(scenario_for_value(angular_base(), axis, value), seed=seed),
@@ -109,22 +100,22 @@ def angular_per_point():
                 for seed in (3, 4)
             )
             for axis, values in ANGULAR_SWEEPS.items()
-            for value in values
-            if not math.isnan(value)
+            for value in values[:-1]
         }
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("axis", sorted(ANGULAR_SWEEPS))
 def test_angular_sweep_rows_match_per_point_estimates(
-    small_angular_chunks, angular_per_point, axis, threads
+    small_chunks, angular_per_point, axis, threads
 ):
+    assert largest_streamed_shell(angular_base()) > small_chunks(ANGULAR_CHUNK)
     values = ANGULAR_SWEEPS[axis]
     spec = SweepSpec(angular_base(), axis, values, replicates=2, method="angular")
     rows = run_sweep(spec, threads=threads)
     assert len(rows) == len(values)
     for row, value in zip(rows, values):
-        if math.isnan(value):
+        if value == values[-1]:
             assert row.error is not None and row.etas == ()
         else:
             assert row.error is None
@@ -132,7 +123,8 @@ def test_angular_sweep_rows_match_per_point_estimates(
             assert row.etas == angular_per_point[axis, value]
 
 
-def test_angular_sweep_uses_one_pool(small_angular_chunks, created_pools):
+def test_angular_sweep_uses_one_pool(small_chunks, created_pools):
+    assert largest_streamed_shell(angular_base()) > small_chunks(ANGULAR_CHUNK)
     spec = SweepSpec(angular_base(), "skew_angle", (0.0, 1.0, 2.0), replicates=3,
                      method="angular")
     rows = run_sweep(spec, threads=2)
