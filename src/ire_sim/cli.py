@@ -37,8 +37,15 @@ from .angular import (
     export_heatmap,
     write_meta,
 )
-from .config import ConfigError, _as_float, build_scenario, read_config, resolution_report
-from .experiments import SWEEP_AXES, SweepSpec, _g9, run_sweep, write_sweep_csv
+from .config import (
+    ConfigError,
+    _as_float,
+    _read_key,
+    build_scenario,
+    read_config,
+    resolution_report,
+)
+from .experiments import SWEEP_AXES, SWEEP_METHODS, SweepSpec, _g9, run_sweep, write_sweep_csv
 from .ensemble import SHELLS
 from .retrieval import (
     PRUNE_FLOOR,
@@ -91,13 +98,20 @@ threads:
 def _add_common(sub: argparse.ArgumentParser, out_dir: bool = True) -> None:
     sub.add_argument("--config", required=True, metavar="PATH",
                      help="INI configuration file")
-    sub.add_argument("--seed", type=int, default=None, metavar="U64",
+    sub.add_argument("--seed", default=None, metavar="U64",
                      help="override [run] seed")
     sub.add_argument("--threads", type=int, default=None, metavar="N",
                      help="worker processes (default: IRE_SIM_THREADS or 1)")
     if out_dir:
         sub.add_argument("--out", default="ire_sim_out", metavar="DIR",
                          help="output directory (default: ire_sim_out)")
+
+
+def _add_estimator(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--method", choices=SWEEP_METHODS, default=None,
+                     help="override [run] method")
+    sub.add_argument("--mc-atoms", default=None, metavar="N",
+                     help="override [run] mc_atoms (paraxial subsample size)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,10 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eta = subs.add_parser("eta", help="single efficiency estimate")
     _add_common(p_eta)
-    p_eta.add_argument("--method", choices=("paraxial", "angular"), default=None,
-                       help="override [run] method")
-    p_eta.add_argument("--mc-atoms", type=int, default=None, metavar="N",
-                       help="override [run] mc_atoms (paraxial subsample size)")
+    _add_estimator(p_eta)
     p_eta.set_defaults(func=_cmd_eta)
 
     p_sweep = subs.add_parser("sweep", help="one-axis sweep with replicates")
@@ -126,10 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated, strictly increasing values")
     p_sweep.add_argument("--replicates", type=int, default=5, metavar="N",
                          help="seeds per value (default 5)")
-    p_sweep.add_argument("--method", choices=("paraxial", "angular"), default=None,
-                         help="override [run] method")
-    p_sweep.add_argument("--mc-atoms", type=int, default=None, metavar="N",
-                         help="override [run] mc_atoms (paraxial subsample size)")
+    _add_estimator(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ang = subs.add_parser("angular", help="emitted-field heatmap rasters")
@@ -146,17 +154,10 @@ def _load(args):
     """The INI document, with the subcommand's overrides applied, and its scenario."""
     doc = read_config(args.config)
     updates = {}
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must fit in an unsigned 64-bit integer")
-        updates["seed"] = args.seed
-    if getattr(args, "method", None) is not None:
-        updates["method"] = args.method
-    mc_atoms = getattr(args, "mc_atoms", None)
-    if mc_atoms is not None:
-        if mc_atoms < 2:
-            raise ConfigError("--mc-atoms must be >= 2")
-        updates["mc_atoms"] = mc_atoms
+    for name in ("seed", "method", "mc_atoms"):
+        raw = getattr(args, name, None)
+        if raw is not None:
+            updates[name] = _read_key(name, raw, "--" + name.replace("_", "-"))
     if updates:
         doc = replace(doc, **updates)
     source = "--threads" if args.threads is not None else THREADS_ENV_VAR

@@ -37,8 +37,9 @@ A run is described by an INI document with four blocks:
     raster_n              = 512       heatmap raster edge length
 
 Interface units are degrees and microseconds; everything internal is SI.
-Unknown blocks or keys are rejected with the offending path named, so a
-typo cannot silently fall back to a default.
+Integer keys are read exactly, not through a float.  Unknown blocks or keys
+are rejected with the offending path named, so a typo cannot silently fall
+back to a default.  Each key is declared once, as a ConfigDocument field.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from decimal import Decimal, InvalidOperation
 
 from .ensemble import (
     ATOMIC_MASS_UNIT,
@@ -55,73 +57,12 @@ from .ensemble import (
     optical_depth,
     thermal_velocity_sigma,
 )
+from .experiments import SWEEP_METHODS
 from .retrieval import Scenario, make_scenario, wavenumbers
 
 
 class ConfigError(ValueError):
     """A configuration document failed to parse or validate."""
-
-
-_SPECIES_DEFAULTS = {
-    "wavelength_nm": "795.0",
-    "delta_over_2pi_hz": "1.0e7",
-    "omega_sg_over_2pi_hz": "-6.8e9",
-    "sigma0_m2": "1.082e-13",
-    "cg_sq": "1.0",
-    "mass_amu": "87.0",
-}
-_RUN_DEFAULTS = {
-    "theta_deg": "0.0",
-    "tm_us": "0.0",
-    "seed": "1",
-    "method": "paraxial",
-    "grid_n_cap": "256",
-    "grid_n_base": "256",
-    "grid_n_phi": "256",
-    "grid_cap_mult": "20.0",
-    "raster_n": "512",
-}
-_CLOUD_REQUIRED = ("r0_m", "temperature_k")
-_CLOUD_DENSITY = ("n0_m3", "target_od", "n_atoms_override")
-_BEAMS_REQUIRED = ("w_write_m", "w_signal_m", "w_idler_m")
-_RUN_OPTIONAL_ONLY = ("mc_atoms",)
-
-_KNOWN_KEYS = {
-    "species": tuple(_SPECIES_DEFAULTS),
-    "cloud": _CLOUD_REQUIRED + _CLOUD_DENSITY,
-    "beams": _BEAMS_REQUIRED,
-    "run": tuple(_RUN_DEFAULTS) + _RUN_OPTIONAL_ONLY,
-}
-
-
-@dataclass(frozen=True)
-class ConfigDocument:
-    """Parsed and defaulted configuration, prior to physics resolution."""
-
-    wavelength_nm: float
-    delta_over_2pi_hz: float
-    omega_sg_over_2pi_hz: float
-    sigma0_m2: float
-    cg_sq: float
-    mass_amu: float
-    r0_m: float
-    temperature_k: float
-    n0_m3: float | None
-    target_od: float | None
-    n_atoms_override: int | None
-    w_write_m: float
-    w_signal_m: float
-    w_idler_m: float
-    theta_deg: float
-    tm_us: float
-    seed: int
-    method: str
-    mc_atoms: int | None
-    grid_n_cap: int
-    grid_n_base: int
-    grid_n_phi: int
-    grid_cap_mult: float
-    raster_n: int
 
 
 def _as_float(raw: str, path: str) -> float:
@@ -135,16 +76,100 @@ def _as_float(raw: str, path: str) -> float:
 
 
 def _as_int(raw: str, path: str) -> int:
-    value = _as_float(raw, path)
-    if value != int(value):
+    """The exact integer `raw` spells; 4e6 is one, 1.5 is not.
+
+    Read as a Decimal, not a float, so no integer beyond 2**53 is rounded.
+    A value past the float range is not finite, as it is for a float key.
+    """
+    try:
+        value = Decimal(raw)
+    except InvalidOperation:
+        raise ConfigError(f"{path}: {raw!r} is not a number") from None
+    if not (value.is_finite() and math.isfinite(float(value))):
+        raise ConfigError(f"{path}: {raw!r} is not finite")
+    if value != value.to_integral_value():
         raise ConfigError(f"{path}: {raw!r} is not an integer")
     return int(value)
 
 
-def _require_positive(value: float, path: str) -> float:
-    if value <= 0.0:
-        raise ConfigError(f"{path}: must be > 0, got {value!r}")
-    return value
+def _as_method(raw: str, path: str) -> str:
+    return raw.strip().lower()
+
+
+def _checked(parse, ok, need: str):
+    """A reader: `parse` the text, then require `ok(value)`, else say what it must be."""
+
+    def read(raw: str, path: str):
+        value = parse(raw, path)
+        if not ok(value):
+            raise ConfigError(f"{path}: must be {need}, got {value!r}")
+        return value
+
+    return read
+
+
+def _at_least(least: int):
+    return _checked(_as_int, lambda v: v >= least, f">= {least}")
+
+
+_positive = _checked(_as_float, lambda v: v > 0.0, "> 0")
+_fraction = _checked(_as_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_tilt = _checked(_as_float, lambda v: abs(v) < 90.0, "in (-90, 90)")
+_duration = _checked(_as_float, lambda v: v >= 0.0, ">= 0")
+_u64 = _checked(_as_int, lambda v: 0 <= v < 2**64, "an unsigned 64-bit integer")
+_method = _checked(_as_method, SWEEP_METHODS.__contains__, " | ".join(SWEEP_METHODS))
+_REQUIRED = object()
+
+
+def _key(block: str, read, default=_REQUIRED):
+    """The field's INI key: same name, in [block], parsed and checked by `read`.
+
+    `default` is the text read when the key is absent; None leaves the field
+    None, and _REQUIRED makes the key required.
+    """
+    return field(metadata={"block": block, "read": read, "default": default})
+
+
+@dataclass(frozen=True)
+class ConfigDocument:
+    """Parsed and defaulted configuration, prior to physics resolution.
+
+    The fields are the INI grammar: each is the key of its name, and its
+    `_key` metadata holds the key's block, reader and default.
+    """
+
+    wavelength_nm: float = _key("species", _positive, "795.0")
+    delta_over_2pi_hz: float = _key("species", _as_float, "1.0e7")
+    omega_sg_over_2pi_hz: float = _key("species", _as_float, "-6.8e9")
+    sigma0_m2: float = _key("species", _positive, "1.082e-13")
+    cg_sq: float = _key("species", _fraction, "1.0")
+    mass_amu: float = _key("species", _positive, "87.0")
+    r0_m: float = _key("cloud", _positive)
+    temperature_k: float = _key("cloud", _positive)
+    n0_m3: float | None = _key("cloud", _positive, None)
+    target_od: float | None = _key("cloud", _positive, None)
+    n_atoms_override: int | None = _key("cloud", _at_least(1), None)
+    w_write_m: float = _key("beams", _positive)
+    w_signal_m: float = _key("beams", _positive)
+    w_idler_m: float = _key("beams", _positive)
+    theta_deg: float = _key("run", _tilt, "0.0")
+    tm_us: float = _key("run", _duration, "0.0")
+    seed: int = _key("run", _u64, "1")
+    method: str = _key("run", _method, "paraxial")
+    mc_atoms: int | None = _key("run", _at_least(2), None)
+    grid_n_cap: int = _key("run", _at_least(2), "256")
+    grid_n_base: int = _key("run", _at_least(2), "256")
+    grid_n_phi: int = _key("run", _at_least(2), "256")
+    grid_cap_mult: float = _key("run", _positive, "20.0")
+    raster_n: int = _key("run", _at_least(2), "512")
+
+
+_KEYS = {key.name: key.metadata for key in fields(ConfigDocument)}
+
+
+def _read_key(name: str, raw: str, path: str):
+    """Field `name` read from the text `raw`; an error names `path`, an INI path or a flag."""
+    return _KEYS[name]["read"](raw, path)
 
 
 def parse_config_text(text: str) -> ConfigDocument:
@@ -154,131 +179,42 @@ def parse_config_text(text: str) -> ConfigDocument:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"INI parse failure: {exc}") from None
+    known = {}
+    for name, key in _KEYS.items():
+        known.setdefault(key["block"], []).append(name)
+    blocks = ", ".join(f"[{block}]" for block in known)
     if cp.defaults():
-        raise ConfigError(
-            "[DEFAULT] block is not supported; put keys under "
-            "[species], [cloud], [beams], or [run]"
-        )
+        raise ConfigError(f"[DEFAULT] block is not supported; put keys under {blocks}")
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(
-                f"unknown block [{section}]; expected one of "
-                "[species], [cloud], [beams], [run]"
-            )
-        for key in cp.options(section):
-            if key not in _KNOWN_KEYS[section]:
-                hint = ", ".join(_KNOWN_KEYS[section])
-                raise ConfigError(f"[{section}] {key}: unknown key; known keys: {hint}")
-    for required in ("cloud", "beams"):
-        if not cp.has_section(required):
-            raise ConfigError(f"missing required block [{required}]")
+        if section not in known:
+            raise ConfigError(f"unknown block [{section}]; expected one of {blocks}")
+        for name in cp.options(section):
+            if name not in known[section]:
+                hint = ", ".join(known[section])
+                raise ConfigError(f"[{section}] {name}: unknown key; known keys: {hint}")
 
-    def get(section: str, key: str, defaults: dict | None = None) -> str | None:
-        if cp.has_section(section) and cp.has_option(section, key):
-            return cp.get(section, key)
-        if defaults is not None and key in defaults:
-            return defaults[key]
-        return None
+    values = {}
+    for name, key in _KEYS.items():
+        block = key["block"]
+        raw = cp.get(block, name, fallback=key["default"])
+        if raw is _REQUIRED:
+            if not cp.has_section(block):
+                raise ConfigError(f"missing required block [{block}]")
+            raise ConfigError(f"[{block}] {name}: missing required key")
+        values[name] = None if raw is None else _read_key(name, raw, f"[{block}] {name}")
 
-    sp = {k: _as_float(get("species", k, _SPECIES_DEFAULTS), f"[species] {k}")
-          for k in _SPECIES_DEFAULTS}
-
-    cloud_vals = {}
-    for key in _CLOUD_REQUIRED:
-        raw = get("cloud", key)
-        if raw is None:
-            raise ConfigError(f"[cloud] {key}: missing required key")
-        cloud_vals[key] = _require_positive(_as_float(raw, f"[cloud] {key}"), f"[cloud] {key}")
-    density_given = [k for k in _CLOUD_DENSITY if get("cloud", k) is not None]
+    density_given = [k for k in ("n0_m3", "target_od", "n_atoms_override") if values[k] is not None]
     if len(density_given) != 1:
         raise ConfigError(
             "[cloud]: exactly one of n0_m3 | target_od | n_atoms_override must be set "
             f"(found {density_given or 'none'})"
         )
-    n0 = target_od = None
-    n_override = None
-    key = density_given[0]
-    raw = get("cloud", key)
-    if key == "n0_m3":
-        n0 = _require_positive(_as_float(raw, "[cloud] n0_m3"), "[cloud] n0_m3")
-    elif key == "target_od":
-        target_od = _require_positive(_as_float(raw, "[cloud] target_od"), "[cloud] target_od")
-    else:
-        n_override = _as_int(raw, "[cloud] n_atoms_override")
-        if n_override < 1:
-            raise ConfigError("[cloud] n_atoms_override: must be >= 1")
-
-    beams = {}
-    for key in _BEAMS_REQUIRED:
-        raw = get("beams", key)
-        if raw is None:
-            raise ConfigError(f"[beams] {key}: missing required key")
-        beams[key] = _require_positive(_as_float(raw, f"[beams] {key}"), f"[beams] {key}")
-    if beams["w_signal_m"] != beams["w_idler_m"]:
+    if values["w_signal_m"] != values["w_idler_m"]:
         raise ConfigError(
             "[beams]: w_signal_m and w_idler_m must be equal "
             "(one collection width-ratio convention)"
         )
-
-    theta_deg = _as_float(get("run", "theta_deg", _RUN_DEFAULTS), "[run] theta_deg")
-    if not abs(theta_deg) < 90.0:
-        raise ConfigError(f"[run] theta_deg: need |theta_deg| < 90, got {theta_deg!r}")
-    tm_us = _as_float(get("run", "tm_us", _RUN_DEFAULTS), "[run] tm_us")
-    if tm_us < 0.0:
-        raise ConfigError(f"[run] tm_us: must be >= 0, got {tm_us!r}")
-    seed = _as_int(get("run", "seed", _RUN_DEFAULTS), "[run] seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("[run] seed: must fit in an unsigned 64-bit integer")
-    method = get("run", "method", _RUN_DEFAULTS).strip().lower()
-    if method not in ("paraxial", "angular"):
-        raise ConfigError(f"[run] method: expected paraxial or angular, got {method!r}")
-    raw_mc = get("run", "mc_atoms")
-    mc_atoms = None if raw_mc is None else _as_int(raw_mc, "[run] mc_atoms")
-    if mc_atoms is not None and mc_atoms < 2:
-        raise ConfigError("[run] mc_atoms: must be >= 2")
-    grid_ints = {
-        k: _as_int(get("run", k, _RUN_DEFAULTS), f"[run] {k}")
-        for k in ("grid_n_cap", "grid_n_base", "grid_n_phi", "raster_n")
-    }
-    for k, v in grid_ints.items():
-        if v < 2:
-            raise ConfigError(f"[run] {k}: must be >= 2, got {v}")
-    cap_mult = _require_positive(
-        _as_float(get("run", "grid_cap_mult", _RUN_DEFAULTS), "[run] grid_cap_mult"),
-        "[run] grid_cap_mult",
-    )
-
-    if sp["cg_sq"] <= 0.0 or sp["cg_sq"] > 1.0:
-        raise ConfigError(f"[species] cg_sq: must be in (0, 1], got {sp['cg_sq']!r}")
-    for k in ("wavelength_nm", "sigma0_m2", "mass_amu"):
-        _require_positive(sp[k], f"[species] {k}")
-
-    return ConfigDocument(
-        wavelength_nm=sp["wavelength_nm"],
-        delta_over_2pi_hz=sp["delta_over_2pi_hz"],
-        omega_sg_over_2pi_hz=sp["omega_sg_over_2pi_hz"],
-        sigma0_m2=sp["sigma0_m2"],
-        cg_sq=sp["cg_sq"],
-        mass_amu=sp["mass_amu"],
-        r0_m=cloud_vals["r0_m"],
-        temperature_k=cloud_vals["temperature_k"],
-        n0_m3=n0,
-        target_od=target_od,
-        n_atoms_override=n_override,
-        w_write_m=beams["w_write_m"],
-        w_signal_m=beams["w_signal_m"],
-        w_idler_m=beams["w_idler_m"],
-        theta_deg=theta_deg,
-        tm_us=tm_us,
-        seed=seed,
-        method=method,
-        mc_atoms=mc_atoms,
-        grid_n_cap=grid_ints["grid_n_cap"],
-        grid_n_base=grid_ints["grid_n_base"],
-        grid_n_phi=grid_ints["grid_n_phi"],
-        grid_cap_mult=cap_mult,
-        raster_n=grid_ints["raster_n"],
-    )
+    return ConfigDocument(**values)
 
 
 def read_config(path: str) -> ConfigDocument:

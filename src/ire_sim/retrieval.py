@@ -694,12 +694,11 @@ def _lobe_table(
     xg, wg = np.polynomial.legendre.leggauss(n_theta)
     thp = 0.5 * th_cap * (xg + 1.0)
     wth = 0.5 * th_cap * wg * np.sin(thp)
-    # Fbar depends on kx only through kx^2, so for an even n_phi the
+    # Fbar depends on kx only through kx^2, and n_phi is even, so the
     # azimuth nodes phi and pi - phi pair up; each pair is one column,
     # weighted twice.
     node = np.arange(n_phi)
-    if n_phi % 2 == 0:
-        node = np.minimum(node, (n_phi // 2 - 1 - node) % n_phi)
+    node = np.minimum(node, (n_phi // 2 - 1 - node) % n_phi)
     node, mult = np.unique(node, return_counts=True)
     phig = 2.0 * np.pi * (node + 0.5) / n_phi
     wphi = 2.0 * np.pi / n_phi * mult

@@ -312,6 +312,33 @@ def test_bad_seed_override(small_ini, capsys):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("seed", [12345678901234567, 2**53 + 1, 2**64 - 1])
+def test_ini_seed_reads_as_the_seed_flag(seed, small_ini, tmp_path, capsys):
+    # a seed read through a float would round to even past 2**53
+    ini = tmp_path / "seeded.ini"
+    ini.write_text(SMALL_INI.replace("seed      = 1", f"seed      = {seed}"))
+    assert main(["od", "--config", str(ini)]) == 0
+    from_ini = capsys.readouterr().out.splitlines()
+    assert main(["od", "--config", small_ini, "--seed", str(seed)]) == 0
+    from_flag = capsys.readouterr().out.splitlines()
+    assert f"seed = {seed}" in from_ini
+    assert from_ini == from_flag
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--seed", str(2**64)], "--seed"),
+    (["--mc-atoms", "1"], "--mc-atoms"),
+])
+def test_bad_override_names_its_flag(small_ini, tmp_path, capsys, flags, named):
+    out_dir = tmp_path / "o"
+    rc = main(["eta", "--config", small_ini, *flags, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert named in captured.err
+    assert not out_dir.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,14 +1,17 @@
-"""The README example runs, the demos import, the exports resolve, and dependencies match imports."""
+"""The README examples run and parse, the demos import, the exports resolve, and the
+dependencies match the imports."""
 
 import ast
 import re
 import runpy
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import ire_sim
+from ire_sim import ConfigDocument, config, parse_config_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,3 +55,18 @@ def test_every_exported_name_resolves():
     missing = [name for name in ire_sim.__all__ if not hasattr(ire_sim, name)]
     assert missing == []
     assert len(set(ire_sim.__all__)) == len(ire_sim.__all__)
+
+
+def test_readme_ini_block_is_the_grammar():
+    (block,) = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    doc = parse_config_text(block)
+    declared = sorted(key.name for key in fields(ConfigDocument))
+    # every key, the commented-out alternatives included, and each once
+    assert sorted(re.findall(r"^;?(\w+)\s+=", block, re.M)) == declared
+    assert sorted(re.findall(r"^    (\w+)\s+= ", config.__doc__, re.M)) == declared
+    # the optional blocks show the defaults
+    for key in fields(ConfigDocument):
+        if key.metadata["block"] in ("species", "run"):
+            default = key.metadata["default"]
+            expected = None if default is None else key.metadata["read"](default, key.name)
+            assert getattr(doc, key.name) == expected, key.name
