@@ -385,9 +385,16 @@ def _write_raster(
 
 
 def write_meta(path: str, mapping: dict) -> None:
-    """Write a *_meta.txt run record: one key=value line per entry, in order."""
+    """Write a *_meta.txt run record: one key=value line per entry, in order.
+
+    The record opens with package_version and closes with timestamp_utc,
+    the run's UTC time, so every record carries both and no caller writes
+    them.
+    """
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    record = {"package_version": __version__, **mapping, "timestamp_utc": stamp}
     with open(path, "w") as fh:
-        fh.writelines(f"{key}={value}\n" for key, value in mapping.items())
+        fh.writelines(f"{key}={value}\n" for key, value in record.items())
 
 
 def export_heatmap(
@@ -440,7 +447,6 @@ def export_heatmap(
 
     meta = {
         "format_version": "1",
-        "package_version": __version__,
         "kind": "angular_heatmap",
         "transition_wavelength_m": scenario.species.transition_wavelength,
         "detuning_delta_rad_s": scenario.species.detuning_delta,
@@ -470,10 +476,7 @@ def export_heatmap(
         "grid_cap_theta_min_rad": grid.cap_theta_min,
         "grid_k_times_w": grid.k_times_w,
         "raster_n": raster_n,
-        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    if extra:
-        meta.update(extra)
     paths.append(os.path.join(out_dir, "heatmap_meta.txt"))
-    write_meta(paths[-1], meta)
+    write_meta(paths[-1], {**meta, **(extra or {})})
     return paths

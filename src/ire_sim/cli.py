@@ -18,9 +18,6 @@ The result CSVs and rasters are deterministic in (config, seed, flags); the
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime
-import math
 import os
 import sys
 from dataclasses import replace
@@ -45,7 +42,8 @@ from .config import (
     read_config,
     resolution_report,
 )
-from .experiments import SWEEP_AXES, SWEEP_METHODS, SweepSpec, _g9, run_sweep, write_sweep_csv
+from .experiments import (SWEEP_AXES, SWEEP_METHODS, SweepSpec, _descriptors, _g9, run_sweep,
+                          write_rows, write_sweep_csv)
 from .ensemble import SHELLS
 from .retrieval import (
     PRUNE_FLOOR,
@@ -169,14 +167,14 @@ def _load(args):
     return doc, scenario
 
 
-def _stream_record(threads: int) -> dict:
+def _stream_record(threads: int, streamed_in_region) -> dict:
     """The meta keys that say which stream made a result.
 
     numpy does not promise the same Generator.multinomial draw across its
     versions (NEP 19), and that draw sets how many atoms each shell holds.
     """
-    return {"threads": threads, "numpy_version": np.__version__,
-            "shells": SHELLS, "prune_floor": PRUNE_FLOOR}
+    return {"threads": threads, "numpy_version": np.__version__, "shells": SHELLS,
+            "prune_floor": PRUNE_FLOOR, "streamed_in_region": streamed_in_region}
 
 
 def _print_report(report: dict) -> None:
@@ -202,8 +200,12 @@ def _grid_from_doc(doc, scenario: Scenario):
         raise ConfigError(f"[run] grid_*: {exc}") from None
 
 
-def _guard_angular(scenario: Scenario) -> None:
-    """Reject a configuration the angular path cannot run: a subsample or too many atoms."""
+def _angular_setup(doc, scenario: Scenario):
+    """The INI's sphere grid for an angular run of the scenario.
+
+    ConfigError for what the angular path cannot run: a subsample, too many
+    atoms, or a grid that build_grid rejects.
+    """
     if scenario.mc_atoms is not None:
         raise ConfigError(
             "mc_atoms applies to the paraxial estimator only; the angular path "
@@ -216,13 +218,27 @@ def _guard_angular(scenario: Scenario) -> None:
             "(set [cloud] n_atoms_override for a reduced instance, or use "
             "method = paraxial)"
         )
+    return _grid_from_doc(doc, scenario)
+
+
+def _write_run_record(args, doc, name: str, own: dict, report: dict, streamed, result: dict):
+    """Write the eta or sweep run record `name` into the output directory.
+
+    In order: the config path, the command's own keys, the method (and for
+    angular the INI's sphere grid), the resolution report, the stream and
+    the result.
+    """
+    method = ("method", *_GRID_KEYS) if doc.method == "angular" else ("method",)
+    record = {"config_path": os.path.abspath(args.config), **own}
+    record.update({key: getattr(doc, key) for key in method})
+    record.update({**report, **_stream_record(args.threads, streamed), **result})
+    write_meta(os.path.join(args.out, name), record)
 
 
 def _cmd_eta(args) -> int:
     doc, scenario = _load(args)
     if doc.method == "angular":
-        _guard_angular(scenario)
-        estimate = partial(eta_angular, grid=_grid_from_doc(doc, scenario))
+        estimate = partial(eta_angular, grid=_angular_setup(doc, scenario))
     else:
         estimate = eta_paraxial
     report = resolution_report(scenario)
@@ -234,33 +250,10 @@ def _cmd_eta(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "eta.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ETA_CSV_COLUMNS)
-        writer.writerow(
-            [
-                _g9(report["optical_depth"]),
-                _g9(report["width_ratio"]),
-                _g9(report["skew_theta_deg"]),
-                _g9(report["storage_tm_us"]),
-                str(est.n_atoms),
-                est.method,
-                str(est.seed),
-                _g9(est.eta),
-                _g9(est.numerator),
-                _g9(est.denominator),
-            ]
-        )
-    meta = {"package_version": __version__, "config_path": os.path.abspath(args.config)}
-    meta.update(report)
-    meta.update(_stream_record(args.threads))
-    meta["streamed_in_region"] = _in_region(scenario)[0]
-    meta["n_kept"] = est.n_kept
-    meta["dropped_amplitude"] = est.dropped_amplitude
-    meta["clamped"] = est.clamped
-    meta["lobe_fraction"] = est.lobe_fraction
-    meta["timestamp_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    write_meta(os.path.join(args.out, "eta_meta.txt"), meta)
+    write_rows(csv_path, ETA_CSV_COLUMNS, [{**_descriptors(scenario), **vars(est)}])
+    # the fields of the estimate that eta.csv does not hold go to the record
+    result = {key: value for key, value in vars(est).items() if key not in ETA_CSV_COLUMNS}
+    _write_run_record(args, doc, "eta_meta.txt", {}, report, _in_region(scenario)[0], result)
     print(f"wrote {csv_path}")
     return 0
 
@@ -276,8 +269,7 @@ def _cmd_sweep(args) -> int:
     doc, scenario = _load(args)
     values = _parse_values(args.values)
     if doc.method == "angular":
-        _guard_angular(scenario)
-        _grid_from_doc(doc, scenario)  # the base's grid: a bad INI grid fails before any row
+        _angular_setup(doc, scenario)  # the base's grid: a bad INI grid fails before any row
     try:
         spec = SweepSpec(scenario, args.sweep, values, args.replicates, doc.method)
     except ValueError as exc:
@@ -294,21 +286,10 @@ def _cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     write_sweep_csv(rows, csv_path)
-    meta = {
-        "package_version": __version__,
-        "config_path": os.path.abspath(args.config),
-        "axis": args.sweep,
-        "values": ",".join(_g9(v) for v in values),
-        "replicates": args.replicates,
-        "method": spec.method,
-    }
-    if spec.method == "angular":
-        meta.update({key: getattr(doc, key) for key in _GRID_KEYS})
-    meta.update(resolution_report(scenario))
-    meta.update(_stream_record(args.threads))
-    meta["streamed_in_region"] = ",".join(str(row.n_streamed) for row in rows)
-    meta["timestamp_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    write_meta(os.path.join(args.out, "sweep_meta.txt"), meta)
+    own = {"axis": args.sweep, "values": ",".join(_g9(v) for v in values),
+           "replicates": args.replicates}
+    _write_run_record(args, doc, "sweep_meta.txt", own, resolution_report(scenario),
+                      ",".join(str(row.n_streamed) for row in rows), {})
     print(f"wrote {csv_path}")
     if all(row.error is not None for row in rows):
         return 1
@@ -317,8 +298,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_angular(args) -> int:
     doc, scenario = _load(args)
-    _guard_angular(scenario)
-    grid = _grid_from_doc(doc, scenario)
+    grid = _angular_setup(doc, scenario)
     field = angular_field(scenario, grid, threads=args.threads)
     eta_ref = eta_reference(field, grid)
     print(f"eta_reference = {eta_ref:.9g}")
@@ -328,7 +308,8 @@ def _cmd_angular(args) -> int:
         scenario,
         args.out,
         raster_n=doc.raster_n,
-        extra={"config_path": os.path.abspath(args.config), **_stream_record(args.threads)},
+        extra={"config_path": os.path.abspath(args.config),
+               **_stream_record(args.threads, _in_region(scenario)[0])},
     )
     for path in paths:
         print(f"wrote {path}")

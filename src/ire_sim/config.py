@@ -37,9 +37,11 @@ A run is described by an INI document with four blocks:
     raster_n              = 512       heatmap raster edge length
 
 Interface units are degrees and microseconds; everything internal is SI.
-Integer keys are read exactly, not through a float.  Unknown blocks or keys
-are rejected with the offending path named, so a typo cannot silently fall
-back to a default.  Each key is declared once, as a ConfigDocument field.
+Integer keys are read exactly, not through a float.  A `%` in a value is
+literal text; `%(w_write_m)s` does not refer to another key.  Unknown
+blocks or keys are rejected with the offending path named, so a typo cannot
+silently fall back to a default.  Each key is declared once, as a
+ConfigDocument field.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def _read_key(name: str, raw: str, path: str):
 
 def parse_config_text(text: str) -> ConfigDocument:
     """Parse an INI document string into a ConfigDocument."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -140,18 +140,19 @@ def scenario_for_value(base: Scenario, axis: str, value: float) -> Scenario:
     raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
-# Position of each axis's own column among the _descriptors values.
-_AXIS_COLUMN = {"optical_depth": 0, "width_ratio": 1, "skew_angle": 2, "storage_time": 3}
+# Each axis's own column among the _descriptors columns.
+_AXIS_COLUMN = {"optical_depth": "od", "width_ratio": "wr", "skew_angle": "theta_deg",
+                "storage_time": "tm_us"}
 
 
-def _descriptors(scenario: Scenario) -> tuple[float, float, float, float]:
-    od = optical_depth(scenario.cloud, scenario.species, scenario.write_mode)
-    return (
-        od,
-        scenario.width_ratio,
-        math.degrees(scenario.skew_theta),
-        scenario.storage_tm * 1e6,
-    )
+def _descriptors(scenario: Scenario) -> dict[str, float]:
+    """The od, wr, theta_deg and tm_us columns of a result row at the scenario."""
+    return {
+        "od": optical_depth(scenario.cloud, scenario.species, scenario.write_mode),
+        "wr": scenario.width_ratio,
+        "theta_deg": math.degrees(scenario.skew_theta),
+        "tm_us": scenario.storage_tm * 1e6,
+    }
 
 
 def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> list[SweepRow]:
@@ -202,15 +203,14 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
     for i, value in enumerate(spec.values):
         if i in failed:
             # the base's descriptors, with the failed axis value echoed
-            desc = list(_descriptors(spec.base))
-            desc[_AXIS_COLUMN[spec.axis]] = value
+            desc = {**_descriptors(spec.base), _AXIS_COLUMN[spec.axis]: value}
             error = f"{type(failed[i]).__name__}: {failed[i]}"
-            rows.append(SweepRow(*desc, spec.base.n_atoms, spec.method, spec.replicates,
+            rows.append(SweepRow(*desc.values(), spec.base.n_atoms, spec.method, spec.replicates,
                                  math.nan, math.nan, (), spec.base.seed, error))
         else:
             scenario, desc = points[i]
             n_streamed = sum(_in_region(s)[0] for s, _ in runs[i])
-            rows.append(SweepRow(*desc, scenario.n_atoms, spec.method, spec.replicates,
+            rows.append(SweepRow(*desc.values(), scenario.n_atoms, spec.method, spec.replicates,
                                  *aggregate(etas[i]), etas[i], spec.base.seed,
                                  n_streamed=n_streamed))
     return rows
@@ -220,34 +220,34 @@ def _g9(x: float) -> str:
     return f"{x:.9g}"
 
 
+def write_rows(path: str, columns, records) -> None:
+    """Write a CSV: the header `columns`, then one row per record.
+
+    A record maps each column to its value (other keys are not written); a
+    float is written with 9 significant digits and any other value with
+    str, and a missing column raises KeyError. The writer emits unix
+    newlines so reruns compare byte-for-byte.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for record in records:
+            values = (record[column] for column in columns)
+            writer.writerow(_g9(v) if isinstance(v, float) else str(v) for v in values)
+
+
 def write_sweep_csv(rows, path: str) -> None:
     """Write sweep rows as CSV with the fixed column set.
 
     Column order is SWEEP_CSV_COLUMNS; numeric fields use 9 significant
     digits; etas_json is a JSON list of the per-replicate efficiencies, or a
-    JSON object {"error": message} for a failed row. The writer emits
-    unix newlines so reruns compare byte-for-byte.
+    JSON object {"error": message} for a failed row.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for row in rows:
-            if row.error is not None:
-                etas_json = json.dumps({"error": row.error})
-            else:
-                etas_json = json.dumps([float(_g9(e)) for e in row.etas])
-            writer.writerow(
-                [
-                    _g9(row.od),
-                    _g9(row.wr),
-                    _g9(row.theta_deg),
-                    _g9(row.tm_us),
-                    str(row.n_atoms),
-                    row.method,
-                    str(row.replicates),
-                    _g9(row.eta_mean),
-                    _g9(row.eta_stderr),
-                    etas_json,
-                    str(row.seed_base),
-                ]
-            )
+
+    def etas_json(row: SweepRow) -> str:
+        if row.error is not None:
+            return json.dumps({"error": row.error})
+        return json.dumps([float(_g9(e)) for e in row.etas])
+
+    write_rows(path, SWEEP_CSV_COLUMNS,
+               ({**vars(row), "etas_json": etas_json(row)} for row in rows))

@@ -628,9 +628,11 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
     return _estimate(scenario, _eta_stream([scenario], threads)[0])
 
 
-# Validated quadrature densities for the lobe integral: polar node spacing
-# (rad) and azimuthal node count per cap-width unit; refining either by 1.5x
-# moves the canonical results by < 1e-3 relative.
+# Quadrature densities for the lobe integral: polar node spacing (rad),
+# azimuthal node count per cap-width unit and the (z, y) source grid.
+# Refining all four by 1.5x moves C of the canonical cloud by < 1e-7
+# relative at 0 deg / 0 us and at 2 deg / 100 us (measured: 9.0e-9 and
+# 1.7e-9), where the lobe is 91 % and 57 % of the denominator.
 _LOBE_THETA_SPACING = 5.25e-4
 _LOBE_PHI_PER_CAP = 24.0
 _LOBE_N_Z, _LOBE_N_Y = 256, 448  # trapezoid nodes of the (z, y) source grid
@@ -652,8 +654,9 @@ def coherent_lobe_power(scenario: Scenario) -> float:
     transverse y-dependence of the x-width is negligible); (y, z) is a
     trapezoid grid; the cap uses Gauss-Legendre nodes in the polar angle
     and midpoint nodes in azimuth. Node counts follow from the module's
-    quadrature constants, whose refinement was verified stable; the cap
-    half-width adapts to the tilt so the lobe stays covered.
+    quadrature constants; refining them all by 1.5x moves C by < 1e-7
+    relative at 0 deg / 0 us and 2 deg / 100 us. The cap half-width adapts
+    to the tilt so the lobe stays covered.
 
     The storage time enters only through that damping, so the quadrature
     is kept as a per-node table of w |Fbar_0|^2 (quadrature weight times

@@ -351,3 +351,59 @@ def test_requires_subcommand(capsys):
         main([])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("line, value, named", [
+    ("method    = paraxial", "method    = 50%", "[run] method"),
+    ("w_signal_m = 35e-6", "w_signal_m = %(w_write_m)s", "[beams] w_signal_m"),
+], ids=["method", "w_signal_m"])
+def test_percent_in_a_value_is_literal(line, value, named, tmp_path, capsys):
+    # no interpolation: '50%' is a bad method, and '%(w_write_m)s' is not
+    # the write waist (which would run width ratio 1.0)
+    ini = tmp_path / "percent.ini"
+    ini.write_text(SMALL_INI.replace(line, value))
+    rc = main(["od", "--config", str(ini)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert named in captured.err
+
+
+def test_eta_meta_records_the_method_and_grid(small_ini, angular_ini, tmp_path, capsys):
+    assert main(["eta", "--config", small_ini, "--out", str(tmp_path / "p")]) == 0
+    assert main(["eta", "--config", angular_ini, "--method", "angular",
+                 "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    paraxial = read_meta(tmp_path / "p" / "eta_meta.txt")
+    assert paraxial["method"] == "paraxial"
+    assert not any(key.startswith("grid_") for key in paraxial)
+    angular = read_meta(tmp_path / "a" / "eta_meta.txt")
+    assert angular["method"] == "angular"
+    grid = [angular[key] for key in ("grid_n_cap", "grid_n_base", "grid_n_phi", "grid_cap_mult")]
+    assert grid == ["64", "48", "32", "20.0"]
+
+
+def test_every_meta_opens_with_the_version_and_closes_with_the_time(
+        small_ini, angular_ini, tmp_path, capsys):
+    assert main(["eta", "--config", small_ini, "--out", str(tmp_path / "e")]) == 0
+    assert main(["sweep", "--config", small_ini, "--sweep", "storage_time", "--values", "0",
+                 "--replicates", "1", "--out", str(tmp_path / "s")]) == 0
+    assert main(["angular", "--config", angular_ini, "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    for path in (tmp_path / "e" / "eta_meta.txt", tmp_path / "s" / "sweep_meta.txt",
+                 tmp_path / "a" / "heatmap_meta.txt"):
+        lines = path.read_text().splitlines()
+        assert lines[0] == f"package_version={__version__}"
+        assert lines[-1].startswith("timestamp_utc=")
+        keys = [line.split("=", 1)[0] for line in lines]
+        assert len(keys) == len(set(keys))
+        assert "config_path" in keys and "streamed_in_region" in keys
+
+
+def test_heatmap_meta_records_the_stream(angular_ini, tmp_path, capsys):
+    assert main(["angular", "--config", angular_ini, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    meta = read_meta(tmp_path / "o" / "heatmap_meta.txt")
+    streamed = _in_region(canonical_scenario(n_atoms_override=3000))[0]
+    assert meta["streamed_in_region"] == str(streamed)
+    assert 0 < int(meta["n_kept"]) <= streamed < 3000

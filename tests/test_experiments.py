@@ -157,3 +157,16 @@ def test_angular_sweep_method():
     assert all(r.error is None for r in rows)
     assert all(r.method == "angular" for r in rows)
     assert all(0.0 <= r.eta_mean <= 1.02 for r in rows)
+
+
+def test_write_rows_formats_by_type_and_requires_every_column(tmp_path):
+    from ire_sim.experiments import write_rows
+
+    path = tmp_path / "rows.csv"
+    records = [{"x": 1.0 / 3.0, "n": 20_000, "ok": True, "name": "a,b", "extra": 1.0}]
+    write_rows(str(path), ("x", "n", "ok", "name"), records)
+    # floats at 9 significant digits, the rest through str; keys that are
+    # not columns are not written
+    assert path.read_bytes() == b'x,n,ok,name\n0.333333333,20000,True,"a,b"\n'
+    with pytest.raises(KeyError):
+        write_rows(str(path), ("x", "missing"), records)

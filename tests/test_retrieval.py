@@ -331,6 +331,29 @@ def test_lobe_power_ignores_seed_and_subsampling():
     assert a == b
 
 
+@pytest.mark.parametrize("theta_deg, tm_us", [(0.0, 0.0), (2.0, 100.0)])
+def test_lobe_quadrature_refinement_moves_c_by_under_1e_7(theta_deg, tm_us, monkeypatch):
+    # all four quadrature densities refined by 1.5x; the lobe is 91 % of the
+    # denominator at 0 deg / 0 us and 57 % at 2 deg / 100 us. The densities
+    # are not part of the table's cache key, so the cache is cleared around
+    # the refined call.
+    import ire_sim.retrieval as retrieval
+
+    scn = canonical_scenario(skew_theta=math.radians(theta_deg), storage_tm=tm_us * 1e-6)
+    retrieval._lobe_table.cache_clear()
+    try:
+        base = coherent_lobe_power(scn)
+        monkeypatch.setattr(retrieval, "_LOBE_THETA_SPACING", retrieval._LOBE_THETA_SPACING / 1.5)
+        monkeypatch.setattr(retrieval, "_LOBE_PHI_PER_CAP", retrieval._LOBE_PHI_PER_CAP * 1.5)
+        monkeypatch.setattr(retrieval, "_LOBE_N_Z", 384)
+        monkeypatch.setattr(retrieval, "_LOBE_N_Y", 672)
+        retrieval._lobe_table.cache_clear()
+        refined = coherent_lobe_power(scn)
+    finally:
+        retrieval._lobe_table.cache_clear()
+    assert refined == pytest.approx(base, rel=1e-7)
+
+
 def test_lobe_power_scales_with_density_squared():
     # C is the coherent pair term: quadratic in the mean field's density.
     c1 = coherent_lobe_power(canonical_scenario(peak_density_n0=1e17))
