@@ -628,14 +628,20 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
     return _estimate(scenario, _eta_stream([scenario], threads)[0])
 
 
-# Quadrature densities for the lobe integral: polar node spacing (rad),
-# azimuthal node count per cap-width unit and the (z, y) source grid.
-# Refining all four by 1.5x moves C of the canonical cloud by < 1e-7
-# relative at 0 deg / 0 us and at 2 deg / 100 us (measured: 9.0e-9 and
-# 1.7e-9), where the lobe is 91 % and 57 % of the denominator.
-_LOBE_THETA_SPACING = 5.25e-4
-_LOBE_PHI_PER_CAP = 24.0
-_LOBE_N_Z, _LOBE_N_Y = 256, 448  # trapezoid nodes of the (z, y) source grid
+# Quadrature of the lobe integral: polar node spacing (rad) and floor,
+# azimuthal nodes per cap-width unit and floor, the (z, y) source grid's
+# trapezoid nodes, and the z box half-width in units of r0. Against a
+# reference with every density and floor 2x finer and a +-9 r0 box, C of
+# the canonical cloud is within 1e-10 relative at 0 deg / 0 us and at
+# 2 deg / 100 and 200 us (measured: <= 8e-13), where the lobe is 91 %,
+# 57 % and 1 % of the denominator. A table takes 0.01-0.02 s at 0-4 deg
+# on one BLAS thread.
+_LOBE_THETA_SPACING = 1.575e-3
+_LOBE_N_THETA_MIN = 48
+_LOBE_PHI_PER_CAP = 12.0
+_LOBE_N_PHI_MIN = 24  # even, so the azimuth nodes pair up
+_LOBE_N_Z, _LOBE_N_Y = 128, 128
+_LOBE_Z_HALF_WIDTH = 7.0
 
 
 def coherent_lobe_power(scenario: Scenario) -> float:
@@ -653,10 +659,11 @@ def coherent_lobe_power(scenario: Scenario) -> float:
     closed form with a complex width (envelopes plus curvature phases,
     transverse y-dependence of the x-width is negligible); (y, z) is a
     trapezoid grid; the cap uses Gauss-Legendre nodes in the polar angle
-    and midpoint nodes in azimuth. Node counts follow from the module's
-    quadrature constants; refining them all by 1.5x moves C by < 1e-7
-    relative at 0 deg / 0 us and 2 deg / 100 us. The cap half-width adapts
-    to the tilt so the lobe stays covered.
+    and midpoint nodes in azimuth. Node counts and the z box follow from
+    the module's quadrature constants; C is within 1e-10 relative of a
+    quadrature with every density and floor 2x finer in a +-9 r0 box, at
+    0 deg / 0 us and 2 deg / 100 and 200 us. The cap half-width adapts to
+    the tilt so the lobe stays covered.
 
     The storage time enters only through that damping, so the quadrature
     is kept as a per-node table of w |Fbar_0|^2 (quadrature weight times
@@ -690,8 +697,8 @@ def _lobe_table(
     z_w, z_s = write.rayleigh_z, signal.rayleigh_z
     w_eff = 1.0 / math.sqrt(1.0 / w_w**2 + 1.0 / w_s**2)
     th_cap = abs(theta) + 12.0 / (kn.k_i * w_eff)
-    n_theta = max(96, int(math.ceil(th_cap / _LOBE_THETA_SPACING)))
-    n_phi = max(24, 2 * int(math.ceil(_LOBE_PHI_PER_CAP * th_cap / 0.0502 / 2.0)))
+    n_theta = max(_LOBE_N_THETA_MIN, int(math.ceil(th_cap / _LOBE_THETA_SPACING)))
+    n_phi = max(_LOBE_N_PHI_MIN, 2 * int(math.ceil(_LOBE_PHI_PER_CAP * th_cap / 0.0502 / 2.0)))
     ct, st = math.cos(theta), math.sin(theta)
 
     xg, wg = np.polynomial.legendre.leggauss(n_theta)
@@ -707,7 +714,7 @@ def _lobe_table(
     wphi = 2.0 * np.pi / n_phi * mult
 
     y_max = 6.615 * w_eff
-    zs = np.linspace(-5.0 * r0, 5.0 * r0, _LOBE_N_Z)
+    zs = np.linspace(-_LOBE_Z_HALF_WIDTH * r0, _LOBE_Z_HALF_WIDTH * r0, _LOBE_N_Z)
     ys = np.linspace(-y_max, y_max, _LOBE_N_Y)
     dz = zs[1] - zs[0]
     dy = ys[1] - ys[0]

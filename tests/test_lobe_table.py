@@ -17,7 +17,7 @@ from ire_sim import retrieval
 from conftest import canonical_scenario
 
 
-def node_by_node_lobe(scenario, n_z=256, n_y=448):
+def node_by_node_lobe(scenario, n_z=128, n_y=128):
     """The lobe quadrature as one mat-vec per cap node, with its own node counts."""
     kn = wavenumbers(scenario.species)
     cloud = scenario.cloud
@@ -30,8 +30,8 @@ def node_by_node_lobe(scenario, n_z=256, n_y=448):
     sig_v = thermal_velocity_sigma(cloud)
     w_eff = 1.0 / math.sqrt(1.0 / w_w**2 + 1.0 / w_s**2)
     th_cap = abs(theta) + 12.0 / (kn.k_i * w_eff)
-    n_theta = max(96, int(math.ceil(th_cap / 5.25e-4)))
-    n_phi = max(24, 2 * int(math.ceil(24.0 * th_cap / 0.0502 / 2.0)))
+    n_theta = max(48, int(math.ceil(th_cap / 1.575e-3)))
+    n_phi = max(24, 2 * int(math.ceil(12.0 * th_cap / 0.0502 / 2.0)))
     ct, st = math.cos(theta), math.sin(theta)
     r0 = cloud.sigma_r0
     n0 = cloud.peak_density_n0
@@ -43,7 +43,7 @@ def node_by_node_lobe(scenario, n_z=256, n_y=448):
     wphi = 2.0 * np.pi / n_phi
 
     y_max = 6.615 * w_eff
-    zs = np.linspace(-5.0 * r0, 5.0 * r0, n_z)
+    zs = np.linspace(-7.0 * r0, 7.0 * r0, n_z)
     ys = np.linspace(-y_max, y_max, n_y)
     dz = zs[1] - zs[0]
     dy = ys[1] - ys[0]

@@ -18,6 +18,7 @@ from ire_sim import (
     transverse_amplitude,
     wavenumbers,
 )
+from ire_sim import retrieval
 from ire_sim.cli import main as cli_main
 from ire_sim.ensemble import _GAUSS_VOLUME, ATOMIC_MASS_UNIT, SHELLS, shell_counts
 from ire_sim.retrieval import (
@@ -73,10 +74,10 @@ PROJECTION_POINTS = (
 # Phase-matched lobe powers for the canonical cloud (regression values from
 # this quadrature; the untilted one agrees with an independent axisymmetric
 # Bessel-transform evaluation, frozen below, to 4e-5 relative).
-LOBE_0DEG_0US = 3480950.343776308
+LOBE_0DEG_0US = 3480951.0588984517
 LOBE_0DEG_0US_INDEPENDENT = 3481085.819397157
-LOBE_2DEG_0US = 2708405.5174945137
-LOBE_2DEG_100US = 347638.75774652296
+LOBE_2DEG_0US = 2708405.5811804966
+LOBE_2DEG_100US = 347638.7711967298
 
 
 def test_wavenumbers_frozen():
@@ -331,27 +332,63 @@ def test_lobe_power_ignores_seed_and_subsampling():
     assert a == b
 
 
-@pytest.mark.parametrize("theta_deg, tm_us", [(0.0, 0.0), (2.0, 100.0)])
-def test_lobe_quadrature_refinement_moves_c_by_under_1e_7(theta_deg, tm_us, monkeypatch):
-    # all four quadrature densities refined by 1.5x; the lobe is 91 % of the
-    # denominator at 0 deg / 0 us and 57 % at 2 deg / 100 us. The densities
-    # are not part of the table's cache key, so the cache is cleared around
-    # the refined call.
-    import ire_sim.retrieval as retrieval
+def _lobe_with(scn, monkeypatch, **constants):
+    """C of scn with some of retrieval's lobe quadrature constants replaced.
 
-    scn = canonical_scenario(skew_theta=math.radians(theta_deg), storage_tm=tm_us * 1e-6)
+    The constants are not part of the table's cache key, so the cache is
+    cleared around the call.
+    """
     retrieval._lobe_table.cache_clear()
     try:
-        base = coherent_lobe_power(scn)
-        monkeypatch.setattr(retrieval, "_LOBE_THETA_SPACING", retrieval._LOBE_THETA_SPACING / 1.5)
-        monkeypatch.setattr(retrieval, "_LOBE_PHI_PER_CAP", retrieval._LOBE_PHI_PER_CAP * 1.5)
-        monkeypatch.setattr(retrieval, "_LOBE_N_Z", 384)
-        monkeypatch.setattr(retrieval, "_LOBE_N_Y", 672)
-        retrieval._lobe_table.cache_clear()
-        refined = coherent_lobe_power(scn)
+        with monkeypatch.context() as patch:
+            for name, value in constants.items():
+                patch.setattr(retrieval, name, value)
+            return coherent_lobe_power(scn)
     finally:
         retrieval._lobe_table.cache_clear()
-    assert refined == pytest.approx(base, rel=1e-7)
+
+
+@pytest.mark.parametrize("theta_deg, tm_us", [(0.0, 0.0), (2.0, 100.0)])
+def test_lobe_quadrature_refinement_moves_c_by_under_1e_10(theta_deg, tm_us, monkeypatch):
+    # every quadrature density and both node floors refined by 1.5x in the
+    # same box (measured: <= 4e-14); the lobe is 91 % of the denominator at
+    # 0 deg / 0 us and 57 % at 2 deg / 100 us. At 0 deg the polar floor
+    # binds, so refining only the spacing would leave theta as it was.
+    scn = canonical_scenario(skew_theta=math.radians(theta_deg), storage_tm=tm_us * 1e-6)
+    base = _lobe_with(scn, monkeypatch)
+    refined = _lobe_with(
+        scn, monkeypatch,
+        _LOBE_THETA_SPACING=retrieval._LOBE_THETA_SPACING / 1.5,
+        _LOBE_N_THETA_MIN=round(retrieval._LOBE_N_THETA_MIN * 1.5),
+        _LOBE_PHI_PER_CAP=retrieval._LOBE_PHI_PER_CAP * 1.5,
+        _LOBE_N_PHI_MIN=round(retrieval._LOBE_N_PHI_MIN * 1.5),
+        _LOBE_N_Z=round(retrieval._LOBE_N_Z * 1.5),
+        _LOBE_N_Y=round(retrieval._LOBE_N_Y * 1.5),
+    )
+    assert refined == pytest.approx(base, rel=1e-10)
+
+
+@pytest.mark.parametrize("theta_deg, tm_us", [(0.0, 0.0), (2.0, 100.0), (2.0, 200.0)])
+def test_lobe_quadrature_matches_a_finer_grid_in_a_wider_box(theta_deg, tm_us, monkeypatch):
+    # The whole quadrature error, the z box's truncation of the cloud
+    # included: every density and both floors 2x finer, and the z box
+    # widened to +-9 r0 at half the z spacing (measured: <= 8e-13). A
+    # +-5 r0 box reads C 2e-7 low at 0 deg, however fine its nodes.
+    half_width = 9.0
+    n_z = round(2 * (retrieval._LOBE_N_Z - 1) * half_width / retrieval._LOBE_Z_HALF_WIDTH) + 1
+    scn = canonical_scenario(skew_theta=math.radians(theta_deg), storage_tm=tm_us * 1e-6)
+    base = _lobe_with(scn, monkeypatch)
+    reference = _lobe_with(
+        scn, monkeypatch,
+        _LOBE_THETA_SPACING=retrieval._LOBE_THETA_SPACING / 2,
+        _LOBE_N_THETA_MIN=retrieval._LOBE_N_THETA_MIN * 2,
+        _LOBE_PHI_PER_CAP=retrieval._LOBE_PHI_PER_CAP * 2,
+        _LOBE_N_PHI_MIN=retrieval._LOBE_N_PHI_MIN * 2,
+        _LOBE_N_Z=n_z,
+        _LOBE_N_Y=retrieval._LOBE_N_Y * 2,
+        _LOBE_Z_HALF_WIDTH=half_width,
+    )
+    assert base == pytest.approx(reference, rel=1e-10)
 
 
 def test_lobe_power_scales_with_density_squared():
