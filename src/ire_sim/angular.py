@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import datetime
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -372,16 +373,25 @@ def _write_raster(
     """Write raster rows `theta,phi,re,im`, each value as %.17g, to fh.
 
     Byte-identical to np.savetxt(fmt="%.17g", delimiter=",") of the same
-    rows, but each axis value and each referenced node value is formatted
-    once, and each theta row of cells is joined from those strings.
+    rows. Each cell copies its nearest node (_raster_nodes), so every theta
+    row that maps to the same polar level holds the same `phi,re,im`
+    cells. The cells of a level are built once, from that level's node
+    values formatted once, when the level first appears (levels rise with
+    theta); each row is then written as t + t.join(cells), t its `theta,`.
+    Only the current level's cells are held, never a per-cell array.
     """
-    used, cell = np.unique(_raster_nodes(grid, theta_axis, phi_axis), return_inverse=True)
-    v = values[used]
-    node_txt = ["%.17g,%.17g\n" % pair for pair in zip(v.real.tolist(), v.imag.tolist())]
+    row_level = _raster_nodes(grid, theta_axis, phi_axis[:1])[:, 0] // grid.n_phi
+    column = (_raster_nodes(grid, theta_axis[:1], phi_axis)[0] % grid.n_phi).tolist()
     phi_txt = ["%.17g," % p for p in phi_axis.tolist()]
-    for t, row in zip(theta_axis.tolist(), cell.reshape(theta_axis.size, phi_axis.size)):
+    level = cells = None
+    for t, lvl in zip(theta_axis.tolist(), row_level.tolist()):
+        if lvl != level:
+            v = values[lvl * grid.n_phi:(lvl + 1) * grid.n_phi]
+            node_txt = list(map("%.17g,%.17g\n".__mod__, zip(v.real.tolist(), v.imag.tolist())))
+            cells = list(map(operator.add, phi_txt, map(node_txt.__getitem__, column)))
+            level = lvl
         t_txt = "%.17g," % t
-        fh.write("".join(t_txt + p + node_txt[c] for p, c in zip(phi_txt, row.tolist())))
+        fh.write(t_txt + t_txt.join(cells))
 
 
 def write_meta(path: str, mapping: dict) -> None:
@@ -420,6 +430,9 @@ def export_heatmap(
     so dropped_amplitude (in the units of the raw field) applies to the
     raster values after the same division. A vanishing or non-finite sphere
     norm raises ArithmeticError.
+
+    extra appends keys to the meta; one that repeats a key the export writes
+    itself raises ValueError before any file is written.
     """
     norm = sphere_norm(field, grid)
     if norm <= 0.0 or not math.isfinite(norm):
@@ -427,23 +440,6 @@ def export_heatmap(
     values = field.values / math.sqrt(norm)
     if raster_n < 2:
         raise ValueError("raster_n must be >= 2")
-    os.makedirs(out_dir, exist_ok=True)
-
-    def axis(lo: float, hi: float, n: int) -> np.ndarray:
-        return lo + (hi - lo) * (np.arange(n) + 0.5) / n
-
-    header = "theta_rad,phi_rad,re,im"
-    phi_axis = axis(0.0, 2.0 * math.pi, raster_n)
-    paths = []
-    for name, tlo, thi in (
-        ("heatmap_sphere.csv", 0.0, math.pi),
-        ("heatmap_cap.csv", grid.cap_theta_min, math.pi),
-    ):
-        path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            _write_raster(fh, values, grid, axis(tlo, thi, raster_n), phi_axis)
-        paths.append(path)
 
     meta = {
         "format_version": "1",
@@ -477,6 +473,28 @@ def export_heatmap(
         "grid_k_times_w": grid.k_times_w,
         "raster_n": raster_n,
     }
+    extra = extra or {}
+    repeated = sorted(meta.keys() & extra.keys())
+    if repeated:
+        raise ValueError(f"extra repeats keys export_heatmap writes: {', '.join(repeated)}")
+    os.makedirs(out_dir, exist_ok=True)
+
+    def axis(lo: float, hi: float, n: int) -> np.ndarray:
+        return lo + (hi - lo) * (np.arange(n) + 0.5) / n
+
+    header = "theta_rad,phi_rad,re,im"
+    phi_axis = axis(0.0, 2.0 * math.pi, raster_n)
+    paths = []
+    for name, tlo, thi in (
+        ("heatmap_sphere.csv", 0.0, math.pi),
+        ("heatmap_cap.csv", grid.cap_theta_min, math.pi),
+    ):
+        path = os.path.join(out_dir, name)
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            _write_raster(fh, values, grid, axis(tlo, thi, raster_n), phi_axis)
+        paths.append(path)
+
     paths.append(os.path.join(out_dir, "heatmap_meta.txt"))
-    write_meta(paths[-1], {**meta, **(extra or {})})
+    write_meta(paths[-1], {**meta, **extra})
     return paths

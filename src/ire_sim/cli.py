@@ -302,14 +302,15 @@ def _cmd_angular(args) -> int:
     field = angular_field(scenario, grid, threads=args.threads)
     eta_ref = eta_reference(field, grid)
     print(f"eta_reference = {eta_ref:.9g}")
+    stream = _stream_record(args.threads, _in_region(scenario)[0])
+    del stream["prune_floor"]  # export_heatmap writes it with the rest of the skip record
     paths = export_heatmap(
         field,
         grid,
         scenario,
         args.out,
         raster_n=doc.raster_n,
-        extra={"config_path": os.path.abspath(args.config),
-               **_stream_record(args.threads, _in_region(scenario)[0])},
+        extra={"config_path": os.path.abspath(args.config), **stream},
     )
     for path in paths:
         print(f"wrote {path}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,3 +338,58 @@ def test_export_heatmap_matches_savetxt_bytes(tmp_path):
         np.savetxt(ref, rows, fmt="%.17g", delimiter=",",
                    header="theta_rad,phi_rad,re,im", comments="")
         assert open(path, "rb").read() == ref.read_bytes()
+
+
+def _savetxt_raster(path, unit, grid, raster_n, theta_lo):
+    """np.savetxt's bytes of a raster's rows, built cell by cell through _raster_nodes."""
+    phi_axis = (np.arange(raster_n) + 0.5) * 2.0 * math.pi / raster_n
+    theta_axis = theta_lo + (math.pi - theta_lo) * (np.arange(raster_n) + 0.5) / raster_n
+    v = unit[_raster_nodes(grid, theta_axis, phi_axis)].ravel()
+    rows = np.column_stack(
+        [np.repeat(theta_axis, raster_n), np.tile(phi_axis, raster_n), v.real, v.imag]
+    )
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+               header="theta_rad,phi_rad,re,im", comments="")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n_phi, raster_n", [(32, 2), (32, 7), (32, 600), (33, 40)])
+def test_export_heatmap_shares_rows_of_a_level_byte_for_byte(tmp_path, n_phi, raster_n):
+    # The writer builds each polar level's cells once and reuses them for
+    # every row mapped to that level. At raster_n = 600 the sphere raster
+    # has more rows than the grid's 112 levels, so consecutive rows share a
+    # level; n_phi = 33 is an odd azimuth count.
+    grid = build_grid(KN.k_i, W_COLLECT, n_cap=64, n_base=48, n_phi=n_phi)
+    scn = canonical_scenario(n_atoms_override=3000, seed=5)
+    field = angular_field(scn, grid)
+    unit = field.values / math.sqrt(sphere_norm(field, grid))
+    paths = export_heatmap(field, grid, scn, str(tmp_path / "out"), raster_n=raster_n)
+    for path, lo in zip(paths[:2], (0.0, grid.cap_theta_min)):
+        ref = _savetxt_raster(tmp_path / "ref.csv", unit, grid, raster_n, lo)
+        assert open(path, "rb").read() == ref
+
+
+def test_export_heatmap_rejects_a_repeated_meta_key(tmp_path):
+    grid = build_grid(KN.k_i, W_COLLECT, n_cap=64, n_base=48, n_phi=32)
+    scn = canonical_scenario(n_atoms_override=100, seed=1)
+    field = angular_field(scn, grid)
+    with pytest.raises(ValueError, match="prune_floor"):
+        export_heatmap(field, grid, scn, str(tmp_path / "out"), raster_n=8,
+                       extra={"prune_floor": 1.0})
+    assert not (tmp_path / "out").exists()
+
+
+def test_export_heatmap_memory_stays_flat(tmp_path):
+    # One export at raster_n = 512 writes two 21 MB rasters but holds only
+    # one polar level's cells at a time: a per-cell index array alone would
+    # take 2 MB, a whole-raster string 21 MB (measured peak: 0.3 MB).
+    grid = build_grid(KN.k_i, W_COLLECT, n_cap=64, n_base=48, n_phi=32)
+    scn = canonical_scenario(n_atoms_override=3000, seed=5)
+    field = angular_field(scn, grid)
+    tracemalloc.start()
+    try:
+        export_heatmap(field, grid, scn, str(tmp_path), raster_n=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -330,6 +333,30 @@ def test_lobe_power_ignores_seed_and_subsampling():
     a = coherent_lobe_power(canonical_scenario(seed=1))
     b = coherent_lobe_power(canonical_scenario(seed=99, mc_atoms=1000))
     assert a == b
+
+
+def test_lobe_bits_do_not_follow_the_blas_thread_count():
+    # The lobe table reduces through BLAS, whose thread count --threads
+    # does not set: C must read the same bits under one and two BLAS
+    # threads, each in a fresh interpreter with a cold table.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    code = (
+        "import math\n"
+        "from conftest import canonical_scenario\n"
+        "from ire_sim import coherent_lobe_power\n"
+        "for deg, tm in ((0.0, 0.0), (2.0, 100e-6), (4.0, 200e-6)):\n"
+        "    scn = canonical_scenario(skew_theta=math.radians(deg), storage_tm=tm)\n"
+        "    print(coherent_lobe_power(scn).hex())\n"
+    )
+    bits = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=blas_threads)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        bits.append(out.stdout.split())
+    assert len(bits[0]) == 3
+    assert bits[0] == bits[1]
 
 
 def _lobe_with(scn, monkeypatch, **constants):
