@@ -13,8 +13,12 @@ overlap with the collection mode,
     eta_ref = |sum_nodes w g F|^2 / sum_j |A_j|^2.
 
 No paraxial step enters, so this path cross-checks the streaming estimator
-wherever both are affordable. Cost scales as atoms x nodes; it is meant for
-ensembles up to about a million atoms on the default grid.
+wherever both are affordable. Cost scales as atoms x nodes: each kept atom
+costs n_levels (n_phi/2 + 1) complex exponentials for even n_phi and
+n_levels (n_phi + 1) for odd, plus one for its read phase, and one complex
+multiply-add per node (see _field_sums). The field then differs from the
+direct phase at every node by rounding only, about 1e-12 of max |F|. The
+path is meant for ensembles up to about a million atoms on the default grid.
 
 The atoms come from the paraxial estimator's chunk stream
 (retrieval._eta_stream): the same shells, chunks, counter words, skip mask
@@ -81,18 +85,8 @@ class AngularGrid:
         return np.repeat(self.level_theta, self.n_phi)
 
     @property
-    def node_phi(self) -> np.ndarray:
-        return np.tile(self.phi, self.n_levels)
-
-    @property
     def node_weight(self) -> np.ndarray:
         return np.repeat(self.level_weight, self.n_phi) * (2.0 * math.pi / self.n_phi)
-
-    def unit_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        th = self.node_theta
-        ph = self.node_phi
-        sth = np.sin(th)
-        return sth * np.cos(ph), sth * np.sin(ph), np.cos(th)
 
 
 def build_grid(
@@ -195,14 +189,36 @@ def _field_sums(amplitudes, positions, skew_theta, k_r, k_i, grid):
 
     Adds sum_j A_j e^{-i k_r (y'_j sin + z'_j cos)} e^{-i k_i khat.r'_j}
     atom by atom in index order, so every node sums in the same order.
+
+    The phase -k_i khat.r' at level theta_l and azimuth phi_m splits into
+    an axial part -k_i cos(theta_l) z', folded into the atom's level
+    coefficient c_l = b_j e^{-i k_i cos(theta_l) z'_j} (b_j: A_j times its
+    read phase), and a transverse part -k_i sin(theta_l) (x' cos phi_m +
+    y' sin phi_m), which changes sign under phi -> phi + pi. For even n_phi
+    the transverse factor t is evaluated on the first n_phi/2 columns, and
+    column m + n_phi/2 adds c conj(t); for odd n_phi the paired block is
+    empty and every column is evaluated. A kept atom costs n_levels
+    (n_phi/2 + 1) complex exponentials for even n_phi and n_levels
+    (n_phi + 1) for odd, against n_levels n_phi for the direct phase, from
+    which the sum differs by rounding only: on atoms spread over
+    millimetres in z, by about 0.02 eps max_j (k_i + k_r)|r'_j| sum_j |A_j|
+    (7e-13 of max |F|; the tests allow 0.1 of that unit).
     """
-    nx, ny, nz = grid.unit_vectors()
     x, y, z = positions[:, 0], positions[:, 1], positions[:, 2]
     b = amplitudes * np.exp(-1j * k_r * (y * math.sin(skew_theta) + z * math.cos(skew_theta)))
-    out = np.zeros(grid.n_nodes, dtype=np.complex128)
+    half = grid.n_phi // 2 if grid.n_phi % 2 == 0 else 0
+    phi = grid.phi[:grid.n_phi - half]
+    k_perp = k_i * np.sin(grid.level_theta)[:, None]
+    kx, ky = k_perp * np.cos(phi), k_perp * np.sin(phi)
+    kz = k_i * np.cos(grid.level_theta)
+    lead = np.zeros(kx.shape, dtype=np.complex128)
+    paired = np.zeros((grid.n_levels, half), dtype=np.complex128)
     for j in range(b.shape[0]):
-        out += b[j] * np.exp(-1j * k_i * (nx * x[j] + ny * y[j] + nz * z[j]))
-    return out
+        c = (b[j] * np.exp(-1j * kz * z[j]))[:, None]
+        t = np.exp(-1j * (kx * x[j] + ky * y[j]))
+        lead += c * t
+        paired += c * t[:, :half].conj()
+    return np.concatenate([lead, paired], axis=1).ravel()
 
 
 def field_from_atoms(

@@ -145,6 +145,44 @@ def test_field_rotates_with_the_atoms(default_grid):
     np.testing.assert_allclose(np.roll(va, shift, axis=1), vb, rtol=0, atol=1e-10)
 
 
+def _direct_field_sums(amplitudes, positions, skew_theta, k_r, k_i, grid):
+    """The kernel node by node: one complex exponential of -k_i khat.r per atom and node."""
+    th = grid.node_theta
+    ph = np.tile(grid.phi, grid.n_levels)
+    nx, ny, nz = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
+    x, y, z = positions[:, 0], positions[:, 1], positions[:, 2]
+    b = amplitudes * np.exp(-1j * k_r * (y * math.sin(skew_theta) + z * math.cos(skew_theta)))
+    out = np.zeros(grid.n_nodes, dtype=np.complex128)
+    for j in range(b.shape[0]):
+        out += b[j] * np.exp(-1j * k_i * (nx * x[j] + ny * y[j] + nz * z[j]))
+    return out
+
+
+@pytest.mark.parametrize("n_phi", [64, 24, 33])
+def test_field_matches_the_direct_phase(n_phi):
+    # The kernel factors each level's axial phase out and, for even n_phi,
+    # takes each azimuth's half-turn partner as a conjugate. That moves
+    # the field by rounding only. A phase of size p carries a rounding
+    # error of order eps p, so the unit is eps max_j (k_i + k_r)|r_j|
+    # sum_j |A_j| / sqrt(4 pi); 200 atoms spread over millimetres in z, as
+    # in the canonical cloud, read 0.013-0.023 of it over 4 clouds, 2 tilts
+    # and n_phi = 64, 24, 33.
+    rng = np.random.default_rng(23)
+    pos = rng.normal(size=(200, 3)) * np.array([60e-6, 60e-6, 0.75e-3])
+    amp = rng.normal(size=200) + 1j * rng.normal(size=200)
+    skew = math.radians(2.0)
+    grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=n_phi)
+    got = field_from_atoms(amp, pos, skew, KN.k_r, KN.k_i, grid).values
+    want = _direct_field_sums(amp, pos, skew, KN.k_r, KN.k_i, grid) / math.sqrt(4.0 * math.pi)
+    unit = (
+        np.finfo(float).eps
+        * float(np.max((KN.k_i + KN.k_r) * np.linalg.norm(pos, axis=1)))
+        * float(np.sum(np.abs(amp)))
+        / math.sqrt(4.0 * math.pi)
+    )
+    assert float(np.max(np.abs(got - want))) <= 0.1 * unit
+
+
 def test_field_from_atoms_validates_shapes(default_grid):
     with pytest.raises(ValueError):
         field_from_atoms(
@@ -163,14 +201,16 @@ def test_angular_field_rejects_subsampling(small_grid):
 
 
 def test_angular_field_thread_count_does_not_change_bits(small_chunks):
-    grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
     scn = canonical_scenario(n_atoms_override=33_468, seed=6)
     # chunks smaller than a shell, so the threads split shells between them
     assert largest_streamed_shell(scn) >= 2 * small_chunks(SMALL_CHUNK)
-    f1 = angular_field(scn, grid, threads=1)
-    f3 = angular_field(scn, grid, threads=3)
-    np.testing.assert_array_equal(f1.values, f3.values)
-    assert f1.source_s2 == f3.source_s2
+    # even n_phi pairs each azimuth with its half-turn partner; odd has no pairs
+    for n_phi in (24, 33):
+        grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=n_phi)
+        f1 = angular_field(scn, grid, threads=1)
+        f3 = angular_field(scn, grid, threads=3)
+        np.testing.assert_array_equal(f1.values, f3.values)
+        assert f1.source_s2 == f3.source_s2
 
 
 def test_chunking_does_not_change_the_field(small_grid, small_chunks):
