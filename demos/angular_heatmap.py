@@ -6,9 +6,10 @@ the phase-matched lobe lives. That costs atoms x nodes, so it is meant for
 reduced ensembles (here 50,000 atoms); its efficiency estimate is the
 quadrature reference the fast paraxial path is validated against.
 
-Writes heatmap_sphere.csv, heatmap_cap.csv, and heatmap_meta.txt into
-./heatmap_out; rows are theta_rad,phi_rad,re,im on a uniform midpoint
-raster, resampled from the nearest grid node.
+Writes heatmap_sphere.csv and heatmap_cap.csv into ./heatmap_out; rows
+are theta_rad,phi_rad,re,im on a uniform midpoint raster, resampled from
+the nearest grid node. The demo writes no run record; `ire-sim angular`
+writes the same rasters from an INI plus heatmap_meta.txt.
 """
 
 import math
@@ -65,7 +66,7 @@ def main():
     print(f"backward-cap power fraction = "
           f"{float(np.sum(w[cap] * intensity[cap]) / np.sum(w * intensity)):.4f}")
 
-    paths = export_heatmap(field, grid, scn, OUT_DIR, raster_n=256)
+    paths = export_heatmap(field, grid, OUT_DIR, raster_n=256)
     for path in paths:
         print(f"wrote {path}")
 

@@ -39,7 +39,6 @@ to sphere norm 1 for the rasters it writes.
 
 from __future__ import annotations
 
-import datetime
 import math
 import operator
 import os
@@ -48,9 +47,8 @@ from functools import partial
 
 import numpy as np
 
-from ._version import __version__
 from .ensemble import drift
-from .retrieval import PRUNE_FLOOR, EtaEstimate, Scenario, _eta_stream, _in_region, wavenumbers
+from .retrieval import EtaEstimate, Scenario, _eta_stream, _in_region, wavenumbers
 
 @dataclass(frozen=True, eq=False)
 class AngularGrid:
@@ -410,45 +408,27 @@ def _write_raster(
         fh.write(t_txt + t_txt.join(cells))
 
 
-def write_meta(path: str, mapping: dict) -> None:
-    """Write a *_meta.txt run record: one key=value line per entry, in order.
-
-    The record opens with package_version and closes with timestamp_utc,
-    the run's UTC time, so every record carries both and no caller writes
-    them.
-    """
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    record = {"package_version": __version__, **mapping, "timestamp_utc": stamp}
-    with open(path, "w") as fh:
-        fh.writelines(f"{key}={value}\n" for key, value in record.items())
-
-
 def export_heatmap(
     field: AngularField,
     grid: AngularGrid,
-    scenario: Scenario,
     out_dir: str,
     raster_n: int = 512,
-    extra: dict | None = None,
 ) -> list[str]:
     """Write the field, scaled to sphere norm 1, as regular (theta, phi) CSV rasters.
 
-    Produces three files in out_dir and returns their paths:
+    Produces two files in out_dir and returns their paths:
 
       heatmap_sphere.csv  raster over the full sphere
       heatmap_cap.csv     raster zoomed to the backward cap
-      heatmap_meta.txt    key=value run description (the only file with a
-                          timestamp, so the rasters rerun byte-identical)
 
     Raster rows are `theta_rad,phi_rad,re,im`, row-major in theta then phi,
     on uniform midpoint axes, each cell resampled from the nearest grid
-    node of values / sqrt(sphere_norm). The meta records that sphere_norm,
-    so dropped_amplitude (in the units of the raw field) applies to the
-    raster values after the same division. A vanishing or non-finite sphere
-    norm raises ArithmeticError.
-
-    extra appends keys to the meta; one that repeats a key the export writes
-    itself raises ValueError before any file is written.
+    node of values / sqrt(sphere_norm(field, grid)). The rasters carry no
+    timestamp, so a rerun writes the same bytes; `ire-sim angular` writes
+    the run record beside them (heatmap_meta.txt, with that sphere_norm,
+    so dropped_amplitude, in the units of the raw field, applies to the
+    raster values after the same division). A vanishing or non-finite
+    sphere norm raises ArithmeticError before any file is written.
     """
     norm = sphere_norm(field, grid)
     if norm <= 0.0 or not math.isfinite(norm):
@@ -456,43 +436,6 @@ def export_heatmap(
     values = field.values / math.sqrt(norm)
     if raster_n < 2:
         raise ValueError("raster_n must be >= 2")
-
-    meta = {
-        "format_version": "1",
-        "kind": "angular_heatmap",
-        "transition_wavelength_m": scenario.species.transition_wavelength,
-        "detuning_delta_rad_s": scenario.species.detuning_delta,
-        "hyperfine_omega_sg_rad_s": scenario.species.hyperfine_omega_sg,
-        "cross_section_sigma0_m2": scenario.species.cross_section_sigma0,
-        "cg_coefficient_sq": scenario.species.cg_coefficient_sq,
-        "atom_mass_kg": scenario.species.atom_mass,
-        "peak_density_n0_m3": scenario.cloud.peak_density_n0,
-        "sigma_r0_m": scenario.cloud.sigma_r0,
-        "temperature_t_k": scenario.cloud.temperature_t,
-        "w_write_m": scenario.w_write,
-        "w_signal_m": scenario.w_collect,
-        "w_idler_m": scenario.w_collect,
-        "skew_theta_rad": scenario.skew_theta,
-        "storage_tm_s": scenario.storage_tm,
-        "seed": scenario.seed,
-        "n_atoms": scenario.n_atoms,
-        "mc_atoms": scenario.mc_atoms if scenario.mc_atoms is not None else "",
-        "field_n_atoms": field.n_atoms,
-        "field_seed": field.seed,
-        "prune_floor": PRUNE_FLOOR,
-        "n_kept": field.n_kept,
-        "dropped_amplitude": field.dropped_amplitude,
-        "sphere_norm": norm,
-        "grid_n_levels": grid.n_levels,
-        "grid_n_phi": grid.n_phi,
-        "grid_cap_theta_min_rad": grid.cap_theta_min,
-        "grid_k_times_w": grid.k_times_w,
-        "raster_n": raster_n,
-    }
-    extra = extra or {}
-    repeated = sorted(meta.keys() & extra.keys())
-    if repeated:
-        raise ValueError(f"extra repeats keys export_heatmap writes: {', '.join(repeated)}")
     os.makedirs(out_dir, exist_ok=True)
 
     def axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -510,7 +453,4 @@ def export_heatmap(
             fh.write(header + "\n")
             _write_raster(fh, values, grid, axis(tlo, thi, raster_n), phi_axis)
         paths.append(path)
-
-    paths.append(os.path.join(out_dir, "heatmap_meta.txt"))
-    write_meta(paths[-1], {**meta, **extra})
     return paths

@@ -7,7 +7,8 @@ Four subcommands, all driven by an INI configuration file:
     sweep     one-axis parameter sweep with replicated seeds; writes
               sweep.csv plus a timestamped sweep_meta.txt
     angular   emitted-field heatmap rasters over the sphere (and the
-              backward cap), written through the angular reference path
+              backward cap), written through the angular reference path,
+              plus a timestamped heatmap_meta.txt
     od        print the resolved cloud/beam report (no files)
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration or usage error.
@@ -18,9 +19,10 @@ The result CSVs and rasters are deterministic in (config, seed, flags); the
 from __future__ import annotations
 
 import argparse
+import datetime
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -32,7 +34,7 @@ from .angular import (
     eta_angular,
     eta_reference,
     export_heatmap,
-    write_meta,
+    sphere_norm,
 )
 from .config import (
     ConfigError,
@@ -43,7 +45,7 @@ from .config import (
     resolution_report,
 )
 from .experiments import (SWEEP_AXES, SWEEP_METHODS, SweepSpec, _descriptors, _g9, run_sweep,
-                          write_rows, write_sweep_csv)
+                          scenario_for_value, write_rows, write_sweep_csv)
 from .ensemble import SHELLS
 from .retrieval import (
     PRUNE_FLOOR,
@@ -182,9 +184,6 @@ def _print_report(report: dict) -> None:
         print(f"{key} = {value}")
 
 
-_GRID_KEYS = ("grid_n_cap", "grid_n_base", "grid_n_phi", "grid_cap_mult")
-
-
 def _grid_from_doc(doc, scenario: Scenario):
     """The INI's sphere grid for the scenario's idler; ConfigError if build_grid rejects it."""
     try:
@@ -200,39 +199,65 @@ def _grid_from_doc(doc, scenario: Scenario):
         raise ConfigError(f"[run] grid_*: {exc}") from None
 
 
-def _angular_setup(doc, scenario: Scenario):
+def _angular_setup(doc, scenario: Scenario, axis=None, values=()):
     """The INI's sphere grid for an angular run of the scenario.
 
     ConfigError for what the angular path cannot run: a subsample, too many
-    atoms, or a grid that build_grid rejects.
+    atoms in the scenario or at any sweep value along `axis` that resolves
+    (one that does not becomes the sweep's error row), or a grid that
+    build_grid rejects.
     """
     if scenario.mc_atoms is not None:
         raise ConfigError(
             "mc_atoms applies to the paraxial estimator only; the angular path "
             "streams every atom, so drop it"
         )
-    if scenario.n_atoms > ANGULAR_MAX_ATOMS:
-        raise ConfigError(
-            f"angular path over {scenario.n_atoms} atoms would evaluate "
-            f"atoms x nodes plane waves; keep n_atoms <= {ANGULAR_MAX_ATOMS} "
-            "(set [cloud] n_atoms_override for a reduced instance, or use "
-            "method = paraxial)"
-        )
+    points = [("", scenario)]
+    for value in values:
+        try:
+            points.append((f"{axis} = {_g9(value)}: ", scenario_for_value(scenario, axis, value)))
+        except (ValueError, ArithmeticError):
+            pass  # run_sweep writes its error row
+    for where, point in points:
+        if point.n_atoms > ANGULAR_MAX_ATOMS:
+            raise ConfigError(
+                f"{where}angular path over {point.n_atoms} atoms would evaluate "
+                f"atoms x nodes plane waves; keep n_atoms <= {ANGULAR_MAX_ATOMS} "
+                "(set [cloud] n_atoms_override for a reduced instance, or use "
+                "method = paraxial)"
+            )
     return _grid_from_doc(doc, scenario)
 
 
 def _write_run_record(args, doc, name: str, own: dict, report: dict, streamed, result: dict):
-    """Write the eta or sweep run record `name` into the output directory.
+    """Write the run record `name` (a *_meta.txt) into the output directory; return its path.
 
-    In order: the config path, the command's own keys, the method (and for
-    angular the INI's sphere grid), the resolution report, the stream and
-    the result.
+    One `key=value` line per entry, in order: package_version, the config
+    path, every ConfigDocument field as the run read it (after the flag
+    overrides, under its INI name), the command's own keys, the resolution
+    report (less seed and mc_atoms, which the INI part holds), the stream,
+    the result, and timestamp_utc, the run's UTC time. A key that two
+    parts declare raises ValueError before the file is written.
     """
-    method = ("method", *_GRID_KEYS) if doc.method == "angular" else ("method",)
-    record = {"config_path": os.path.abspath(args.config), **own}
-    record.update({key: getattr(doc, key) for key in method})
-    record.update({**report, **_stream_record(args.threads, streamed), **result})
-    write_meta(os.path.join(args.out, name), record)
+    parts = (
+        {"package_version": __version__, "config_path": os.path.abspath(args.config)},
+        {key.name: getattr(doc, key.name) for key in fields(doc)},
+        own,
+        {key: value for key, value in report.items() if key not in ("seed", "mc_atoms")},
+        _stream_record(args.threads, streamed),
+        result,
+        {"timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()},
+    )
+    record = {}
+    for part in parts:
+        repeated = sorted(record.keys() & part.keys())
+        if repeated:
+            raise ValueError(f"{name} declares keys twice: {', '.join(repeated)}")
+        record.update(part)
+    path = os.path.join(args.out, name)
+    with open(path, "w") as fh:
+        fh.writelines(f"{key}={value}\n" for key, value in record.items())
+    return path
 
 
 def _cmd_eta(args) -> int:
@@ -269,7 +294,8 @@ def _cmd_sweep(args) -> int:
     doc, scenario = _load(args)
     values = _parse_values(args.values)
     if doc.method == "angular":
-        _angular_setup(doc, scenario)  # the base's grid: a bad INI grid fails before any row
+        # the base's grid and every value's size: a bad INI fails before any row
+        _angular_setup(doc, scenario, args.sweep, values)
     try:
         spec = SweepSpec(scenario, args.sweep, values, args.replicates, doc.method)
     except ValueError as exc:
@@ -302,16 +328,13 @@ def _cmd_angular(args) -> int:
     field = angular_field(scenario, grid, threads=args.threads)
     eta_ref = eta_reference(field, grid)
     print(f"eta_reference = {eta_ref:.9g}")
-    stream = _stream_record(args.threads, _in_region(scenario)[0])
-    del stream["prune_floor"]  # export_heatmap writes it with the rest of the skip record
-    paths = export_heatmap(
-        field,
-        grid,
-        scenario,
-        args.out,
-        raster_n=doc.raster_n,
-        extra={"config_path": os.path.abspath(args.config), **stream},
-    )
+    paths = export_heatmap(field, grid, args.out, raster_n=doc.raster_n)
+    result = {"n_kept": field.n_kept, "dropped_amplitude": field.dropped_amplitude,
+              "sphere_norm": sphere_norm(field, grid), "grid_n_levels": grid.n_levels,
+              "grid_cap_theta_min_rad": grid.cap_theta_min, "grid_k_times_w": grid.k_times_w}
+    # the command is the angular method whatever the INI's method says
+    paths.append(_write_run_record(args, replace(doc, method="angular"), "heatmap_meta.txt", {},
+                                   resolution_report(scenario), _in_region(scenario)[0], result))
     for path in paths:
         print(f"wrote {path}")
     return 0

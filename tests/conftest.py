@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,16 @@ def largest_streamed_shell(scenario):
     count = scenario.mc_atoms if scenario.mc_atoms is not None else scenario.n_atoms
     first = retrieval._screen_shell(scenario)
     return int(shell_counts(scenario.seed, count)[first:].max())
+
+
+def read_meta(path):
+    """A *_meta.txt run record as a dict, in file order; a key written twice fails."""
+    meta = {}
+    for line in Path(path).read_text().splitlines():
+        key, value = line.split("=", 1)
+        assert key not in meta, f"{path}: {key} written twice"
+        meta[key] = value
+    return meta
 
 
 CANONICAL_INI = """\

@@ -16,9 +16,11 @@ from ire_sim import (
     wavenumbers,
 )
 from ire_sim.angular import _raster_nodes
+from ire_sim.cli import main as cli_main
 from ire_sim.retrieval import _prune
 
-from conftest import SPECIES, W_COLLECT, canonical_scenario, largest_streamed_shell
+from conftest import (CANONICAL_INI, SPECIES, W_COLLECT, canonical_scenario,
+                      largest_streamed_shell, read_meta)
 
 KN = wavenumbers(SPECIES)
 
@@ -274,7 +276,6 @@ def test_eta_reference_stable_under_grid_refinement(small_grid, field_10k):
 
 
 def test_export_heatmap_rejects_a_zero_field(tmp_path, small_grid):
-    scn = canonical_scenario(n_atoms_override=100, seed=1)
     zero = AngularField(
         values=np.zeros(small_grid.n_nodes, dtype=complex),
         source_s2=0.0,
@@ -283,7 +284,7 @@ def test_export_heatmap_rejects_a_zero_field(tmp_path, small_grid):
         n_kept=0,
     )
     with pytest.raises(ArithmeticError):
-        export_heatmap(zero, small_grid, scn, str(tmp_path), raster_n=16)
+        export_heatmap(zero, small_grid, str(tmp_path), raster_n=16)
     assert not any(tmp_path.iterdir())
 
 
@@ -293,9 +294,9 @@ def test_export_heatmap_layout(tmp_path):
     field = angular_field(scn, grid)
     unit = field.values / math.sqrt(sphere_norm(field, grid))
     raster_n = 64
-    paths = export_heatmap(field, grid, scn, str(tmp_path / "out"), raster_n=raster_n)
+    paths = export_heatmap(field, grid, str(tmp_path / "out"), raster_n=raster_n)
     names = [p.split("/")[-1] for p in paths]
-    assert names == ["heatmap_sphere.csv", "heatmap_cap.csv", "heatmap_meta.txt"]
+    assert names == ["heatmap_sphere.csv", "heatmap_cap.csv"]
 
     sphere_text = open(paths[0]).read().splitlines()
     assert sphere_text[0] == "theta_rad,phi_rad,re,im"
@@ -316,20 +317,24 @@ def test_export_heatmap_layout(tmp_path):
     assert cap[:, 0].min() > grid.cap_theta_min
     assert cap[:, 0].max() < math.pi
 
-    meta = open(paths[2]).read()
-    for key in (
-        "format_version=1",
-        "kind=angular_heatmap",
-        "seed=11",
-        "n_atoms=2000",
-        "timestamp_utc=",
-        "raster_n=64",
-    ):
-        assert key in meta
-    # the norm the rasters were divided by, so dropped_amplitude (raw units)
-    # can be scaled to them from the files alone
-    meta_keys = dict(line.split("=", 1) for line in meta.splitlines())
-    assert float(meta_keys["sphere_norm"]) == sphere_norm(field, grid)
+
+def test_heatmap_meta_records_the_raster_scale(tmp_path, capsys):
+    # ire-sim angular's record names the run and the norm the rasters were
+    # divided by, so dropped_amplitude (raw units) can be scaled to them
+    # from the files alone
+    ini = tmp_path / "heatmap.ini"
+    ini.write_text(
+        CANONICAL_INI.replace("target_od     = 24.7", "n_atoms_override = 2000")
+        .replace("seed      = 1", "seed      = 11")
+        + "grid_n_cap  = 64\ngrid_n_base = 48\ngrid_n_phi  = 32\nraster_n    = 64\n"
+    )
+    assert cli_main(["angular", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    meta = read_meta(tmp_path / "out" / "heatmap_meta.txt")
+    assert (meta["seed"], meta["n_atoms"], meta["raster_n"]) == ("11", "2000", "64")
+    grid = build_grid(KN.k_i, W_COLLECT, n_cap=64, n_base=48, n_phi=32)
+    field = angular_field(canonical_scenario(n_atoms_override=2000, seed=11), grid)
+    assert float(meta["sphere_norm"]) == sphere_norm(field, grid)
 
 
 def test_export_heatmap_scales_the_raw_field(tmp_path):
@@ -339,7 +344,7 @@ def test_export_heatmap_scales_the_raw_field(tmp_path):
     field = angular_field(scn, grid)
     unit = field.values / math.sqrt(sphere_norm(field, grid))
     raster_n = 16
-    paths = export_heatmap(field, grid, scn, str(tmp_path), raster_n=raster_n)
+    paths = export_heatmap(field, grid, str(tmp_path), raster_n=raster_n)
     phi_axis = (np.arange(raster_n) + 0.5) * 2.0 * math.pi / raster_n
     for path, lo in zip(paths[:2], (0.0, grid.cap_theta_min)):
         theta_axis = lo + (math.pi - lo) * (np.arange(raster_n) + 0.5) / raster_n
@@ -352,8 +357,8 @@ def test_export_heatmap_reruns_byte_identical(tmp_path):
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=64, n_base=48, n_phi=32)
     scn = canonical_scenario(n_atoms_override=500, seed=2)
     field = angular_field(scn, grid)
-    p1 = export_heatmap(field, grid, scn, str(tmp_path / "a"), raster_n=32)
-    p2 = export_heatmap(field, grid, scn, str(tmp_path / "b"), raster_n=32)
+    p1 = export_heatmap(field, grid, str(tmp_path / "a"), raster_n=32)
+    p2 = export_heatmap(field, grid, str(tmp_path / "b"), raster_n=32)
     for a, b in zip(p1[:2], p2[:2]):
         assert open(a, "rb").read() == open(b, "rb").read()
 
@@ -366,7 +371,7 @@ def test_export_heatmap_matches_savetxt_bytes(tmp_path):
     field = angular_field(scn, grid)
     unit = field.values / math.sqrt(sphere_norm(field, grid))
     raster_n = 40
-    paths = export_heatmap(field, grid, scn, str(tmp_path / "out"), raster_n=raster_n)
+    paths = export_heatmap(field, grid, str(tmp_path / "out"), raster_n=raster_n)
     phi_axis = (np.arange(raster_n) + 0.5) * 2.0 * math.pi / raster_n
     for path, lo in zip(paths[:2], (0.0, grid.cap_theta_min)):
         theta_axis = lo + (math.pi - lo) * (np.arange(raster_n) + 0.5) / raster_n
@@ -403,20 +408,10 @@ def test_export_heatmap_shares_rows_of_a_level_byte_for_byte(tmp_path, n_phi, ra
     scn = canonical_scenario(n_atoms_override=3000, seed=5)
     field = angular_field(scn, grid)
     unit = field.values / math.sqrt(sphere_norm(field, grid))
-    paths = export_heatmap(field, grid, scn, str(tmp_path / "out"), raster_n=raster_n)
+    paths = export_heatmap(field, grid, str(tmp_path / "out"), raster_n=raster_n)
     for path, lo in zip(paths[:2], (0.0, grid.cap_theta_min)):
         ref = _savetxt_raster(tmp_path / "ref.csv", unit, grid, raster_n, lo)
         assert open(path, "rb").read() == ref
-
-
-def test_export_heatmap_rejects_a_repeated_meta_key(tmp_path):
-    grid = build_grid(KN.k_i, W_COLLECT, n_cap=64, n_base=48, n_phi=32)
-    scn = canonical_scenario(n_atoms_override=100, seed=1)
-    field = angular_field(scn, grid)
-    with pytest.raises(ValueError, match="prune_floor"):
-        export_heatmap(field, grid, scn, str(tmp_path / "out"), raster_n=8,
-                       extra={"prune_floor": 1.0})
-    assert not (tmp_path / "out").exists()
 
 
 def test_export_heatmap_memory_stays_flat(tmp_path):
@@ -428,7 +423,7 @@ def test_export_heatmap_memory_stays_flat(tmp_path):
     field = angular_field(scn, grid)
     tracemalloc.start()
     try:
-        export_heatmap(field, grid, scn, str(tmp_path), raster_n=512)
+        export_heatmap(field, grid, str(tmp_path), raster_n=512)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

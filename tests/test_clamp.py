@@ -18,7 +18,7 @@ from ire_sim import draw_sample, eta_paraxial, idler_projection, spinwave_amplit
 from ire_sim.cli import main as cli_main
 from ire_sim.retrieval import _in_region
 
-from conftest import CANONICAL_INI, canonical_scenario
+from conftest import CANONICAL_INI, canonical_scenario, read_meta
 
 N_ATOMS = 20_000
 MC_ATOMS = 2000
@@ -72,6 +72,6 @@ def test_eta_meta_records_the_clamp(tmp_path, capsys):
         argv = ["eta", "--config", str(ini), "--seed", str(seed),
                 "--mc-atoms", str(MC_ATOMS), "--out", str(out)]
         assert cli_main(argv) == 0
-        meta = dict(line.split("=", 1) for line in (out / "eta_meta.txt").read_text().splitlines())
+        meta = read_meta(out / "eta_meta.txt")
         assert meta["clamped"] == expect
     capsys.readouterr()

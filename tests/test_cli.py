@@ -1,16 +1,21 @@
+import argparse
 import csv
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from ire_sim import SweepSpec, __version__, build_grid, eta_angular, run_sweep, wavenumbers
-from ire_sim.cli import ETA_CSV_COLUMNS, main
+import ire_sim.experiments as experiments
+from ire_sim import (ConfigDocument, SweepSpec, __version__, build_grid, build_scenario,
+                     eta_angular, read_config, resolution_report, run_sweep, wavenumbers)
+from ire_sim.cli import ANGULAR_MAX_ATOMS, ETA_CSV_COLUMNS, _write_run_record, main
+from ire_sim.config import _read_key
 from ire_sim.ensemble import SHELLS
 from ire_sim.experiments import SWEEP_CSV_COLUMNS
 from ire_sim.retrieval import PRUNE_FLOOR, THREADS_ENV_VAR, _in_region
 
-from conftest import CANONICAL_INI, canonical_scenario
+from conftest import CANONICAL_INI, canonical_scenario, read_meta
 
 SMALL_INI = CANONICAL_INI.replace("target_od     = 24.7", "n_atoms_override = 20000")
 
@@ -37,10 +42,6 @@ def angular_ini(tmp_path):
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
-
-
-def read_meta(path):
-    return dict(line.split("=", 1) for line in path.read_text().splitlines())
 
 
 def test_od_prints_report(canonical_ini_file, capsys):
@@ -374,9 +375,11 @@ def test_eta_meta_records_the_method_and_grid(small_ini, angular_ini, tmp_path, 
     assert main(["eta", "--config", angular_ini, "--method", "angular",
                  "--out", str(tmp_path / "a")]) == 0
     capsys.readouterr()
+    # every record holds the INI's grid, here the defaults, whatever the method
     paraxial = read_meta(tmp_path / "p" / "eta_meta.txt")
     assert paraxial["method"] == "paraxial"
-    assert not any(key.startswith("grid_") for key in paraxial)
+    grid = [paraxial[key] for key in ("grid_n_cap", "grid_n_base", "grid_n_phi", "grid_cap_mult")]
+    assert grid == ["256", "256", "256", "20.0"]
     angular = read_meta(tmp_path / "a" / "eta_meta.txt")
     assert angular["method"] == "angular"
     grid = [angular[key] for key in ("grid_n_cap", "grid_n_base", "grid_n_phi", "grid_cap_mult")]
@@ -392,11 +395,10 @@ def test_every_meta_opens_with_the_version_and_closes_with_the_time(
     capsys.readouterr()
     for path in (tmp_path / "e" / "eta_meta.txt", tmp_path / "s" / "sweep_meta.txt",
                  tmp_path / "a" / "heatmap_meta.txt"):
-        lines = path.read_text().splitlines()
-        assert lines[0] == f"package_version={__version__}"
-        assert lines[-1].startswith("timestamp_utc=")
-        keys = [line.split("=", 1)[0] for line in lines]
-        assert len(keys) == len(set(keys))
+        meta = read_meta(path)  # no key twice
+        keys = list(meta)
+        assert keys[0] == "package_version" and meta["package_version"] == __version__
+        assert keys[-1] == "timestamp_utc"
         assert "config_path" in keys and "streamed_in_region" in keys
 
 
@@ -407,3 +409,62 @@ def test_heatmap_meta_records_the_stream(angular_ini, tmp_path, capsys):
     streamed = _in_region(canonical_scenario(n_atoms_override=3000))[0]
     assert meta["streamed_in_region"] == str(streamed)
     assert 0 < int(meta["n_kept"]) <= streamed < 3000
+
+
+def _ini_part(meta):
+    """The ConfigDocument a record holds, read back as the INI reader reads each value."""
+    names = [key.name for key in fields(ConfigDocument)]
+    keys = list(meta)
+    # each field once, in declaration order, right after the version and the config path
+    assert keys[:2 + len(names)] == ["package_version", "config_path", *names]
+    return ConfigDocument(**{name: None if meta[name] == "None"
+                             else _read_key(name, meta[name], name) for name in names})
+
+
+@pytest.mark.parametrize("ini, command, record, overrides", [
+    ("small_ini", ["eta", "--seed", "7", "--mc-atoms", "5000"], "eta_meta.txt",
+     {"seed": 7, "mc_atoms": 5000}),
+    ("small_ini", ["sweep", "--seed", "3", "--sweep", "storage_time", "--values", "0,30",
+                   "--replicates", "1"], "sweep_meta.txt", {"seed": 3}),
+    # the angular command is the angular method whatever the INI says
+    ("angular_ini", ["angular"], "heatmap_meta.txt", {"method": "angular"}),
+], ids=["eta", "sweep", "angular"])
+def test_record_holds_the_ini_as_the_run_read_it(ini, command, record, overrides, request,
+                                                 tmp_path, capsys):
+    path = request.getfixturevalue(ini)
+    out = tmp_path / "o"
+    assert main([command[0], "--config", path, *command[1:], "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _ini_part(read_meta(out / record)) == replace(read_config(path), **overrides)
+
+
+@pytest.mark.parametrize("own, result, repeated", [
+    ({"seed": 2}, {}, "seed"),  # an INI field
+    ({"n_atoms": 5}, {}, "n_atoms"),  # a resolution-report key
+    ({}, {"threads": 2}, "threads"),  # a stream key
+], ids=["ini", "report", "stream"])
+def test_run_record_rejects_a_repeated_key(own, result, repeated, small_ini, tmp_path):
+    doc = read_config(small_ini)
+    args = argparse.Namespace(config=small_ini, out=str(tmp_path), threads=1)
+    with pytest.raises(ValueError, match=repeated):
+        _write_run_record(args, doc, "x_meta.txt", own, resolution_report(build_scenario(doc)),
+                          0, result)
+    assert not (tmp_path / "x_meta.txt").exists()
+
+
+def test_angular_sweep_checks_every_value_against_the_atom_cap(angular_ini, tmp_path, capsys,
+                                                                monkeypatch):
+    # the base holds 3,000 atoms; at 1000 times its optical depth a value holds 3 million
+    def stream(*args, **kwargs):
+        raise AssertionError("atoms were streamed")
+
+    monkeypatch.setattr(experiments, "_eta_stream", stream)
+    od = resolution_report(canonical_scenario(n_atoms_override=3000))["optical_depth"]
+    out_dir = tmp_path / "o"
+    rc = main(["sweep", "--config", angular_ini, "--method", "angular",
+               "--sweep", "optical_depth", "--values", f"{od!r},{1000 * od!r}",
+               "--replicates", "1", "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "optical_depth = " in err and str(ANGULAR_MAX_ATOMS) in err
+    assert not (out_dir / "sweep.csv").exists()

@@ -35,6 +35,7 @@ from conftest import (
     W_WRITE,
     canonical_scenario,
     largest_streamed_shell,
+    read_meta,
 )
 
 KN = wavenumbers(SPECIES)
@@ -179,7 +180,7 @@ def test_run_metadata_records_the_skip(tmp_path, capsys):
     assert cli_main(["angular", "--config", str(ini), "--out", str(tmp_path / "a")]) == 0
     capsys.readouterr()
     for path in (tmp_path / "e" / "eta_meta.txt", tmp_path / "a" / "heatmap_meta.txt"):
-        meta = dict(line.split("=", 1) for line in path.read_text().splitlines())
+        meta = read_meta(path)
         assert float(meta["prune_floor"]) == PRUNE_FLOOR
         assert 0 < int(meta["n_kept"]) < 3000
         assert 0.0 < float(meta["dropped_amplitude"]) < 1e-15

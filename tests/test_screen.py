@@ -50,7 +50,8 @@ from ire_sim.retrieval import (
     _screen_shell,
 )
 
-from conftest import CANONICAL_INI, R0, SPECIES, TEMP, W_COLLECT, W_WRITE, canonical_scenario
+from conftest import (CANONICAL_INI, R0, SPECIES, TEMP, W_COLLECT, W_WRITE, canonical_scenario,
+                      read_meta)
 
 KN = wavenumbers(SPECIES)
 
@@ -234,7 +235,7 @@ def test_lobe_fraction_is_the_pair_terms_share_of_the_denominator(tmp_path, caps
     for method in ("paraxial", "angular"):
         out = tmp_path / method
         assert cli_main(["eta", "--config", str(ini), "--method", method, "--out", str(out)]) == 0
-        meta = dict(line.split("=", 1) for line in (out / "eta_meta.txt").read_text().splitlines())
+        meta = read_meta(out / "eta_meta.txt")
         if method == "paraxial":
             assert 0.0 < float(meta["lobe_fraction"]) < 1.0
         else:
