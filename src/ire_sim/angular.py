@@ -48,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from .ensemble import drift
-from .retrieval import EtaEstimate, Scenario, _eta_stream, _in_region, wavenumbers
+from .retrieval import EtaEstimate, Scenario, _eta_stream, _stream_tail, wavenumbers
 
 @dataclass(frozen=True, eq=False)
 class AngularGrid:
@@ -271,20 +271,18 @@ def _angular_method(grids):
     """
     def estimate(scenario, total):
         grid = grids[scenario.idler_mode]
-        return _field_estimate(_as_field(scenario, total, grid), grid)
+        return _field_estimate(_as_field(scenario, total), grid)
 
     return partial(_field_projection, grids), estimate
 
 
-def _as_field(scenario: Scenario, total, grid: AngularGrid) -> AngularField:
-    """The emitted field of a scenario's stream total: (field, S2, D, n_kept), None if empty."""
-    if total is None:
-        total = (np.zeros(grid.n_nodes, dtype=np.complex128), 0.0, 0.0, 0)
-    field, s2, dropped, n_kept = total
+def _as_field(scenario: Scenario, total) -> AngularField:
+    """The emitted field of a scenario's stream total (field, S2, D, n_kept); see _stream_tail."""
+    s2, dropped, n_kept = _stream_tail(scenario, total)
     return AngularField(
-        values=field / math.sqrt(4.0 * math.pi), source_s2=s2,
+        values=total[0] / math.sqrt(4.0 * math.pi), source_s2=s2,
         n_atoms=scenario.n_atoms, seed=scenario.seed, n_kept=n_kept,
-        dropped_amplitude=dropped + _in_region(scenario)[2],
+        dropped_amplitude=dropped,
     )
 
 
@@ -300,8 +298,9 @@ def angular_field(
     as it arrives, so the result is bit-identical for every thread count and
     holds no field per chunk. Atoms below PRUNE_FLOOR are skipped before the
     kernel, so the cost is kept atoms x nodes; the field records their
-    summed amplitude (see AngularField). See the module docstring for the
-    intended size range.
+    summed amplitude (see AngularField), and a stream in which none clears
+    it raises ArithmeticError. See the module docstring for the intended
+    size range.
     """
     if scenario.mc_atoms is not None:
         raise ValueError(
@@ -310,7 +309,7 @@ def angular_field(
         )
     project, _ = _angular_method({scenario.idler_mode: grid})
     [total] = _eta_stream([scenario], threads, project)
-    return _as_field(scenario, total, grid)
+    return _as_field(scenario, total)
 
 
 def sphere_norm(field: AngularField, grid: AngularGrid) -> float:

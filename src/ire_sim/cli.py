@@ -31,7 +31,6 @@ from ._version import __version__
 from .angular import (
     angular_field,
     build_grid,
-    eta_angular,
     eta_reference,
     export_heatmap,
     sphere_norm,
@@ -44,15 +43,15 @@ from .config import (
     read_config,
     resolution_report,
 )
-from .experiments import (SWEEP_AXES, SWEEP_METHODS, SweepSpec, _descriptors, _g9, run_sweep,
+from .experiments import (METHODS, SWEEP_AXES, SweepSpec, _descriptors, _g9, run_sweep,
                           scenario_for_value, write_rows, write_sweep_csv)
 from .ensemble import SHELLS
 from .retrieval import (
     PRUNE_FLOOR,
     THREADS_ENV_VAR,
     Scenario,
+    _eta_stream,
     _in_region,
-    eta_paraxial,
     resolve_threads,
     wavenumbers,
 )
@@ -108,8 +107,8 @@ def _add_common(sub: argparse.ArgumentParser, out_dir: bool = True) -> None:
 
 
 def _add_estimator(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--method", choices=SWEEP_METHODS, default=None,
-                     help="override [run] method")
+    sub.add_argument("--method", default=None, metavar="NAME",
+                     help=f"override [run] method: {' | '.join(METHODS)}")
     sub.add_argument("--mc-atoms", default=None, metavar="N",
                      help="override [run] mc_atoms (paraxial subsample size)")
 
@@ -184,8 +183,35 @@ def _print_report(report: dict) -> None:
         print(f"{key} = {value}")
 
 
-def _grid_from_doc(doc, scenario: Scenario):
-    """The INI's sphere grid for the scenario's idler; ConfigError if build_grid rejects it."""
+def _setup(doc, scenario: Scenario, axis=None, values=()):
+    """The INI's sphere grid for a run of its method on the scenario, None if not gridded.
+
+    ConfigError for what the method cannot run: a subsample, unless it reads
+    mc_atoms; and for a gridded method, too many atoms in the scenario or at
+    any sweep value along `axis` that resolves (one that does not becomes
+    the sweep's error row), or a grid that build_grid rejects.
+    """
+    method = METHODS[doc.method]
+    if scenario.mc_atoms is not None and not method.reads_mc_atoms:
+        readers = " | ".join(name for name, m in METHODS.items() if m.reads_mc_atoms)
+        raise ConfigError(f"mc_atoms applies to method = {readers} only; method = "
+                          f"{doc.method} streams every atom, so drop it")
+    if not method.gridded:
+        return None
+    points = [("", scenario)]
+    for value in values:
+        try:
+            points.append((f"{axis} = {_g9(value)}: ", scenario_for_value(scenario, axis, value)))
+        except (ValueError, ArithmeticError):
+            pass  # run_sweep writes its error row
+    for where, point in points:
+        if point.n_atoms > ANGULAR_MAX_ATOMS:
+            raise ConfigError(
+                f"{where}method = {doc.method} over {point.n_atoms} atoms would evaluate "
+                f"atoms x nodes plane waves; keep n_atoms <= {ANGULAR_MAX_ATOMS} "
+                "(set [cloud] n_atoms_override for a reduced instance, or use "
+                "method = paraxial)"
+            )
     try:
         return build_grid(
             wavenumbers(scenario.species).k_i,
@@ -197,36 +223,6 @@ def _grid_from_doc(doc, scenario: Scenario):
         )
     except ValueError as exc:
         raise ConfigError(f"[run] grid_*: {exc}") from None
-
-
-def _angular_setup(doc, scenario: Scenario, axis=None, values=()):
-    """The INI's sphere grid for an angular run of the scenario.
-
-    ConfigError for what the angular path cannot run: a subsample, too many
-    atoms in the scenario or at any sweep value along `axis` that resolves
-    (one that does not becomes the sweep's error row), or a grid that
-    build_grid rejects.
-    """
-    if scenario.mc_atoms is not None:
-        raise ConfigError(
-            "mc_atoms applies to the paraxial estimator only; the angular path "
-            "streams every atom, so drop it"
-        )
-    points = [("", scenario)]
-    for value in values:
-        try:
-            points.append((f"{axis} = {_g9(value)}: ", scenario_for_value(scenario, axis, value)))
-        except (ValueError, ArithmeticError):
-            pass  # run_sweep writes its error row
-    for where, point in points:
-        if point.n_atoms > ANGULAR_MAX_ATOMS:
-            raise ConfigError(
-                f"{where}angular path over {point.n_atoms} atoms would evaluate "
-                f"atoms x nodes plane waves; keep n_atoms <= {ANGULAR_MAX_ATOMS} "
-                "(set [cloud] n_atoms_override for a reduced instance, or use "
-                "method = paraxial)"
-            )
-    return _grid_from_doc(doc, scenario)
 
 
 def _write_run_record(args, doc, name: str, own: dict, report: dict, streamed, result: dict):
@@ -262,13 +258,10 @@ def _write_run_record(args, doc, name: str, own: dict, report: dict, streamed, r
 
 def _cmd_eta(args) -> int:
     doc, scenario = _load(args)
-    if doc.method == "angular":
-        estimate = partial(eta_angular, grid=_angular_setup(doc, scenario))
-    else:
-        estimate = eta_paraxial
+    project, estimate = METHODS[doc.method].pair({scenario.idler_mode: _setup(doc, scenario)})
     report = resolution_report(scenario)
     _print_report(report)
-    est = estimate(scenario, threads=args.threads)
+    est = estimate(scenario, _eta_stream([scenario], args.threads, project)[0])
     print(f"eta = {est.eta:.9g}")
     print(f"numerator = {est.numerator:.9g}")
     print(f"denominator = {est.denominator:.9g}")
@@ -284,23 +277,19 @@ def _cmd_eta(args) -> int:
 
 
 def _parse_values(raw: str) -> tuple[float, ...]:
-    values = tuple(_as_float(tok, "--values") for tok in raw.split(",") if tok.strip() != "")
-    if not values:
-        raise ConfigError("--values: empty list")
-    return values
+    """Each comma-separated item of --values; an empty item is not a number."""
+    return tuple(_as_float(tok, "--values") for tok in raw.split(","))
 
 
 def _cmd_sweep(args) -> int:
     doc, scenario = _load(args)
     values = _parse_values(args.values)
-    if doc.method == "angular":
-        # the base's grid and every value's size: a bad INI fails before any row
-        _angular_setup(doc, scenario, args.sweep, values)
+    _setup(doc, scenario, args.sweep, values)  # a bad INI fails before any row
     try:
         spec = SweepSpec(scenario, args.sweep, values, args.replicates, doc.method)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    rows = run_sweep(spec, threads=args.threads, make_grid=partial(_grid_from_doc, doc))
+    rows = run_sweep(spec, threads=args.threads, make_grid=partial(_setup, doc))
     for row in rows:
         if row.error is not None:
             print(f"{args.sweep} row failed: {row.error}")
@@ -324,7 +313,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_angular(args) -> int:
     doc, scenario = _load(args)
-    grid = _angular_setup(doc, scenario)
+    doc = replace(doc, method="angular")  # whatever the INI's method says
+    grid = _setup(doc, scenario)
     field = angular_field(scenario, grid, threads=args.threads)
     eta_ref = eta_reference(field, grid)
     print(f"eta_reference = {eta_ref:.9g}")
@@ -332,9 +322,8 @@ def _cmd_angular(args) -> int:
     result = {"n_kept": field.n_kept, "dropped_amplitude": field.dropped_amplitude,
               "sphere_norm": sphere_norm(field, grid), "grid_n_levels": grid.n_levels,
               "grid_cap_theta_min_rad": grid.cap_theta_min, "grid_k_times_w": grid.k_times_w}
-    # the command is the angular method whatever the INI's method says
-    paths.append(_write_run_record(args, replace(doc, method="angular"), "heatmap_meta.txt", {},
-                                   resolution_report(scenario), _in_region(scenario)[0], result))
+    paths.append(_write_run_record(args, doc, "heatmap_meta.txt", {}, resolution_report(scenario),
+                                   _in_region(scenario)[0], result))
     for path in paths:
         print(f"wrote {path}")
     return 0

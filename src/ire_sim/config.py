@@ -27,7 +27,8 @@ A run is described by an INI document with four blocks:
     theta_deg             = 0.0       write/read axis tilt, degrees, |x| < 90
     tm_us                 = 0.0       storage time, microseconds
     seed                  = 1         base seed, unsigned 64-bit
-    method                = paraxial  paraxial | angular
+    method                = paraxial  paraxial | angular, in any case
+                                      (experiments.METHODS)
     mc_atoms              = ...       subsample size for the streaming
                                       estimator (paraxial only)
     grid_n_cap            = 256       angular grid: polar nodes in the cap
@@ -59,7 +60,7 @@ from .ensemble import (
     optical_depth,
     thermal_velocity_sigma,
 )
-from .experiments import SWEEP_METHODS
+from .experiments import METHODS
 from .retrieval import Scenario, make_scenario, wavenumbers
 
 
@@ -119,7 +120,7 @@ _fraction = _checked(_as_float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _tilt = _checked(_as_float, lambda v: abs(v) < 90.0, "in (-90, 90)")
 _duration = _checked(_as_float, lambda v: v >= 0.0, ">= 0")
 _u64 = _checked(_as_int, lambda v: 0 <= v < 2**64, "an unsigned 64-bit integer")
-_method = _checked(_as_method, SWEEP_METHODS.__contains__, " | ".join(SWEEP_METHODS))
+_method = _checked(_as_method, METHODS.__contains__, " | ".join(METHODS))
 _REQUIRED = object()
 
 

@@ -11,11 +11,11 @@ Each value runs `replicates` times with seeds base, base+1, ...; a row
 reports the replicate mean and the standard error of that mean (sample
 standard deviation over sqrt(replicates), zero for a single replicate). A
 value that fails with a ValueError or ArithmeticError produces an error
-row and the sweep continues. A sweep of either method streams each
-replicate's atoms once for all the values that share its streamed count,
-on one process pool: no axis moves the seed or the cloud width, and only
-the optical depth moves the count. An angular sweep evaluates each value
-on the sphere grid of its idler (the default grid unless the caller
+row and the sweep continues. A sweep of any method in METHODS streams
+each replicate's atoms once for all the values that share its streamed
+count, on one process pool: no axis moves the seed or the cloud width, and
+only the optical depth moves the count. A gridded method evaluates each
+value on the sphere grid of its idler (the default grid unless the caller
 builds its own).
 Numeric CSV fields carry 9 significant digits; reruns of the same spec
 produce byte-identical files.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +36,14 @@ from .ensemble import density_for_od, optical_depth
 from .retrieval import Scenario, _estimate, _eta_stream, _in_region, _paraxial_sums
 
 SWEEP_AXES = ("width_ratio", "optical_depth", "storage_time", "skew_angle")
-SWEEP_METHODS = ("paraxial", "angular")
+
+# Each estimator method, declared once for the INI's method reader, --method,
+# SweepSpec, run_sweep and the CLI's setup: pair(grids) gives its (project,
+# estimate) on grids (idler mode -> sphere grid), gridded that it evaluates on
+# one sphere grid per idler mode, and reads_mc_atoms that it reads mc_atoms.
+Method = namedtuple("Method", "pair gridded reads_mc_atoms")
+METHODS = {"paraxial": Method(lambda grids: (_paraxial_sums, _estimate), False, True),
+           "angular": Method(_angular_method, True, False)}
 
 SWEEP_CSV_COLUMNS = (
     "od",
@@ -65,8 +73,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        if self.method not in SWEEP_METHODS:
-            raise ValueError(f"method must be one of {SWEEP_METHODS}, got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
         values = tuple(float(v) for v in self.values)
         if len(values) == 0:
             raise ValueError("values must be non-empty")
@@ -75,9 +83,9 @@ class SweepSpec:
         object.__setattr__(self, "values", values)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.method == "angular" and self.base.mc_atoms is not None:
+        if self.base.mc_atoms is not None and not METHODS[self.method].reads_mc_atoms:
             raise ValueError(
-                "angular sweeps have no subsample estimator; clear mc_atoms on the base"
+                f"{self.method} sweeps have no subsample estimator; clear mc_atoms on the base"
             )
 
 
@@ -159,30 +167,30 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
     """Run every sweep value; a value that fails becomes an error row, not an abort.
 
     Only ValueError and ArithmeticError become error rows; any other
-    exception is a programming error and propagates. With either method,
+    exception is a programming error and propagates. With any method,
     each replicate's atoms are drawn once for every valid value with the
     same streamed count (all of them, unless an optical_depth sweep streams
     the full ensemble), with all chunks on one process pool; each row is
     bit-identical to eta_paraxial, or eta_angular on the grid
     make_grid(scenario) (default: the idler's default grid), at its point.
-    The methods differ only in the projection and the estimate read from a
-    stream total. An error of that shared stream fails every valid value;
-    an error of one value's estimate fails that value alone.
+    The methods differ only in their METHODS pair, the projection and the
+    estimate. An error of that shared stream fails every valid value; an
+    error of one value's estimate fails that value alone.
     """
     seeds = range(spec.base.seed, spec.base.seed + spec.replicates)
     points, etas, failed = {}, {}, {}  # keyed by the value's index
-    grids = {}  # the angular method's grid per idler mode
+    method = METHODS[spec.method]
+    grids = {}  # a gridded method's grid per idler mode
     make_grid = make_grid or _default_grid
     for i, value in enumerate(spec.values):
         try:
             scenario = scenario_for_value(spec.base, spec.axis, value)
-            if spec.method == "angular" and scenario.idler_mode not in grids:
+            if method.gridded and scenario.idler_mode not in grids:
                 grids[scenario.idler_mode] = make_grid(scenario)
             points[i] = (scenario, _descriptors(scenario))
         except (ValueError, ArithmeticError) as exc:
             failed[i] = exc
-    project, estimate = (_angular_method(grids) if spec.method == "angular"
-                         else (_paraxial_sums, _estimate))
+    project, estimate = method.pair(grids)
     scenarios = [(i, replace(points[i][0], seed=seed)) for seed in seeds for i in points]
     runs: dict[int, list] = {i: [] for i in points}  # (scenario, total) per seed
     try:

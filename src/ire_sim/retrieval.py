@@ -504,6 +504,24 @@ def _streamed_count(scenario: Scenario) -> int:
     return scenario.mc_atoms if scenario.mc_atoms is not None else scenario.n_atoms
 
 
+def _stream_tail(scenario: Scenario, total) -> tuple[float, float, int]:
+    """(S2, D + D0, n_kept) of a stream total: the projection's sums, then S2, D, n_kept.
+
+    D0 is _in_region's; total is None when the scenario streamed no atom.
+    ArithmeticError when S2 = 0, naming PRUNE_FLOOR when no atom cleared it.
+    """
+    s2, dropped, n_kept = total[-3:] if total else (0.0, 0.0, 0)
+    dropped += _in_region(scenario)[2]
+    if s2 <= 0.0:
+        if n_kept == 0:
+            raise ArithmeticError(
+                f"every streamed atom's stored amplitude is below PRUNE_FLOOR = "
+                f"{PRUNE_FLOOR:g} of its peak (dropped sum |A_j| = {dropped:.3g})"
+            )
+        raise ArithmeticError("degenerate cloud: sum |A_j|^2 = 0, no stored amplitude")
+    return s2, dropped, n_kept
+
+
 def _estimate(scenario: Scenario, total) -> EtaEstimate:
     """The estimate of one scenario's stream total.
 
@@ -514,18 +532,9 @@ def _estimate(scenario: Scenario, total) -> EtaEstimate:
     (_in_region).
     """
     n_total = scenario.n_atoms
-    m, n_in, screened = _in_region(scenario)
-    s1r, s1i, sxx, s2, dropped, n_kept = total or (0.0, 0.0, 0.0, 0.0, 0.0, 0)
-    dropped += screened
-
-    if s2 <= 0.0:
-        if n_kept == 0:
-            raise ArithmeticError(
-                f"every streamed atom's stored amplitude is below PRUNE_FLOOR = "
-                f"{PRUNE_FLOOR:g} of its peak (dropped sum |A_j| = {dropped:.3g})"
-            )
-        raise ArithmeticError("degenerate cloud: sum |A_j|^2 = 0, no stored amplitude")
-
+    s2, dropped, n_kept = _stream_tail(scenario, total)
+    s1r, s1i, sxx = total[:3]
+    m, n_in, _ = _in_region(scenario)
     clamped = False
     if _streamed_count(scenario) == n_total:
         numerator = s1r * s1r + s1i * s1i

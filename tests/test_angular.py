@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_export_heatmap_layout(tmp_path):
     names = [p.split("/")[-1] for p in paths]
     assert names == ["heatmap_sphere.csv", "heatmap_cap.csv"]
 
-    sphere_text = open(paths[0]).read().splitlines()
+    sphere_text = Path(paths[0]).read_text().splitlines()
     assert sphere_text[0] == "theta_rad,phi_rad,re,im"
     assert len(sphere_text) == 1 + raster_n * raster_n
     rows = np.loadtxt(paths[0], delimiter=",", skiprows=1)
@@ -360,7 +361,7 @@ def test_export_heatmap_reruns_byte_identical(tmp_path):
     p1 = export_heatmap(field, grid, str(tmp_path / "a"), raster_n=32)
     p2 = export_heatmap(field, grid, str(tmp_path / "b"), raster_n=32)
     for a, b in zip(p1[:2], p2[:2]):
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_export_heatmap_matches_savetxt_bytes(tmp_path):
@@ -382,7 +383,7 @@ def test_export_heatmap_matches_savetxt_bytes(tmp_path):
         ref = tmp_path / "ref.csv"
         np.savetxt(ref, rows, fmt="%.17g", delimiter=",",
                    header="theta_rad,phi_rad,re,im", comments="")
-        assert open(path, "rb").read() == ref.read_bytes()
+        assert Path(path).read_bytes() == ref.read_bytes()
 
 
 def _savetxt_raster(path, unit, grid, raster_n, theta_lo):
@@ -411,7 +412,7 @@ def test_export_heatmap_shares_rows_of_a_level_byte_for_byte(tmp_path, n_phi, ra
     paths = export_heatmap(field, grid, str(tmp_path / "out"), raster_n=raster_n)
     for path, lo in zip(paths[:2], (0.0, grid.cap_theta_min)):
         ref = _savetxt_raster(tmp_path / "ref.csv", unit, grid, raster_n, lo)
-        assert open(path, "rb").read() == ref
+        assert Path(path).read_bytes() == ref
 
 
 def test_export_heatmap_memory_stays_flat(tmp_path):

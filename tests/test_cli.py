@@ -120,11 +120,13 @@ def test_eta_angular_method(angular_ini, tmp_path, capsys):
 
 
 def test_eta_angular_rejects_subsampling(angular_ini, tmp_path, capsys):
-    for command in (["eta"], ["sweep", "--sweep", "skew_angle", "--values", "0,1"]):
-        rc = main(
-            command + ["--config", angular_ini, "--method", "angular", "--mc-atoms", "100",
-                       "--out", str(tmp_path / "o")]
-        )
+    # `angular` has no --method or --mc-atoms flag: it reads mc_atoms from the INI
+    subsampled_ini = tmp_path / "subsampled.ini"
+    subsampled_ini.write_text(ANGULAR_INI + "mc_atoms = 100\n")
+    flags = ["--config", angular_ini, "--method", "angular", "--mc-atoms", "100"]
+    for command in (["eta", *flags], ["sweep", "--sweep", "skew_angle", "--values", "0,1", *flags],
+                    ["angular", "--config", str(subsampled_ini)]):
+        rc = main(command + ["--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert rc == 2, command
         assert "paraxial" in err
@@ -213,6 +215,7 @@ def test_sweep_rejects_garbled_values(small_ini, tmp_path, capsys):
     ["--values", "1,2", "--replicates", "0"],
     ["--values", "0.5,nan,0.3"],  # NaN hid the order
     ["--values", "0,inf"],  # not finite, as no INI number may be
+    ["--values", "0,,50"],  # an empty item is not a number
 ])
 def test_sweep_usage_errors_exit_2(small_ini, tmp_path, capsys, flags):
     out_dir = tmp_path / "o"
@@ -329,6 +332,7 @@ def test_ini_seed_reads_as_the_seed_flag(seed, small_ini, tmp_path, capsys):
 @pytest.mark.parametrize("flags, named", [
     (["--seed", str(2**64)], "--seed"),
     (["--mc-atoms", "1"], "--mc-atoms"),
+    (["--method", "meanfield"], "--method"),
 ])
 def test_bad_override_names_its_flag(small_ini, tmp_path, capsys, flags, named):
     out_dir = tmp_path / "o"
@@ -428,7 +432,9 @@ def _ini_part(meta):
                    "--replicates", "1"], "sweep_meta.txt", {"seed": 3}),
     # the angular command is the angular method whatever the INI says
     ("angular_ini", ["angular"], "heatmap_meta.txt", {"method": "angular"}),
-], ids=["eta", "sweep", "angular"])
+    # --method is read as the INI's method = Angular is (tests/test_config.py)
+    ("angular_ini", ["eta", "--method", "Angular"], "eta_meta.txt", {"method": "angular"}),
+], ids=["eta", "sweep", "angular", "eta-method-any-case"])
 def test_record_holds_the_ini_as_the_run_read_it(ini, command, record, overrides, request,
                                                  tmp_path, capsys):
     path = request.getfixturevalue(ini)

@@ -12,6 +12,7 @@ import pytest
 
 import ire_sim
 from ire_sim import ConfigDocument, config, parse_config_text
+from ire_sim.experiments import METHODS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,6 +65,10 @@ def test_readme_ini_block_is_the_grammar():
     # every key, the commented-out alternatives included, and each once
     assert sorted(re.findall(r"^;?(\w+)\s+=", block, re.M)) == declared
     assert sorted(re.findall(r"^    (\w+)\s+= ", config.__doc__, re.M)) == declared
+    # both list the method names of the one table of methods
+    for text in (block, config.__doc__):
+        (names,) = re.findall(r"^\s*method\s+= \w+\s+;?\s*(\w+(?: \| \w+)+)", text, re.M)
+        assert tuple(names.split(" | ")) == tuple(METHODS)
     # the optional blocks show the defaults
     for key in fields(ConfigDocument):
         if key.metadata["block"] in ("species", "run"):

@@ -131,10 +131,10 @@ def test_far_off_axis_atom_is_dropped_and_counted():
     assert dropped <= 2.0 * PRUNE_FLOOR
 
 
-def test_all_atoms_below_the_floor_is_an_arithmetic_error():
+def test_all_atoms_below_the_floor_is_an_arithmetic_error(tiny_grid):
     # A single atom of a 0.75 mm cloud sits far outside the beams on most
     # seeds; one whose amplitude falls below the floor leaves nothing to
-    # normalize by, and the estimate says so instead of returning 0/0.
+    # normalize by, and either estimate says so instead of returning 0/0.
     for seed in range(1, 50):
         scn = canonical_scenario(n_atoms_override=1, seed=seed)
         keep, _ = _prune(draw_sample(scn).r_initial, scn)
@@ -144,6 +144,8 @@ def test_all_atoms_below_the_floor_is_an_arithmetic_error():
         pytest.fail("no seed in 1..49 put the atom below the floor")
     with pytest.raises(ArithmeticError, match="PRUNE_FLOOR"):
         eta_paraxial(scn)
+    with pytest.raises(ArithmeticError, match="PRUNE_FLOOR"):
+        eta_angular(scn, tiny_grid)
 
 
 def test_kept_count_and_dropped_amplitude_ignore_thread_count(small_chunks):
