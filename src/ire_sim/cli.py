@@ -47,6 +47,8 @@ from .experiments import (METHODS, SWEEP_AXES, SweepSpec, _descriptors, _g9, run
                           scenario_for_value, write_rows, write_sweep_csv)
 from .ensemble import SHELLS
 from .retrieval import (
+    BLOCK_ATOMS,
+    CHUNK_ATOMS,
     PRUNE_FLOOR,
     THREADS_ENV_VAR,
     Scenario,
@@ -173,9 +175,12 @@ def _stream_record(threads: int, streamed_in_region) -> dict:
 
     numpy does not promise the same Generator.multinomial draw across its
     versions (NEP 19), and that draw sets how many atoms each shell holds.
+    The chunk size sets how the sums are added up, and the block size how
+    D is.
     """
-    return {"threads": threads, "numpy_version": np.__version__, "shells": SHELLS,
-            "prune_floor": PRUNE_FLOOR, "streamed_in_region": streamed_in_region}
+    return {"threads": threads, "chunk_atoms": CHUNK_ATOMS, "block_atoms": BLOCK_ATOMS,
+            "numpy_version": np.__version__, "shells": SHELLS, "prune_floor": PRUNE_FLOOR,
+            "streamed_in_region": streamed_in_region}
 
 
 def _print_report(report: dict) -> None:

@@ -18,7 +18,11 @@ correlation angle of a ~30 um emitting column equals the lobe width).
 
 The numerator runs over the full physical ensemble by default (streaming,
 counter-based sampling, chunk sums added in ascending (shell, chunk)
-order, so the result is bit-identical for any thread count).
+order, so the result is bit-identical for any thread count). A chunk's
+atoms are drawn, placed and masked in blocks of BLOCK_ATOMS, and only the
+kept atoms outlive their block; each chunk sum is then taken once over
+the chunk's kept atoms, so the block size moves no sum but the dropped
+amplitude D, which is added block by block.
 A subsampled estimator of the same full-N quantity is available through
 Scenario.mc_atoms for survey work: it streams the first atoms of each
 radial shell the full stream would stream, and its numerator uses the
@@ -29,11 +33,11 @@ fires when the sampled off-diagonal mean comes out negative (it does at a
 noise), and the estimate is not bounded above by 1 at small subsamples.
 
 No sweep axis moves the seed, the cloud width or the streamed count, so
-one stream can serve several scenarios: a chunk's counter words and
+one stream can serve several scenarios: a block's counter words and
 positions are drawn once, each scenario adds up only the chunks of its own
-shells, the skip mask and the stored amplitudes A_j are rebuilt only where
-the beams, the tilt or the velocity spread change, and the projection runs
-per scenario. The same stream serves the angular
+shells, the skip mask and the stored amplitudes A_j are built once for
+each distinct set of beams, tilt and velocity spread, and the projection
+runs per scenario. The same stream serves the angular
 reference path, whose projection is the emitted field on a sphere grid
 (see ire_sim.angular). The lobe power C(t_m) is one reduction of a
 per-node table cached without t_m.
@@ -82,6 +86,13 @@ from .ensemble import (
 # derived from the thread count) so the chunk decomposition, and therefore
 # every accumulated bit, is the same no matter how the chunks are farmed out.
 CHUNK_ATOMS = 1 << 20
+
+# Atoms per block inside a chunk: a worker draws, places and masks one block
+# at a time and keeps only its kept atoms, so what a chunk holds at once is
+# one block's words and positions plus the kept atoms. Divides CHUNK_ATOMS.
+# Moves no sum but D (the blocks' D are added in block order; see
+# _eta_worker).
+BLOCK_ATOMS = 1 << 14
 
 THREADS_ENV_VAR = "IRE_SIM_THREADS"
 
@@ -467,36 +478,53 @@ def _paraxial_sums(a, sample, scenario) -> tuple[float, float, float]:
 def _eta_worker(task):
     """One chunk of one shell of the stream (top level for process pools).
 
-    Draws the chunk's counter words and positions once for all the
-    scenarios of its stream. A scenario whose first streamed shell
-    (_screen_shell) lies above this shell gets None. For the others the
-    exact skip mask (_prune), the kept atoms (their positions, and
-    velocities mapped from their words) and their stored amplitudes A_j are
-    rebuilt only when something they depend on differs from the previous
-    scenario's: the species, the beams, the tilt or the velocity spread.
-    Each such scenario then calls project(A_j, kept atoms, scenario), which
-    returns a tuple of that method's sums. Returns one partial per scenario:
-    the projection's sums followed by S2 = sum |A_j|^2, D and n_kept over
-    the kept atoms.
+    Walks the chunk's atoms in blocks of at most BLOCK_ATOMS, drawing each
+    block's counter words and positions once for all the scenarios of its
+    stream. A scenario whose first streamed shell (_screen_shell) lies
+    above this shell gets None. The others are grouped by what their kept
+    atoms depend on: the species, the beams, the tilt and the velocity
+    spread. Each group runs the exact skip mask (_prune) once per block and
+    keeps only its kept atoms' positions and velocities (mapped from their
+    words with the group's cloud) and the block's D; the block's words and
+    positions are then let go. In the last block each group in turn
+    concatenates its kept atoms, in stream order, and builds their stored
+    amplitudes A_j, so every sum below is taken once over the same atoms
+    whatever the block size; only D is the sum of the blocks' D, in block
+    order. Each scenario of the group then calls project(A_j, kept atoms,
+    scenario), which returns a tuple of that method's sums. Returns one
+    partial per scenario: the projection's sums followed by
+    S2 = sum |A_j|^2, D and n_kept over the kept atoms.
     """
     scenarios, shell, lo, hi, project = task
-    raw = _raw_words(scenarios[0].seed, shell, lo, hi)
-    r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
-    out, built_for = [], None
-    for scenario in scenarios:
-        if _screen_shell(scenario) > shell:
-            out.append(None)
-            continue
-        key = (scenario.species, scenario.w_write, scenario.w_collect, scenario.skew_theta,
-               thermal_velocity_sigma(scenario.cloud))
-        if key != built_for:
-            sample = a = None  # free the previous mask's atoms before the next mask
-            keep, dropped = _prune(r, scenario)
-            sample = AtomSample(r[keep], _velocities_from_raw(raw[keep], scenario.cloud))
-            a = spinwave_amplitude(sample, scenario)
+    # what a scenario's kept atoms depend on -> the indices of the scenarios
+    # sharing it, then each block's kept positions, kept velocities and D
+    groups = {}
+    for i, s in enumerate(scenarios):
+        if _screen_shell(s) <= shell:
+            key = (s.species, s.w_write, s.w_collect, s.skew_theta, thermal_velocity_sigma(s.cloud))
+            groups.setdefault(key, ([], [], [], []))[0].append(i)
+    out = [None] * len(scenarios)
+    for b in range(lo, hi, BLOCK_ATOMS):
+        raw = _raw_words(scenarios[0].seed, shell, b, min(b + BLOCK_ATOMS, hi))
+        r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
+        for idx, positions, velocities, dropped in groups.values():
+            first = scenarios[idx[0]]
+            keep, d = _prune(r, first)
+            positions.append(r[keep])
+            velocities.append(_velocities_from_raw(raw[keep], first.cloud))
+            dropped.append(d)
+            if b + BLOCK_ATOMS < hi:
+                continue
+            # the chunk's last block: this group's kept atoms are all in, so it
+            # is finished before the next group's mask
+            sample = AtomSample(np.concatenate(positions), np.concatenate(velocities))
+            positions.clear()
+            velocities.clear()
+            a = spinwave_amplitude(sample, first)
             s2 = float(np.sum(a.real**2 + a.imag**2))
-            built_for = key
-        out.append((*project(a, sample, scenario), s2, dropped, len(sample)))
+            for i in idx:
+                out[i] = (*project(a, sample, scenarios[i]), s2, sum(dropped), len(sample))
+            del sample, a
     return out
 
 

@@ -109,6 +109,20 @@ def small_chunks(monkeypatch):
 
 
 @pytest.fixture()
+def small_blocks(monkeypatch):
+    """Set the block size inside a chunk (retrieval.BLOCK_ATOMS) for one test.
+
+    Returns the setter, which returns the size it set. A size at least the
+    chunk's gives a one-block pass.
+    """
+    def set_block_atoms(atoms):
+        monkeypatch.setattr(retrieval, "BLOCK_ATOMS", atoms)
+        return atoms
+
+    return set_block_atoms
+
+
+@pytest.fixture()
 def created_pools(monkeypatch):
     """The max_workers of every process pool the stream builds, in order of creation."""
     created = []

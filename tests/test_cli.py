@@ -13,7 +13,8 @@ from ire_sim.cli import ANGULAR_MAX_ATOMS, ETA_CSV_COLUMNS, _write_run_record, m
 from ire_sim.config import _read_key
 from ire_sim.ensemble import SHELLS
 from ire_sim.experiments import SWEEP_CSV_COLUMNS
-from ire_sim.retrieval import PRUNE_FLOOR, THREADS_ENV_VAR, _in_region
+from ire_sim.retrieval import (BLOCK_ATOMS, CHUNK_ATOMS, PRUNE_FLOOR, THREADS_ENV_VAR,
+                                _in_region)
 
 from conftest import CANONICAL_INI, canonical_scenario, read_meta
 
@@ -404,6 +405,8 @@ def test_every_meta_opens_with_the_version_and_closes_with_the_time(
         assert keys[0] == "package_version" and meta["package_version"] == __version__
         assert keys[-1] == "timestamp_utc"
         assert "config_path" in keys and "streamed_in_region" in keys
+        # the stream's layout: chunks of the shells, blocks of the chunks
+        assert (meta["chunk_atoms"], meta["block_atoms"]) == (str(CHUNK_ATOMS), str(BLOCK_ATOMS))
 
 
 def test_heatmap_meta_records_the_stream(angular_ini, tmp_path, capsys):

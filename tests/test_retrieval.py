@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -247,6 +248,23 @@ def test_kernel_matches_vectorized_reference():
     assert sxx == pytest.approx(sxx_ref, rel=1e-10)
     assert n_kept == int(keep.sum())
     assert dropped + _in_region(scn)[2] >= dropped_ref
+
+
+def test_a_chunk_that_keeps_no_atom_holds_one_block_at_a_time():
+    # Shell 58 of the canonical 0 deg cloud keeps no atom. Its chunk is
+    # walked in blocks, so the worker holds one block's words, positions and
+    # mask at a time (measured peak 2.5 MB); the chunk's words alone take
+    # 64 MB.
+    scn = canonical_scenario()
+    assert _screen_shell(scn) <= 58
+    tracemalloc.start()
+    try:
+        (part,) = _eta_worker(((scn,), 58, 0, CHUNK_ATOMS, _paraxial_sums))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part[-1] == 0
+    assert peak <= 16e6
 
 
 def test_single_atom_efficiency_is_exact():

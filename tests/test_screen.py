@@ -211,6 +211,46 @@ def test_angular_field_keeps_the_bits_of_an_unscreened_pass(small_chunks):
     assert dropped <= field.dropped_amplitude == pytest.approx(dropped, rel=1e-12, abs=0.0)
 
 
+# Blocks of 2^9 atoms: each streamed shell of the STREAMED-atom stream is one
+# chunk of several full blocks and a short one.
+SMALL_BLOCK = 1 << 9
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_blocks_keep_the_bits_of_a_one_block_pass(small_blocks, job, threads):
+    scenarios = [
+        _scenario(target_od=24.7, mc_atoms=STREAMED, seed=11, **point) for point in JOBS[job]
+    ]
+    block = small_blocks(SMALL_BLOCK)
+    lowest = min(_screen_shell(scn) for scn in scenarios)
+    assert all(2 * block < c < CHUNK_ATOMS and c % block
+               for c in shell_counts(11, STREAMED)[lowest:])
+    got = _eta_stream(scenarios, threads=threads)
+    small_blocks(CHUNK_ATOMS)
+    ref = _eta_stream(scenarios, threads=threads)
+    for total, one in zip(got, ref):
+        # each sum is taken once over the same kept atoms: S1, SXX, S2 and
+        # n_kept keep their bits; only D is added up block by block
+        assert total[:4] + total[5:] == one[:4] + one[5:]
+        assert total[4] == pytest.approx(one[4], rel=1e-14, abs=0.0)
+
+
+def test_angular_field_keeps_its_bits_across_blocks(small_blocks):
+    grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
+    n = 80 * (1 << 9)
+    scn = canonical_scenario(n_atoms_override=n, skew_theta=math.radians(2.0),
+                             storage_tm=100e-6, seed=6)
+    block = small_blocks(1 << 7)
+    assert all(2 * block < c and c % block for c in shell_counts(scn.seed, n))
+    field = angular_field(scn, grid, threads=2)
+    small_blocks(CHUNK_ATOMS)
+    one = angular_field(scn, grid, threads=2)
+    assert field.values.tobytes() == one.values.tobytes()
+    assert (field.source_s2, field.n_kept) == (one.source_s2, one.n_kept)
+    assert field.dropped_amplitude == pytest.approx(one.dropped_amplitude, rel=1e-14, abs=0.0)
+
+
 def test_lobe_fraction_is_the_pair_terms_share_of_the_denominator(tmp_path, capsys):
     scn = canonical_scenario(mc_atoms=20_000, skew_theta=math.radians(2.0),
                              storage_tm=100e-6, seed=2)
