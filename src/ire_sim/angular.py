@@ -293,14 +293,15 @@ def angular_field(
 
     The one-scenario case of the paraxial estimator's stream (_eta_stream):
     the shells that can matter stream in fixed chunks of at most
-    retrieval.CHUNK_ATOMS on at most one process pool, and each chunk's
-    partial field is added, in ascending (shell, chunk) order, to the total
-    as it arrives, so the result is bit-identical for every thread count and
-    holds no field per chunk. Atoms below PRUNE_FLOOR are skipped before the
-    kernel, so the cost is kept atoms x nodes; the field records their
-    summed amplitude (see AngularField), and a stream in which none clears
-    it raises ArithmeticError. See the module docstring for the intended
-    size range.
+    retrieval.CHUNK_ATOMS on at most one process pool. A chunk's partial
+    field is the sum of its blocks' (retrieval.BLOCK_ATOMS atoms each), in
+    block order, and is added, in ascending (shell, chunk) order, to the
+    total as it arrives, so the result is bit-identical for every thread
+    count and holds no field per chunk. Atoms below PRUNE_FLOOR are skipped
+    before the kernel, so the cost is kept atoms x nodes; the field records
+    their summed amplitude (see AngularField), and a stream in which none
+    clears it raises ArithmeticError. See the module docstring for the
+    intended size range.
     """
     if scenario.mc_atoms is not None:
         raise ValueError(

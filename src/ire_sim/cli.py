@@ -175,8 +175,7 @@ def _stream_record(threads: int, streamed_in_region) -> dict:
 
     numpy does not promise the same Generator.multinomial draw across its
     versions (NEP 19), and that draw sets how many atoms each shell holds.
-    The chunk size sets how the sums are added up, and the block size how
-    D is.
+    The chunk size and the block size both set how every sum is added up.
     """
     return {"threads": threads, "chunk_atoms": CHUNK_ATOMS, "block_atoms": BLOCK_ATOMS,
             "numpy_version": np.__version__, "shells": SHELLS, "prune_floor": PRUNE_FLOOR,

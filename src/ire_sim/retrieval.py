@@ -18,11 +18,11 @@ correlation angle of a ~30 um emitting column equals the lobe width).
 
 The numerator runs over the full physical ensemble by default (streaming,
 counter-based sampling, chunk sums added in ascending (shell, chunk)
-order, so the result is bit-identical for any thread count). A chunk's
-atoms are drawn, placed and masked in blocks of BLOCK_ATOMS, and only the
-kept atoms outlive their block; each chunk sum is then taken once over
-the chunk's kept atoms, so the block size moves no sum but the dropped
-amplitude D, which is added block by block.
+order, so the result is bit-identical for any thread count). Inside a
+chunk, the atoms are drawn, placed, masked and projected in blocks of
+BLOCK_ATOMS, and each chunk partial is the sum of its blocks' partials in
+block order: every sum is a left fold over blocks, then over chunks, so
+the two sizes set how the sums are added up.
 A subsampled estimator of the same full-N quantity is available through
 Scenario.mc_atoms for survey work: it streams the first atoms of each
 radial shell the full stream would stream, and its numerator uses the
@@ -87,11 +87,10 @@ from .ensemble import (
 # every accumulated bit, is the same no matter how the chunks are farmed out.
 CHUNK_ATOMS = 1 << 20
 
-# Atoms per block inside a chunk: a worker draws, places and masks one block
-# at a time and keeps only its kept atoms, so what a chunk holds at once is
-# one block's words and positions plus the kept atoms. Divides CHUNK_ATOMS.
-# Moves no sum but D (the blocks' D are added in block order; see
-# _eta_worker).
+# Atoms per block inside a chunk: a worker draws, places, masks and projects
+# one block at a time and adds its partial to the chunk's in block order, so
+# what a chunk holds at once is one block's atoms. Divides CHUNK_ATOMS. Like
+# the chunk size, it sets how every sum is added up (see _eta_worker).
 BLOCK_ATOMS = 1 << 14
 
 THREADS_ENV_VAR = "IRE_SIM_THREADS"
@@ -384,7 +383,7 @@ def _prune(r: np.ndarray, scenario: Scenario) -> tuple[np.ndarray, float]:
     w, s = scenario.write_mode, scenario.signal_mode
     ct, st = math.cos(scenario.skew_theta), math.sin(scenario.skew_theta)
     x2, y, z = r[:, 0] ** 2, r[:, 1], r[:, 2]
-    # term by term, in place, so that few chunk-sized temporaries live at once
+    # term by term, in place, so that few block-sized temporaries live at once
     uw = 1.0 + ((y * st + z * ct) / w.rayleigh_z) ** 2
     yt = y * ct - z * st
     ln_a = -(x2 + yt * yt) / (w.waist_w0**2 * uw)
@@ -483,48 +482,35 @@ def _eta_worker(task):
     stream. A scenario whose first streamed shell (_screen_shell) lies
     above this shell gets None. The others are grouped by what their kept
     atoms depend on: the species, the beams, the tilt and the velocity
-    spread. Each group runs the exact skip mask (_prune) once per block and
-    keeps only its kept atoms' positions and velocities (mapped from their
-    words with the group's cloud) and the block's D; the block's words and
-    positions are then let go. In the last block each group in turn
-    concatenates its kept atoms, in stream order, and builds their stored
-    amplitudes A_j, so every sum below is taken once over the same atoms
-    whatever the block size; only D is the sum of the blocks' D, in block
-    order. Each scenario of the group then calls project(A_j, kept atoms,
-    scenario), which returns a tuple of that method's sums. Returns one
-    partial per scenario: the projection's sums followed by
-    S2 = sum |A_j|^2, D and n_kept over the kept atoms.
+    spread. For each block, each group runs the exact skip mask (_prune),
+    maps its kept atoms' velocities from their words with the group's
+    cloud and builds their stored amplitudes A_j; each scenario of the
+    group then calls project(A_j, kept atoms, scenario), which returns a
+    tuple of that method's sums. The block's partial, the projection's sums
+    followed by S2 = sum |A_j|^2, D and n_kept over its kept atoms, is
+    added to the scenario's chunk partial with _add, in block order, so
+    nothing outlives its block but the partials. Returns one chunk partial
+    per scenario.
     """
     scenarios, shell, lo, hi, project = task
-    # what a scenario's kept atoms depend on -> the indices of the scenarios
-    # sharing it, then each block's kept positions, kept velocities and D
+    # what a scenario's kept atoms depend on -> the indices of the scenarios sharing it
     groups = {}
     for i, s in enumerate(scenarios):
         if _screen_shell(s) <= shell:
             key = (s.species, s.w_write, s.w_collect, s.skew_theta, thermal_velocity_sigma(s.cloud))
-            groups.setdefault(key, ([], [], [], []))[0].append(i)
+            groups.setdefault(key, []).append(i)
     out = [None] * len(scenarios)
     for b in range(lo, hi, BLOCK_ATOMS):
         raw = _raw_words(scenarios[0].seed, shell, b, min(b + BLOCK_ATOMS, hi))
         r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
-        for idx, positions, velocities, dropped in groups.values():
+        for idx in groups.values():
             first = scenarios[idx[0]]
             keep, d = _prune(r, first)
-            positions.append(r[keep])
-            velocities.append(_velocities_from_raw(raw[keep], first.cloud))
-            dropped.append(d)
-            if b + BLOCK_ATOMS < hi:
-                continue
-            # the chunk's last block: this group's kept atoms are all in, so it
-            # is finished before the next group's mask
-            sample = AtomSample(np.concatenate(positions), np.concatenate(velocities))
-            positions.clear()
-            velocities.clear()
+            sample = AtomSample(r[keep], _velocities_from_raw(raw[keep], first.cloud))
             a = spinwave_amplitude(sample, first)
             s2 = float(np.sum(a.real**2 + a.imag**2))
             for i in idx:
-                out[i] = (*project(a, sample, scenarios[i]), s2, sum(dropped), len(sample))
-            del sample, a
+                out[i] = _add(out[i], (*project(a, sample, scenarios[i]), s2, d, len(sample)))
     return out
 
 
@@ -595,7 +581,7 @@ def _estimate(scenario: Scenario, total) -> EtaEstimate:
 
 
 def _add(total, part):
-    """Add a chunk partial to its scenario's running total (None: nothing added yet)."""
+    """Add a block or chunk partial to its scenario's running total (None: nothing added yet)."""
     return part if total is None else tuple(t + p for t, p in zip(total, part))
 
 

@@ -250,20 +250,22 @@ def test_kernel_matches_vectorized_reference():
     assert dropped + _in_region(scn)[2] >= dropped_ref
 
 
-def test_a_chunk_that_keeps_no_atom_holds_one_block_at_a_time():
-    # Shell 58 of the canonical 0 deg cloud keeps no atom. Its chunk is
-    # walked in blocks, so the worker holds one block's words, positions and
-    # mask at a time (measured peak 2.5 MB); the chunk's words alone take
-    # 64 MB.
+@pytest.mark.parametrize("shell, n_kept", [(58, 0), (63, CHUNK_ATOMS)])
+def test_a_chunk_that_keeps_no_atom_or_every_atom_holds_one_block_at_a_time(shell, n_kept):
+    # Of the canonical 0 deg cloud, shell 58 keeps no atom and shell 63 keeps
+    # all of them. Either chunk is walked in blocks, each block's kept atoms
+    # projected and added up before the next is drawn, so the worker holds
+    # one block at a time (measured peaks 2.5 and 5.8 MB); the chunk's words
+    # alone take 64 MB.
     scn = canonical_scenario()
     assert _screen_shell(scn) <= 58
     tracemalloc.start()
     try:
-        (part,) = _eta_worker(((scn,), 58, 0, CHUNK_ATOMS, _paraxial_sums))
+        (part,) = _eta_worker(((scn,), shell, 0, CHUNK_ATOMS, _paraxial_sums))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert part[-1] == 0
+    assert part[-1] == n_kept
     assert peak <= 16e6
 
 

@@ -184,6 +184,16 @@ def test_stream_keeps_the_bits_of_an_unscreened_pass(small_chunks, job, threads)
             old_est.eta, old_est.numerator, old_est.denominator, old_est.n_kept)
 
 
+def _field_partial(scn, grid, shell, lo, hi):
+    """(raw field, S2, D, n_kept) of a shell's atoms [lo, hi), from the public functions."""
+    sample = _sample_words(_raw_words(scn.seed, shell, lo, hi), scn.cloud)
+    keep, dropped = _prune(sample.r_initial, scn)
+    sample = drift(AtomSample(sample.r_initial[keep], sample.velocity[keep]), scn.storage_tm)
+    amps = spinwave_amplitude(sample, scn)
+    return (_field_sums(amps, sample.r_drifted, scn.skew_theta, KN.k_r, KN.k_i, grid),
+            float(np.sum(amps.real**2 + amps.imag**2)), dropped, len(sample))
+
+
 def test_angular_field_keeps_the_bits_of_an_unscreened_pass(small_chunks):
     chunk = small_chunks(1 << 9)
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
@@ -192,18 +202,9 @@ def test_angular_field_keeps_the_bits_of_an_unscreened_pass(small_chunks):
                              storage_tm=100e-6, seed=6)
     assert all(chunk < c < 2 * chunk for c in shell_counts(scn.seed, n))
     field = angular_field(scn, grid, threads=2)
-    acc = np.zeros(grid.n_nodes, dtype=complex)
-    s2 = dropped = 0.0
-    n_kept = 0
-    for shell, lo, hi in _shell_tasks(scn.seed, n, chunk):  # in stream order
-        sample = _sample_words(_raw_words(scn.seed, shell, lo, hi), scn.cloud)
-        keep, part_dropped = _prune(sample.r_initial, scn)
-        sample = drift(AtomSample(sample.r_initial[keep], sample.velocity[keep]), scn.storage_tm)
-        amps = spinwave_amplitude(sample, scn)
-        acc += _field_sums(amps, sample.r_drifted, scn.skew_theta, KN.k_r, KN.k_i, grid)
-        s2 += float(np.sum(amps.real**2 + amps.imag**2))
-        dropped += part_dropped
-        n_kept += len(sample)
+    # every shell's chunks, in stream order
+    acc, s2, dropped, n_kept = _in_order_sum(
+        [_field_partial(scn, grid, *t) for t in _shell_tasks(scn.seed, n, chunk)])
     values = acc / math.sqrt(4.0 * math.pi)
     assert field.values.tobytes() == values.tobytes()
     assert field.source_s2 == s2
@@ -216,9 +217,15 @@ def test_angular_field_keeps_the_bits_of_an_unscreened_pass(small_chunks):
 SMALL_BLOCK = 1 << 9
 
 
+def _block_folds(partial, tasks, block):
+    """Each chunk's block partials, added left to right in block order."""
+    return [_in_order_sum([partial(shell, b, min(b + block, hi)) for b in range(lo, hi, block)])
+            for shell, lo, hi in tasks]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("job", sorted(JOBS))
-def test_blocks_keep_the_bits_of_a_one_block_pass(small_blocks, job, threads):
+def test_stream_folds_each_chunk_block_by_block(small_blocks, job, threads):
     scenarios = [
         _scenario(target_od=24.7, mc_atoms=STREAMED, seed=11, **point) for point in JOBS[job]
     ]
@@ -227,27 +234,37 @@ def test_blocks_keep_the_bits_of_a_one_block_pass(small_blocks, job, threads):
     assert all(2 * block < c < CHUNK_ATOMS and c % block
                for c in shell_counts(11, STREAMED)[lowest:])
     got = _eta_stream(scenarios, threads=threads)
+    for scn, total in zip(scenarios, got):
+        first = _screen_shell(scn)
+        tasks = [t for t in _shell_tasks(11, STREAMED, CHUNK_ATOMS) if t[0] >= first]
+        chunks = _block_folds(lambda *t: _unscreened_eta_worker(((scn,), *t))[0], tasks, block)
+        # the (shell, chunk)-order sum of each chunk's block-order sum, bit for bit
+        assert total == _in_order_sum(chunks)
     small_blocks(CHUNK_ATOMS)
-    ref = _eta_stream(scenarios, threads=threads)
-    for total, one in zip(got, ref):
-        # each sum is taken once over the same kept atoms: S1, SXX, S2 and
-        # n_kept keep their bits; only D is added up block by block
-        assert total[:4] + total[5:] == one[:4] + one[5:]
+    for total, one in zip(got, _eta_stream(scenarios, threads=threads)):
+        # the block size moves no kept atom, and D only by rounding
+        assert total[5] == one[5]
         assert total[4] == pytest.approx(one[4], rel=1e-14, abs=0.0)
 
 
-def test_angular_field_keeps_its_bits_across_blocks(small_blocks):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_angular_field_folds_each_chunk_block_by_block(small_blocks, threads):
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
     n = 80 * (1 << 9)
     scn = canonical_scenario(n_atoms_override=n, skew_theta=math.radians(2.0),
                              storage_tm=100e-6, seed=6)
     block = small_blocks(1 << 7)
     assert all(2 * block < c and c % block for c in shell_counts(scn.seed, n))
-    field = angular_field(scn, grid, threads=2)
+    field = angular_field(scn, grid, threads=threads)
+    tasks = [t for t in _shell_tasks(scn.seed, n, CHUNK_ATOMS) if t[0] >= _screen_shell(scn)]
+    values, s2, dropped, n_kept = _in_order_sum(
+        _block_folds(lambda *t: _field_partial(scn, grid, *t), tasks, block))
+    assert field.values.tobytes() == (values / math.sqrt(4.0 * math.pi)).tobytes()
+    assert (field.source_s2, field.n_kept) == (s2, n_kept)
+    assert field.dropped_amplitude == dropped + _in_region(scn)[2]
     small_blocks(CHUNK_ATOMS)
-    one = angular_field(scn, grid, threads=2)
-    assert field.values.tobytes() == one.values.tobytes()
-    assert (field.source_s2, field.n_kept) == (one.source_s2, one.n_kept)
+    one = angular_field(scn, grid, threads=threads)
+    assert field.n_kept == one.n_kept
     assert field.dropped_amplitude == pytest.approx(one.dropped_amplitude, rel=1e-14, abs=0.0)
 
 

@@ -14,9 +14,9 @@ import pytest
 import ire_sim.experiments as experiments
 import ire_sim.retrieval as retrieval
 from ire_sim import SweepSpec, eta_paraxial, make_scenario, run_sweep, scenario_for_value
-from ire_sim.retrieval import CHUNK_ATOMS
 
-from conftest import R0, SPECIES, TEMP, W_COLLECT, W_WRITE, canonical_scenario
+from conftest import (R0, SPECIES, TEMP, W_COLLECT, W_WRITE, canonical_scenario,
+                      largest_streamed_shell)
 
 # A negative value first and an infinite one last: both pass SweepSpec's
 # ordering check and must become error rows of their own.
@@ -24,19 +24,18 @@ VALUES_US = (-5.0, 0.0, 50.0, 100.0, math.inf)
 
 
 @pytest.fixture(scope="module")
-def two_chunk_base():
-    return canonical_scenario(
-        skew_theta=math.radians(2.0), mc_atoms=CHUNK_ATOMS + 5000, seed=3
-    )
+def two_block_base():
+    """A stream of about 16.4k atoms per shell: one chunk, most of them of two blocks."""
+    return canonical_scenario(skew_theta=math.radians(2.0), mc_atoms=(1 << 20) + 5000, seed=3)
 
 
 @pytest.fixture(scope="module")
-def per_point(two_chunk_base):
+def per_point(two_block_base):
     """eta_paraxial at every valid value and replicate, on one process."""
     return {
         value: tuple(
             eta_paraxial(
-                scenario_for_value(replace(two_chunk_base, seed=seed), "storage_time", value),
+                scenario_for_value(replace(two_block_base, seed=seed), "storage_time", value),
                 threads=1,
             ).eta
             for seed in (3, 4)
@@ -47,9 +46,11 @@ def per_point(two_chunk_base):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_sweep_rows_are_bit_identical_to_per_point_estimates(two_chunk_base, per_point, threads):
+def test_sweep_rows_are_bit_identical_to_per_point_estimates(two_block_base, per_point, threads):
+    # a shell of several blocks, so the rows carry the block fold
+    assert largest_streamed_shell(two_block_base) > retrieval.BLOCK_ATOMS
     rows = run_sweep(
-        SweepSpec(two_chunk_base, "storage_time", VALUES_US, replicates=2), threads=threads
+        SweepSpec(two_block_base, "storage_time", VALUES_US, replicates=2), threads=threads
     )
     assert len(rows) == len(VALUES_US)
     for row, value in zip(rows, VALUES_US):
