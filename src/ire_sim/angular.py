@@ -167,11 +167,11 @@ class AngularField:
     n_atoms is the ensemble size.
 
     n_kept atoms cleared PRUNE_FLOOR and were summed; dropped_amplitude D
-    bounds sum |A_j| over the rest: it is that sum over the atoms whose
-    positions were drawn, plus PRUNE_FLOOR^2 for each atom of the shells
-    that were not streamed. Skipping them moves the field by at most
-    D / sqrt(4 pi) at every node and source_s2 by at most PRUNE_FLOOR D.
-    D = 0 means nothing was dropped.
+    bounds sum |A_j| over the rest, as EtaEstimate's does: their exact sum
+    over the skipped atoms that got positions, plus the bound that
+    screened each of the others (at most PRUNE_FLOOR each). Skipping them
+    moves the field by at most D / sqrt(4 pi) at every node and source_s2
+    by at most PRUNE_FLOOR D. D = 0 means nothing was dropped.
     """
 
     values: np.ndarray

@@ -20,9 +20,9 @@ every atom of shell k has u0 in (k/SHELLS, (k+1)/SHELLS). A stream orders
 its atoms shell-major: shell 0's first, in index order.
 
 The shell alone bounds an atom's transverse radius: pair 0 gives
-x^2 + y^2 = r0^2 (-2 ln u0), so "rho^2 at least some bound" holds for every
-atom of the shells below a threshold (_shell_floor), and a caller that
-needs only the other atoms never draws words for those shells. Every
+x^2 + y^2 = r0^2 (-2 ln u0), so every atom of shell k has x^2 + y^2 above
+r0^2 (-2 ln((k + 1) / SHELLS)), and a caller that needs only the atoms
+inside some radius never draws words for the shells beyond it. Every
 uniform is at least 2^-53, so no atom has a coordinate beyond NORMAL_MAX r0.
 """
 
@@ -207,19 +207,6 @@ def _positions_from_raw(raw: np.ndarray, r0: float) -> np.ndarray:
     rz = np.sqrt(-2.0 * np.log(_uniform(raw[:, 2])))
     r[:, 2] = r0 * (rz * np.cos(2.0 * np.pi * _uniform(raw[:, 3])))
     return r
-
-
-def _shell_floor(rho2_min: float, r0: float) -> int:
-    """Number of shells whose every atom has x^2 + y^2 >= rho2_min.
-
-    Pair 0 gives x^2 + y^2 = r0^2 (-2 ln u0), so rho^2 >= rho2_min exactly
-    when u0 <= exp(-rho2_min / (2 r0^2)), and every u0 of shell k lies below
-    (k + 1) / SHELLS. Returns the first shell that can hold an atom inside
-    the radius (SHELLS when none can). The map is exact for the double
-    exp(...); callers that need a strict bound add their own margin for the
-    rounding of that double and of the sampled positions.
-    """
-    return math.floor(math.exp(-0.5 * rho2_min / (r0 * r0)) * SHELLS)
 
 
 def _velocities_from_raw(raw: np.ndarray, cloud: CloudSpec) -> np.ndarray:

@@ -44,13 +44,16 @@ per-node table cached without t_m.
 
 Every beam mode peaks at 1, so |A_j| <= 1, and atoms whose stored
 amplitude is at most PRUNE_FLOOR are skipped before the per-atom kernels.
-The radial shell decides first: it bounds the transverse radius, so the
-shells far enough off the signal axis are never streamed at all
-(_screen_shell). The positions of the atoms in the other shells decide
-exactly (_prune), and the kept atoms keep those positions: only their
-velocities are mapped from their words afterwards. The estimate records how
-many atoms were kept and a bound on the summed amplitude of the rest, which
-bounds what the skip can move (see EtaEstimate).
+Three steps decide, each from less than the next: the radial shell bounds
+the transverse radius, so the shells whose every atom a bound puts at or
+below PRUNE_FLOOR are never streamed (_screen_shell); in the other shells,
+counter words 0 and 2 bound each atom's radius and |z|, and the atoms that
+bound puts at or below PRUNE_FLOOR get no position (_screen_atoms); the
+positions of the rest decide exactly (_prune), and the kept atoms keep
+those positions: only their velocities are mapped from their words
+afterwards. The estimate records how many atoms were kept and a bound on
+the summed amplitude of the rest, which bounds what the skip can move (see
+EtaEstimate).
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from .ensemble import (
     _GAUSS_VOLUME,
     _positions_from_raw,
     _raw_words,
-    _shell_floor,
+    _uniform,
     _velocities_from_raw,
     drift,
     sample_atoms,
@@ -104,9 +107,10 @@ THREADS_ENV_VAR = "IRE_SIM_THREADS"
 PRUNE_FLOOR = 1e-18
 _LN_PRUNE_FLOOR = math.log(PRUNE_FLOOR)
 
-# Relative margin on the shell screen's radius. Rounding moves the sampled
-# rho^2 and the computed ln|A_j| by about 1e-15 relative; the margin keeps
-# every screened-out atom's |A_j| below PRUNE_FLOOR^2 by e^-8e-5.
+# Relative margin on the screens' level. Rounding moves the sampled rho^2
+# and the computed ln|A_j| by about 1e-15 relative; the screens drop an
+# atom only when its bound is at most ln PRUNE_FLOOR times this margin, so
+# every screened-out atom's |A_j| is below PRUNE_FLOOR by e^-4e-5.
 _SCREEN_MARGIN = 1.0 + 1e-6
 
 
@@ -290,10 +294,12 @@ class EtaEstimate:
     n_kept counts the atoms (of those streamed: mc_atoms when subsampling)
     whose stored amplitude cleared PRUNE_FLOOR and went through the
     per-atom kernel. dropped_amplitude D bounds sum |A_j| over the others:
-    it is that sum over the atoms whose positions were drawn, plus
-    PRUNE_FLOOR^2 for each atom of the shells that were not streamed
-    (each of those has |A_j| <= PRUNE_FLOOR^2, see _screen_shell).
-    Skipping them moves the streamed sums by at most
+    it is that sum over the skipped atoms that got positions (_prune), plus
+    exp(bound) for each atom screened from its words 0 and 2
+    (_screen_atoms), plus, for each atom of a shell that was not streamed,
+    exp of that shell's bound at its inner radius (_shell_bounds). Each of
+    those bounds is at most PRUNE_FLOOR. Skipping them moves the streamed
+    sums by at most
 
         |dS1| <= c_P D          (c_P = sqrt(2)/(k_i W_i) >= |P_j|)
         |dS2| <= PRUNE_FLOOR D  (each dropped |A_j| <= PRUNE_FLOOR)
@@ -396,34 +402,65 @@ def _prune(r: np.ndarray, scenario: Scenario) -> tuple[np.ndarray, float]:
     return keep, float(np.sum(np.exp(ln_a[~keep])))
 
 
-def _screen_shell(scenario: Scenario) -> int:
-    """First shell the scenario streams: every atom below it has |A_j| <= PRUNE_FLOOR^2.
+def _ln_bound(rho, y_max, z_max, scenario: Scenario):
+    """Upper bound of ln|A_j| for atoms with x^2 + y^2 = rho^2, |y| <= y_max, |z| <= z_max.
 
-    Every term of ln|A_j| in _prune is at most 0. No atom has |y|
-    or |z| above Z = NORMAL_MAX r0, so |z~| <= Z (|sin| + cos), and the two
-    envelope exponents are at most -rho^2 / a_s and -(x^2 + y~^2) / a_w with
-    a = W^2 (1 + (largest |z| in that beam's frame / z_R)^2). Since
-    y~ = y cos - z sin, x^2 + y~^2 >= max(0, rho cos - Z |sin|)^2, so
+    Every term of ln|A_j| in _prune is at most 0. The two envelope
+    exponents are at most -rho^2 / a_s and -(x^2 + y~^2) / a_w with
+    a = W^2 (1 + (largest |z| in that beam's frame / z_R)^2), where
+    |z~| = |y sin + z cos| <= y_max |sin| + z_max cos. Since
+    y~ = y cos - z sin, x^2 + y~^2 >= max(0, rho cos - z_max |sin|)^2, so
 
-        ln|A_j| <= -rho^2 / a_s - max(0, rho cos - Z |sin|)^2 / a_w,
+        ln|A_j| <= -rho^2 / a_s - max(0, rho cos - z_max |sin|)^2 / a_w,
 
-    which falls as rho grows and reaches 2 ln PRUNE_FLOOR (times
-    _SCREEN_MARGIN) at rho = R. Every atom with rho >= R has
-    |A_j| <= PRUNE_FLOOR^2, and _prune would drop it; the shells below
-    _shell_floor(R^2) hold only such atoms.
+    which falls as rho grows. Takes floats or arrays of one shape.
     """
     w, s = scenario.write_mode, scenario.signal_mode
+    c, sn = math.cos(scenario.skew_theta), abs(math.sin(scenario.skew_theta))
+    a_s = s.waist_w0**2 * (1.0 + (z_max / s.rayleigh_z) ** 2)
+    a_w = w.waist_w0**2 * (1.0 + ((y_max * sn + z_max * c) / w.rayleigh_z) ** 2)
+    return -(rho * rho) / a_s - np.maximum(rho * c - z_max * sn, 0.0) ** 2 / a_w
+
+
+def _shell_bounds(scenario: Scenario) -> np.ndarray:
+    """_ln_bound of each shell at its inner radius: shape (SHELLS,).
+
+    Atom i of shell k has u0 < (k + 1) / SHELLS, so x^2 + y^2 above
+    r0^2 (-2 ln((k + 1) / SHELLS)), and no atom has |y| or |z| above
+    NORMAL_MAX r0: every atom of shell k has ln|A_j| at most this bound.
+    """
     r0 = scenario.cloud.sigma_r0
     big_z = NORMAL_MAX * r0
-    c, d = math.cos(scenario.skew_theta), big_z * abs(math.sin(scenario.skew_theta))
-    a_s = s.waist_w0**2 * (1.0 + (big_z / s.rayleigh_z) ** 2)
-    a_w = w.waist_w0**2 * (1.0 + ((d + big_z * c) / w.rayleigh_z) ** 2)
-    level = -2.0 * _LN_PRUNE_FLOOR * _SCREEN_MARGIN
-    rho = math.sqrt(level * a_s)  # the signal term alone, while rho cos <= Z |sin|
-    if rho * c > d:  # else the root of the quadratic beyond rho = Z |sin| / cos
-        qa, qb = c * c / a_w + 1.0 / a_s, c * d / a_w
-        rho = (qb + math.sqrt(qb * qb - qa * (d * d / a_w - level))) / qa
-    return _shell_floor(rho * rho, r0)
+    rho = r0 * np.sqrt(-2.0 * np.log(np.arange(1, SHELLS + 1) / SHELLS))
+    return _ln_bound(rho, big_z, big_z, scenario)
+
+
+def _screen_shell(scenario: Scenario) -> int:
+    """First shell the scenario streams: every atom below it has |A_j| <= PRUNE_FLOOR.
+
+    The shells whose bound (_shell_bounds) is at most ln PRUNE_FLOOR times
+    _SCREEN_MARGIN; the bound falls as the shell index falls, so they are
+    the lowest ones. _prune would drop each of their atoms.
+    """
+    return int(np.count_nonzero(_shell_bounds(scenario) <= _LN_PRUNE_FLOOR * _SCREEN_MARGIN))
+
+
+def _screen_atoms(raw: np.ndarray, r0: float, scenario: Scenario) -> tuple[np.ndarray, float]:
+    """(survive, D) of counter words raw (n, 8), from each atom's words 0 and 2 alone.
+
+    Word 0 gives rho = r0 sqrt(-2 ln u0) = sqrt(x^2 + y^2) >= |y|, and word
+    2 gives Z = r0 sqrt(-2 ln u2) >= |z|, the bound _positions_from_raw's
+    z = r0 (sqrt(-2 ln u2) cos(2 pi u3)) cannot exceed. An atom whose
+    _ln_bound(rho, rho, Z) is at most ln PRUNE_FLOOR times _SCREEN_MARGIN
+    is one _prune would drop, with |A_j| <= exp(bound) < PRUNE_FLOOR, and
+    needs no position. survive marks the others; D is exp(bound) summed
+    over the screened atoms.
+    """
+    rho = r0 * np.sqrt(-2.0 * np.log(_uniform(raw[:, 0])))
+    big_z = r0 * np.sqrt(-2.0 * np.log(_uniform(raw[:, 2])))
+    bound = _ln_bound(rho, rho, big_z, scenario)
+    survive = bound > _LN_PRUNE_FLOOR * _SCREEN_MARGIN
+    return survive, float(np.sum(np.exp(bound[~survive])))
 
 
 def _in_region(scenario: Scenario) -> tuple[int, int, float]:
@@ -431,15 +468,17 @@ def _in_region(scenario: Scenario) -> tuple[int, int, float]:
 
     m counts the atoms the scenario streams there (of mc_atoms when
     subsampling), N_in the full ensemble's atoms there, and D0 bounds
-    sum |A_j| over the streamed count's atoms in the shells below:
-    PRUNE_FLOOR^2 each.
+    sum |A_j| over the streamed count's atoms in the shells below: each
+    shell's count times exp of its bound (_shell_bounds).
     """
     first = _screen_shell(scenario)
     streamed = _streamed_count(scenario)
-    m = int(shell_counts(scenario.seed, streamed)[first:].sum())
+    counts = shell_counts(scenario.seed, streamed)
+    m = int(counts[first:].sum())
     n_in = m if streamed == scenario.n_atoms else int(
         shell_counts(scenario.seed, scenario.n_atoms)[first:].sum())
-    return m, n_in, (streamed - m) * (PRUNE_FLOOR * PRUNE_FLOOR)
+    d0 = float(np.sum(counts[:first] * np.exp(_shell_bounds(scenario)[:first])))
+    return m, n_in, d0
 
 
 def draw_sample(scenario: Scenario, n: int | None = None) -> AtomSample:
@@ -478,21 +517,26 @@ def _eta_worker(task):
     """One chunk of one shell of the stream (top level for process pools).
 
     Walks the chunk's atoms in blocks of at most BLOCK_ATOMS, drawing each
-    block's counter words and positions once for all the scenarios of its
-    stream. A scenario whose first streamed shell (_screen_shell) lies
-    above this shell gets None. The others are grouped by what their kept
-    atoms depend on: the species, the beams, the tilt and the velocity
-    spread. For each block, each group runs the exact skip mask (_prune),
-    maps its kept atoms' velocities from their words with the group's
-    cloud and builds their stored amplitudes A_j; each scenario of the
-    group then calls project(A_j, kept atoms, scenario), which returns a
-    tuple of that method's sums. The block's partial, the projection's sums
-    followed by S2 = sum |A_j|^2, D and n_kept over its kept atoms, is
-    added to the scenario's chunk partial with _add, in block order, so
-    nothing outlives its block but the partials. Returns one chunk partial
-    per scenario.
+    block's counter words once for all the scenarios of its stream. A
+    scenario whose first streamed shell (_screen_shell) lies above this
+    shell gets None. The others are grouped by what their kept atoms depend
+    on: the species, the beams, the tilt and the velocity spread. For each
+    block, each group screens the atoms from words 0 and 2 (_screen_atoms);
+    only the atoms some group's screen lets through get positions, and each
+    group runs the exact skip mask (_prune) on its own survivors. A group
+    whose block keeps an atom maps its kept atoms' velocities from their
+    words with the group's cloud and builds their stored amplitudes A_j;
+    each scenario of the group then calls project(A_j, kept atoms,
+    scenario), which returns a tuple of that method's sums. The block's
+    partial, the projection's sums followed by S2 = sum |A_j|^2, D and
+    n_kept over its kept atoms, is added to the scenario's chunk partial
+    with _add, in block order; a block that keeps no atom adds (D, 0)
+    alone. D is exp(bound) summed over the screened atoms plus _prune's
+    sum |A_j| over the survivors it drops. Nothing outlives its block but
+    the partials. Returns one chunk partial per scenario.
     """
     scenarios, shell, lo, hi, project = task
+    r0 = scenarios[0].cloud.sigma_r0
     # what a scenario's kept atoms depend on -> the indices of the scenarios sharing it
     groups = {}
     for i, s in enumerate(scenarios):
@@ -500,17 +544,31 @@ def _eta_worker(task):
             key = (s.species, s.w_write, s.w_collect, s.skew_theta, thermal_velocity_sigma(s.cloud))
             groups.setdefault(key, []).append(i)
     out = [None] * len(scenarios)
+    if not groups:
+        return out
     for b in range(lo, hi, BLOCK_ATOMS):
         raw = _raw_words(scenarios[0].seed, shell, b, min(b + BLOCK_ATOMS, hi))
-        r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
-        for idx in groups.values():
+        screens = [_screen_atoms(raw, r0, scenarios[idx[0]]) for idx in groups.values()]
+        placed = np.logical_or.reduce([survive for survive, _ in screens])
+        if not placed.all():  # else the block's words are placed as they are, uncopied
+            raw = raw.compress(placed, axis=0)
+        r = _positions_from_raw(raw, r0)
+        for idx, (survive, d) in zip(groups.values(), screens):
             first = scenarios[idx[0]]
-            keep, d = _prune(r, first)
-            sample = AtomSample(r[keep], _velocities_from_raw(raw[keep], first.cloud))
-            a = spinwave_amplitude(sample, first)
-            s2 = float(np.sum(a.real**2 + a.imag**2))
-            for i in idx:
-                out[i] = _add(out[i], (*project(a, sample, scenarios[i]), s2, d, len(sample)))
+            keep = survive[placed]  # the group's survivors among the placed atoms
+            kept, d_exact = _prune(r[keep], first)
+            d += d_exact
+            keep[keep] = kept
+            n = int(np.count_nonzero(keep))
+            if n == 0:
+                part = [(d, 0)] * len(idx)
+            else:
+                sample = AtomSample(r[keep], _velocities_from_raw(raw[keep], first.cloud))
+                a = spinwave_amplitude(sample, first)
+                s2 = float(np.sum(a.real**2 + a.imag**2))
+                part = [(*project(a, sample, scenarios[i]), s2, d, n) for i in idx]
+            for i, p in zip(idx, part):
+                out[i] = _add(out[i], p)
     return out
 
 
@@ -521,17 +579,19 @@ def _streamed_count(scenario: Scenario) -> int:
 def _stream_tail(scenario: Scenario, total) -> tuple[float, float, int]:
     """(S2, D + D0, n_kept) of a stream total: the projection's sums, then S2, D, n_kept.
 
-    D0 is _in_region's; total is None when the scenario streamed no atom.
-    ArithmeticError when S2 = 0, naming PRUNE_FLOOR when no atom cleared it.
+    D0 is _in_region's; total is None when the scenario streamed no atom,
+    and (D, 0) when it kept none. ArithmeticError when no atom cleared
+    PRUNE_FLOOR (naming it) or S2 = 0.
     """
-    s2, dropped, n_kept = total[-3:] if total else (0.0, 0.0, 0)
+    dropped, n_kept = total[-2:] if total else (0.0, 0)
     dropped += _in_region(scenario)[2]
+    if n_kept == 0:
+        raise ArithmeticError(
+            f"every streamed atom's stored amplitude is below PRUNE_FLOOR = "
+            f"{PRUNE_FLOOR:g} of its peak (dropped sum |A_j| = {dropped:.3g})"
+        )
+    s2 = total[-3]
     if s2 <= 0.0:
-        if n_kept == 0:
-            raise ArithmeticError(
-                f"every streamed atom's stored amplitude is below PRUNE_FLOOR = "
-                f"{PRUNE_FLOOR:g} of its peak (dropped sum |A_j| = {dropped:.3g})"
-            )
         raise ArithmeticError("degenerate cloud: sum |A_j|^2 = 0, no stored amplitude")
     return s2, dropped, n_kept
 
@@ -581,8 +641,18 @@ def _estimate(scenario: Scenario, total) -> EtaEstimate:
 
 
 def _add(total, part):
-    """Add a block or chunk partial to its scenario's running total (None: nothing added yet)."""
-    return part if total is None else tuple(t + p for t, p in zip(total, part))
+    """Add a block or chunk partial to its scenario's running total (None: nothing added yet).
+
+    The two are added entry by entry, aligned at their last entries: a
+    partial of a block or chunk that kept no atom is (D, 0), and leaves
+    the projection's sums and S2 of the other as they are.
+    """
+    if total is None:
+        return part
+    if len(total) < len(part):
+        total, part = part, total
+    head = len(total) - len(part)
+    return total[:head] + tuple(t + p for t, p in zip(total[head:], part))
 
 
 def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
@@ -712,9 +782,10 @@ def _lobe_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node w |Fbar_0|^2 and |q|^2 of coherent_lobe_power, one row per polar level.
 
-    The y sums of all azimuth columns of one polar level are one
-    (n_z, n_y) x (n_y, columns) product; the x factor and the z sum follow
-    per level.
+    The y sums of all azimuth columns of several polar levels are one
+    (n_z, n_y) x (n_y, levels x columns) product, so a table makes 5-10
+    BLAS calls instead of one per level (48-77); the x factor and the z sum
+    follow per level.
     """
     w_w, w_s = write.waist_w0, signal.waist_w0
     z_w, z_s = write.rayleigh_z, signal.rayleigh_z
@@ -746,25 +817,25 @@ def _lobe_table(
     yt = yg * ct - zg * st
     uw = 1.0 + (zt / z_w) ** 2
     us = 1.0 + (zg / z_s) ** 2
-    env = (
-        np.exp(-(yt**2) / (w_w**2 * uw))
-        / np.sqrt(uw)
-        * np.exp(-(yg**2) / (w_s**2 * us))
-        / np.sqrt(us)
-        * n0
-        * np.exp(-(yg**2 + zg**2) / (2.0 * r0 * r0))
-    )
-    ph = (
-        kn.k_w * zt
-        + kn.k_w * yt**2 * zt / (2.0 * (zt**2 + z_w**2))
-        - np.arctan(zt / z_w)
-        - kn.k_s * zg
-        - kn.k_s * yg**2 * zg / (2.0 * (zg**2 + z_s**2))
-        + np.arctan(zg / z_s)
-        - kn.k_r * zt
-    )
-    base = env * np.exp(1j * ph)
-    del zg, yg, zt, yt, uw, us, env, ph
+    # term by term, in place, so that few grid-sized temporaries live at once
+    env = np.exp(-(yt**2) / (w_w**2 * uw))
+    env /= np.sqrt(uw)
+    env *= np.exp(-(yg**2) / (w_s**2 * us))
+    env /= np.sqrt(us)
+    env *= n0
+    env *= np.exp(-(yg**2 + zg**2) / (2.0 * r0 * r0))
+    del uw, us
+    ph = kn.k_w * zt
+    ph += kn.k_w * yt**2 * zt / (2.0 * (zt**2 + z_w**2))
+    ph -= np.arctan(zt / z_w)
+    ph -= kn.k_s * zg
+    ph -= kn.k_s * yg**2 * zg / (2.0 * (zg**2 + z_s**2))
+    ph += np.arctan(zg / z_s)
+    ph -= kn.k_r * zt
+    del zg, yg, zt, yt
+    base = np.exp(1j * ph)
+    base *= env
+    del env, ph
 
     # x-direction Gaussian width (complex: envelopes + curvature), on axis
     zt0 = zs * ct
@@ -778,18 +849,24 @@ def _lobe_table(
     inv_4beta = (0.25 / beta)[:, None]
 
     scale = dz * dy / math.sqrt(4.0 * math.pi)
-    weight = np.empty((n_theta, phig.size))
-    q2 = np.empty((n_theta, phig.size))
+    cols = phig.size
+    weight = np.empty((n_theta, cols))
+    q2 = np.empty((n_theta, cols))
     cphi, sphi = np.cos(phig), np.sin(phig)
-    for it in range(n_theta):
-        sth = math.sin(thp[it])
-        kx = sth * cphi
-        ky = sth * sphi
-        kz = -math.cos(thp[it])
-        kappa = kn.k_i * kx
-        inner = base @ np.exp(-1j * kn.k_i * np.outer(ys, ky))
-        inner *= xfac0 * np.exp(-(kappa * kappa) * inv_4beta)
-        fbar = np.exp(-1j * kn.k_i * kz * zs) @ inner * scale
-        weight[it] = wth[it] * wphi * (fbar.real**2 + fbar.imag**2)
-        q2[it] = kappa**2 + (kn.k_r * st + kn.k_i * ky) ** 2 + (kn.k_r * ct + kn.k_i * kz) ** 2
+    # the levels of one product: its (n_z, levels x cols) result is at most 256 kB
+    per_product = max(1, (1 << 14) // (_LOBE_N_Z * cols))
+    for lo in range(0, n_theta, per_product):
+        sth = [math.sin(th) for th in thp[lo:lo + per_product]]
+        phase = np.outer(ys, np.outer(sth, sphi)) * (-1j * kn.k_i)
+        inner_all = base @ np.exp(phase, out=phase)
+        for j, it in enumerate(range(lo, lo + len(sth))):
+            kx = sth[j] * cphi
+            ky = sth[j] * sphi
+            kz = -math.cos(thp[it])
+            kappa = kn.k_i * kx
+            inner = inner_all[:, j * cols:(j + 1) * cols]
+            inner = inner * (xfac0 * np.exp(-(kappa * kappa) * inv_4beta))
+            fbar = np.exp(-1j * kn.k_i * kz * zs) @ inner * scale
+            weight[it] = wth[it] * wphi * (fbar.real**2 + fbar.imag**2)
+            q2[it] = kappa**2 + (kn.k_r * st + kn.k_i * ky) ** 2 + (kn.k_r * ct + kn.k_i * kz) ** 2
     return weight, q2

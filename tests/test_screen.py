@@ -1,11 +1,13 @@
-"""The shell screen in front of the amplitude skip.
+"""The shell and atom screens in front of the amplitude skip.
 
 An atom's radial shell bounds its transverse radius, so both estimators
-never stream the shells far off the signal axis, and run the exact mask
-(_prune) on the atoms of the rest. The screen must be conservative: every
-atom of a shell it leaves out is one _prune drops, with
-|A_j| <= PRUNE_FLOOR^2. The estimates keep the bits of a pass over
-every shell, and their D stays an upper bound of that pass's D.
+never stream the shells far off the signal axis. In the other shells,
+counter words 0 and 2 bound each atom's radius and |z| before it is
+placed, and the exact mask (_prune) decides the atoms both screens let
+through. The screens must be conservative: every atom they leave out is
+one _prune drops, with |A_j| <= exp(its bound) <= PRUNE_FLOOR. The
+estimates keep the bits of a pass over every shell, and their D stays an
+upper bound of that pass's D.
 """
 
 import functools
@@ -21,6 +23,7 @@ from ire_sim import (
     angular_field,
     build_grid,
     coherent_lobe_power,
+    draw_sample,
     eta_angular,
     eta_paraxial,
     eta_reference,
@@ -42,12 +45,16 @@ from ire_sim.ensemble import (
 )
 from ire_sim.retrieval import (
     _SCREEN_MARGIN,
+    BLOCK_ATOMS,
     CHUNK_ATOMS,
     _estimate,
     _eta_stream,
+    _eta_worker,
     _in_region,
     _prune,
+    _screen_atoms,
     _screen_shell,
+    _shell_bounds,
 )
 
 from conftest import (CANONICAL_INI, R0, SPECIES, TEMP, W_COLLECT, W_WRITE, canonical_scenario,
@@ -63,16 +70,16 @@ def _scenario(r0=R0, theta_deg=0.0, w_signal=W_COLLECT, **kwargs):
     )
 
 
-@pytest.mark.parametrize(
-    "r0, theta_deg, w_signal",
-    [
-        (R0, 0.0, W_COLLECT),
-        (R0, 4.0, W_COLLECT),
-        (R0, 2.0, 1.3 * W_WRITE),  # the widest signal waist of criterion 5's sweep
-        (1e-4, 2.0, W_COLLECT),
-        (5e-3, 2.0, W_COLLECT),
-    ],
-)
+SCREEN_GEOMETRIES = [
+    (R0, 0.0, W_COLLECT),
+    (R0, 4.0, W_COLLECT),
+    (R0, 2.0, 1.3 * W_WRITE),  # the widest signal waist of criterion 5's sweep
+    (1e-4, 2.0, W_COLLECT),
+    (5e-3, 2.0, W_COLLECT),
+]
+
+
+@pytest.mark.parametrize("r0, theta_deg, w_signal", SCREEN_GEOMETRIES)
 def test_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
     scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, seed=3,
                     n_atoms_override=CHUNK_ATOMS)
@@ -83,7 +90,7 @@ def test_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
     keep, _ = _prune(_positions_from_raw(out, r0), scn)
     assert not keep.any()
     a = spinwave_amplitude(_sample_words(out, scn.cloud), scn)
-    assert np.max(np.abs(a)) <= PRUNE_FLOOR**2
+    assert np.max(np.abs(a)) <= math.exp(_shell_bounds(scn)[first - 1]) <= PRUNE_FLOOR
 
 
 def test_threshold_word_splits_the_radius_bound():
@@ -96,19 +103,23 @@ def test_threshold_word_splits_the_radius_bound():
         raw[row] = _raw_words(scn.seed, shell, 0, 1)
         raw[row, 0] |= np.uint64((1 << 58) - 1)
     # the radius bound _screen_shell states, recomputed here for no tilt:
-    # rho^2 (1 / a_s + 1 / a_w) = 2 |ln PRUNE_FLOOR| at rho = R
+    # rho^2 (1 / a_s + 1 / a_w) = |ln PRUNE_FLOOR| at rho = R
     big_z = NORMAL_MAX * R0
     a_s = W_COLLECT**2 * (1.0 + (big_z / scn.signal_mode.rayleigh_z) ** 2)
     a_w = W_WRITE**2 * (1.0 + (big_z / scn.write_mode.rayleigh_z) ** 2)
-    r2 = 2.0 * abs(math.log(PRUNE_FLOOR)) * _SCREEN_MARGIN / (1.0 / a_s + 1.0 / a_w)
+    r2 = abs(math.log(PRUNE_FLOOR)) * _SCREEN_MARGIN / (1.0 / a_s + 1.0 / a_w)
     r = _positions_from_raw(raw, R0)
     rho2 = r[:, 0] ** 2 + r[:, 1] ** 2
     assert rho2[0] >= r2 > rho2[1]
-    # D counts PRUNE_FLOOR^2 for each streamed-count atom below the first shell
+    # D counts, for each streamed-count atom below the first shell, the
+    # bound at its shell's inner radius rho_k, u0 = (k + 1) / SHELLS
     counts = shell_counts(scn.seed, scn.n_atoms)
     m, n_in, d0 = _in_region(scn)
     assert m == n_in == int(counts[first:].sum())
-    assert d0 == (scn.n_atoms - m) * PRUNE_FLOOR**2
+    inner2 = [-2.0 * R0**2 * math.log((k + 1) / SHELLS) for k in range(first)]
+    bounds = [math.exp(-rho2_k * (1.0 / a_s + 1.0 / a_w)) for rho2_k in inner2]
+    assert d0 == pytest.approx(sum(n * b for n, b in zip(counts, bounds)), rel=1e-12, abs=0.0)
+    assert max(bounds) <= PRUNE_FLOOR
 
 
 def test_tiny_cloud_screens_nothing():
@@ -174,8 +185,10 @@ def test_stream_keeps_the_bits_of_an_unscreened_pass(small_chunks, job, threads)
         above = [part for t, part in zip(tasks, every) if t[0] >= first]
         assert all(n_kept == 0 for *_, n_kept in below)
         # the in-order sum of the same chunks over the scenario's own shells,
-        # bit for bit, D included
-        assert total == _in_order_sum(above)
+        # bit for bit; D, which bounds the screened atoms, bounds the exact one
+        ref = _in_order_sum(above)
+        assert total[:4] + total[5:] == ref[:4] + ref[5:]
+        assert ref[4] <= total[4]
         # the screened shells' D is the bound of the estimate, not their own sum
         m, n_in, d0 = _in_region(scn)
         assert sum(part[4] for part in below) <= d0
@@ -209,7 +222,7 @@ def test_angular_field_keeps_the_bits_of_an_unscreened_pass(small_chunks):
     assert field.values.tobytes() == values.tobytes()
     assert field.source_s2 == s2
     assert field.n_kept == n_kept
-    assert dropped <= field.dropped_amplitude == pytest.approx(dropped, rel=1e-12, abs=0.0)
+    assert dropped <= field.dropped_amplitude <= dropped + (n - n_kept) * PRUNE_FLOOR
 
 
 # Blocks of 2^9 atoms: each streamed shell of the STREAMED-atom stream is one
@@ -221,6 +234,36 @@ def _block_folds(partial, tasks, block):
     """Each chunk's block partials, added left to right in block order."""
     return [_in_order_sum([partial(shell, b, min(b + block, hi)) for b in range(lo, hi, block)])
             for shell, lo, hi in tasks]
+
+
+def _bound(rho, y_max, z_max, scn):
+    """The stated bound of ln|A_j| for x^2 + y^2 = rho^2, |y| <= y_max, |z| <= z_max."""
+    c, s = math.cos(scn.skew_theta), abs(math.sin(scn.skew_theta))
+    w, sig = scn.write_mode, scn.signal_mode
+    a_s = sig.waist_w0**2 * (1.0 + (z_max / sig.rayleigh_z) ** 2)
+    a_w = w.waist_w0**2 * (1.0 + ((y_max * s + z_max * c) / w.rayleigh_z) ** 2)
+    return -rho**2 / a_s - np.maximum(0.0, rho * c - z_max * s) ** 2 / a_w
+
+
+def _atom_bound(raw, scn):
+    """Each atom's bound of ln|A_j| from words 0 and 2, recomputed.
+
+    rho = r0 sqrt(-2 ln u0) >= |y| and Z = r0 sqrt(-2 ln u2) >= |z|, with
+    u = (2m + 1) 2^-53 for the top 52 bits m of a word.
+    """
+    u = ((raw[:, [0, 2]] >> np.uint64(12)).astype(np.float64) * 2.0 + 1.0) * 2.0**-53
+    rho, z = (scn.cloud.sigma_r0 * np.sqrt(-2.0 * np.log(u))).T
+    return _bound(rho, rho, z, scn)
+
+
+def _block_d(scn, shell, lo, hi):
+    """A block's D, recomputed: _prune's sum over the atoms the screen lets through, plus
+    exp(bound) over the others."""
+    raw = _raw_words(scn.seed, shell, lo, hi)
+    bound = _atom_bound(raw, scn)
+    survive = bound > math.log(PRUNE_FLOOR) * _SCREEN_MARGIN
+    _, exact = _prune(_positions_from_raw(raw[survive], scn.cloud.sigma_r0), scn)
+    return (exact + float(np.sum(np.exp(bound[~survive]))),)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -237,9 +280,13 @@ def test_stream_folds_each_chunk_block_by_block(small_blocks, job, threads):
     for scn, total in zip(scenarios, got):
         first = _screen_shell(scn)
         tasks = [t for t in _shell_tasks(11, STREAMED, CHUNK_ATOMS) if t[0] >= first]
-        chunks = _block_folds(lambda *t: _unscreened_eta_worker(((scn,), *t))[0], tasks, block)
-        # the (shell, chunk)-order sum of each chunk's block-order sum, bit for bit
-        assert total == _in_order_sum(chunks)
+        chunks = _in_order_sum(
+            _block_folds(lambda *t: _unscreened_eta_worker(((scn,), *t))[0], tasks, block))
+        # the (shell, chunk)-order sum of each chunk's block-order sum, bit for
+        # bit, and D the same fold of each block's recomputed D
+        assert total[:4] + total[5:] == chunks[:4] + chunks[5:]
+        (d,) = _in_order_sum(_block_folds(lambda *t: _block_d(scn, *t), tasks, block))
+        assert total[4] == pytest.approx(d, rel=1e-12, abs=0.0)
     small_blocks(CHUNK_ATOMS)
     for total, one in zip(got, _eta_stream(scenarios, threads=threads)):
         # the block size moves no kept atom, and D only by rounding
@@ -261,11 +308,105 @@ def test_angular_field_folds_each_chunk_block_by_block(small_blocks, threads):
         _block_folds(lambda *t: _field_partial(scn, grid, *t), tasks, block))
     assert field.values.tobytes() == (values / math.sqrt(4.0 * math.pi)).tobytes()
     assert (field.source_s2, field.n_kept) == (s2, n_kept)
-    assert field.dropped_amplitude == dropped + _in_region(scn)[2]
+    (d,) = _in_order_sum(_block_folds(lambda *t: _block_d(scn, *t), tasks, block))
+    assert field.dropped_amplitude == pytest.approx(d + _in_region(scn)[2], rel=1e-12, abs=0.0)
     small_blocks(CHUNK_ATOMS)
     one = angular_field(scn, grid, threads=threads)
     assert field.n_kept == one.n_kept
     assert field.dropped_amplitude == pytest.approx(one.dropped_amplitude, rel=1e-14, abs=0.0)
+
+
+# The shell screen's geometries, each at its own tilt and at 4 and 10 deg.
+ATOM_SCREEN_CASES = sorted({(r0, th, w) for r0, own, w in SCREEN_GEOMETRIES
+                            for th in (own, 4.0, 10.0)})
+
+
+@pytest.mark.parametrize("r0, theta_deg, w_signal", ATOM_SCREEN_CASES)
+def test_atom_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
+    scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, seed=3,
+                    n_atoms_override=CHUNK_ATOMS)
+    raw = np.concatenate([_raw_words(scn.seed, shell, 0, 1 << 13)
+                          for shell in range(_screen_shell(scn), SHELLS)])
+    survive, d = _screen_atoms(raw, r0, scn)
+    keep, _ = _prune(_positions_from_raw(raw, r0), scn)
+    assert (~survive).any()
+    assert not (keep & ~survive).any()
+    # each screened atom's bound, recomputed, bounds its |A_j| and sums to D
+    screened = np.exp(_atom_bound(raw[~survive], scn))
+    a = np.abs(spinwave_amplitude(_sample_words(raw[~survive], scn.cloud), scn))
+    assert np.all(a <= screened)
+    assert np.all(screened <= PRUNE_FLOOR)
+    assert d == pytest.approx(float(np.sum(screened)), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("theta_deg", [0.0, 4.0])
+def test_threshold_words_split_the_atom_screen(theta_deg):
+    scn = _scenario(theta_deg=theta_deg, n_atoms_override=10)
+    level = math.log(PRUNE_FLOOR) * _SCREEN_MARGIN
+    # word 2 at u2 = 1/2 puts Z = r0 sqrt(2 ln 2); words 1 and 3 at their
+    # smallest uniform put the atom at y = 0 and z = Z
+    z = R0 * math.sqrt(2.0 * math.log(2.0))
+    raw = np.zeros((2, 8), dtype=np.uint64)
+    raw[:, 2] = np.uint64(1 << 63)
+    for row, target in enumerate((level * (1.0 - 1e-9), level * (1.0 + 1e-9))):
+        lo, hi = 0.0, 8.0 * R0  # the bound falls as rho grows: bisect for the target
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _bound(mid, mid, z, scn) > target else (lo, mid)
+        u0 = math.exp(-0.5 * (lo / R0) ** 2)
+        raw[row, 0] = np.uint64(round((u0 * 2.0**53 - 1.0) / 2.0)) << np.uint64(12)
+    assert _atom_bound(raw, scn) == pytest.approx(
+        [level * (1.0 - 1e-9), level * (1.0 + 1e-9)], rel=1e-12)
+    survive, d = _screen_atoms(raw, R0, scn)
+    assert survive.tolist() == [True, False]
+    assert not _prune(_positions_from_raw(raw, R0), scn)[0][1]
+    a = spinwave_amplitude(_sample_words(raw, scn.cloud), scn)
+    assert abs(a[1]) <= d == pytest.approx(math.exp(level * (1.0 + 1e-9)), rel=1e-12)
+    assert d < PRUNE_FLOOR
+
+
+def _shell_d0(scn, counts):
+    """Sum of |A_j| bounds of the streamed count's atoms below the first shell, recomputed."""
+    r0, first = scn.cloud.sigma_r0, _screen_shell(scn)
+    inner = [r0 * math.sqrt(-2.0 * math.log((k + 1) / SHELLS)) for k in range(first)]
+    return sum(n * math.exp(_bound(rho, NORMAL_MAX * r0, NORMAL_MAX * r0, scn))
+               for n, rho in zip(counts, inner))
+
+
+@pytest.mark.parametrize("theta_deg", [0.0, 2.0, 10.0])
+def test_dropped_amplitude_is_the_exact_part_plus_the_bounds(theta_deg):
+    scn = _scenario(theta_deg=theta_deg, storage_tm=100e-6, target_od=24.7,
+                    mc_atoms=STREAMED, seed=11)
+    one, two = (eta_paraxial(scn, threads=t) for t in (1, 2))
+    assert one.dropped_amplitude == two.dropped_amplitude
+    # recomputed: each streamed shell's block-order fold of the block D
+    # (exact part plus bounds), in shell order, plus the unstreamed shells' bounds
+    counts = shell_counts(scn.seed, STREAMED)
+    tasks = [t for t in _shell_tasks(scn.seed, STREAMED, CHUNK_ATOMS)
+             if t[0] >= _screen_shell(scn)]
+    (d,) = _in_order_sum(_block_folds(lambda *t: _block_d(scn, *t), tasks, BLOCK_ATOMS))
+    assert one.dropped_amplitude == pytest.approx(d + _shell_d0(scn, counts), rel=1e-12, abs=0.0)
+    # and it bounds the exact sum over every atom the stream skipped
+    sample = draw_sample(scn, STREAMED)
+    keep, _ = _prune(sample.r_initial, scn)
+    assert one.n_kept == int(keep.sum())
+    exact = float(np.sum(np.abs(spinwave_amplitude(sample, scn)[~keep])))
+    assert exact <= one.dropped_amplitude
+
+
+def test_a_block_that_keeps_no_atom_adds_only_its_d():
+    scn = canonical_scenario()
+    assert _screen_shell(scn) == 59  # streamed, and keeps no atom at 0 deg
+
+    def project(*_):
+        raise AssertionError("projected a block that keeps no atom")
+
+    assert _eta_worker(((scn,), 58, 0, 3 * BLOCK_ATOMS, project)) == [None]  # not streamed
+    (part,) = _eta_worker(((scn,), 59, 0, 3 * BLOCK_ATOMS, project))
+    blocks = [_block_d(scn, 59, b, b + BLOCK_ATOMS)
+              for b in range(0, 3 * BLOCK_ATOMS, BLOCK_ATOMS)]
+    assert len(part) == 2 and part[1] == 0
+    assert part[0] == pytest.approx(_in_order_sum(blocks)[0], rel=1e-12, abs=0.0)
 
 
 def test_lobe_fraction_is_the_pair_terms_share_of_the_denominator(tmp_path, capsys):
