@@ -20,11 +20,12 @@ multiply-add per node (see _field_sums). The field then differs from the
 direct phase at every node by rounding only, about 1e-12 of max |F|. The
 path is meant for ensembles up to about a million atoms on the default grid.
 
-The atoms come from the paraxial estimator's chunk stream
-(retrieval._eta_stream): the same shells, chunks, counter words, skip mask
-and stored amplitudes, with the field on the grid as the per-scenario
-projection. A field, or each replicate of an angular sweep, streams once
-on at most one process pool.
+The atoms come from the paraxial estimator's stream (retrieval._eta_stream):
+the same shells, blocks, counter words, skip mask and stored amplitudes,
+with the field on the grid as the per-scenario projection, so a block's
+partial holds a whole field and the fields are added in (shell, block)
+order. A field, or each replicate of an angular sweep, streams once on at
+most one process pool.
 
 The sphere grid concentrates polar nodes in a cap around the backward axis
 (where the phase-matched lobe lives) using Gauss-Legendre nodes in theta,
@@ -231,7 +232,7 @@ def field_from_atoms(
     """Emitted field of explicitly given stored amplitudes and positions.
 
     positions are the drifted (emission-time) coordinates, shape (n, 3).
-    This is the single-chunk core of angular_field, without its skip of
+    This is the single-block core of angular_field, without its skip of
     atoms below PRUNE_FLOOR; it is exposed so small hand-built
     configurations (one atom, two atoms) can be checked against closed forms.
     """
@@ -292,12 +293,12 @@ def angular_field(
     """Emitted field of the scenario's full ensemble on the grid.
 
     The one-scenario case of the paraxial estimator's stream (_eta_stream):
-    the shells that can matter stream in fixed chunks of at most
-    retrieval.CHUNK_ATOMS on at most one process pool. A chunk's partial
-    field is the sum of its blocks' (retrieval.BLOCK_ATOMS atoms each), in
-    block order, and is added, in ascending (shell, chunk) order, to the
-    total as it arrives, so the result is bit-identical for every thread
-    count and holds no field per chunk. Atoms below PRUNE_FLOOR are skipped
+    the shells that can matter stream in blocks of retrieval.BLOCK_ATOMS
+    atoms, farmed out in chunks on at most one process pool. Each block's
+    partial field is added, in ascending (shell, block) order, to the total
+    as its chunk arrives, so the result is bit-identical for every thread
+    count and chunk size; a chunk's result holds one field per block (at
+    most 2 under the CLI's atom cap). Atoms below PRUNE_FLOOR are skipped
     before the kernel, so the cost is kept atoms x nodes; the field records
     their summed amplitude (see AngularField), and a stream in which none
     clears it raises ArithmeticError. See the module docstring for the

@@ -175,7 +175,8 @@ def _stream_record(threads: int, streamed_in_region) -> dict:
 
     numpy does not promise the same Generator.multinomial draw across its
     versions (NEP 19), and that draw sets how many atoms each shell holds.
-    The chunk size and the block size both set how every sum is added up.
+    The block size sets how every sum is added up; the chunk size, like
+    the thread count, records only how the blocks were farmed out.
     """
     return {"threads": threads, "chunk_atoms": CHUNK_ATOMS, "block_atoms": BLOCK_ATOMS,
             "numpy_version": np.__version__, "shells": SHELLS, "prune_floor": PRUNE_FLOOR,

@@ -17,12 +17,11 @@ the lobe power carries a full speckle mode of noise because the speckle
 correlation angle of a ~30 um emitting column equals the lobe width).
 
 The numerator runs over the full physical ensemble by default (streaming,
-counter-based sampling, chunk sums added in ascending (shell, chunk)
-order, so the result is bit-identical for any thread count). Inside a
-chunk, the atoms are drawn, placed, masked and projected in blocks of
-BLOCK_ATOMS, and each chunk partial is the sum of its blocks' partials in
-block order: every sum is a left fold over blocks, then over chunks, so
-the two sizes set how the sums are added up.
+counter-based sampling). The atoms are drawn, placed, masked and projected
+in blocks of BLOCK_ATOMS atoms of one shell, and every sum is a left fold
+over the blocks' partials in ascending (shell, block) order. Chunks of
+CHUNK_ATOMS and the thread count only set how the blocks are farmed out
+to processes, so the result is bit-identical for any of them.
 A subsampled estimator of the same full-N quantity is available through
 Scenario.mc_atoms for survey work: it streams the first atoms of each
 radial shell the full stream would stream, and its numerator uses the
@@ -34,7 +33,7 @@ noise), and the estimate is not bounded above by 1 at small subsamples.
 
 No sweep axis moves the seed, the cloud width or the streamed count, so
 one stream can serve several scenarios: a block's counter words and
-positions are drawn once, each scenario adds up only the chunks of its own
+positions are drawn once, each scenario adds up only the blocks of its own
 shells, the skip mask and the stored amplitudes A_j are built once for
 each distinct set of beams, tilt and velocity spread, and the projection
 runs per scenario. The same stream serves the angular
@@ -85,16 +84,15 @@ from .ensemble import (
     thermal_velocity_sigma,
 )
 
-# Atoms per streamed chunk of one shell, for both estimators. Fixed (never
-# derived from the thread count) so the chunk decomposition, and therefore
-# every accumulated bit, is the same no matter how the chunks are farmed out.
-CHUNK_ATOMS = 1 << 20
-
-# Atoms per block inside a chunk: a worker draws, places, masks and projects
-# one block at a time and adds its partial to the chunk's in block order, so
-# what a chunk holds at once is one block's atoms. Divides CHUNK_ATOMS. Like
-# the chunk size, it sets how every sum is added up (see _eta_worker).
+# Atoms per block of one shell, the stream's one summation unit, for both
+# estimators: a worker draws, places, masks and projects one block at a
+# time, and every sum is a left fold over the block partials in (shell,
+# block) order (see _eta_stream). Fixed, so every accumulated bit is too.
 BLOCK_ATOMS = 1 << 14
+
+# Atoms per pool task: a whole number of blocks of one shell. Like the
+# thread count, it only sets how the blocks are farmed out, and moves no bit.
+CHUNK_ATOMS = 1 << 20
 
 THREADS_ENV_VAR = "IRE_SIM_THREADS"
 
@@ -514,38 +512,34 @@ def _paraxial_sums(a, sample, scenario) -> tuple[float, float, float]:
 
 
 def _eta_worker(task):
-    """One chunk of one shell of the stream (top level for process pools).
+    """The block partials of one chunk of one shell (top level for process pools).
 
-    Walks the chunk's atoms in blocks of at most BLOCK_ATOMS, drawing each
-    block's counter words once for all the scenarios of its stream. A
-    scenario whose first streamed shell (_screen_shell) lies above this
-    shell gets None. The others are grouped by what their kept atoms depend
-    on: the species, the beams, the tilt and the velocity spread. For each
+    The task holds the scenarios of one stream that stream this shell
+    (_eta_stream decides), grouped here by what their kept atoms depend
+    on: the species, the beams, the tilt and the velocity spread. Each
+    block's counter words are drawn once for all of them. For each
     block, each group screens the atoms from words 0 and 2 (_screen_atoms);
     only the atoms some group's screen lets through get positions, and each
     group runs the exact skip mask (_prune) on its own survivors. A group
     whose block keeps an atom maps its kept atoms' velocities from their
     words with the group's cloud and builds their stored amplitudes A_j;
     each scenario of the group then calls project(A_j, kept atoms,
-    scenario), which returns a tuple of that method's sums. The block's
-    partial, the projection's sums followed by S2 = sum |A_j|^2, D and
-    n_kept over its kept atoms, is added to the scenario's chunk partial
-    with _add, in block order; a block that keeps no atom adds (D, 0)
-    alone. D is exp(bound) summed over the screened atoms plus _prune's
+    scenario), which returns a tuple of that method's sums. A scenario's
+    block partial is the projection's sums followed by S2 = sum |A_j|^2, D
+    and n_kept over its kept atoms, or (D, 0) alone for a block that keeps
+    no atom. D is exp(bound) summed over the screened atoms plus _prune's
     sum |A_j| over the survivors it drops. Nothing outlives its block but
-    the partials. Returns one chunk partial per scenario.
+    its partials, and none is added here: returns them in block order, one
+    list per block with one partial per scenario.
     """
     scenarios, shell, lo, hi, project = task
     r0 = scenarios[0].cloud.sigma_r0
     # what a scenario's kept atoms depend on -> the indices of the scenarios sharing it
     groups = {}
     for i, s in enumerate(scenarios):
-        if _screen_shell(s) <= shell:
-            key = (s.species, s.w_write, s.w_collect, s.skew_theta, thermal_velocity_sigma(s.cloud))
-            groups.setdefault(key, []).append(i)
-    out = [None] * len(scenarios)
-    if not groups:
-        return out
+        key = (s.species, s.w_write, s.w_collect, s.skew_theta, thermal_velocity_sigma(s.cloud))
+        groups.setdefault(key, []).append(i)
+    blocks = []
     for b in range(lo, hi, BLOCK_ATOMS):
         raw = _raw_words(scenarios[0].seed, shell, b, min(b + BLOCK_ATOMS, hi))
         screens = [_screen_atoms(raw, r0, scenarios[idx[0]]) for idx in groups.values()]
@@ -553,6 +547,7 @@ def _eta_worker(task):
         if not placed.all():  # else the block's words are placed as they are, uncopied
             raw = raw.compress(placed, axis=0)
         r = _positions_from_raw(raw, r0)
+        partials = [None] * len(scenarios)
         for idx, (survive, d) in zip(groups.values(), screens):
             first = scenarios[idx[0]]
             keep = survive[placed]  # the group's survivors among the placed atoms
@@ -568,8 +563,9 @@ def _eta_worker(task):
                 s2 = float(np.sum(a.real**2 + a.imag**2))
                 part = [(*project(a, sample, scenarios[i]), s2, d, n) for i in idx]
             for i, p in zip(idx, part):
-                out[i] = _add(out[i], p)
-    return out
+                partials[i] = p
+        blocks.append(partials)
+    return blocks
 
 
 def _streamed_count(scenario: Scenario) -> int:
@@ -600,7 +596,7 @@ def _estimate(scenario: Scenario, total) -> EtaEstimate:
     """The estimate of one scenario's stream total.
 
     total is (Re S1, Im S1, SXX, S2, dropped, n_kept), summed over the
-    chunks of the scenario's shells as _eta_stream returns it (None when it
+    blocks of the scenario's shells as _eta_stream returns it (None when it
     streamed no atom). A subsample's sums are rescaled from the m atoms it
     streams to the N_in atoms of the full ensemble in the same shells
     (_in_region).
@@ -641,11 +637,11 @@ def _estimate(scenario: Scenario, total) -> EtaEstimate:
 
 
 def _add(total, part):
-    """Add a block or chunk partial to its scenario's running total (None: nothing added yet).
+    """Add a block partial to its scenario's running total (None: nothing added yet).
 
     The two are added entry by entry, aligned at their last entries: a
-    partial of a block or chunk that kept no atom is (D, 0), and leaves
-    the projection's sums and S2 of the other as they are.
+    partial of a block that kept no atom, or a total of such blocks alone,
+    is (D, 0) and leaves the other's projection sums and S2 as they are.
     """
     if total is None:
         return part
@@ -656,21 +652,21 @@ def _add(total, part):
 
 
 def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
-    """Each scenario's chunk partials, summed in ascending (shell, chunk) order.
+    """Each scenario's block partials, summed in ascending (shell, block) order.
 
     Scenarios with the same seed, cloud width sigma_r0 and streamed count
     (mc_atoms, else n_atoms) share one stream: it covers the shells from
-    the lowest _screen_shell of its scenarios up, each shell's atoms drawn
-    once in chunks of at most CHUNK_ATOMS that never cross a shell, and
-    every scenario is evaluated on them with project (_paraxial_sums, or
-    the angular field; see _eta_worker). Every chunk of every stream goes
-    through one pool.map on one process pool (none for one thread or one
-    chunk). As each chunk's
-    partials arrive, in ascending (shell, chunk) order, _add adds them to
-    their scenario's total, skipping the shells below the scenario's own
-    first shell. Returns one total per scenario, in input order (None when
-    it streamed no atom): the total it gets streamed alone, bit-identical
-    for every thread count.
+    the lowest _screen_shell of its scenarios up, and each shell's atoms are
+    drawn once in blocks of BLOCK_ATOMS, for the scenarios whose first
+    shell is at or below it, each evaluated with project (_paraxial_sums,
+    or the angular field; see _eta_worker). A pool task is a chunk of at
+    most CHUNK_ATOMS atoms of one shell, a whole number of blocks, and
+    every chunk of every stream goes through one pool.map on one process
+    pool (none for one thread or one chunk). As each chunk's block
+    partials arrive, in ascending (shell, block) order, _add adds them to
+    their scenario's total. Returns one total per scenario, in input order
+    (None when it streamed no atom): the total it gets streamed alone,
+    bit-identical for every thread count and chunk size.
     """
     threads = resolve_threads(threads)
     streams: dict[tuple, list[int]] = {}  # (seed, sigma_r0, streamed count) -> indices
@@ -678,18 +674,20 @@ def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
         streams.setdefault((s.seed, s.cloud.sigma_r0, _streamed_count(s)), []).append(i)
     tasks, owners = [], []
     for (seed, _, count), idx in streams.items():
-        shared = tuple(scenarios[i] for i in idx)
+        first = {i: _screen_shell(scenarios[i]) for i in idx}
         counts = shell_counts(seed, count).tolist()
-        for shell in range(min(_screen_shell(s) for s in shared), SHELLS):
+        for shell in range(min(first.values()), SHELLS):
+            own = [i for i in idx if first[i] <= shell]
+            shared = tuple(scenarios[i] for i in own)
             for lo in range(0, counts[shell], CHUNK_ATOMS):
                 tasks.append((shared, shell, lo, min(lo + CHUNK_ATOMS, counts[shell]), project))
-                owners.append(idx)
+                owners.append(own)
     totals = [None] * len(scenarios)
 
     def add_up(results):
-        for idx, partials in zip(owners, results):  # (shell, chunk) order per stream
-            for i, part in zip(idx, partials):
-                if part is not None:
+        for own, blocks in zip(owners, results):  # (shell, block) order per stream
+            for partials in blocks:
+                for i, part in zip(own, partials):
                     totals[i] = _add(totals[i], part)
         return totals
 
@@ -702,10 +700,10 @@ def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
 def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
     """Streaming paraxial estimate of the retrieval efficiency.
 
-    Streams the shells that can hold an atom above PRUNE_FLOOR in fixed
-    chunks of at most CHUNK_ATOMS, accumulating S1 = sum A_j R_j P_j and the
-    diagonal norms; chunk partials are added in ascending (shell, chunk)
-    order, so the output is bit-identical for every thread count. Atoms
+    Streams the shells that can hold an atom above PRUNE_FLOOR in blocks of
+    BLOCK_ATOMS, accumulating S1 = sum A_j R_j P_j and the diagonal norms;
+    block partials are added in ascending (shell, block) order, so the
+    output is bit-identical for every thread count and chunk size. Atoms
     below PRUNE_FLOOR are skipped; the estimate records their summed
     amplitude (see EtaEstimate).
 

@@ -99,9 +99,13 @@ def small_chunks(monkeypatch):
 
     Returns the setter, which returns the size it set. A test that uses it
     asserts that its chunks are smaller than the shells it streams, so the
-    ordered (shell, chunk) sum crosses chunk boundaries inside shells.
+    threads split shells between them. A chunk is a whole number of blocks,
+    as in the stream itself: a test that needs chunks smaller than
+    retrieval.BLOCK_ATOMS sets small_blocks first.
     """
     def set_chunk_atoms(atoms):
+        assert atoms % retrieval.BLOCK_ATOMS == 0, (
+            f"{atoms} atoms is not a whole number of {retrieval.BLOCK_ATOMS}-atom blocks")
         monkeypatch.setattr(retrieval, "CHUNK_ATOMS", atoms)
         return atoms
 
@@ -110,12 +114,14 @@ def small_chunks(monkeypatch):
 
 @pytest.fixture()
 def small_blocks(monkeypatch):
-    """Set the block size inside a chunk (retrieval.BLOCK_ATOMS) for one test.
+    """Set the stream's block size, its summation unit (retrieval.BLOCK_ATOMS), for one test.
 
-    Returns the setter, which returns the size it set. A size at least the
-    chunk's gives a one-block pass.
+    Returns the setter, which returns the size it set. The size divides
+    retrieval.CHUNK_ATOMS; the chunk size itself makes each chunk one block.
     """
     def set_block_atoms(atoms):
+        assert retrieval.CHUNK_ATOMS % atoms == 0, (
+            f"{atoms}-atom blocks do not divide {retrieval.CHUNK_ATOMS}-atom chunks")
         monkeypatch.setattr(retrieval, "BLOCK_ATOMS", atoms)
         return atoms
 

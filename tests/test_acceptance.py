@@ -30,8 +30,11 @@ from ire_sim import (
     wavenumbers,
 )
 from ire_sim.cli import main as cli_main
+from ire_sim.config import build_scenario, read_config
+from ire_sim.ensemble import SHELLS
+from ire_sim.retrieval import _screen_shell
 
-from conftest import CANONICAL_INI, SPECIES, TEMP, W_COLLECT, canonical_scenario
+from conftest import CANONICAL_INI, SPECIES, TEMP, W_COLLECT, canonical_scenario, read_meta
 
 # Subsample size of the survey points. Over seeds 1-12 its eta scatters
 # with sd 0.023 at (0 deg, 0 us) and 0.030 at (2 deg, 100 us), absolute.
@@ -247,11 +250,14 @@ def test_criterion_10_thread_count_determinism(tmp_path, capsys):
         eta_bytes[0] == eta_bytes[1] == eta_bytes[2]
         and heat_bytes[0] == heat_bytes[1] == heat_bytes[2]
     )
+    # what the eta run streamed: its record's atom count and its scenario's shells
+    streamed = int(read_meta(tmp_path / "eta_t1" / "eta_meta.txt")["streamed_in_region"])
+    shells = SHELLS - _screen_shell(build_scenario(read_config(str(eta_ini))))
     verdict(
         "10",
         ok,
-        "eta.csv (3,157,977 atoms, 9 shell chunks) and both heatmap rasters "
-        "(50,000 atoms) byte-identical across thread counts 1, 4, 16",
+        f"eta.csv ({streamed:,} atoms streamed in {shells} shells) and both heatmap "
+        "rasters (50,000 atoms) byte-identical across thread counts 1, 4, 16",
     )
 
 

@@ -25,8 +25,8 @@ from conftest import (CANONICAL_INI, SPECIES, W_COLLECT, canonical_scenario,
 
 KN = wavenumbers(SPECIES)
 
-# A chunk size below the atoms of a streamed shell, so the chunking tests
-# cross chunk boundaries inside shells.
+# A chunk size, of one block, below the atoms of a streamed shell, so the
+# chunking tests cross chunk and block boundaries inside shells.
 SMALL_CHUNK = 1 << 7
 
 # Frozen from independent 1-D quadratures of the collection-mode far field
@@ -203,10 +203,10 @@ def test_angular_field_rejects_subsampling(small_grid):
         angular_field(scn, small_grid)
 
 
-def test_angular_field_thread_count_does_not_change_bits(small_chunks):
+def test_angular_field_thread_count_does_not_change_bits(small_blocks, small_chunks):
     scn = canonical_scenario(n_atoms_override=33_468, seed=6)
     # chunks smaller than a shell, so the threads split shells between them
-    assert largest_streamed_shell(scn) >= 2 * small_chunks(SMALL_CHUNK)
+    assert largest_streamed_shell(scn) >= 2 * small_chunks(small_blocks(SMALL_CHUNK))
     # even n_phi pairs each azimuth with its half-turn partner; odd has no pairs
     for n_phi in (24, 33):
         grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=n_phi)
@@ -216,13 +216,13 @@ def test_angular_field_thread_count_does_not_change_bits(small_chunks):
         assert f1.source_s2 == f3.source_s2
 
 
-def test_chunking_does_not_change_the_field(small_grid, small_chunks):
+def test_chunking_does_not_change_the_field(small_grid, small_blocks, small_chunks):
     # angular_field in chunks must equal the one-shot field built from the
     # atoms it keeps, drawn through the public sampling path.
     from ire_sim import AtomSample, draw_sample, spinwave_amplitude
 
     scn = canonical_scenario(n_atoms_override=16_507, seed=8)
-    assert largest_streamed_shell(scn) >= 2 * small_chunks(SMALL_CHUNK)
+    assert largest_streamed_shell(scn) >= 2 * small_chunks(small_blocks(SMALL_CHUNK))
     streamed = angular_field(scn, small_grid)
     sample = draw_sample(scn)
     keep, _ = _prune(sample.r_initial, scn)

@@ -150,7 +150,7 @@ def test_all_atoms_below_the_floor_is_an_arithmetic_error(tiny_grid):
         eta_angular(scn, tiny_grid)
 
 
-def test_kept_count_and_dropped_amplitude_ignore_thread_count(small_chunks):
+def test_kept_count_and_dropped_amplitude_ignore_thread_count(small_blocks, small_chunks):
     # chunks smaller than a shell, so the threads split shells between them
     n = 2 * CHUNK_ATOMS + 12345
     scn = canonical_scenario(mc_atoms=n, seed=2)
@@ -163,7 +163,7 @@ def test_kept_count_and_dropped_amplitude_ignore_thread_count(small_chunks):
 
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
     scn = canonical_scenario(n_atoms_override=33_468, seed=6)
-    assert largest_streamed_shell(scn) >= 2 * small_chunks(1 << 7)
+    assert largest_streamed_shell(scn) >= 2 * small_chunks(small_blocks(1 << 7))
     f1 = angular_field(scn, grid, threads=1)
     f3 = angular_field(scn, grid, threads=3)
     assert f1.n_kept == f3.n_kept

@@ -27,6 +27,7 @@ from ire_sim import retrieval
 from ire_sim.cli import main as cli_main
 from ire_sim.ensemble import _GAUSS_VOLUME, ATOMIC_MASS_UNIT, SHELLS, shell_counts
 from ire_sim.retrieval import (
+    BLOCK_ATOMS,
     CHUNK_ATOMS,
     THREADS_ENV_VAR,
     _add,
@@ -225,7 +226,7 @@ def test_spinwave_amplitude_composition():
 
 
 def test_kernel_matches_vectorized_reference():
-    # The chunk partials of the streamed shells, one chunk per shell here,
+    # The block partials of the streamed shells, one block per shell here,
     # must add up, to near machine precision, to the sums assembled from the
     # public per-atom building blocks over the atoms of every shell the skip
     # keeps.
@@ -241,8 +242,8 @@ def test_kernel_matches_vectorized_reference():
     sxx_ref = float(np.sum(np.abs(x) ** 2))
 
     counts = shell_counts(scn.seed, scn.n_atoms)
-    parts = [_eta_worker(((scn,), shell, 0, int(counts[shell]), _paraxial_sums))[0]
-             for shell in range(_screen_shell(scn), SHELLS)]
+    parts = [part for shell in range(_screen_shell(scn), SHELLS)
+             for (part,) in _eta_worker(((scn,), shell, 0, int(counts[shell]), _paraxial_sums))]
     s1r, s1i, sxx, s2, dropped, n_kept = functools.reduce(_add, parts)
     assert s1r == pytest.approx(s1_ref.real, rel=1e-10)
     assert s1i == pytest.approx(s1_ref.imag, rel=1e-10)
@@ -256,18 +257,19 @@ def test_kernel_matches_vectorized_reference():
 def test_a_chunk_that_keeps_no_atom_or_every_atom_holds_one_block_at_a_time(shell, n_kept):
     # Of the canonical 0 deg cloud, shell 59 keeps no atom and shell 63 keeps
     # all of them. Either chunk is walked in blocks, each block's kept atoms
-    # projected and added up before the next is drawn, so the worker holds
-    # one block at a time (measured peaks 2.3 and 6.1 MB); the chunk's words
-    # alone take 64 MB.
+    # projected and summed into its partial before the next is drawn, so the
+    # worker holds one block at a time (measured peaks 2.3 and 6.1 MB); the
+    # chunk's words alone take 64 MB.
     scn = canonical_scenario()
     assert _screen_shell(scn) <= 59
     tracemalloc.start()
     try:
-        (part,) = _eta_worker(((scn,), shell, 0, CHUNK_ATOMS, _paraxial_sums))
+        blocks = _eta_worker(((scn,), shell, 0, CHUNK_ATOMS, _paraxial_sums))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert part[-1] == n_kept
+    assert len(blocks) == CHUNK_ATOMS // BLOCK_ATOMS
+    assert sum(part[-1] for (part,) in blocks) == n_kept
     assert peak <= 16e6
 
 

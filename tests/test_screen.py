@@ -129,7 +129,7 @@ def test_tiny_cloud_screens_nothing():
 
 
 def _unscreened_eta_worker(task):
-    """The stream's chunk sums over any shell, from the public per-atom functions."""
+    """The stream's block sums over any shell, from the public per-atom functions."""
     scenarios, shell, lo, hi = task
     raw = _raw_words(scenarios[0].seed, shell, lo, hi)
     r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
@@ -146,19 +146,20 @@ def _unscreened_eta_worker(task):
     return out
 
 
-def _shell_tasks(seed, count, chunk):
-    """(shell, lo, hi) of every chunk of every shell of the count-atom stream."""
-    return [(shell, lo, min(lo + chunk, c))
+def _shell_tasks(seed, count, block):
+    """(shell, lo, hi) of every block of every shell of the count-atom stream."""
+    return [(shell, lo, min(lo + block, c))
             for shell, c in enumerate(shell_counts(seed, count).tolist())
-            for lo in range(0, c, chunk)]
+            for lo in range(0, c, block)]
 
 
 def _in_order_sum(partials):
-    """Column sums of chunk partials, each added left to right in stream order."""
+    """Column sums of block partials, each added left to right in stream order."""
     return tuple(functools.reduce(operator.add, column) for column in zip(*partials))
 
 
-# Small chunks, so that each streamed shell spans a full chunk and a short one.
+# Small chunks of one block each, so that each streamed shell spans a full
+# block and a short one.
 SMALL_CHUNK = 1 << 12
 STREAMED = 64 * SMALL_CHUNK + 20_000
 JOBS = {
@@ -169,8 +170,8 @@ JOBS = {
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("job", sorted(JOBS))
-def test_stream_keeps_the_bits_of_an_unscreened_pass(small_chunks, job, threads):
-    small_chunks(SMALL_CHUNK)
+def test_stream_keeps_the_bits_of_an_unscreened_pass(small_blocks, small_chunks, job, threads):
+    small_chunks(small_blocks(SMALL_CHUNK))
     scenarios = tuple(
         _scenario(target_od=24.7, mc_atoms=STREAMED, seed=11, **point) for point in JOBS[job]
     )
@@ -184,7 +185,7 @@ def test_stream_keeps_the_bits_of_an_unscreened_pass(small_chunks, job, threads)
         below = [part for t, part in zip(tasks, every) if t[0] < first]
         above = [part for t, part in zip(tasks, every) if t[0] >= first]
         assert all(n_kept == 0 for *_, n_kept in below)
-        # the in-order sum of the same chunks over the scenario's own shells,
+        # the in-order sum of the same blocks over the scenario's own shells,
         # bit for bit; D, which bounds the screened atoms, bounds the exact one
         ref = _in_order_sum(above)
         assert total[:4] + total[5:] == ref[:4] + ref[5:]
@@ -207,15 +208,15 @@ def _field_partial(scn, grid, shell, lo, hi):
             float(np.sum(amps.real**2 + amps.imag**2)), dropped, len(sample))
 
 
-def test_angular_field_keeps_the_bits_of_an_unscreened_pass(small_chunks):
-    chunk = small_chunks(1 << 9)
+def test_angular_field_keeps_the_bits_of_an_unscreened_pass(small_blocks, small_chunks):
+    chunk = small_chunks(small_blocks(1 << 9))
     grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
-    n = 80 * chunk  # every shell spans a full chunk and a short one
+    n = 80 * chunk  # every shell spans a full block and a short one
     scn = canonical_scenario(n_atoms_override=n, skew_theta=math.radians(2.0),
                              storage_tm=100e-6, seed=6)
     assert all(chunk < c < 2 * chunk for c in shell_counts(scn.seed, n))
     field = angular_field(scn, grid, threads=2)
-    # every shell's chunks, in stream order
+    # every shell's blocks, in stream order
     acc, s2, dropped, n_kept = _in_order_sum(
         [_field_partial(scn, grid, *t) for t in _shell_tasks(scn.seed, n, chunk)])
     values = acc / math.sqrt(4.0 * math.pi)
@@ -225,15 +226,9 @@ def test_angular_field_keeps_the_bits_of_an_unscreened_pass(small_chunks):
     assert dropped <= field.dropped_amplitude <= dropped + (n - n_kept) * PRUNE_FLOOR
 
 
-# Blocks of 2^9 atoms: each streamed shell of the STREAMED-atom stream is one
-# chunk of several full blocks and a short one.
+# Blocks of 2^9 atoms: each streamed shell of the STREAMED-atom stream is
+# several full blocks and a short one, all in one chunk by default.
 SMALL_BLOCK = 1 << 9
-
-
-def _block_folds(partial, tasks, block):
-    """Each chunk's block partials, added left to right in block order."""
-    return [_in_order_sum([partial(shell, b, min(b + block, hi)) for b in range(lo, hi, block)])
-            for shell, lo, hi in tasks]
 
 
 def _bound(rho, y_max, z_max, scn):
@@ -278,14 +273,12 @@ def test_stream_folds_each_chunk_block_by_block(small_blocks, job, threads):
                for c in shell_counts(11, STREAMED)[lowest:])
     got = _eta_stream(scenarios, threads=threads)
     for scn, total in zip(scenarios, got):
-        first = _screen_shell(scn)
-        tasks = [t for t in _shell_tasks(11, STREAMED, CHUNK_ATOMS) if t[0] >= first]
-        chunks = _in_order_sum(
-            _block_folds(lambda *t: _unscreened_eta_worker(((scn,), *t))[0], tasks, block))
-        # the (shell, chunk)-order sum of each chunk's block-order sum, bit for
-        # bit, and D the same fold of each block's recomputed D
-        assert total[:4] + total[5:] == chunks[:4] + chunks[5:]
-        (d,) = _in_order_sum(_block_folds(lambda *t: _block_d(scn, *t), tasks, block))
+        blocks = [t for t in _shell_tasks(11, STREAMED, block) if t[0] >= _screen_shell(scn)]
+        ref = _in_order_sum([_unscreened_eta_worker(((scn,), *t))[0] for t in blocks])
+        # the (shell, block)-order sum of the block partials, bit for bit, and
+        # D the same fold of each block's recomputed D
+        assert total[:4] + total[5:] == ref[:4] + ref[5:]
+        (d,) = _in_order_sum([_block_d(scn, *t) for t in blocks])
         assert total[4] == pytest.approx(d, rel=1e-12, abs=0.0)
     small_blocks(CHUNK_ATOMS)
     for total, one in zip(got, _eta_stream(scenarios, threads=threads)):
@@ -303,17 +296,54 @@ def test_angular_field_folds_each_chunk_block_by_block(small_blocks, threads):
     block = small_blocks(1 << 7)
     assert all(2 * block < c and c % block for c in shell_counts(scn.seed, n))
     field = angular_field(scn, grid, threads=threads)
-    tasks = [t for t in _shell_tasks(scn.seed, n, CHUNK_ATOMS) if t[0] >= _screen_shell(scn)]
-    values, s2, dropped, n_kept = _in_order_sum(
-        _block_folds(lambda *t: _field_partial(scn, grid, *t), tasks, block))
+    blocks = [t for t in _shell_tasks(scn.seed, n, block) if t[0] >= _screen_shell(scn)]
+    values, s2, dropped, n_kept = _in_order_sum([_field_partial(scn, grid, *t) for t in blocks])
     assert field.values.tobytes() == (values / math.sqrt(4.0 * math.pi)).tobytes()
     assert (field.source_s2, field.n_kept) == (s2, n_kept)
-    (d,) = _in_order_sum(_block_folds(lambda *t: _block_d(scn, *t), tasks, block))
+    (d,) = _in_order_sum([_block_d(scn, *t) for t in blocks])
     assert field.dropped_amplitude == pytest.approx(d + _in_region(scn)[2], rel=1e-12, abs=0.0)
     small_blocks(CHUNK_ATOMS)
     one = angular_field(scn, grid, threads=threads)
     assert field.n_kept == one.n_kept
     assert field.dropped_amplitude == pytest.approx(one.dropped_amplitude, rel=1e-14, abs=0.0)
+
+
+def test_chunk_size_moves_no_bit(small_blocks, small_chunks):
+    # Chunks of one block, of four blocks (every streamed shell spans more
+    # than one such chunk) and of 2^20 atoms (one per shell), at threads 1
+    # and 2: every sum is the same (shell, block) fold, so each stream total
+    # and the field keep every byte.
+    def runs(block, stream):
+        """stream(threads) at each chunk size and thread count, by (chunk, threads)."""
+        got = {}
+        for chunk in (block, 4 * block, 1 << 20):
+            small_chunks(chunk)
+            for threads in (1, 2):
+                got[chunk, threads] = stream(threads)
+        return got
+
+    scenarios = [_scenario(target_od=24.7, mc_atoms=STREAMED, seed=11, **point)
+                 for point in JOBS["tilt"]]
+    block = small_blocks(SMALL_BLOCK)
+    lowest = min(_screen_shell(scn) for scn in scenarios)
+    assert all(c > 4 * block for c in shell_counts(11, STREAMED)[lowest:])
+    totals = runs(block, lambda threads: [np.asarray(total, dtype=float).tobytes()
+                                          for total in _eta_stream(scenarios, threads=threads)])
+    assert all(got == totals[block, 1] for got in totals.values())
+
+    grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
+    n = 80 * (1 << 9)
+    scn = canonical_scenario(n_atoms_override=n, skew_theta=math.radians(2.0),
+                             storage_tm=100e-6, seed=6)
+    block = small_blocks(1 << 7)
+    assert all(c > 4 * block for c in shell_counts(scn.seed, n)[_screen_shell(scn):])
+
+    def field_bytes(threads):
+        field = angular_field(scn, grid, threads=threads)
+        return (field.values.tobytes(), field.source_s2, field.n_kept, field.dropped_amplitude)
+
+    fields = runs(block, field_bytes)
+    assert all(got == fields[block, 1] for got in fields.values())
 
 
 # The shell screen's geometries, each at its own tilt and at 4 and 10 deg.
@@ -379,12 +409,12 @@ def test_dropped_amplitude_is_the_exact_part_plus_the_bounds(theta_deg):
                     mc_atoms=STREAMED, seed=11)
     one, two = (eta_paraxial(scn, threads=t) for t in (1, 2))
     assert one.dropped_amplitude == two.dropped_amplitude
-    # recomputed: each streamed shell's block-order fold of the block D
-    # (exact part plus bounds), in shell order, plus the unstreamed shells' bounds
+    # recomputed: the (shell, block)-order fold of each streamed block's D
+    # (exact part plus bounds), plus the unstreamed shells' bounds
     counts = shell_counts(scn.seed, STREAMED)
-    tasks = [t for t in _shell_tasks(scn.seed, STREAMED, CHUNK_ATOMS)
-             if t[0] >= _screen_shell(scn)]
-    (d,) = _in_order_sum(_block_folds(lambda *t: _block_d(scn, *t), tasks, BLOCK_ATOMS))
+    blocks = [t for t in _shell_tasks(scn.seed, STREAMED, BLOCK_ATOMS)
+              if t[0] >= _screen_shell(scn)]
+    (d,) = _in_order_sum([_block_d(scn, *t) for t in blocks])
     assert one.dropped_amplitude == pytest.approx(d + _shell_d0(scn, counts), rel=1e-12, abs=0.0)
     # and it bounds the exact sum over every atom the stream skipped
     sample = draw_sample(scn, STREAMED)
@@ -401,12 +431,13 @@ def test_a_block_that_keeps_no_atom_adds_only_its_d():
     def project(*_):
         raise AssertionError("projected a block that keeps no atom")
 
-    assert _eta_worker(((scn,), 58, 0, 3 * BLOCK_ATOMS, project)) == [None]  # not streamed
-    (part,) = _eta_worker(((scn,), 59, 0, 3 * BLOCK_ATOMS, project))
-    blocks = [_block_d(scn, 59, b, b + BLOCK_ATOMS)
-              for b in range(0, 3 * BLOCK_ATOMS, BLOCK_ATOMS)]
-    assert len(part) == 2 and part[1] == 0
-    assert part[0] == pytest.approx(_in_order_sum(blocks)[0], rel=1e-12, abs=0.0)
+    starts = range(0, 3 * BLOCK_ATOMS, BLOCK_ATOMS)
+    blocks = _eta_worker(((scn,), 59, 0, 3 * BLOCK_ATOMS, project))
+    assert len(blocks) == len(starts)
+    for b, (part,) in zip(starts, blocks):
+        (d,) = _block_d(scn, 59, b, b + BLOCK_ATOMS)
+        assert len(part) == 2 and part[1] == 0
+        assert part[0] == pytest.approx(d, rel=1e-12, abs=0.0)
 
 
 def test_lobe_fraction_is_the_pair_terms_share_of_the_denominator(tmp_path, capsys):

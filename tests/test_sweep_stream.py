@@ -19,9 +19,9 @@ from ire_sim import SweepSpec, eta_angular, eta_paraxial, run_sweep, scenario_fo
 
 from conftest import canonical_scenario, largest_streamed_shell
 
-# Small chunks, and streamed counts whose shells span two or more of them,
-# so the ordered (shell, chunk) merge is exercised without streaming 2^20
-# atoms per shell.
+# Small chunks of one block each, and streamed counts whose shells span two
+# or more of them, so the ordered (shell, block) merge is exercised without
+# streaming 2^20 atoms per shell.
 SMALL_CHUNK = 1 << 6
 STREAMED = 96 * SMALL_CHUNK + 1904
 
@@ -39,11 +39,11 @@ SWEEPS = {
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("case", sorted(SWEEPS))
-def test_sweep_rows_match_per_point_estimates(small_chunks, case, threads):
+def test_sweep_rows_match_per_point_estimates(small_blocks, small_chunks, case, threads):
     knobs, values, bad = SWEEPS[case]
     axis = case.removesuffix("_full")
     base = canonical_scenario(skew_theta=math.radians(2.0), storage_tm=100e-6, seed=3, **knobs)
-    assert largest_streamed_shell(base) > small_chunks(SMALL_CHUNK)
+    assert largest_streamed_shell(base) > small_chunks(small_blocks(SMALL_CHUNK))
     rows = run_sweep(SweepSpec(base, axis, values, replicates=2), threads=threads)
     assert len(rows) == len(values)
     streamed, firsts = set(), set()
@@ -92,6 +92,7 @@ def angular_base():
 def angular_per_point():
     """eta_angular at every valid value and replicate, on one process, in small chunks."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "BLOCK_ATOMS", ANGULAR_CHUNK)
         mp.setattr(retrieval, "CHUNK_ATOMS", ANGULAR_CHUNK)
         return {
             (axis, value): tuple(
@@ -107,9 +108,9 @@ def angular_per_point():
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("axis", sorted(ANGULAR_SWEEPS))
 def test_angular_sweep_rows_match_per_point_estimates(
-    small_chunks, angular_per_point, axis, threads
+    small_blocks, small_chunks, angular_per_point, axis, threads
 ):
-    assert largest_streamed_shell(angular_base()) > small_chunks(ANGULAR_CHUNK)
+    assert largest_streamed_shell(angular_base()) > small_chunks(small_blocks(ANGULAR_CHUNK))
     values = ANGULAR_SWEEPS[axis]
     spec = SweepSpec(angular_base(), axis, values, replicates=2, method="angular")
     rows = run_sweep(spec, threads=threads)
@@ -123,8 +124,8 @@ def test_angular_sweep_rows_match_per_point_estimates(
             assert row.etas == angular_per_point[axis, value]
 
 
-def test_angular_sweep_uses_one_pool(small_chunks, created_pools):
-    assert largest_streamed_shell(angular_base()) > small_chunks(ANGULAR_CHUNK)
+def test_angular_sweep_uses_one_pool(small_blocks, small_chunks, created_pools):
+    assert largest_streamed_shell(angular_base()) > small_chunks(small_blocks(ANGULAR_CHUNK))
     spec = SweepSpec(angular_base(), "skew_angle", (0.0, 1.0, 2.0), replicates=3,
                      method="angular")
     rows = run_sweep(spec, threads=2)
