@@ -26,6 +26,7 @@ from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 
 from ._version import __version__
 from .angular import (
@@ -170,17 +171,27 @@ def _load(args):
     return doc, scenario
 
 
+# The float64 ufuncs of the per-atom physics whose results may follow the
+# SIMD target numpy dispatches them to.
+KERNEL_UFUNCS = ("tan", "exp", "log", "arctan", "sin", "cos")
+
+
 def _stream_record(threads: int, streamed_in_region) -> dict:
     """The meta keys that say which stream made a result.
 
     numpy does not promise the same Generator.multinomial draw across its
     versions (NEP 19), and that draw sets how many atoms each shell holds.
+    numpy also picks each ufunc's SIMD target at import, from the CPU and
+    NPY_DISABLE_CPU_FEATURES, and the last bits of per-atom values follow
+    it: kernel_backend names the target of each of KERNEL_UFUNCS.
     The block size sets how every sum is added up; the chunk size, like
     the thread count, records only how the blocks were farmed out.
     """
+    info = opt_func_info("^(" + "|".join(KERNEL_UFUNCS) + ")$", "float64")
+    backend = " ".join(f"{name}:{info[name]['dd']['current']}" for name in KERNEL_UFUNCS)
     return {"threads": threads, "chunk_atoms": CHUNK_ATOMS, "block_atoms": BLOCK_ATOMS,
-            "numpy_version": np.__version__, "shells": SHELLS, "prune_floor": PRUNE_FLOOR,
-            "streamed_in_region": streamed_in_region}
+            "numpy_version": np.__version__, "kernel_backend": backend, "shells": SHELLS,
+            "prune_floor": PRUNE_FLOOR, "streamed_in_region": streamed_in_region}
 
 
 def _print_report(report: dict) -> None:

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BeamMode, skew_transform, transverse_amplitude
+from .beams import BeamMode, cis, skew_transform, transverse_amplitude
 from .ensemble import (
     NORMAL_MAX,
     SHELLS,
@@ -339,7 +339,7 @@ def spinwave_amplitude(sample: AtomSample, scenario: Scenario) -> np.ndarray:
     rt = skew_transform(r, scenario.skew_theta)
     q_w = transverse_amplitude(scenario.write_mode, rt[:, 0], rt[:, 1], rt[:, 2])
     m_s = transverse_amplitude(scenario.signal_mode, r[:, 0], r[:, 1], r[:, 2])
-    return q_w * np.conj(m_s) * np.exp(1j * (kn.k_w * rt[:, 2] - kn.k_s * r[:, 2]))
+    return q_w * np.conj(m_s) * cis(kn.k_w * rt[:, 2] - kn.k_s * r[:, 2])
 
 
 def idler_projection(sample: AtomSample, scenario: Scenario) -> np.ndarray:
@@ -371,7 +371,7 @@ def idler_projection(sample: AtomSample, scenario: Scenario) -> np.ndarray:
         - np.arctan(z / z_i)
         - kn.k_r * (y * st + z * ct)
     )
-    return env * np.exp(1j * phase)
+    return env * cis(phase)
 
 
 def _prune(r: np.ndarray, scenario: Scenario) -> tuple[np.ndarray, float]:
@@ -461,6 +461,21 @@ def _screen_atoms(raw: np.ndarray, r0: float, scenario: Scenario) -> tuple[np.nd
     return survive, float(np.sum(np.exp(bound[~survive])))
 
 
+def _screens_nothing(scenario: Scenario, shell: int) -> bool:
+    """Whether _screen_atoms lets every atom of the shell through.
+
+    Its bound _ln_bound(rho, rho, Z) falls as rho grows and rises with Z
+    (as both envelope widths do), so over shell k it is lowest at the
+    outer radius rho = r0 sqrt(-2 ln(k / SHELLS)) with Z = 0. When that is
+    above ln PRUNE_FLOOR, every atom's bound clears the screen's level,
+    ln PRUNE_FLOOR times _SCREEN_MARGIN, by far more than rounding moves it.
+    """
+    if shell == 0:
+        return False
+    rho = scenario.cloud.sigma_r0 * math.sqrt(-2.0 * math.log(shell / SHELLS))
+    return bool(_ln_bound(rho, rho, 0.0, scenario) > _LN_PRUNE_FLOOR)
+
+
 def _in_region(scenario: Scenario) -> tuple[int, int, float]:
     """(m, N_in, D0) of the scenario's shells, those at or above _screen_shell.
 
@@ -518,19 +533,21 @@ def _eta_worker(task):
     (_eta_stream decides), grouped here by what their kept atoms depend
     on: the species, the beams, the tilt and the velocity spread. Each
     block's counter words are drawn once for all of them. For each
-    block, each group screens the atoms from words 0 and 2 (_screen_atoms);
-    only the atoms some group's screen lets through get positions, and each
-    group runs the exact skip mask (_prune) on its own survivors. A group
-    whose block keeps an atom maps its kept atoms' velocities from their
-    words with the group's cloud and builds their stored amplitudes A_j;
-    each scenario of the group then calls project(A_j, kept atoms,
-    scenario), which returns a tuple of that method's sums. A scenario's
-    block partial is the projection's sums followed by S2 = sum |A_j|^2, D
-    and n_kept over its kept atoms, or (D, 0) alone for a block that keeps
-    no atom. D is exp(bound) summed over the screened atoms plus _prune's
-    sum |A_j| over the survivors it drops. Nothing outlives its block but
-    its partials, and none is added here: returns them in block order, one
-    list per block with one partial per scenario.
+    block, each group screens the atoms from words 0 and 2 (_screen_atoms),
+    unless that screen lets every atom of the shell through
+    (_screens_nothing); only the atoms some group's screen lets through get
+    positions, and each group runs the exact skip mask (_prune) on its own
+    survivors. A group whose block keeps an atom maps its kept atoms'
+    velocities from their words with the group's cloud and builds their
+    stored amplitudes A_j; each scenario of the group then calls
+    project(A_j, kept atoms, scenario), which returns a tuple of that
+    method's sums. A scenario's block partial is the projection's sums
+    followed by S2 = sum |A_j|^2, D and n_kept over its kept atoms, or
+    (D, 0) alone for a block that keeps no atom. D is exp(bound) summed
+    over the screened atoms plus _prune's sum |A_j| over the survivors it
+    drops. Nothing outlives its block but its partials, and none is added
+    here: returns them in block order, one list per block with one partial
+    per scenario.
     """
     scenarios, shell, lo, hi, project = task
     r0 = scenarios[0].cloud.sigma_r0
@@ -539,10 +556,13 @@ def _eta_worker(task):
     for i, s in enumerate(scenarios):
         key = (s.species, s.w_write, s.w_collect, s.skew_theta, thermal_velocity_sigma(s.cloud))
         groups.setdefault(key, []).append(i)
+    whole = [_screens_nothing(scenarios[idx[0]], shell) for idx in groups.values()]
     blocks = []
     for b in range(lo, hi, BLOCK_ATOMS):
         raw = _raw_words(scenarios[0].seed, shell, b, min(b + BLOCK_ATOMS, hi))
-        screens = [_screen_atoms(raw, r0, scenarios[idx[0]]) for idx in groups.values()]
+        screens = [(np.ones(len(raw), dtype=bool), 0.0) if w else
+                   _screen_atoms(raw, r0, scenarios[idx[0]])
+                   for w, idx in zip(whole, groups.values())]
         placed = np.logical_or.reduce([survive for survive, _ in screens])
         if not placed.all():  # else the block's words are placed as they are, uncopied
             raw = raw.compress(placed, axis=0)

@@ -168,8 +168,8 @@ def test_field_matches_the_direct_phase(n_phi):
     # the field by rounding only. A phase of size p carries a rounding
     # error of order eps p, so the unit is eps max_j (k_i + k_r)|r_j|
     # sum_j |A_j| / sqrt(4 pi); 200 atoms spread over millimetres in z, as
-    # in the canonical cloud, read 0.013-0.023 of it over 4 clouds, 2 tilts
-    # and n_phi = 64, 24, 33.
+    # in the canonical cloud, read 0.014-0.022 of it over 4 clouds, 2 tilts
+    # and n_phi = 64, 24, 33, with the kernel's phase factors from cis.
     rng = np.random.default_rng(23)
     pos = rng.normal(size=(200, 3)) * np.array([60e-6, 60e-6, 0.75e-3])
     amp = rng.normal(size=200) + 1j * rng.normal(size=200)

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from ire_sim import BeamMode, skew_transform, transverse_amplitude
+from ire_sim.beams import cis
 
 K_TEST = 7.9e6  # rad/m, typical optical wavenumber used throughout
 
@@ -77,3 +81,50 @@ def test_skew_transform_is_rotation_about_x():
 def test_skew_transform_identity_at_zero():
     r = np.array([[1.0, 2.0, 3.0]])
     np.testing.assert_array_equal(skew_transform(r, 0.0), r)
+
+
+def _cis_error():
+    """Largest absolute error of cis's parts against math.cos and math.sin, in eps.
+
+    Over |phase| up to 3e4 rad, and at the tangent's poles: every odd
+    multiple of pi in that range, and +-pi/2.
+    """
+    rng = np.random.default_rng(5)
+    poles = (2.0 * np.arange(-4775, 4775) + 1.0) * math.pi
+    phase = np.concatenate([rng.uniform(-3e4, 3e4, 100_000), poles, [math.pi / 2, -math.pi / 2]])
+    got = cis(phase)
+    cos = np.array([math.cos(p) for p in phase.tolist()])
+    sin = np.array([math.sin(p) for p in phase.tolist()])
+    err = np.maximum(np.abs(got.real - cos), np.abs(got.imag - sin))
+    return float(np.max(err)) / np.finfo(float).eps
+
+
+def test_cis_is_within_4_eps_of_cos_and_sin():
+    assert _cis_error() <= 4.0
+
+
+def test_cis_of_scalars_and_zero():
+    for zero in (0, 0.0, np.float64(0.0), np.array(0.0)):
+        one = cis(zero)
+        assert type(one) is complex and one == 1.0
+    assert cis(math.pi / 3) == cis(np.array(math.pi / 3)) == complex(cis([math.pi / 3])[0])
+    assert cis(np.zeros((2, 3))).shape == (2, 3)
+
+
+def test_cis_holds_with_numpy_baseline_tan():
+    # numpy picks a SIMD target for float64 tan at import; a fresh
+    # interpreter with the AVX-512 target disabled (a no-op where the CPU
+    # lacks it) must meet the same bound
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    code = (
+        "from numpy.lib.introspect import opt_func_info\n"
+        "from test_beams import _cis_error\n"
+        "print(opt_func_info('^tan$', 'float64')['tan']['dd']['current'], _cis_error())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES="X86_V4")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    target, error = out.stdout.split()
+    assert target != "X86_V4"
+    assert float(error) <= 4.0

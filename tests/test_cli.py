@@ -5,11 +5,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 import ire_sim.experiments as experiments
 from ire_sim import (ConfigDocument, SweepSpec, __version__, build_grid, build_scenario,
                      eta_angular, read_config, resolution_report, run_sweep, wavenumbers)
-from ire_sim.cli import ANGULAR_MAX_ATOMS, ETA_CSV_COLUMNS, _write_run_record, main
+from ire_sim.cli import ANGULAR_MAX_ATOMS, ETA_CSV_COLUMNS, KERNEL_UFUNCS, _write_run_record, main
 from ire_sim.config import _read_key
 from ire_sim.ensemble import SHELLS
 from ire_sim.experiments import SWEEP_CSV_COLUMNS
@@ -81,6 +82,10 @@ def test_eta_writes_csv_and_meta(small_ini, tmp_path, capsys):
     # which stream made the estimate: the shell counts come from numpy's multinomial
     meta = read_meta(out_dir / "eta_meta.txt")
     assert meta["numpy_version"] == np.__version__
+    # and which SIMD target each per-atom ufunc ran on, one name:target pair each
+    targets = dict(pair.split(":") for pair in meta["kernel_backend"].split())
+    assert list(targets) == list(KERNEL_UFUNCS)
+    assert targets["tan"] == opt_func_info("^tan$", "float64")["tan"]["dd"]["current"]
     assert meta["shells"] == str(SHELLS)
     streamed = _in_region(canonical_scenario(n_atoms_override=20000))[0]
     assert meta["streamed_in_region"] == str(streamed)

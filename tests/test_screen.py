@@ -34,8 +34,10 @@ from ire_sim import (
 )
 from ire_sim.angular import _field_sums
 from ire_sim.cli import main as cli_main
+from ire_sim import retrieval
 from ire_sim.ensemble import (
     NORMAL_MAX,
+    SHELL_BITS,
     SHELLS,
     _positions_from_raw,
     _raw_words,
@@ -54,6 +56,7 @@ from ire_sim.retrieval import (
     _prune,
     _screen_atoms,
     _screen_shell,
+    _screens_nothing,
     _shell_bounds,
 )
 
@@ -393,6 +396,44 @@ def test_threshold_words_split_the_atom_screen(theta_deg):
     a = spinwave_amplitude(_sample_words(raw, scn.cloud), scn)
     assert abs(a[1]) <= d == pytest.approx(math.exp(level * (1.0 + 1e-9)), rel=1e-12)
     assert d < PRUNE_FLOOR
+
+
+# The shell screen's geometries and the canonical cloud at 2 deg.
+SKIP_CASES = SCREEN_GEOMETRIES + [(R0, 2.0, W_COLLECT)]
+
+
+@pytest.mark.parametrize("r0, theta_deg, w_signal", SKIP_CASES)
+def test_atom_screen_is_skipped_only_where_it_screens_nothing(monkeypatch, r0, theta_deg,
+                                                              w_signal):
+    scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, target_od=24.7,
+                    mc_atoms=STREAMED, seed=11)
+    flagged = [k for k in range(SHELLS) if _screens_nothing(scn, k)]
+    if (r0, w_signal) == (R0, W_COLLECT):
+        assert flagged == [62, 63]  # the canonical cloud at 0, 2 and 4 deg
+    for shell in flagged:
+        # the shell's first atoms and its lowest bound: the smallest u0
+        # (largest rho) of the shell and the largest u2 (Z near 0)
+        raw = _raw_words(scn.seed, shell, 0, 1 << 13)
+        worst = raw[:1].copy()
+        worst[0, 0] = np.uint64(shell << (64 - SHELL_BITS))
+        worst[0, 2] = np.uint64(2**64 - 1)
+        survive, d = _screen_atoms(np.concatenate([worst, raw]), r0, scn)
+        assert survive.all() and d == 0.0
+
+    # the stream never screens a flagged shell's atoms, and keeps every bit
+    # of a pass that screens every shell
+    screened = set()
+
+    def recording_screen(raw, *args):
+        screened.update((raw[:, 0] >> np.uint64(64 - SHELL_BITS)).tolist())
+        return _screen_atoms(raw, *args)
+
+    monkeypatch.setattr(retrieval, "_screen_atoms", recording_screen)
+    (skipped,) = _eta_stream([scn], threads=1)
+    assert screened == set(range(_screen_shell(scn), SHELLS)) - set(flagged)
+    monkeypatch.setattr(retrieval, "_screens_nothing", lambda *_: False)
+    (every,) = _eta_stream([scn], threads=1)
+    assert np.asarray(skipped).tobytes() == np.asarray(every).tobytes()
 
 
 def _shell_d0(scn, counts):
