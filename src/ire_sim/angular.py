@@ -50,7 +50,7 @@ import numpy as np
 
 from .beams import cis
 from .ensemble import drift
-from .retrieval import EtaEstimate, Scenario, _eta_stream, _stream_tail, wavenumbers
+from .retrieval import EtaEstimate, Scenario, _eta_stream, _in_region, _stream_tail, wavenumbers
 
 @dataclass(frozen=True, eq=False)
 class AngularGrid:
@@ -269,20 +269,19 @@ def _field_projection(grids, a, sample, scenario):
 def _angular_method(grids):
     """The angular (project, estimate) pair on grids (idler mode -> grid).
 
-    The counterpart of (_paraxial_sums, _estimate): project is
-    _eta_stream's per-scenario projection, and estimate(scenario, total)
-    reads the efficiency from a scenario's stream total.
+    The counterpart of (_paraxial_sums, _estimate): project is _eta_stream's
+    per-scenario projection, and estimate(scenario, total, region) reads the
+    efficiency from a scenario's stream total and _in_region(scenario).
     """
-    def estimate(scenario, total):
-        grid = grids[scenario.idler_mode]
-        return _field_estimate(_as_field(scenario, total), grid)
+    def estimate(scenario, total, region):
+        return _field_estimate(_as_field(scenario, total, region[2]), grids[scenario.idler_mode])
 
     return partial(_field_projection, grids), estimate
 
 
-def _as_field(scenario: Scenario, total) -> AngularField:
+def _as_field(scenario: Scenario, total, d0: float) -> AngularField:
     """The emitted field of a scenario's stream total (field, S2, D, n_kept); see _stream_tail."""
-    s2, dropped, n_kept = _stream_tail(scenario, total)
+    s2, dropped, n_kept = _stream_tail(total, d0)
     return AngularField(
         values=total[0] / math.sqrt(4.0 * math.pi), source_s2=s2,
         n_atoms=scenario.n_atoms, seed=scenario.seed, n_kept=n_kept,
@@ -314,7 +313,7 @@ def angular_field(
         )
     project, _ = _angular_method({scenario.idler_mode: grid})
     [total] = _eta_stream([scenario], threads, project)
-    return _as_field(scenario, total)
+    return _as_field(scenario, total, _in_region(scenario)[2])
 
 
 def sphere_norm(field: AngularField, grid: AngularGrid) -> float:

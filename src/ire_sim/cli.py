@@ -277,7 +277,8 @@ def _cmd_eta(args) -> int:
     project, estimate = METHODS[doc.method].pair({scenario.idler_mode: _setup(doc, scenario)})
     report = resolution_report(scenario)
     _print_report(report)
-    est = estimate(scenario, _eta_stream([scenario], args.threads, project)[0])
+    region = _in_region(scenario)
+    est = estimate(scenario, _eta_stream([scenario], args.threads, project)[0], region)
     print(f"eta = {est.eta:.9g}")
     print(f"numerator = {est.numerator:.9g}")
     print(f"denominator = {est.denominator:.9g}")
@@ -287,7 +288,7 @@ def _cmd_eta(args) -> int:
     write_rows(csv_path, ETA_CSV_COLUMNS, [{**_descriptors(scenario), **vars(est)}])
     # the fields of the estimate that eta.csv does not hold go to the record
     result = {key: value for key, value in vars(est).items() if key not in ETA_CSV_COLUMNS}
-    _write_run_record(args, doc, "eta_meta.txt", {}, report, _in_region(scenario)[0], result)
+    _write_run_record(args, doc, "eta_meta.txt", {}, report, region[0], result)
     print(f"wrote {csv_path}")
     return 0
 

@@ -192,36 +192,47 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return bits.view(np.float64) - _ONE_LESS_U53
 
 
-def _positions_from_raw(raw: np.ndarray, r0: float) -> np.ndarray:
-    """Initial positions (n, 3) from counter words 0..3 alone.
+def _radii(raw: np.ndarray) -> np.ndarray:
+    """Box-Muller radii sqrt(-2 ln u) of pairs 0 and 1, from words 0 and 2: shape (2, n).
+
+    rad[0] r0 is an atom's transverse radius and rad[1] r0 bounds its |z|,
+    before it is placed; _positions_from_raw and _velocities_from_raw take
+    them rather than map the words again.
+    """
+    rad = np.stack([_uniform(raw[:, 0]), _uniform(raw[:, 2])])
+    np.log(rad, out=rad)  # in place: one (2, n) array per block, not four
+    rad *= -2.0
+    return np.sqrt(rad, out=rad)
+
+
+def _positions_from_raw(raw: np.ndarray, rad: np.ndarray, r0: float) -> np.ndarray:
+    """Initial positions (n, 3) from counter words 1 and 3 and the radii rad = _radii(raw).
 
     The sampler's Box-Muller map restricted to the position normals: pair 0
     gives x and y, the cosine half of pair 1 gives z. Lets a caller decide
     per atom before it pays for the velocity words (_velocities_from_raw).
     """
-    ra = np.sqrt(-2.0 * np.log(_uniform(raw[:, 0])))
     aa = 2.0 * np.pi * _uniform(raw[:, 1])
     r = np.empty((raw.shape[0], 3))
-    r[:, 0] = r0 * (ra * np.cos(aa))
-    r[:, 1] = r0 * (ra * np.sin(aa))
-    rz = np.sqrt(-2.0 * np.log(_uniform(raw[:, 2])))
-    r[:, 2] = r0 * (rz * np.cos(2.0 * np.pi * _uniform(raw[:, 3])))
+    r[:, 0] = r0 * (rad[0] * np.cos(aa))
+    r[:, 1] = r0 * (rad[0] * np.sin(aa))
+    r[:, 2] = r0 * (rad[1] * np.cos(2.0 * np.pi * _uniform(raw[:, 3])))
     return r
 
 
-def _velocities_from_raw(raw: np.ndarray, cloud: CloudSpec) -> np.ndarray:
-    """Initial velocities (n, 3) from counter words 2..5 alone.
+def _velocities_from_raw(raw: np.ndarray, rad: np.ndarray, cloud: CloudSpec) -> np.ndarray:
+    """Initial velocities (n, 3) from counter words 3..5 and the radii rad = _radii(raw).
 
     The sampler's Box-Muller map restricted to the velocity normals: the
     sine half of pair 1 gives vx, pair 2 gives vy and vz.
     """
-    u = _uniform(raw[:, 2:6])
-    rad = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    ang = 2.0 * np.pi * u[:, 1::2]
+    u = _uniform(raw[:, 3:6])
+    rad2 = np.sqrt(-2.0 * np.log(u[:, 1]))
+    ang2 = 2.0 * np.pi * u[:, 2]
     g = np.empty((raw.shape[0], 3))
-    g[:, 0] = rad[:, 0] * np.sin(ang[:, 0])
-    g[:, 1] = rad[:, 1] * np.cos(ang[:, 1])
-    g[:, 2] = rad[:, 1] * np.sin(ang[:, 1])
+    g[:, 0] = rad[1] * np.sin(2.0 * np.pi * u[:, 0])
+    g[:, 1] = rad2 * np.cos(ang2)
+    g[:, 2] = rad2 * np.sin(ang2)
     return g * thermal_velocity_sigma(cloud)
 
 
@@ -231,7 +242,9 @@ def _sample_words(raw: np.ndarray, cloud: CloudSpec) -> AtomSample:
     Words 0..5 feed three fixed Box-Muller pairs, giving the normals
     (x, y), (z, vx), (vy, vz); words 6..7 are reserved.
     """
-    return AtomSample(_positions_from_raw(raw, cloud.sigma_r0), _velocities_from_raw(raw, cloud))
+    rad = _radii(raw)
+    return AtomSample(_positions_from_raw(raw, rad, cloud.sigma_r0),
+                      _velocities_from_raw(raw, rad, cloud))
 
 
 def sample_atoms(

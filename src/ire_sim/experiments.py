@@ -201,9 +201,12 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
     else:
         for (i, scenario), total in zip(scenarios, totals):
             runs[i].append((scenario, total))
+    regions = {}  # each seed's (m, N_in, D0), per value
     for i, per_seed in runs.items():
         try:
-            etas[i] = tuple(estimate(scenario, total).eta for scenario, total in per_seed)
+            regions[i] = [_in_region(scenario) for scenario, _ in per_seed]
+            etas[i] = tuple(estimate(scenario, total, region).eta
+                            for (scenario, total), region in zip(per_seed, regions[i]))
         except (ValueError, ArithmeticError) as exc:
             failed[i] = exc
 
@@ -217,7 +220,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
                                  math.nan, math.nan, (), spec.base.seed, error))
         else:
             scenario, desc = points[i]
-            n_streamed = sum(_in_region(s)[0] for s, _ in runs[i])
+            n_streamed = sum(m for m, _, _ in regions[i])
             rows.append(SweepRow(*desc.values(), scenario.n_atoms, spec.method, spec.replicates,
                                  *aggregate(etas[i]), etas[i], spec.base.seed,
                                  n_streamed=n_streamed))

@@ -32,11 +32,12 @@ fires when the sampled off-diagonal mean comes out negative (it does at a
 noise), and the estimate is not bounded above by 1 at small subsamples.
 
 No sweep axis moves the seed, the cloud width or the streamed count, so
-one stream can serve several scenarios: a block's counter words and
-positions are drawn once, each scenario adds up only the blocks of its own
-shells, the skip mask and the stored amplitudes A_j are built once for
-each distinct set of beams, tilt and velocity spread, and the projection
-runs per scenario. The same stream serves the angular
+one stream can serve several scenarios: a block's counter words, the
+Box-Muller radii of its words 0 and 2 and its positions are taken once,
+and the kept atoms' velocities once per velocity spread; each scenario
+adds up only the blocks of its own shells, the skip mask and the stored
+amplitudes A_j are built once for each distinct set of beams, tilt and
+velocity spread, and the projection runs per scenario. The same stream serves the angular
 reference path, whose projection is the emitted field on a sphere grid
 (see ire_sim.angular). The lobe power C(t_m) is one reduction of a
 per-node table cached without t_m.
@@ -46,13 +47,13 @@ amplitude is at most PRUNE_FLOOR are skipped before the per-atom kernels.
 Three steps decide, each from less than the next: the radial shell bounds
 the transverse radius, so the shells whose every atom a bound puts at or
 below PRUNE_FLOOR are never streamed (_screen_shell); in the other shells,
-counter words 0 and 2 bound each atom's radius and |z|, and the atoms that
-bound puts at or below PRUNE_FLOOR get no position (_screen_atoms); the
-positions of the rest decide exactly (_prune), and the kept atoms keep
-those positions: only their velocities are mapped from their words
-afterwards. The estimate records how many atoms were kept and a bound on
-the summed amplitude of the rest, which bounds what the skip can move (see
-EtaEstimate).
+the radii of counter words 0 and 2 bound each atom's radius and |z|, and
+the atoms that bound puts at or below PRUNE_FLOOR get no position
+(_screen_atoms); the positions of the rest decide exactly (_prune), and
+the kept atoms keep those positions and radii: only the rest of their
+velocities is mapped from their words afterwards. The estimate records
+how many atoms were kept and a bound on the summed amplitude of the rest,
+which bounds what the skip can move (see EtaEstimate).
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ from .ensemble import (
     SpeciesConstants,
     _GAUSS_VOLUME,
     _positions_from_raw,
+    _radii,
     _raw_words,
-    _uniform,
     _velocities_from_raw,
     drift,
     sample_atoms,
@@ -397,7 +398,7 @@ def _prune(r: np.ndarray, scenario: Scenario) -> tuple[np.ndarray, float]:
     uw *= us
     ln_a -= 0.5 * np.log(uw)
     keep = ln_a > _LN_PRUNE_FLOOR
-    return keep, float(np.sum(np.exp(ln_a[~keep])))
+    return keep, float(np.sum(np.exp(ln_a.compress(~keep))))
 
 
 def _ln_bound(rho, y_max, z_max, scenario: Scenario):
@@ -443,22 +444,21 @@ def _screen_shell(scenario: Scenario) -> int:
     return int(np.count_nonzero(_shell_bounds(scenario) <= _LN_PRUNE_FLOOR * _SCREEN_MARGIN))
 
 
-def _screen_atoms(raw: np.ndarray, r0: float, scenario: Scenario) -> tuple[np.ndarray, float]:
-    """(survive, D) of counter words raw (n, 8), from each atom's words 0 and 2 alone.
+def _screen_atoms(rad: np.ndarray, r0: float, scenario: Scenario) -> tuple[np.ndarray, float]:
+    """(survive, D) of atoms with Box-Muller radii rad = _radii(raw) (2, n), from words 0 and 2.
 
-    Word 0 gives rho = r0 sqrt(-2 ln u0) = sqrt(x^2 + y^2) >= |y|, and word
-    2 gives Z = r0 sqrt(-2 ln u2) >= |z|, the bound _positions_from_raw's
-    z = r0 (sqrt(-2 ln u2) cos(2 pi u3)) cannot exceed. An atom whose
+    Word 0 gives rho = r0 rad[0] = sqrt(x^2 + y^2) >= |y|, and word 2 gives
+    Z = r0 rad[1] >= |z|, the bound _positions_from_raw's
+    z = r0 (rad[1] cos(2 pi u3)) cannot exceed. An atom whose
     _ln_bound(rho, rho, Z) is at most ln PRUNE_FLOOR times _SCREEN_MARGIN
     is one _prune would drop, with |A_j| <= exp(bound) < PRUNE_FLOOR, and
     needs no position. survive marks the others; D is exp(bound) summed
     over the screened atoms.
     """
-    rho = r0 * np.sqrt(-2.0 * np.log(_uniform(raw[:, 0])))
-    big_z = r0 * np.sqrt(-2.0 * np.log(_uniform(raw[:, 2])))
-    bound = _ln_bound(rho, rho, big_z, scenario)
+    rho = r0 * rad[0]
+    bound = _ln_bound(rho, rho, r0 * rad[1], scenario)
     survive = bound > _LN_PRUNE_FLOOR * _SCREEN_MARGIN
-    return survive, float(np.sum(np.exp(bound[~survive])))
+    return survive, float(np.sum(np.exp(bound.compress(~survive))))
 
 
 def _screens_nothing(scenario: Scenario, shell: int) -> bool:
@@ -532,14 +532,15 @@ def _eta_worker(task):
     The task holds the scenarios of one stream that stream this shell
     (_eta_stream decides), grouped here by what their kept atoms depend
     on: the species, the beams, the tilt and the velocity spread. Each
-    block's counter words are drawn once for all of them. For each
-    block, each group screens the atoms from words 0 and 2 (_screen_atoms),
-    unless that screen lets every atom of the shell through
-    (_screens_nothing); only the atoms some group's screen lets through get
-    positions, and each group runs the exact skip mask (_prune) on its own
-    survivors. A group whose block keeps an atom maps its kept atoms'
-    velocities from their words with the group's cloud and builds their
-    stored amplitudes A_j; each scenario of the group then calls
+    block's counter words and the Box-Muller radii of words 0 and 2
+    (_radii) are taken once for all of them. For each block, each group
+    screens the atoms from those radii (_screen_atoms), unless that screen
+    lets every atom of the shell through (_screens_nothing); only the atoms
+    some group's screen lets through get positions, and each group runs
+    the exact skip mask (_prune) on its own survivors. The velocities of
+    the atoms some group keeps are mapped once per velocity spread, and
+    each group that keeps an atom takes its kept atoms' rows and builds
+    their stored amplitudes A_j; each scenario of the group then calls
     project(A_j, kept atoms, scenario), which returns a tuple of that
     method's sums. A scenario's block partial is the projection's sums
     followed by S2 = sum |A_j|^2, D and n_kept over its kept atoms, or
@@ -560,25 +561,35 @@ def _eta_worker(task):
     blocks = []
     for b in range(lo, hi, BLOCK_ATOMS):
         raw = _raw_words(scenarios[0].seed, shell, b, min(b + BLOCK_ATOMS, hi))
+        rad = _radii(raw)
         screens = [(np.ones(len(raw), dtype=bool), 0.0) if w else
-                   _screen_atoms(raw, r0, scenarios[idx[0]])
+                   _screen_atoms(rad, r0, scenarios[idx[0]])
                    for w, idx in zip(whole, groups.values())]
         placed = np.logical_or.reduce([survive for survive, _ in screens])
         if not placed.all():  # else the block's words are placed as they are, uncopied
-            raw = raw.compress(placed, axis=0)
-        r = _positions_from_raw(raw, r0)
-        partials = [None] * len(scenarios)
+            raw, rad = raw.compress(placed, axis=0), rad.compress(placed, axis=1)
+        r = _positions_from_raw(raw, rad, r0)
+        # compress, not a boolean index: the same rows, several times faster
+        kept = []  # (keep, D) per group, keep over the placed atoms
         for idx, (survive, d) in zip(groups.values(), screens):
+            keep = survive.compress(placed)  # the group's survivors among the placed atoms
+            mask, d_exact = _prune(r.compress(keep, axis=0), scenarios[idx[0]])
+            keep[np.flatnonzero(keep)] = mask
+            kept.append((keep, d + d_exact))
+        some = np.logical_or.reduce([keep for keep, _ in kept])
+        vel = {}  # velocity spread -> the velocities of the atoms some group keeps
+        partials = [None] * len(scenarios)
+        for (*_, sigma_v), idx, (keep, d) in zip(groups, groups.values(), kept):
             first = scenarios[idx[0]]
-            keep = survive[placed]  # the group's survivors among the placed atoms
-            kept, d_exact = _prune(r[keep], first)
-            d += d_exact
-            keep[keep] = kept
             n = int(np.count_nonzero(keep))
             if n == 0:
                 part = [(d, 0)] * len(idx)
             else:
-                sample = AtomSample(r[keep], _velocities_from_raw(raw[keep], first.cloud))
+                if sigma_v not in vel:
+                    vel[sigma_v] = _velocities_from_raw(
+                        raw.compress(some, axis=0), rad.compress(some, axis=1), first.cloud)
+                sample = AtomSample(r.compress(keep, axis=0),
+                                    vel[sigma_v].compress(keep.compress(some), axis=0))
                 a = spinwave_amplitude(sample, first)
                 s2 = float(np.sum(a.real**2 + a.imag**2))
                 part = [(*project(a, sample, scenarios[i]), s2, d, n) for i in idx]
@@ -592,15 +603,15 @@ def _streamed_count(scenario: Scenario) -> int:
     return scenario.mc_atoms if scenario.mc_atoms is not None else scenario.n_atoms
 
 
-def _stream_tail(scenario: Scenario, total) -> tuple[float, float, int]:
+def _stream_tail(total, d0: float) -> tuple[float, float, int]:
     """(S2, D + D0, n_kept) of a stream total: the projection's sums, then S2, D, n_kept.
 
-    D0 is _in_region's; total is None when the scenario streamed no atom,
-    and (D, 0) when it kept none. ArithmeticError when no atom cleared
-    PRUNE_FLOOR (naming it) or S2 = 0.
+    D0 is the scenario's _in_region(scenario)[2]; total is None when the
+    scenario streamed no atom, and (D, 0) when it kept none.
+    ArithmeticError when no atom cleared PRUNE_FLOOR (naming it) or S2 = 0.
     """
     dropped, n_kept = total[-2:] if total else (0.0, 0)
-    dropped += _in_region(scenario)[2]
+    dropped += d0
     if n_kept == 0:
         raise ArithmeticError(
             f"every streamed atom's stored amplitude is below PRUNE_FLOOR = "
@@ -612,19 +623,19 @@ def _stream_tail(scenario: Scenario, total) -> tuple[float, float, int]:
     return s2, dropped, n_kept
 
 
-def _estimate(scenario: Scenario, total) -> EtaEstimate:
+def _estimate(scenario: Scenario, total, region) -> EtaEstimate:
     """The estimate of one scenario's stream total.
 
     total is (Re S1, Im S1, SXX, S2, dropped, n_kept), summed over the
     blocks of the scenario's shells as _eta_stream returns it (None when it
-    streamed no atom). A subsample's sums are rescaled from the m atoms it
-    streams to the N_in atoms of the full ensemble in the same shells
-    (_in_region).
+    streamed no atom), and region = (m, N_in, D0) is _in_region(scenario).
+    A subsample's sums are rescaled from the m atoms it streams to the N_in
+    atoms of the full ensemble in the same shells.
     """
     n_total = scenario.n_atoms
-    s2, dropped, n_kept = _stream_tail(scenario, total)
+    m, n_in, d0 = region
+    s2, dropped, n_kept = _stream_tail(total, d0)
     s1r, s1i, sxx = total[:3]
-    m, n_in, _ = _in_region(scenario)
     clamped = False
     if _streamed_count(scenario) == n_total:
         numerator = s1r * s1r + s1i * s1i
@@ -736,7 +747,7 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
     the estimate records that it fired (EtaEstimate.clamped); the rescaled
     estimate can also read above 1 at small subsamples.
     """
-    return _estimate(scenario, _eta_stream([scenario], threads)[0])
+    return _estimate(scenario, _eta_stream([scenario], threads)[0], _in_region(scenario))
 
 
 # Quadrature of the lobe integral: polar node spacing (rad) and floor,
@@ -745,8 +756,8 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
 # reference with every density and floor 2x finer and a +-9 r0 box, C of
 # the canonical cloud is within 1e-10 relative at 0 deg / 0 us and at
 # 2 deg / 100 and 200 us (measured: <= 8e-13), where the lobe is 91 %,
-# 57 % and 1 % of the denominator. A table takes 0.01-0.02 s at 0-4 deg
-# on one BLAS thread.
+# 57 % and 1 % of the denominator. A table takes 6-11 ms at 0-4 deg on
+# one BLAS thread.
 _LOBE_THETA_SPACING = 1.575e-3
 _LOBE_N_THETA_MIN = 48
 _LOBE_PHI_PER_CAP = 12.0
@@ -803,7 +814,8 @@ def _lobe_table(
     The y sums of all azimuth columns of several polar levels are one
     (n_z, n_y) x (n_y, levels x columns) product, so a table makes 5-10
     BLAS calls instead of one per level (48-77); the x factor and the z sum
-    follow per level.
+    follow per level. Every phase factor, and the x factor's e^{i Im}, is
+    cis's.
     """
     w_w, w_s = write.waist_w0, signal.waist_w0
     z_w, z_s = write.rayleigh_z, signal.rayleigh_z
@@ -851,7 +863,7 @@ def _lobe_table(
     ph += np.arctan(zg / z_s)
     ph -= kn.k_r * zt
     del zg, yg, zt, yt
-    base = np.exp(1j * ph)
+    base = cis(ph)
     base *= env
     del env, ph
 
@@ -875,16 +887,16 @@ def _lobe_table(
     per_product = max(1, (1 << 14) // (_LOBE_N_Z * cols))
     for lo in range(0, n_theta, per_product):
         sth = [math.sin(th) for th in thp[lo:lo + per_product]]
-        phase = np.outer(ys, np.outer(sth, sphi)) * (-1j * kn.k_i)
-        inner_all = base @ np.exp(phase, out=phase)
+        inner_all = base @ cis(np.outer(ys, np.outer(sth, sphi)) * -kn.k_i)
         for j, it in enumerate(range(lo, lo + len(sth))):
             kx = sth[j] * cphi
             ky = sth[j] * sphi
             kz = -math.cos(thp[it])
             kappa = kn.k_i * kx
             inner = inner_all[:, j * cols:(j + 1) * cols]
-            inner = inner * (xfac0 * np.exp(-(kappa * kappa) * inv_4beta))
-            fbar = np.exp(-1j * kn.k_i * kz * zs) @ inner * scale
+            arg = -(kappa * kappa) * inv_4beta  # the x factor is xfac0 e^arg
+            inner = inner * (xfac0 * (np.exp(arg.real) * cis(arg.imag)))
+            fbar = cis(-kn.k_i * kz * zs) @ inner * scale
             weight[it] = wth[it] * wphi * (fbar.real**2 + fbar.imag**2)
             q2[it] = kappa**2 + (kn.k_r * st + kn.k_i * ky) ** 2 + (kn.k_r * ct + kn.k_i * kz) ** 2
     return weight, q2

@@ -75,3 +75,23 @@ def test_readme_ini_block_is_the_grammar():
             default = key.metadata["default"]
             expected = None if default is None else key.metadata["read"](default, key.name)
             assert getattr(doc, key.name) == expected, key.name
+
+
+def _imaginary(node):
+    """Whether an expression holds an imaginary literal such as 1j."""
+    return any(isinstance(n, ast.Constant) and isinstance(n.value, complex)
+               for n in ast.walk(node))
+
+
+def test_no_phase_factor_bypasses_cis():
+    # The README states that every phase factor e^{i phi} comes from
+    # beams.cis: no np.exp of the package takes an imaginary literal.
+    found = []
+    for path in sorted((ROOT / "src" / "ire_sim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "exp" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")
+                    and any(_imaginary(arg) for arg in [*node.args, *node.keywords])):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

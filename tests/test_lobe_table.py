@@ -99,7 +99,9 @@ def node_by_node_lobe(scenario, n_z=128, n_y=128):
     return total
 
 
-@pytest.mark.parametrize("theta_deg, tm_us", [(0.0, 0.0), (2.0, 100.0), (4.0, 200.0)])
+# 1 and 3 deg at 100 us are tilts the tilt_survey benchmark builds
+@pytest.mark.parametrize("theta_deg, tm_us",
+                         [(0.0, 0.0), (1.0, 100.0), (2.0, 100.0), (3.0, 100.0), (4.0, 200.0)])
 def test_table_matches_node_by_node_quadrature(theta_deg, tm_us):
     scn = canonical_scenario(skew_theta=math.radians(theta_deg), storage_tm=tm_us * 1e-6)
     expect = node_by_node_lobe(scn)

@@ -13,6 +13,7 @@ upper bound of that pass's D.
 import functools
 import math
 import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from ire_sim.ensemble import (
     SHELL_BITS,
     SHELLS,
     _positions_from_raw,
+    _radii,
     _raw_words,
     _sample_words,
     drift,
@@ -66,6 +68,11 @@ from conftest import (CANONICAL_INI, R0, SPECIES, TEMP, W_COLLECT, W_WRITE, cano
 KN = wavenumbers(SPECIES)
 
 
+def _positions(raw, r0):
+    """Initial positions of counter words raw (n, 8), as the stream places them."""
+    return _positions_from_raw(raw, _radii(raw), r0)
+
+
 def _scenario(r0=R0, theta_deg=0.0, w_signal=W_COLLECT, **kwargs):
     return make_scenario(
         SPECIES, r0, TEMP, W_WRITE, w_signal, w_signal,
@@ -90,7 +97,7 @@ def test_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
     assert 0 < first < SHELLS
     # the highest screened shell holds the atoms nearest the screen's radius
     out = _raw_words(scn.seed, first - 1, 0, 1 << 16)
-    keep, _ = _prune(_positions_from_raw(out, r0), scn)
+    keep, _ = _prune(_positions(out, r0), scn)
     assert not keep.any()
     a = spinwave_amplitude(_sample_words(out, scn.cloud), scn)
     assert np.max(np.abs(a)) <= math.exp(_shell_bounds(scn)[first - 1]) <= PRUNE_FLOOR
@@ -111,7 +118,7 @@ def test_threshold_word_splits_the_radius_bound():
     a_s = W_COLLECT**2 * (1.0 + (big_z / scn.signal_mode.rayleigh_z) ** 2)
     a_w = W_WRITE**2 * (1.0 + (big_z / scn.write_mode.rayleigh_z) ** 2)
     r2 = abs(math.log(PRUNE_FLOOR)) * _SCREEN_MARGIN / (1.0 / a_s + 1.0 / a_w)
-    r = _positions_from_raw(raw, R0)
+    r = _positions(raw, R0)
     rho2 = r[:, 0] ** 2 + r[:, 1] ** 2
     assert rho2[0] >= r2 > rho2[1]
     # D counts, for each streamed-count atom below the first shell, the
@@ -135,7 +142,7 @@ def _unscreened_eta_worker(task):
     """The stream's block sums over any shell, from the public per-atom functions."""
     scenarios, shell, lo, hi = task
     raw = _raw_words(scenarios[0].seed, shell, lo, hi)
-    r = _positions_from_raw(raw, scenarios[0].cloud.sigma_r0)
+    r = _positions(raw, scenarios[0].cloud.sigma_r0)
     out = []
     for scenario in scenarios:
         keep, dropped = _prune(r, scenario)
@@ -194,9 +201,10 @@ def test_stream_keeps_the_bits_of_an_unscreened_pass(small_blocks, small_chunks,
         assert total[:4] + total[5:] == ref[:4] + ref[5:]
         assert ref[4] <= total[4]
         # the screened shells' D is the bound of the estimate, not their own sum
-        m, n_in, d0 = _in_region(scn)
-        assert sum(part[4] for part in below) <= d0
-        new_est, old_est = _estimate(scn, total), _estimate(scn, _in_order_sum(every))
+        region = _in_region(scn)
+        assert sum(part[4] for part in below) <= region[2]
+        new_est = _estimate(scn, total, region)
+        old_est = _estimate(scn, _in_order_sum(every), region)
         assert (new_est.eta, new_est.numerator, new_est.denominator, new_est.n_kept) == (
             old_est.eta, old_est.numerator, old_est.denominator, old_est.n_kept)
 
@@ -260,7 +268,7 @@ def _block_d(scn, shell, lo, hi):
     raw = _raw_words(scn.seed, shell, lo, hi)
     bound = _atom_bound(raw, scn)
     survive = bound > math.log(PRUNE_FLOOR) * _SCREEN_MARGIN
-    _, exact = _prune(_positions_from_raw(raw[survive], scn.cloud.sigma_r0), scn)
+    _, exact = _prune(_positions(raw[survive], scn.cloud.sigma_r0), scn)
     return (exact + float(np.sum(np.exp(bound[~survive]))),)
 
 
@@ -309,6 +317,28 @@ def test_angular_field_folds_each_chunk_block_by_block(small_blocks, threads):
     one = angular_field(scn, grid, threads=threads)
     assert field.n_kept == one.n_kept
     assert field.dropped_amplitude == pytest.approx(one.dropped_amplitude, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_groups_that_keep_different_atoms_share_each_block_bit_for_bit(small_blocks, threads):
+    # Tilts 0, 2 and 4 deg keep different atoms of one block, and a twin of
+    # the 2 deg scenario at 4x the temperature keeps the same atoms with
+    # other velocities: a block's radii and positions are shared, the kept
+    # atoms' velocities are mapped once per velocity spread, and each total
+    # must be the one streamed alone.
+    tilts = [_scenario(theta_deg=th, storage_tm=100e-6, target_od=24.7, mc_atoms=STREAMED,
+                       seed=11) for th in (0.0, 2.0, 4.0)]
+    twin = replace(tilts[1], cloud=replace(tilts[1].cloud, temperature_t=4.0 * TEMP))
+    scenarios = tilts + [twin]
+    small_blocks(SMALL_BLOCK)
+    for scn in scenarios:
+        assert [k for k in range(SHELLS) if _screens_nothing(scn, k)] == [62, 63]
+    together = _eta_stream(scenarios, threads=threads)
+    assert len({total[-1] for total in together[:3]}) == 3  # n_kept differs by tilt
+    assert together[3][-1] == together[1][-1] and together[3][0] != together[1][0]
+    for scn, total in zip(scenarios, together):
+        (alone,) = _eta_stream([scn], threads=threads)
+        assert np.asarray(total).tobytes() == np.asarray(alone).tobytes()
 
 
 def test_chunk_size_moves_no_bit(small_blocks, small_chunks):
@@ -360,8 +390,8 @@ def test_atom_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
                     n_atoms_override=CHUNK_ATOMS)
     raw = np.concatenate([_raw_words(scn.seed, shell, 0, 1 << 13)
                           for shell in range(_screen_shell(scn), SHELLS)])
-    survive, d = _screen_atoms(raw, r0, scn)
-    keep, _ = _prune(_positions_from_raw(raw, r0), scn)
+    survive, d = _screen_atoms(_radii(raw), r0, scn)
+    keep, _ = _prune(_positions(raw, r0), scn)
     assert (~survive).any()
     assert not (keep & ~survive).any()
     # each screened atom's bound, recomputed, bounds its |A_j| and sums to D
@@ -390,9 +420,9 @@ def test_threshold_words_split_the_atom_screen(theta_deg):
         raw[row, 0] = np.uint64(round((u0 * 2.0**53 - 1.0) / 2.0)) << np.uint64(12)
     assert _atom_bound(raw, scn) == pytest.approx(
         [level * (1.0 - 1e-9), level * (1.0 + 1e-9)], rel=1e-12)
-    survive, d = _screen_atoms(raw, R0, scn)
+    survive, d = _screen_atoms(_radii(raw), R0, scn)
     assert survive.tolist() == [True, False]
-    assert not _prune(_positions_from_raw(raw, R0), scn)[0][1]
+    assert not _prune(_positions(raw, R0), scn)[0][1]
     a = spinwave_amplitude(_sample_words(raw, scn.cloud), scn)
     assert abs(a[1]) <= d == pytest.approx(math.exp(level * (1.0 + 1e-9)), rel=1e-12)
     assert d < PRUNE_FLOOR
@@ -417,17 +447,22 @@ def test_atom_screen_is_skipped_only_where_it_screens_nothing(monkeypatch, r0, t
         worst = raw[:1].copy()
         worst[0, 0] = np.uint64(shell << (64 - SHELL_BITS))
         worst[0, 2] = np.uint64(2**64 - 1)
-        survive, d = _screen_atoms(np.concatenate([worst, raw]), r0, scn)
+        survive, d = _screen_atoms(_radii(np.concatenate([worst, raw])), r0, scn)
         assert survive.all() and d == 0.0
 
     # the stream never screens a flagged shell's atoms, and keeps every bit
     # of a pass that screens every shell
-    screened = set()
+    screened, drawn = set(), []
 
-    def recording_screen(raw, *args):
-        screened.update((raw[:, 0] >> np.uint64(64 - SHELL_BITS)).tolist())
-        return _screen_atoms(raw, *args)
+    def recording_words(seed, shell, *args):
+        drawn.append(shell)
+        return _raw_words(seed, shell, *args)
 
+    def recording_screen(*args):
+        screened.add(drawn[-1])  # the shell of the block being screened
+        return _screen_atoms(*args)
+
+    monkeypatch.setattr(retrieval, "_raw_words", recording_words)
     monkeypatch.setattr(retrieval, "_screen_atoms", recording_screen)
     (skipped,) = _eta_stream([scn], threads=1)
     assert screened == set(range(_screen_shell(scn), SHELLS)) - set(flagged)

@@ -136,10 +136,10 @@ def test_angular_sweep_uses_one_pool(small_blocks, small_chunks, created_pools):
 def test_value_error_of_one_estimate_fails_only_its_row(monkeypatch):
     estimate = experiments._estimate
 
-    def fails_at_one_degree(scenario, partials):
+    def fails_at_one_degree(scenario, partials, region):
         if scenario.skew_theta == math.radians(1.0):
             raise ArithmeticError("degenerate cloud: sum |A_j|^2 = 0, no stored amplitude")
-        return estimate(scenario, partials)
+        return estimate(scenario, partials, region)
 
     base = canonical_scenario(n_atoms_override=20_000, seed=5)
     spec = SweepSpec(base, "skew_angle", (0.0, 1.0, 2.0), replicates=2)
