@@ -14,11 +14,14 @@ overlap with the collection mode,
 
 No paraxial step enters, so this path cross-checks the streaming estimator
 wherever both are affordable. Cost scales as atoms x nodes: each kept atom
-costs n_levels (n_phi/2 + 1) phase factors (beams.cis) for even n_phi and
-n_levels (n_phi + 1) for odd, plus one for its read phase, and one complex
-multiply-add per node (see _field_sums). The field then differs from the
-direct phase at every node by rounding only, under 1e-12 of max |F|. The
-path is meant for ensembles up to about a million atoms on the default grid.
+costs n_levels (n_phi/2 + 1) phase factors for even n_phi and
+n_levels (n_phi + 1) for odd, plus one for its read phase (cos and sin
+from beams._cos_sin for the transverse phases, beams.cis for the rest),
+and its share of two real matrix products per batch of BATCH_ATOMS atoms,
+which add the batch up at every node (see _field_sums). The field then
+differs from the direct phase at every node by rounding only, under 1e-12
+of max |F|. The path is meant for ensembles up to about a million atoms
+on the default grid.
 
 The atoms come from the paraxial estimator's stream (retrieval._eta_stream):
 the same shells, blocks, counter words, skip mask and stored amplitudes,
@@ -48,9 +51,18 @@ from functools import partial
 
 import numpy as np
 
-from .beams import cis
+from .beams import _cos_sin, cis
 from .ensemble import drift
 from .retrieval import EtaEstimate, Scenario, _eta_stream, _in_region, _stream_tail, wavenumbers
+
+# Atoms per batch of the angular kernel (_field_sums). A batch's cos and
+# sin are two (BATCH_ATOMS, n_levels, columns) arrays, reused from batch to
+# batch, and each feeds one stacked product of n_levels small BLAS calls: a
+# larger batch spreads the calls over more atoms and holds larger arrays
+# (0.46 MB in all at 4 on the 128/96/64 grid, 4.2 MB on the default grid).
+# Fixed, so every summed bit is too.
+BATCH_ATOMS = 4
+
 
 @dataclass(frozen=True, eq=False)
 class AngularGrid:
@@ -188,39 +200,63 @@ def _field_sums(amplitudes, positions, skew_theta, k_r, k_i, grid):
     """Raw partial field of atoms at drifted positions (n, 3), one value per node.
 
     Adds sum_j A_j e^{-i k_r (y'_j sin + z'_j cos)} e^{-i k_i khat.r'_j}
-    atom by atom in index order, so every node sums in the same order.
+    over batches of BATCH_ATOMS atoms in index order, two real matrix
+    products each, so every node sums in the same order.
 
     The phase -k_i khat.r' at level theta_l and azimuth phi_m splits into
     an axial part -k_i cos(theta_l) z', folded into the atom's level
     coefficient c_l = b_j e^{-i k_i cos(theta_l) z'_j} (b_j: A_j times its
     read phase), and a transverse part -k_i sin(theta_l) (x' cos phi_m +
     y' sin phi_m), which changes sign under phi -> phi + pi. For even n_phi
-    the transverse factor t is evaluated on the first n_phi/2 columns, and
-    column m + n_phi/2 adds c conj(t); for odd n_phi the paired block is
-    empty and every column is evaluated. Every factor e^{i phase} is
-    beams.cis's. A kept atom costs n_levels (n_phi/2 + 1) of them for even
+    the transverse phase is evaluated on the first n_phi/2 columns, and
+    column m + n_phi/2 takes the conjugate factor; for odd n_phi the paired
+    block is empty and every column is evaluated. A batch's (cos, sin) of
+    its transverse phases come from beams._cos_sin, and two stacked
+    products, [Re c; Im c] @ cos and [Re c; Im c] @ sin, add the batch
+    into four sums per node, from which both column blocks are assembled
+    once. A kept atom costs n_levels (n_phi/2 + 1) phase factors for even
     n_phi and n_levels (n_phi + 1) for odd, against n_levels n_phi for the
     direct phase, from which the sum differs by rounding only: on 200 atoms
     spread over millimetres in z, by 0.014-0.022 eps max_j (k_i + k_r)|r'_j|
     sum_j |A_j| (5e-13 to 8e-13 of max |F|) over 4 clouds, 2 tilts and
-    n_phi = 64, 24, 33, the same as with np.exp; the tests allow 0.1 of
-    that unit.
+    n_phi = 64, 24, 33; the tests allow 0.1 of that unit.
     """
     x, y, z = positions[:, 0], positions[:, 1], positions[:, 2]
     b = amplitudes * cis(-k_r * (y * math.sin(skew_theta) + z * math.cos(skew_theta)))
     half = grid.n_phi // 2 if grid.n_phi % 2 == 0 else 0
-    phi = grid.phi[:grid.n_phi - half]
-    k_perp = k_i * np.sin(grid.level_theta)[:, None]
+    cols = grid.n_phi - half
+    phi = grid.phi[:cols]
+    # the transverse wavevector negated, so that the phase -(kx x + ky y)
+    # is -kx x + -ky y, the same bits
+    k_perp = -k_i * np.sin(grid.level_theta)[:, None]
     kx, ky = k_perp * np.cos(phi), k_perp * np.sin(phi)
-    kz = k_i * np.cos(grid.level_theta)
-    lead = np.zeros(kx.shape, dtype=np.complex128)
-    paired = np.zeros((grid.n_levels, half), dtype=np.complex128)
-    for j in range(b.shape[0]):
-        c = (b[j] * cis(-kz * z[j]))[:, None]
-        t = cis(-(kx * x[j] + ky * y[j]))
-        lead += c * t
-        paired += c * t[:, :half].conj()
-    return np.concatenate([lead, paired], axis=1).ravel()
+    kz = k_i * np.cos(grid.level_theta)[:, None]
+    # one batch's cos and sin of its transverse phases, atom-major and
+    # reused; sin holds the phases until _cos_sin turns them in place
+    shape = (min(BATCH_ATOMS, b.shape[0]), grid.n_levels, cols)
+    cos, sin = np.empty(shape), np.empty(shape)
+    # sums[0] holds sum Re c cos and sum Im c cos, sums[1] the same with sin
+    sums = np.zeros((2, grid.n_levels, 2, cols))
+    for lo in range(0, b.shape[0], BATCH_ATOMS):
+        part = slice(lo, lo + BATCH_ATOMS)
+        c = b[part] * cis(-kz * z[part])
+        parts = np.empty((grid.n_levels, 2, c.shape[1]))
+        parts[:, 0], parts[:, 1] = c.real, c.imag
+        if c.shape[1] < cos.shape[0]:  # the last batch is short
+            cos, sin = cos[:c.shape[1]], sin[:c.shape[1]]
+        np.multiply(kx, x[part, None, None], out=sin)
+        sin += np.multiply(ky, y[part, None, None], out=cos)
+        _cos_sin(sin, out=(cos, sin))
+        sums[0] += parts @ cos.transpose(1, 0, 2)
+        sums[1] += parts @ sin.transpose(1, 0, 2)
+    del cos, sin  # free before the field is built
+    (re_cos, im_cos), (re_sin, im_sin) = sums.transpose(0, 2, 1, 3)
+    field = np.empty((grid.n_levels, grid.n_phi), dtype=np.complex128)
+    field.real[:, :cols] = re_cos - im_sin
+    field.imag[:, :cols] = re_sin + im_cos
+    field.real[:, cols:] = re_cos[:, :half] + im_sin[:, :half]
+    field.imag[:, cols:] = im_cos[:, :half] - re_sin[:, :half]
+    return field.ravel()
 
 
 def field_from_atoms(

@@ -89,26 +89,44 @@ def transverse_amplitude(mode: BeamMode, x, y, z):
     return out
 
 
-def cis(phase):
-    """e^{i phase} as complex128, from one tangent of the half angle.
+def _cos_sin(phase, out=None):
+    """(cos phase, sin phase) as two float64 arrays of phase's shape.
 
     With t = tan(phase / 2) and d = 2 / (1 + t^2), cos = d - 1 and
     sin = t d. numpy runs float64 tan on its SIMD targets, while np.exp of
-    an imaginary argument goes through scalar sine and cosine: on an
-    AVX-512 x86 core, 5-14 ns per element against about 35 ns. Each part is
+    an imaginary argument goes through scalar sine and cosine. The pair
+    takes one np.tan and two arrays, out if given (the angular kernel
+    reuses one pair per call) or fresh ones: t turns into sin in place and
+    d into cos, so out's sin array may hold phase itself. Each part is
     within 4 eps of cos and sin, absolute, for |phase| up to 3e4 rad and
-    at the tangent's poles (phase = (2n + 1) pi), and cis(0) is exactly 1.
-    Every phase factor of the package (A_j, the idler projection, the
-    angular kernel and the lobe table's source, y, x and z factors) is
-    taken here.
+    at the tangent's poles (phase = (2n + 1) pi), and phase 0 gives exactly
+    (1, 0). This is the package's one half-angle tangent.
+    """
+    d, t = out if out is not None else (np.empty(np.shape(phase)), np.empty(np.shape(phase)))
+    np.multiply(phase, 0.5, out=t)
+    np.tan(t, out=t)
+    np.multiply(t, t, out=d)
+    d += 1.0
+    np.divide(2.0, d, out=d)
+    t *= d
+    d -= 1.0
+    return d, t
+
+
+def cis(phase):
+    """e^{i phase} as complex128, filled from _cos_sin's pair.
+
+    On an AVX-512 x86 core, 5-14 ns per element against about 35 ns for
+    np.exp of an imaginary argument. Every phase factor of the package (A_j,
+    the idler projection and the lobe table's source, y, x and z factors)
+    is taken here; the angular kernel takes the pair itself.
 
     Accepts scalars or numpy arrays; a 0-d input gives a Python complex.
     """
-    t = np.tan(0.5 * np.asarray(phase, dtype=np.float64))
-    d = 2.0 / (1.0 + t * t)
-    out = np.empty(np.shape(t), dtype=np.complex128)
-    out.real = d - 1.0
-    out.imag = t * d
+    cos, sin = _cos_sin(phase)
+    out = np.empty(cos.shape, dtype=np.complex128)
+    out.real = cos
+    out.imag = sin
     if out.ndim == 0:
         return complex(out)
     return out

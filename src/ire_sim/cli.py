@@ -183,14 +183,18 @@ def _stream_record(threads: int, streamed_in_region) -> dict:
     versions (NEP 19), and that draw sets how many atoms each shell holds.
     numpy also picks each ufunc's SIMD target at import, from the CPU and
     NPY_DISABLE_CPU_FEATURES, and the last bits of per-atom values follow
-    it: kernel_backend names the target of each of KERNEL_UFUNCS.
+    it: kernel_backend names the target of each of KERNEL_UFUNCS. The
+    lobe power C and the angular field are summed through BLAS products,
+    whose last bits follow the BLAS build numpy links: blas names it.
     The block size sets how every sum is added up; the chunk size, like
     the thread count, records only how the blocks were farmed out.
     """
     info = opt_func_info("^(" + "|".join(KERNEL_UFUNCS) + ")$", "float64")
     backend = " ".join(f"{name}:{info[name]['dd']['current']}" for name in KERNEL_UFUNCS)
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return {"threads": threads, "chunk_atoms": CHUNK_ATOMS, "block_atoms": BLOCK_ATOMS,
-            "numpy_version": np.__version__, "kernel_backend": backend, "shells": SHELLS,
+            "numpy_version": np.__version__, "kernel_backend": backend,
+            "blas": f"{blas['name']} {blas['version']}", "shells": SHELLS,
             "prune_floor": PRUNE_FLOOR, "streamed_in_region": streamed_in_region}
 
 

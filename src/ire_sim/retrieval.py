@@ -756,8 +756,8 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
 # reference with every density and floor 2x finer and a +-9 r0 box, C of
 # the canonical cloud is within 1e-10 relative at 0 deg / 0 us and at
 # 2 deg / 100 and 200 us (measured: <= 8e-13), where the lobe is 91 %,
-# 57 % and 1 % of the denominator. A table takes 6-11 ms at 0-4 deg on
-# one BLAS thread.
+# 57 % and 1 % of the denominator. A cold table takes 4-10 ms at 0-4 deg
+# on one BLAS thread, 0.9-1.5 ms of it in leggauss.
 _LOBE_THETA_SPACING = 1.575e-3
 _LOBE_N_THETA_MIN = 48
 _LOBE_PHI_PER_CAP = 12.0
@@ -813,9 +813,11 @@ def _lobe_table(
 
     The y sums of all azimuth columns of several polar levels are one
     (n_z, n_y) x (n_y, levels x columns) product, so a table makes 5-10
-    BLAS calls instead of one per level (48-77); the x factor and the z sum
-    follow per level. Every phase factor, and the x factor's e^{i Im}, is
-    cis's.
+    BLAS calls instead of one per level (48-77). The rest follows once per
+    product, on (levels, n_z, columns) arrays: the x factors, the z sums
+    (one stacked product, which makes the same vector-matrix BLAS call per
+    level as a level alone) and the rows of weight and q2. Every phase
+    factor, and the x factor's e^{i Im}, is cis's.
     """
     w_w, w_s = write.waist_w0, signal.waist_w0
     z_w, z_s = write.rayleigh_z, signal.rayleigh_z
@@ -886,17 +888,22 @@ def _lobe_table(
     # the levels of one product: its (n_z, levels x cols) result is at most 256 kB
     per_product = max(1, (1 << 14) // (_LOBE_N_Z * cols))
     for lo in range(0, n_theta, per_product):
-        sth = [math.sin(th) for th in thp[lo:lo + per_product]]
-        inner_all = base @ cis(np.outer(ys, np.outer(sth, sphi)) * -kn.k_i)
-        for j, it in enumerate(range(lo, lo + len(sth))):
-            kx = sth[j] * cphi
-            ky = sth[j] * sphi
-            kz = -math.cos(thp[it])
-            kappa = kn.k_i * kx
-            inner = inner_all[:, j * cols:(j + 1) * cols]
-            arg = -(kappa * kappa) * inv_4beta  # the x factor is xfac0 e^arg
-            inner = inner * (xfac0 * (np.exp(arg.real) * cis(arg.imag)))
-            fbar = cis(-kn.k_i * kz * zs) @ inner * scale
-            weight[it] = wth[it] * wphi * (fbar.real**2 + fbar.imag**2)
-            q2[it] = kappa**2 + (kn.k_r * st + kn.k_i * ky) ** 2 + (kn.k_r * ct + kn.k_i * kz) ** 2
+        rows = slice(lo, lo + per_product)
+        sth = np.array([math.sin(th) for th in thp[rows]])[:, None]
+        kz = np.array([-math.cos(th) for th in thp[rows]])[:, None]
+        kx, ky = sth * cphi, sth * sphi
+        kappa = kn.k_i * kx
+        arg = -(kappa * kappa)[:, None, :] * inv_4beta  # the x factor is xfac0 e^arg
+        # xf = inner * (xfac0 * (e^Re arg * cis(Im arg))), (levels, n_z, cols):
+        # each level's y sums times its x factor, built in one array
+        xf = cis(arg.imag)
+        np.multiply(np.exp(arg.real), xf, out=xf)
+        np.multiply(xfac0, xf, out=xf)
+        del arg
+        inner = base @ cis(np.outer(ys, ky) * -kn.k_i)
+        np.multiply(inner.reshape(_LOBE_N_Z, -1, cols).transpose(1, 0, 2), xf, out=xf)
+        fbar = (cis(-kn.k_i * kz * zs)[:, None, :] @ xf)[:, 0] * scale
+        del inner, xf  # so that the next product's arrays do not meet these
+        weight[rows] = wth[rows, None] * wphi * (fbar.real**2 + fbar.imag**2)
+        q2[rows] = kappa**2 + (kn.k_r * st + kn.k_i * ky) ** 2 + (kn.k_r * ct + kn.k_i * kz) ** 2
     return weight, q2

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from ire_sim import (
     sphere_norm,
     wavenumbers,
 )
-from ire_sim.angular import _raster_nodes
+from ire_sim.angular import BATCH_ATOMS, _field_sums, _raster_nodes
 from ire_sim.cli import main as cli_main
 from ire_sim.retrieval import _prune
 
@@ -184,6 +187,98 @@ def test_field_matches_the_direct_phase(n_phi):
         / math.sqrt(4.0 * math.pi)
     )
     assert float(np.max(np.abs(got - want))) <= 0.1 * unit
+
+
+def _direct_phase_unit(amplitudes, positions):
+    """The unit of test_field_matches_the_direct_phase, eps max_j (k_i + k_r)|r_j|
+    sum_j |A_j| / sqrt(4 pi)."""
+    return (
+        np.finfo(float).eps
+        * float(np.max((KN.k_i + KN.k_r) * np.linalg.norm(positions, axis=1)))
+        * float(np.sum(np.abs(amplitudes)))
+        / math.sqrt(4.0 * math.pi)
+    )
+
+
+def _random_atoms(n, seed):
+    """n atoms of unit-normal amplitude, spread as in the canonical cloud."""
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(size=(n, 3)) * np.array([60e-6, 60e-6, 0.75e-3])
+    return rng.normal(size=n) + 1j * rng.normal(size=n), pos
+
+
+@pytest.mark.parametrize("theta_deg", [0.0, 2.0])
+@pytest.mark.parametrize("n_phi", [64, 24, 33])
+def test_field_matches_the_direct_phase_at_batch_edges(n_phi, theta_deg):
+    # The kernel adds atoms in batches of BATCH_ATOMS, two products each:
+    # one atom, a short batch, whole batches and a short last batch all
+    # stay within the direct phase's unit. With so few atoms the phases'
+    # rounding errors do not average out as over 200, so the bound is the
+    # whole unit (measured: at most 0.72 of it).
+    grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=n_phi)
+    skew = math.radians(theta_deg)
+    for n in (1, BATCH_ATOMS - 1, BATCH_ATOMS, BATCH_ATOMS + 1, 2 * BATCH_ATOMS + 1):
+        amp, pos = _random_atoms(n, 29 + n)
+        got = field_from_atoms(amp, pos, skew, KN.k_r, KN.k_i, grid).values
+        want = _direct_field_sums(amp, pos, skew, KN.k_r, KN.k_i, grid) / math.sqrt(4.0 * math.pi)
+        assert float(np.max(np.abs(got - want))) <= _direct_phase_unit(amp, pos), n
+
+
+def test_kernel_bits_do_not_follow_the_input_memory(small_grid):
+    # The same atoms in fresh copies, in arrays offset by 1 and 3 elements
+    # from their allocation, and in column-major order give the same bits.
+    amp, pos = _random_atoms(2 * BATCH_ATOMS + 3, 37)
+    skew = math.radians(2.0)
+    want = _field_sums(amp, pos, skew, KN.k_r, KN.k_i, small_grid)
+    variants = [(amp.copy(), pos.copy()), (amp, np.asfortranarray(pos))]
+    for offset in (1, 3):
+        a = np.empty(amp.size + offset, dtype=complex)[offset:]
+        p = np.empty(pos.size + offset)[offset:].reshape(pos.shape)
+        a[...], p[...] = amp, pos
+        variants.append((a, p))
+    for a, p in variants:
+        np.testing.assert_array_equal(_field_sums(a, p, skew, KN.k_r, KN.k_i, small_grid), want)
+
+
+def test_kernel_bits_do_not_follow_the_blas_thread_count():
+    # Each batch is summed through BLAS products, whose thread count
+    # --threads does not set: the field must read the same bits under one
+    # and two BLAS threads, each in a fresh interpreter.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    code = (
+        "import hashlib, math\n"
+        "from test_angular import KN, W_COLLECT, _random_atoms\n"
+        "from ire_sim import build_grid\n"
+        "from ire_sim.angular import BATCH_ATOMS, _field_sums\n"
+        "grid = build_grid(KN.k_i, W_COLLECT, n_cap=128, n_base=96, n_phi=64)\n"
+        "amp, pos = _random_atoms(2 * BATCH_ATOMS + 3, 41)\n"
+        "field = _field_sums(amp, pos, math.radians(2.0), KN.k_r, KN.k_i, grid)\n"
+        "print(hashlib.sha256(field.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=blas_threads)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 1
+    assert digests[0] == digests[1]
+
+
+def test_kernel_memory_stays_small(small_grid):
+    # A call holds one batch's cos and sin (two 229 kB arrays on this
+    # grid), the four sums per node and the field, never a per-atom or
+    # per-batch copy of them (measured peak of a 64-atom call: 0.95 MB).
+    amp, pos = _random_atoms(64, 31)
+    _field_sums(amp, pos, 0.03, KN.k_r, KN.k_i, small_grid)
+    tracemalloc.start()
+    try:
+        _field_sums(amp, pos, 0.03, KN.k_r, KN.k_i, small_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3e6
 
 
 def test_field_from_atoms_validates_shapes(default_grid):

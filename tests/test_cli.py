@@ -86,6 +86,11 @@ def test_eta_writes_csv_and_meta(small_ini, tmp_path, capsys):
     targets = dict(pair.split(":") for pair in meta["kernel_backend"].split())
     assert list(targets) == list(KERNEL_UFUNCS)
     assert targets["tan"] == opt_func_info("^tan$", "float64")["tan"]["dd"]["current"]
+    # and which BLAS build summed C, by name and version, next to it
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert meta["blas"] == f"{blas['name']} {blas['version']}"
+    keys = list(meta)
+    assert keys.index("blas") == keys.index("kernel_backend") + 1
     assert meta["shells"] == str(SHELLS)
     streamed = _in_region(canonical_scenario(n_atoms_override=20000))[0]
     assert meta["streamed_in_region"] == str(streamed)

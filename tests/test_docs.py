@@ -95,3 +95,18 @@ def test_no_phase_factor_bypasses_cis():
                     and any(_imaginary(arg) for arg in [*node.args, *node.keywords])):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_half_angle_tangent_lives_in_beams():
+    # beams._cos_sin is the package's one half-angle tangent: cis and the
+    # angular kernel's real sums take cos and sin from it, so no other
+    # module names np.tan.
+    found = []
+    for path in sorted((ROOT / "src" / "ire_sim").glob("*.py")):
+        if path.name == "beams.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "tan"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
