@@ -46,7 +46,7 @@ from .config import (
 )
 from .experiments import (METHODS, SWEEP_AXES, SweepSpec, _descriptors, _g9, run_sweep,
                           scenario_for_value, write_rows, write_sweep_csv)
-from .ensemble import SHELLS
+from .ensemble import BANDS, SHELLS
 from .retrieval import (
     BLOCK_ATOMS,
     CHUNK_ATOMS,
@@ -179,8 +179,10 @@ KERNEL_UFUNCS = ("tan", "exp", "log", "arctan", "sin", "cos")
 def _stream_record(threads: int, streamed_in_region) -> dict:
     """The meta keys that say which stream made a result.
 
-    numpy does not promise the same Generator.multinomial draw across its
-    versions (NEP 19), and that draw sets how many atoms each shell holds.
+    numpy does not promise the same Generator.multinomial draws across its
+    versions (NEP 19), and those draws set how many atoms each of the
+    shells x bands cells holds; streamed_in_region counts the atoms of the
+    cells the run streamed.
     numpy also picks each ufunc's SIMD target at import, from the CPU and
     NPY_DISABLE_CPU_FEATURES, and the last bits of per-atom values follow
     it: kernel_backend names the target of each of KERNEL_UFUNCS. The
@@ -193,7 +195,7 @@ def _stream_record(threads: int, streamed_in_region) -> dict:
     backend = " ".join(f"{name}:{info[name]['dd']['current']}" for name in KERNEL_UFUNCS)
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return {"threads": threads, "chunk_atoms": CHUNK_ATOMS, "block_atoms": BLOCK_ATOMS,
-            "numpy_version": np.__version__, "kernel_backend": backend,
+            "bands": BANDS, "numpy_version": np.__version__, "kernel_backend": backend,
             "blas": f"{blas['name']} {blas['version']}", "shells": SHELLS,
             "prune_floor": PRUNE_FLOOR, "streamed_in_region": streamed_in_region}
 

@@ -3,38 +3,43 @@
 The cloud is an isotropic Gaussian with per-axis position standard
 deviation r0 and Maxwell-Boltzmann velocities (per-axis standard deviation
 sqrt(kB T / M)). Sampling is counter-based: an atom's position and velocity
-are a pure function of the seed, its radial shell and its index in that
-shell, so any chunking regenerates identical samples and no storage of the
-full ensemble is ever needed.
+are a pure function of the seed, its cell and its index in that cell, so
+any chunking regenerates identical samples and no storage of the full
+ensemble is ever needed.
 
 Concretely, the range (0, 1) of the uniform u0 behind the transverse
-radius is cut into SHELLS equal-probability shells. How many of a stream's
-count atoms fall in each shell is one multinomial draw (shell_counts), a
-pure function of (seed, count). Atom i of shell k owns the 8 consecutive
-64-bit words at counter blocks 2i and 2i+1 of a Philox stream with the
-128-bit key (seed, k + 1); words 0..5 feed three fixed Box-Muller pairs
-(3 position + 3 velocity normals) and words 6..7 are reserved. Word 0 is
-rewritten to carry the shell in its top SHELL_BITS bits, so its uniform is
-u0 = (k + u) / SHELLS with u in (0, 1) from the word's remaining bits, and
-every atom of shell k has u0 in (k/SHELLS, (k+1)/SHELLS). A stream orders
-its atoms shell-major: shell 0's first, in index order.
+radius is cut into SHELLS equal-probability shells, and that of the
+uniform u2 behind the radius of pair 1 into BANDS equal-probability bands;
+a (shell, band) pair is a cell. How many of a stream's count atoms fall in
+each cell is an exact multinomial draw (cell_counts), a pure function of
+(seed, count). Atom i of cell (k, b) owns the 6 consecutive 64-bit words
+6i..6i+5 of a Philox stream with the 128-bit key (seed, k BANDS + b + 1),
+three counters per two atoms; they feed three fixed Box-Muller pairs
+(3 position + 3 velocity normals). Word 0 is rewritten to carry the shell
+in its top SHELL_BITS bits and word 2 the band in its top BAND_BITS bits,
+so u0 = (k + u) / SHELLS and u2 = (b + u') / BANDS with u, u' in (0, 1)
+from the words' remaining bits: every atom of cell (k, b) has u0 in
+(k/SHELLS, (k+1)/SHELLS) and u2 in (b/BANDS, (b+1)/BANDS). A stream orders
+its atoms by (shell, band, index), so each shell's atoms are band-major.
 
-The shell alone bounds an atom's transverse radius: pair 0 gives
+The cell alone bounds an atom's transverse radius and |z|: pair 0 gives
 x^2 + y^2 = r0^2 (-2 ln u0), so every atom of shell k has x^2 + y^2 above
-r0^2 (-2 ln((k + 1) / SHELLS)), and a caller that needs only the atoms
-inside some radius never draws words for the shells beyond it. Every
+r0^2 (-2 ln((k + 1) / SHELLS)), and pair 1 gives |z| <= r0 sqrt(-2 ln u2),
+so every atom of band b has |z| below r0 sqrt(-2 ln(b / BANDS)). A caller
+that needs only some cells never draws words for the others. Every
 uniform is at least 2^-53, so no atom has a coordinate beyond NORMAL_MAX r0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
 
-from .beams import BeamMode
+from .beams import BeamMode, _cos_sin
 
 C_LIGHT = 299792458.0  # m/s
 K_BOLTZMANN = 1.380649e-23  # J/K
@@ -142,47 +147,61 @@ _ONE_LESS_U53 = 1.0 - 2.0**-53
 # 2^-53, so sqrt(-2 ln u) <= sqrt(106 ln 2), about 8.57.
 NORMAL_MAX = math.sqrt(106.0 * math.log(2.0))
 
-# The radial shells: equal-probability slices of u0, one Philox key each.
+# The cells: SHELLS equal-probability slices of u0 times BANDS of u2, one
+# Philox key each.
 SHELL_BITS = 6
 SHELLS = 1 << SHELL_BITS
+BAND_BITS = 3
+BANDS = 1 << BAND_BITS
 
 
-def shell_counts(seed: int, count: int) -> np.ndarray:
-    """How many atoms of a count-atom stream fall in each shell: shape (SHELLS,) int64.
+@functools.lru_cache(maxsize=64)
+def cell_counts(seed: int, count: int) -> np.ndarray:
+    """How many atoms of a count-atom stream fall in each cell: shape (SHELLS, BANDS) int64.
 
-    One multinomial draw over the equal-probability shells, from a Philox
-    generator keyed by (seed, 0), a key no shell uses: a pure function of
-    (seed, count). numpy does not promise that this draw stays the same
-    across its versions (NEP 19), so run records carry the numpy version.
+    One multinomial draw over the equal-probability shells, then one
+    multinomial split of each shell into its equal-probability bands, both
+    from a Philox generator keyed by (seed, 0), a key no cell uses: an
+    exact multinomial over the cells, a pure function of (seed, count).
+    numpy does not promise that these draws stay the same across its
+    versions (NEP 19), so run records carry the numpy version. Cached, as
+    a stream and its estimate both read it: the array is read-only.
     """
     gen = np.random.Generator(Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    return gen.multinomial(count, np.full(SHELLS, 1.0 / SHELLS))
+    shells = gen.multinomial(count, np.full(SHELLS, 1.0 / SHELLS))
+    counts = gen.multinomial(shells, np.full(BANDS, 1.0 / BANDS))
+    counts.flags.writeable = False
+    return counts
 
 
-def _raw_words(seed: int, shell: int, index_lo: int, index_hi: int) -> np.ndarray:
-    """Counter words for atoms [index_lo, index_hi) of one shell: shape (n, 8) uint64.
+def _raw_words(seed: int, shell: int, band: int, index_lo: int, index_hi: int) -> np.ndarray:
+    """Counter words for atoms [index_lo, index_hi) of one cell: shape (n, 6) uint64.
 
-    Word 0 keeps its top 58 bits below the shell number, so its uniform is
-    u0 = (shell + u) / SHELLS (see the module docstring).
+    Atom i takes words 6i..6i+5 of the cell's Philox stream, three
+    counters per two atoms. Word 0 keeps its top 58 bits below the shell
+    number and word 2 its top 61 below the band, so u0 = (shell + u) / SHELLS
+    and u2 = (band + u') / BANDS (see the module docstring).
     """
     n = index_hi - index_lo
-    gen = Philox(key=np.array([seed, shell + 1], dtype=np.uint64), counter=2 * index_lo)
-    raw = gen.random_raw(8 * n).reshape(n, 8)
-    raw[:, 0] >>= np.uint64(SHELL_BITS)
-    raw[:, 0] |= np.uint64(shell << (64 - SHELL_BITS))
+    lead = 6 * index_lo % 4  # words of the first counter that belong to atom index_lo - 1
+    key = np.array([seed, shell * BANDS + band + 1], dtype=np.uint64)
+    raw = Philox(key=key, counter=6 * index_lo // 4).random_raw(6 * n + lead)[lead:].reshape(n, 6)
+    for word, bits, value in ((0, SHELL_BITS, shell), (2, BAND_BITS, band)):
+        raw[:, word] >>= np.uint64(bits)
+        raw[:, word] |= np.uint64(value << (64 - bits))
     return raw
 
 
 def _stream_words(seed: int, count: int, index_lo: int, index_hi: int) -> np.ndarray:
-    """Counter words for atoms [index_lo, index_hi) of the count-atom stream, shell-major."""
-    ends = np.cumsum(shell_counts(seed, count)).tolist()
+    """Counter words for atoms [index_lo, index_hi) of the count-atom stream, in cell order."""
+    ends = np.cumsum(cell_counts(seed, count)).tolist()
     parts, start = [], 0
-    for shell, end in enumerate(ends):
+    for cell, end in enumerate(ends):
         lo, hi = max(index_lo, start), min(index_hi, end)
         if lo < hi:
-            parts.append(_raw_words(seed, shell, lo - start, hi - start))
+            parts.append(_raw_words(seed, *divmod(cell, BANDS), lo - start, hi - start))
         start = end
-    return np.concatenate(parts) if parts else np.empty((0, 8), dtype=np.uint64)
+    return np.concatenate(parts) if parts else np.empty((0, 6), dtype=np.uint64)
 
 
 def _uniform(words: np.ndarray) -> np.ndarray:
@@ -211,12 +230,13 @@ def _positions_from_raw(raw: np.ndarray, rad: np.ndarray, r0: float) -> np.ndarr
     The sampler's Box-Muller map restricted to the position normals: pair 0
     gives x and y, the cosine half of pair 1 gives z. Lets a caller decide
     per atom before it pays for the velocity words (_velocities_from_raw).
+    Each angle's (cos, sin) comes from one beams._cos_sin call.
     """
-    aa = 2.0 * np.pi * _uniform(raw[:, 1])
+    cos, sin = _cos_sin(2.0 * np.pi * _uniform(raw[:, 1]))
     r = np.empty((raw.shape[0], 3))
-    r[:, 0] = r0 * (rad[0] * np.cos(aa))
-    r[:, 1] = r0 * (rad[0] * np.sin(aa))
-    r[:, 2] = r0 * (rad[1] * np.cos(2.0 * np.pi * _uniform(raw[:, 3])))
+    r[:, 0] = r0 * (rad[0] * cos)
+    r[:, 1] = r0 * (rad[0] * sin)
+    r[:, 2] = r0 * (rad[1] * _cos_sin(2.0 * np.pi * _uniform(raw[:, 3]))[0])
     return r
 
 
@@ -228,19 +248,19 @@ def _velocities_from_raw(raw: np.ndarray, rad: np.ndarray, cloud: CloudSpec) -> 
     """
     u = _uniform(raw[:, 3:6])
     rad2 = np.sqrt(-2.0 * np.log(u[:, 1]))
-    ang2 = 2.0 * np.pi * u[:, 2]
+    cos, sin = _cos_sin(2.0 * np.pi * u[:, 2])
     g = np.empty((raw.shape[0], 3))
-    g[:, 0] = rad[1] * np.sin(2.0 * np.pi * u[:, 0])
-    g[:, 1] = rad2 * np.cos(ang2)
-    g[:, 2] = rad2 * np.sin(ang2)
+    g[:, 0] = rad[1] * _cos_sin(2.0 * np.pi * u[:, 0])[1]
+    g[:, 1] = rad2 * cos
+    g[:, 2] = rad2 * sin
     return g * thermal_velocity_sigma(cloud)
 
 
 def _sample_words(raw: np.ndarray, cloud: CloudSpec) -> AtomSample:
-    """Samples from counter words (n, 8), one atom per row.
+    """Samples from counter words (n, 6), one atom per row.
 
-    Words 0..5 feed three fixed Box-Muller pairs, giving the normals
-    (x, y), (z, vx), (vy, vz); words 6..7 are reserved.
+    The six words feed three fixed Box-Muller pairs, giving the normals
+    (x, y), (z, vx), (vy, vz).
     """
     rad = _radii(raw)
     return AtomSample(_positions_from_raw(raw, rad, cloud.sigma_r0),
@@ -253,11 +273,11 @@ def sample_atoms(
     """Generate the atoms of one chunk: indices [chunk_index*chunk_size, ...) of a stream.
 
     The stream holds count atoms (default: the cloud's implied atom count)
-    in shell-major order, and the range is clipped to it; a chunk entirely
-    beyond it yields an empty sample. Pure in (seed, count, atom index): any
-    chunking concatenates to the identical full stream. A prefix of the
-    stream is not a fair sample of the cloud, since its atoms come from the
-    outermost shells first; the whole count-atom stream is.
+    in cell order, (shell, band, index), and the range is clipped to it; a
+    chunk entirely beyond it yields an empty sample. Pure in (seed, count,
+    atom index): any chunking concatenates to the identical full stream. A
+    prefix of the stream is not a fair sample of the cloud, since its atoms
+    come from the outermost shells first; the whole count-atom stream is.
     """
     if chunk_index < 0 or chunk_size < 1:
         raise ValueError("chunk_index must be >= 0 and chunk_size >= 1")

@@ -97,7 +97,7 @@ class SweepRow:
     recomputed from the row's cloud, so an optical_depth sweep shows its
     round trip). On failure, error holds the message, etas is empty, and the
     aggregates are NaN. n_streamed is the number of atoms the row's
-    estimates rest on: those streamed in the value's own shells, summed
+    estimates rest on: those streamed in the value's own cells, summed
     over the replicates (0 for a failed row).
     """
 

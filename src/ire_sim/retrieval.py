@@ -17,16 +17,17 @@ the lobe power carries a full speckle mode of noise because the speckle
 correlation angle of a ~30 um emitting column equals the lobe width).
 
 The numerator runs over the full physical ensemble by default (streaming,
-counter-based sampling). The atoms are drawn, placed, masked and projected
-in blocks of BLOCK_ATOMS atoms of one shell, and every sum is a left fold
-over the blocks' partials in ascending (shell, block) order. Chunks of
-CHUNK_ATOMS and the thread count only set how the blocks are farmed out
-to processes, so the result is bit-identical for any of them.
+counter-based sampling). Each radial shell's atoms are walked band-major in
+blocks of BLOCK_ATOMS atoms; a block draws, places, masks and projects the
+atoms of the (shell, band) cells some scenario streams, and every sum is a
+left fold over the blocks' partials in ascending (shell, block) order.
+Chunks of CHUNK_ATOMS and the thread count only set how the blocks are
+farmed out to processes, so the result is bit-identical for any of them.
 A subsampled estimator of the same full-N quantity is available through
 Scenario.mc_atoms for survey work: it streams the first atoms of each
-radial shell the full stream would stream, and its numerator uses the
+cell the full stream would stream, and its numerator uses the
 pair-statistics rescaling N_in^2 max(mean_offdiag, 0) + N_in mean_diag,
-with N_in the full ensemble's atom count in those shells. The clamp at 0
+with N_in the full ensemble's atom count in those cells. The clamp at 0
 fires when the sampled off-diagonal mean comes out negative (it does at a
 2 deg tilt and 200 us storage, where the coherent sum has decayed into its
 noise), and the estimate is not bounded above by 1 at small subsamples.
@@ -35,18 +36,20 @@ No sweep axis moves the seed, the cloud width or the streamed count, so
 one stream can serve several scenarios: a block's counter words, the
 Box-Muller radii of its words 0 and 2 and its positions are taken once,
 and the kept atoms' velocities once per velocity spread; each scenario
-adds up only the blocks of its own shells, the skip mask and the stored
+adds up only the atoms of its own cells, the skip mask and the stored
 amplitudes A_j are built once for each distinct set of beams, tilt and
-velocity spread, and the projection runs per scenario. The same stream serves the angular
-reference path, whose projection is the emitted field on a sphere grid
-(see ire_sim.angular). The lobe power C(t_m) is one reduction of a
-per-node table cached without t_m.
+velocity spread, and the projection runs per scenario. The same stream
+serves the angular reference path, whose projection is the emitted field
+on a sphere grid (see ire_sim.angular). The lobe power C(t_m) is one
+reduction of a per-node table cached without t_m.
 
 Every beam mode peaks at 1, so |A_j| <= 1, and atoms whose stored
 amplitude is at most PRUNE_FLOOR are skipped before the per-atom kernels.
-Three steps decide, each from less than the next: the radial shell bounds
-the transverse radius, so the shells whose every atom a bound puts at or
-below PRUNE_FLOOR are never streamed (_screen_shell); in the other shells,
+Three steps decide, each from less than the next: a (shell, band) cell
+bounds its atoms' transverse radius and |z|, so one table per scenario
+(_cell_table) skips the cells whose every atom the bound puts at or below
+PRUNE_FLOOR, never drawing their words, takes whole the cells whose every
+atom clears the atom screen, and screens the rest; in the screened cells,
 the radii of counter words 0 and 2 bound each atom's radius and |z|, and
 the atoms that bound puts at or below PRUNE_FLOOR get no position
 (_screen_atoms); the positions of the rest decide exactly (_prune), and
@@ -59,6 +62,7 @@ which bounds what the skip can move (see EtaEstimate).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -68,7 +72,7 @@ import numpy as np
 
 from .beams import BeamMode, cis, skew_transform, transverse_amplitude
 from .ensemble import (
-    NORMAL_MAX,
+    BANDS,
     SHELLS,
     AtomSample,
     C_LIGHT,
@@ -79,16 +83,17 @@ from .ensemble import (
     _radii,
     _raw_words,
     _velocities_from_raw,
+    cell_counts,
     drift,
     sample_atoms,
-    shell_counts,
     thermal_velocity_sigma,
 )
 
-# Atoms per block of one shell, the stream's one summation unit, for both
-# estimators: a worker draws, places, masks and projects one block at a
-# time, and every sum is a left fold over the block partials in (shell,
-# block) order (see _eta_stream). Fixed, so every accumulated bit is too.
+# Atoms per block of one shell's band-major sequence, the stream's one
+# summation unit, for both estimators: a worker draws, places, masks and
+# projects one block at a time, and every sum is a left fold over the block
+# partials in (shell, block) order (see _eta_stream). Fixed, so every
+# accumulated bit is too.
 BLOCK_ATOMS = 1 << 14
 
 # Atoms per pool task: a whole number of blocks of one shell. Like the
@@ -111,6 +116,10 @@ _LN_PRUNE_FLOOR = math.log(PRUNE_FLOOR)
 # atom only when its bound is at most ln PRUNE_FLOOR times this margin, so
 # every screened-out atom's |A_j| is below PRUNE_FLOOR by e^-4e-5.
 _SCREEN_MARGIN = 1.0 + 1e-6
+
+# The verdicts of the cell table (_cell_table): a scenario skips a cell's
+# atoms, screens them from their words 0 and 2, or takes them whole.
+SKIP, SCREEN, WHOLE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -295,9 +304,9 @@ class EtaEstimate:
     per-atom kernel. dropped_amplitude D bounds sum |A_j| over the others:
     it is that sum over the skipped atoms that got positions (_prune), plus
     exp(bound) for each atom screened from its words 0 and 2
-    (_screen_atoms), plus, for each atom of a shell that was not streamed,
-    exp of that shell's bound at its inner radius (_shell_bounds). Each of
-    those bounds is at most PRUNE_FLOOR. Skipping them moves the streamed
+    (_screen_atoms), plus, for each atom of a cell that was not streamed,
+    exp of that cell's bound at its inner radius and largest |z|
+    (_cell_table). Each of those bounds is at most PRUNE_FLOOR. Skipping them moves the streamed
     sums by at most
 
         |dS1| <= c_P D          (c_P = sqrt(2)/(k_i W_i) >= |P_j|)
@@ -421,29 +430,6 @@ def _ln_bound(rho, y_max, z_max, scenario: Scenario):
     return -(rho * rho) / a_s - np.maximum(rho * c - z_max * sn, 0.0) ** 2 / a_w
 
 
-def _shell_bounds(scenario: Scenario) -> np.ndarray:
-    """_ln_bound of each shell at its inner radius: shape (SHELLS,).
-
-    Atom i of shell k has u0 < (k + 1) / SHELLS, so x^2 + y^2 above
-    r0^2 (-2 ln((k + 1) / SHELLS)), and no atom has |y| or |z| above
-    NORMAL_MAX r0: every atom of shell k has ln|A_j| at most this bound.
-    """
-    r0 = scenario.cloud.sigma_r0
-    big_z = NORMAL_MAX * r0
-    rho = r0 * np.sqrt(-2.0 * np.log(np.arange(1, SHELLS + 1) / SHELLS))
-    return _ln_bound(rho, big_z, big_z, scenario)
-
-
-def _screen_shell(scenario: Scenario) -> int:
-    """First shell the scenario streams: every atom below it has |A_j| <= PRUNE_FLOOR.
-
-    The shells whose bound (_shell_bounds) is at most ln PRUNE_FLOOR times
-    _SCREEN_MARGIN; the bound falls as the shell index falls, so they are
-    the lowest ones. _prune would drop each of their atoms.
-    """
-    return int(np.count_nonzero(_shell_bounds(scenario) <= _LN_PRUNE_FLOOR * _SCREEN_MARGIN))
-
-
 def _screen_atoms(rad: np.ndarray, r0: float, scenario: Scenario) -> tuple[np.ndarray, float]:
     """(survive, D) of atoms with Box-Muller radii rad = _radii(raw) (2, n), from words 0 and 2.
 
@@ -461,45 +447,58 @@ def _screen_atoms(rad: np.ndarray, r0: float, scenario: Scenario) -> tuple[np.nd
     return survive, float(np.sum(np.exp(bound.compress(~survive))))
 
 
-def _screens_nothing(scenario: Scenario, shell: int) -> bool:
-    """Whether _screen_atoms lets every atom of the shell through.
+def _cell_table(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """(verdict, bound) of each (shell, band) cell: two (SHELLS, BANDS) arrays.
 
-    Its bound _ln_bound(rho, rho, Z) falls as rho grows and rises with Z
-    (as both envelope widths do), so over shell k it is lowest at the
-    outer radius rho = r0 sqrt(-2 ln(k / SHELLS)) with Z = 0. When that is
-    above ln PRUNE_FLOOR, every atom's bound clears the screen's level,
-    ln PRUNE_FLOOR times _SCREEN_MARGIN, by far more than rounding moves it.
+    An atom of shell k has rho = sqrt(x^2 + y^2) >= |y| between the edges
+    r0 sqrt(-2 ln(j / SHELLS)) at j = k + 1 (inner) and j = k (outer), and
+    an atom of band b has Z = r0 rad[1] >= |z| between the like edges of
+    the bands; the edge at j = 0 is NORMAL_MAX r0, past which no normal
+    reaches. _ln_bound falls as rho grows and rises with y_max and z_max,
+    so every atom's _screen_atoms bound _ln_bound(rho, rho, Z) lies between
+    _ln_bound(outer rho, inner rho, smallest Z) and bound = _ln_bound(inner
+    rho, outer rho, largest Z). The verdict is SKIP when bound is at most
+    ln PRUNE_FLOOR times _SCREEN_MARGIN (the screen, and so _prune, would
+    drop every atom, with |A_j| <= exp(bound)); WHOLE when the lower one is
+    above ln PRUNE_FLOOR (the screen would let every atom through, by far
+    more than rounding moves its bound); SCREEN otherwise.
     """
-    if shell == 0:
-        return False
-    rho = scenario.cloud.sigma_r0 * math.sqrt(-2.0 * math.log(shell / SHELLS))
-    return bool(_ln_bound(rho, rho, 0.0, scenario) > _LN_PRUNE_FLOOR)
+    r0 = scenario.cloud.sigma_r0
+
+    def edges(n):
+        return r0 * np.sqrt(-2.0 * np.log(np.maximum(np.arange(n + 1) / n, 2.0**-53)))
+
+    rho, z = edges(SHELLS)[:, None], edges(BANDS)
+    bound = _ln_bound(rho[1:], rho[:-1], z[:-1], scenario)
+    lower = _ln_bound(rho[:-1], rho[1:], z[1:], scenario)
+    verdict = np.where(bound <= _LN_PRUNE_FLOOR * _SCREEN_MARGIN, SKIP,
+                       np.where(lower > _LN_PRUNE_FLOOR, WHOLE, SCREEN))
+    return verdict, bound
 
 
 def _in_region(scenario: Scenario) -> tuple[int, int, float]:
-    """(m, N_in, D0) of the scenario's shells, those at or above _screen_shell.
+    """(m, N_in, D0) of the cells the scenario streams, those its _cell_table does not skip.
 
     m counts the atoms the scenario streams there (of mc_atoms when
     subsampling), N_in the full ensemble's atoms there, and D0 bounds
-    sum |A_j| over the streamed count's atoms in the shells below: each
-    shell's count times exp of its bound (_shell_bounds).
+    sum |A_j| over the streamed count's atoms in the skipped cells: each
+    cell's count times exp of its bound.
     """
-    first = _screen_shell(scenario)
+    verdict, bound = _cell_table(scenario)
+    skip = verdict == SKIP
     streamed = _streamed_count(scenario)
-    counts = shell_counts(scenario.seed, streamed)
-    m = int(counts[first:].sum())
+    counts = cell_counts(scenario.seed, streamed)
+    m = int(counts[~skip].sum())
     n_in = m if streamed == scenario.n_atoms else int(
-        shell_counts(scenario.seed, scenario.n_atoms)[first:].sum())
-    d0 = float(np.sum(counts[:first] * np.exp(_shell_bounds(scenario)[:first])))
-    return m, n_in, d0
+        cell_counts(scenario.seed, scenario.n_atoms)[~skip].sum())
+    return m, n_in, float(np.sum(counts[skip] * np.exp(bound[skip])))
 
 
 def draw_sample(scenario: Scenario, n: int | None = None) -> AtomSample:
     """The atoms of the scenario's n-atom stream (default n_atoms), drift applied.
 
-    Every shell, in shell-major order: the atoms eta_paraxial streams with
-    mc_atoms = n are the ones of the shells at or above _screen_shell, the
-    tail of this sample.
+    Every cell, in cell order: the atoms eta_paraxial streams with
+    mc_atoms = n are the ones of the cells its _cell_table does not skip.
     """
     count = scenario.n_atoms if n is None else int(n)
     if count < 1 or count > scenario.n_atoms:
@@ -529,57 +528,87 @@ def _paraxial_sums(a, sample, scenario) -> tuple[float, float, float]:
 def _eta_worker(task):
     """The block partials of one chunk of one shell (top level for process pools).
 
-    The task holds the scenarios of one stream that stream this shell
-    (_eta_stream decides), grouped here by what their kept atoms depend
-    on: the species, the beams, the tilt and the velocity spread. Each
-    block's counter words and the Box-Muller radii of words 0 and 2
-    (_radii) are taken once for all of them. For each block, each group
-    screens the atoms from those radii (_screen_atoms), unless that screen
-    lets every atom of the shell through (_screens_nothing); only the atoms
-    some group's screen lets through get positions, and each group runs
-    the exact skip mask (_prune) on its own survivors. The velocities of
-    the atoms some group keeps are mapped once per velocity spread, and
-    each group that keeps an atom takes its kept atoms' rows and builds
-    their stored amplitudes A_j; each scenario of the group then calls
-    project(A_j, kept atoms, scenario), which returns a tuple of that
-    method's sums. A scenario's block partial is the projection's sums
-    followed by S2 = sum |A_j|^2, D and n_kept over its kept atoms, or
-    (D, 0) alone for a block that keeps no atom. D is exp(bound) summed
-    over the screened atoms plus _prune's sum |A_j| over the survivors it
-    drops. Nothing outlives its block but its partials, and none is added
-    here: returns them in block order, one list per block with one partial
-    per scenario.
+    The task holds the scenarios of one stream that stream a cell of this
+    chunk (_eta_stream decides), each one's _cell_table verdicts for the
+    shell's bands, the shell's cell counts and the chunk [lo, hi) of its
+    band-major sequence. The scenarios are grouped here by what their kept
+    atoms depend on: the species, the beams, the tilt and the velocity
+    spread, which with the stream's cloud width set the verdicts. A block
+    draws one segment of counter words for each band it overlaps that some
+    group streams, and takes the Box-Muller radii of words 0 and 2
+    (_radii) once for all groups. Each group screens the atoms of its
+    SCREEN bands from those radii (_screen_atoms) and lets those of its
+    WHOLE bands through; only the atoms some group lets through get
+    positions, and each group runs the exact skip mask (_prune) on its own
+    survivors. The velocities of the atoms some group
+    keeps are mapped once per velocity spread, and each group that keeps
+    an atom takes its kept atoms' rows and builds their stored amplitudes
+    A_j; each scenario of the group then calls project(A_j, kept atoms,
+    scenario), which returns a tuple of that method's sums. A scenario's
+    block partial is the projection's sums followed by S2 = sum |A_j|^2, D
+    and n_kept over its kept atoms, (D, 0) alone for a block that keeps no
+    atom, or None for a block that holds none of its streamed atoms. D is
+    exp(bound) summed over the screened atoms plus _prune's sum |A_j| over
+    the survivors it drops. Each is computed from the group's own atoms
+    alone, so no bit depends on which other groups share the block.
+    Nothing outlives its block but its partials, and none is added here:
+    returns them in block order, one list per block that draws a segment,
+    with one partial per scenario.
     """
-    scenarios, shell, lo, hi, project = task
-    r0 = scenarios[0].cloud.sigma_r0
+    scenarios, rows, shell, bands, lo, hi, project = task
+    seed, r0 = scenarios[0].seed, scenarios[0].cloud.sigma_r0
     # what a scenario's kept atoms depend on -> the indices of the scenarios sharing it
     groups = {}
     for i, s in enumerate(scenarios):
         key = (s.species, s.w_write, s.w_collect, s.skew_theta, thermal_velocity_sigma(s.cloud))
         groups.setdefault(key, []).append(i)
-    whole = [_screens_nothing(scenarios[idx[0]], shell) for idx in groups.values()]
+    verdicts = [rows[idx[0]] for idx in groups.values()]  # one verdict per band, per group
+    drawn = np.flatnonzero(np.any([v != SKIP for v in verdicts], axis=0)).tolist()
+    starts = np.cumsum((0, *bands)).tolist()
     blocks = []
     for b in range(lo, hi, BLOCK_ATOMS):
-        raw = _raw_words(scenarios[0].seed, shell, b, min(b + BLOCK_ATOMS, hi))
+        end = min(b + BLOCK_ATOMS, hi)
+        segments = [(band, max(b, starts[band]) - starts[band],
+                     min(end, starts[band + 1]) - starts[band]) for band in drawn]
+        segments = [seg for seg in segments if seg[1] < seg[2]]
+        if not segments:
+            continue
+        words = [_raw_words(seed, shell, *seg) for seg in segments]
+        raw = words[0] if len(words) == 1 else np.concatenate(words)
+        band = np.repeat([seg[0] for seg in segments], [len(w) for w in words])
         rad = _radii(raw)
-        screens = [(np.ones(len(raw), dtype=bool), 0.0) if w else
-                   _screen_atoms(rad, r0, scenarios[idx[0]])
-                   for w, idx in zip(whole, groups.values())]
-        placed = np.logical_or.reduce([survive for survive, _ in screens])
+        screens = []  # (survive, D) per group, None for a group that streams no atom here
+        for v, idx in zip(verdicts, groups.values()):
+            survive, screen = v[band] != SKIP, v[band] == SCREEN
+            if not survive.any():
+                screens.append(None)
+                continue
+            d = 0.0
+            if screen.any():
+                survive[screen], d = _screen_atoms(rad.compress(screen, axis=1), r0,
+                                                   scenarios[idx[0]])
+            screens.append((survive, d))
+        placed = np.logical_or.reduce([sc[0] for sc in screens if sc is not None])
         if not placed.all():  # else the block's words are placed as they are, uncopied
             raw, rad = raw.compress(placed, axis=0), rad.compress(placed, axis=1)
         r = _positions_from_raw(raw, rad, r0)
         # compress, not a boolean index: the same rows, several times faster
         kept = []  # (keep, D) per group, keep over the placed atoms
-        for idx, (survive, d) in zip(groups.values(), screens):
-            keep = survive.compress(placed)  # the group's survivors among the placed atoms
+        for idx, sc in zip(groups.values(), screens):
+            if sc is None:
+                kept.append(None)
+                continue
+            keep = sc[0].compress(placed)  # the group's survivors among the placed atoms
             mask, d_exact = _prune(r.compress(keep, axis=0), scenarios[idx[0]])
             keep[np.flatnonzero(keep)] = mask
-            kept.append((keep, d + d_exact))
-        some = np.logical_or.reduce([keep for keep, _ in kept])
+            kept.append((keep, sc[1] + d_exact))
+        some = np.logical_or.reduce([k[0] for k in kept if k is not None])
         vel = {}  # velocity spread -> the velocities of the atoms some group keeps
         partials = [None] * len(scenarios)
-        for (*_, sigma_v), idx, (keep, d) in zip(groups, groups.values(), kept):
+        for (*_, sigma_v), idx, k in zip(groups, groups.values(), kept):
+            if k is None:
+                continue
+            keep, d = k
             first = scenarios[idx[0]]
             n = int(np.count_nonzero(keep))
             if n == 0:
@@ -627,10 +656,10 @@ def _estimate(scenario: Scenario, total, region) -> EtaEstimate:
     """The estimate of one scenario's stream total.
 
     total is (Re S1, Im S1, SXX, S2, dropped, n_kept), summed over the
-    blocks of the scenario's shells as _eta_stream returns it (None when it
+    blocks of the scenario's cells as _eta_stream returns it (None when it
     streamed no atom), and region = (m, N_in, D0) is _in_region(scenario).
     A subsample's sums are rescaled from the m atoms it streams to the N_in
-    atoms of the full ensemble in the same shells.
+    atoms of the full ensemble in the same cells.
     """
     n_total = scenario.n_atoms
     m, n_in, d0 = region
@@ -643,7 +672,7 @@ def _estimate(scenario: Scenario, total, region) -> EtaEstimate:
     else:
         if m < 2:
             raise ArithmeticError(
-                f"the subsample holds {m} atom(s) in its streamed shells; "
+                f"the subsample holds {m} atom(s) in its streamed cells; "
                 "pair statistics need 2"
             )
         mean_diag = sxx / m
@@ -686,18 +715,19 @@ def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
     """Each scenario's block partials, summed in ascending (shell, block) order.
 
     Scenarios with the same seed, cloud width sigma_r0 and streamed count
-    (mc_atoms, else n_atoms) share one stream: it covers the shells from
-    the lowest _screen_shell of its scenarios up, and each shell's atoms are
-    drawn once in blocks of BLOCK_ATOMS, for the scenarios whose first
-    shell is at or below it, each evaluated with project (_paraxial_sums,
-    or the angular field; see _eta_worker). A pool task is a chunk of at
-    most CHUNK_ATOMS atoms of one shell, a whole number of blocks, and
-    every chunk of every stream goes through one pool.map on one process
-    pool (none for one thread or one chunk). As each chunk's block
-    partials arrive, in ascending (shell, block) order, _add adds them to
-    their scenario's total. Returns one total per scenario, in input order
-    (None when it streamed no atom): the total it gets streamed alone,
-    bit-identical for every thread count and chunk size.
+    (mc_atoms, else n_atoms) share one stream. Each shell's atoms, band-major,
+    are walked in blocks of BLOCK_ATOMS, and a block draws only the bands
+    some scenario of its chunk streams (its _cell_table does not skip the
+    cell); each scenario is evaluated with project (_paraxial_sums, or the
+    angular field; see _eta_worker). A pool task is a chunk of at most
+    CHUNK_ATOMS atoms of one shell, a whole number of blocks, made only
+    when it holds a streamed cell's atom, and every chunk of every stream
+    goes through one pool.map on one process pool (none for one thread or
+    one chunk). As each chunk's block partials arrive, in ascending
+    (shell, block) order, _add adds them to their scenario's total.
+    Returns one total per scenario, in input order (None when it streamed
+    no atom): the total it gets streamed alone, bit-identical for every
+    thread count and chunk size.
     """
     threads = resolve_threads(threads)
     streams: dict[tuple, list[int]] = {}  # (seed, sigma_r0, streamed count) -> indices
@@ -705,21 +735,31 @@ def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
         streams.setdefault((s.seed, s.cloud.sigma_r0, _streamed_count(s)), []).append(i)
     tasks, owners = [], []
     for (seed, _, count), idx in streams.items():
-        first = {i: _screen_shell(scenarios[i]) for i in idx}
-        counts = shell_counts(seed, count).tolist()
-        for shell in range(min(first.values()), SHELLS):
-            own = [i for i in idx if first[i] <= shell]
-            shared = tuple(scenarios[i] for i in own)
-            for lo in range(0, counts[shell], CHUNK_ATOMS):
-                tasks.append((shared, shell, lo, min(lo + CHUNK_ATOMS, counts[shell]), project))
-                owners.append(own)
+        counts = cell_counts(seed, count)
+        verdict = {i: _cell_table(scenarios[i])[0] for i in idx}
+        # the cells with atoms that each scenario streams
+        held = {i: ((verdict[i] != SKIP) & (counts > 0)).tolist() for i in idx}
+        for shell, bands in enumerate(counts.tolist()):
+            if not any(any(held[i][shell]) for i in idx):
+                continue  # a shell no scenario streams makes no chunk
+            starts = list(itertools.accumulate(bands, initial=0))
+            for lo in range(0, starts[-1], CHUNK_ATOMS):
+                hi = min(lo + CHUNK_ATOMS, starts[-1])
+                own = [i for i in idx if any(h and b < hi and e > lo for h, b, e
+                                             in zip(held[i][shell], starts, starts[1:]))]
+                if own:
+                    tasks.append((tuple(scenarios[i] for i in own),
+                                  tuple(verdict[i][shell] for i in own), shell, tuple(bands),
+                                  lo, hi, project))
+                    owners.append(own)
     totals = [None] * len(scenarios)
 
     def add_up(results):
         for own, blocks in zip(owners, results):  # (shell, block) order per stream
             for partials in blocks:
                 for i, part in zip(own, partials):
-                    totals[i] = _add(totals[i], part)
+                    if part is not None:
+                        totals[i] = _add(totals[i], part)
         return totals
 
     if threads == 1 or len(tasks) <= 1:
@@ -731,7 +771,7 @@ def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
 def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
     """Streaming paraxial estimate of the retrieval efficiency.
 
-    Streams the shells that can hold an atom above PRUNE_FLOOR in blocks of
+    Streams the cells that can hold an atom above PRUNE_FLOOR in blocks of
     BLOCK_ATOMS, accumulating S1 = sum A_j R_j P_j and the diagonal norms;
     block partials are added in ascending (shell, block) order, so the
     output is bit-identical for every thread count and chunk size. Atoms
@@ -739,10 +779,10 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
     amplitude (see EtaEstimate).
 
     With Scenario.mc_atoms = M set, the stream holds M atoms, of which the
-    m in the scenario's shells are streamed, and the numerator is rescaled
+    m in the scenario's cells are streamed, and the numerator is rescaled
     by pair statistics to estimate the full-N value,
     N_in^2 max(mean_offdiag, 0) + N_in mean_diag, with N_in the full
-    ensemble's atom count in those shells. The clamp sets a negative
+    ensemble's atom count in those cells. The clamp sets a negative
     sampled off-diagonal mean to 0, leaving the diagonal term alone, and
     the estimate records that it fired (EtaEstimate.clamped); the rescaled
     estimate can also read above 1 at small subsamples.

@@ -1,11 +1,12 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ire_sim.retrieval as retrieval
 from ire_sim import SpeciesConstants, make_scenario
-from ire_sim.ensemble import shell_counts
+from ire_sim.ensemble import cell_counts
 
 # Rubidium-like D1 memory: 795 nm transition, write detuned by 2pi x 10 MHz,
 # 6.8 GHz ground splitting (signal red of the write, so omega_sg is signed
@@ -38,10 +39,19 @@ def canonical_scenario(**kwargs):
 
 
 def largest_streamed_shell(scenario):
-    """The most atoms any shell the scenario streams holds (of mc_atoms when subsampling)."""
+    """The most atoms any shell the scenario streams a cell of holds (of mc_atoms if set)."""
     count = scenario.mc_atoms if scenario.mc_atoms is not None else scenario.n_atoms
-    first = retrieval._screen_shell(scenario)
-    return int(shell_counts(scenario.seed, count)[first:].max())
+    streamed = (retrieval._cell_table(scenario)[0] != retrieval.SKIP).any(axis=1)
+    return int(cell_counts(scenario.seed, count).sum(axis=1)[streamed].max())
+
+
+def streamed_mask(scenario, count):
+    """Which atoms of the count-atom stream, in draw_sample's cell order, the scenario streams.
+
+    The atoms of the cells its cell table (retrieval._cell_table) does not skip.
+    """
+    streamed = retrieval._cell_table(scenario)[0] != retrieval.SKIP
+    return np.repeat(streamed.ravel(), cell_counts(scenario.seed, count).ravel())
 
 
 def read_meta(path):

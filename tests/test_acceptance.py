@@ -31,8 +31,7 @@ from ire_sim import (
 )
 from ire_sim.cli import main as cli_main
 from ire_sim.config import build_scenario, read_config
-from ire_sim.ensemble import SHELLS
-from ire_sim.retrieval import _screen_shell
+from ire_sim.retrieval import SKIP, _cell_table
 
 from conftest import CANONICAL_INI, SPECIES, TEMP, W_COLLECT, canonical_scenario, read_meta
 
@@ -250,13 +249,14 @@ def test_criterion_10_thread_count_determinism(tmp_path, capsys):
         eta_bytes[0] == eta_bytes[1] == eta_bytes[2]
         and heat_bytes[0] == heat_bytes[1] == heat_bytes[2]
     )
-    # what the eta run streamed: its record's atom count and its scenario's shells
+    # what the eta run streamed: its record's atom count and its scenario's cells
     streamed = int(read_meta(tmp_path / "eta_t1" / "eta_meta.txt")["streamed_in_region"])
-    shells = SHELLS - _screen_shell(build_scenario(read_config(str(eta_ini))))
+    cells = _cell_table(build_scenario(read_config(str(eta_ini))))[0] != SKIP
     verdict(
         "10",
         ok,
-        f"eta.csv ({streamed:,} atoms streamed in {shells} shells) and both heatmap "
+        f"eta.csv ({streamed:,} atoms streamed in {int(cells.sum())} cells of "
+        f"{int(cells.any(axis=1).sum())} shells) and both heatmap "
         "rasters (50,000 atoms) byte-identical across thread counts 1, 4, 16",
     )
 
@@ -266,7 +266,10 @@ def test_criterion_11_thermal_statistics_and_od_round_trip():
     v_p = most_probable_speed(scn.cloud)
     rel_formula = abs(v_p - 0.075) / 0.075
 
-    sample = sample_atoms(scn.cloud, seed=5, chunk_index=0, chunk_size=1_000_000)
+    # the whole 10^6-atom stream, a fair sample of the cloud (a prefix of a
+    # longer stream holds its first cells only)
+    sample = sample_atoms(scn.cloud, seed=5, chunk_index=0, chunk_size=1_000_000,
+                          count=1_000_000)
     speeds = np.linalg.norm(sample.velocity, axis=1)
     counts, edges = np.histogram(speeds, bins=60, range=(0.0, 0.25))
     peak = int(np.argmax(counts))

@@ -3,10 +3,10 @@
 A subsampled estimate sets a negative sampled off-diagonal pair mean to 0.
 At a 2 degree tilt and 200 us storage the coherent sum has decayed into its
 noise, so the sign of that mean depends on the seed: on this 2000-atom
-subsample it is negative for seed 2 and positive for seed 1. The sign is
+subsample it is negative for seed 5 and positive for seed 1. The sign is
 recomputed here from the public per-atom building blocks, over the m atoms
-of the subsample in the shells it streams, and the estimate rescales to
-the full ensemble's N_in atoms in those shells.
+of the subsample in the cells it streams, and the estimate rescales to
+the full ensemble's N_in atoms in those cells.
 """
 
 import math
@@ -18,7 +18,7 @@ from ire_sim import draw_sample, eta_paraxial, idler_projection, spinwave_amplit
 from ire_sim.cli import main as cli_main
 from ire_sim.retrieval import _in_region
 
-from conftest import CANONICAL_INI, canonical_scenario, read_meta
+from conftest import CANONICAL_INI, canonical_scenario, read_meta, streamed_mask
 
 N_ATOMS = 20_000
 MC_ATOMS = 2000
@@ -32,14 +32,16 @@ def decayed(seed, mc_atoms=MC_ATOMS):
 def pair_means(scn):
     """(mean_offdiag, mean_diag, N_in) of x_j = A_j R_j P_j over the streamed subsample."""
     m, n_in, _ = _in_region(scn)
-    sample = draw_sample(scn, scn.mc_atoms)  # shell-major: the streamed shells come last
-    x = (spinwave_amplitude(sample, scn) * idler_projection(sample, scn))[-m:]
+    sample = draw_sample(scn, scn.mc_atoms)  # cell order: the streamed cells' atoms among them
+    x = (spinwave_amplitude(sample, scn) * idler_projection(sample, scn))[
+        streamed_mask(scn, scn.mc_atoms)]
+    assert len(x) == m
     sxx = float(np.sum(np.abs(x) ** 2))
     return (abs(x.sum()) ** 2 - sxx) / (m * (m - 1)), sxx / m, n_in
 
 
 def test_clamp_fires_on_a_negative_offdiagonal_mean():
-    scn = decayed(seed=2)
+    scn = decayed(seed=5)
     offdiag, diag, n_in = pair_means(scn)
     assert offdiag < -1e-5 * diag  # decisively negative
     est = eta_paraxial(scn)
@@ -67,7 +69,7 @@ def test_eta_meta_records_the_clamp(tmp_path, capsys):
         .replace("theta_deg = 0.0", "theta_deg = 2.0")
         .replace("tm_us     = 0.0", "tm_us     = 200.0")
     )
-    for seed, expect in ((2, "True"), (1, "False")):
+    for seed, expect in ((5, "True"), (1, "False")):
         out = tmp_path / f"seed{seed}"
         argv = ["eta", "--config", str(ini), "--seed", str(seed),
                 "--mc-atoms", str(MC_ATOMS), "--out", str(out)]

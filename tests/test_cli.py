@@ -12,7 +12,7 @@ from ire_sim import (ConfigDocument, SweepSpec, __version__, build_grid, build_s
                      eta_angular, read_config, resolution_report, run_sweep, wavenumbers)
 from ire_sim.cli import ANGULAR_MAX_ATOMS, ETA_CSV_COLUMNS, KERNEL_UFUNCS, _write_run_record, main
 from ire_sim.config import _read_key
-from ire_sim.ensemble import SHELLS
+from ire_sim.ensemble import BANDS, SHELLS
 from ire_sim.experiments import SWEEP_CSV_COLUMNS
 from ire_sim.retrieval import (BLOCK_ATOMS, CHUNK_ATOMS, PRUNE_FLOOR, THREADS_ENV_VAR,
                                 _in_region)
@@ -177,7 +177,7 @@ def test_sweep_meta_records_threads_and_prune_floor(small_ini, tmp_path, monkeyp
     meta = read_meta(out_dir / "sweep_meta.txt")
     assert meta["numpy_version"] == np.__version__
     assert meta["shells"] == str(SHELLS)
-    # one count per value: the tilt moves the first streamed shell
+    # one count per value: the tilt moves the streamed cells
     streamed = [_in_region(canonical_scenario(n_atoms_override=20000, skew_theta=np.radians(d)))[0]
                 for d in (0.0, 2.0)]
     assert meta["streamed_in_region"] == ",".join(map(str, streamed))
@@ -415,8 +415,11 @@ def test_every_meta_opens_with_the_version_and_closes_with_the_time(
         assert keys[0] == "package_version" and meta["package_version"] == __version__
         assert keys[-1] == "timestamp_utc"
         assert "config_path" in keys and "streamed_in_region" in keys
-        # the stream's layout: chunks of the shells, blocks of the chunks
+        # the stream's layout: chunks of the shells, blocks of the chunks, and
+        # the bands of each shell, right after the block size
         assert (meta["chunk_atoms"], meta["block_atoms"]) == (str(CHUNK_ATOMS), str(BLOCK_ATOMS))
+        assert meta["bands"] == str(BANDS)
+        assert keys.index("bands") == keys.index("block_atoms") + 1
 
 
 def test_heatmap_meta_records_the_stream(angular_ini, tmp_path, capsys):

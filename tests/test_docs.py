@@ -110,3 +110,15 @@ def test_half_angle_tangent_lives_in_beams():
                     and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_normals_take_their_trig_from_cos_sin():
+    # The sampler's Box-Muller normals take each angle's cos and sin from
+    # beams._cos_sin, the package's one half-angle tangent: ensemble.py
+    # calls no np.sin or np.cos.
+    path = ROOT / "src" / "ire_sim" / "ensemble.py"
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("sin", "cos") and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in ("np", "numpy")]
+    assert found == []

@@ -25,7 +25,7 @@ from ire_sim import (
 )
 from ire_sim import retrieval
 from ire_sim.cli import main as cli_main
-from ire_sim.ensemble import _GAUSS_VOLUME, ATOMIC_MASS_UNIT, SHELLS, shell_counts
+from ire_sim.ensemble import _GAUSS_VOLUME, ATOMIC_MASS_UNIT, cell_counts
 from ire_sim.retrieval import (
     BLOCK_ATOMS,
     CHUNK_ATOMS,
@@ -35,7 +35,7 @@ from ire_sim.retrieval import (
     _in_region,
     _paraxial_sums,
     _prune,
-    _screen_shell,
+    _cell_table,
 )
 
 from conftest import (
@@ -46,6 +46,7 @@ from conftest import (
     W_WRITE,
     canonical_scenario,
     largest_streamed_shell,
+    streamed_mask,
 )
 
 # Wavenumbers for the test species, frozen from a direct evaluation of
@@ -226,10 +227,9 @@ def test_spinwave_amplitude_composition():
 
 
 def test_kernel_matches_vectorized_reference():
-    # The block partials of the streamed shells, one block per shell here,
+    # The block partials of the streamed cells, one block per shell here,
     # must add up, to near machine precision, to the sums assembled from the
-    # public per-atom building blocks over the atoms of every shell the skip
-    # keeps.
+    # public per-atom building blocks over the atoms the skip keeps.
     scn = canonical_scenario(
         n_atoms_override=4096, skew_theta=math.radians(2.0), storage_tm=50e-6, seed=13
     )
@@ -241,9 +241,10 @@ def test_kernel_matches_vectorized_reference():
     s2_ref = float(np.sum(np.abs(a) ** 2))
     sxx_ref = float(np.sum(np.abs(x) ** 2))
 
-    counts = shell_counts(scn.seed, scn.n_atoms)
-    parts = [part for shell in range(_screen_shell(scn), SHELLS)
-             for (part,) in _eta_worker(((scn,), shell, 0, int(counts[shell]), _paraxial_sums))]
+    verdict = _cell_table(scn)[0]
+    parts = [part for shell, bands in enumerate(cell_counts(scn.seed, scn.n_atoms).tolist())
+             for (part,) in _eta_worker(((scn,), (verdict[shell],), shell, tuple(bands), 0,
+                                         sum(bands), _paraxial_sums))]
     s1r, s1i, sxx, s2, dropped, n_kept = functools.reduce(_add, parts)
     assert s1r == pytest.approx(s1_ref.real, rel=1e-10)
     assert s1i == pytest.approx(s1_ref.imag, rel=1e-10)
@@ -256,15 +257,18 @@ def test_kernel_matches_vectorized_reference():
 @pytest.mark.parametrize("shell, n_kept", [(59, 0), (63, CHUNK_ATOMS)])
 def test_a_chunk_that_keeps_no_atom_or_every_atom_holds_one_block_at_a_time(shell, n_kept):
     # Of the canonical 0 deg cloud, shell 59 keeps no atom and shell 63 keeps
-    # all of them. Either chunk is walked in blocks, each block's kept atoms
-    # projected and summed into its partial before the next is drawn, so the
-    # worker holds one block at a time (measured peaks 2.3 and 6.1 MB); the
-    # chunk's words alone take 64 MB.
+    # all of them; the first 2^20 atoms of either are in its band 0, which
+    # the scenario streams. Either chunk is walked in blocks, each block's
+    # kept atoms projected and summed into its partial before the next is
+    # drawn, so the worker holds one block at a time (measured peaks 2.3 and
+    # 6.1 MB); the chunk's words alone take 48 MB.
     scn = canonical_scenario()
-    assert _screen_shell(scn) <= 59
+    bands = tuple(cell_counts(scn.seed, scn.n_atoms)[shell].tolist())
+    verdict = _cell_table(scn)[0][shell]
+    assert bands[0] > CHUNK_ATOMS and verdict[0] != retrieval.SKIP
     tracemalloc.start()
     try:
-        blocks = _eta_worker(((scn,), shell, 0, CHUNK_ATOMS, _paraxial_sums))
+        blocks = _eta_worker(((scn,), (verdict,), shell, bands, 0, CHUNK_ATOMS, _paraxial_sums))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -472,18 +476,19 @@ def test_resolve_threads_precedence(monkeypatch, canonical_ini_file, capsys):
 
 
 def test_draw_sample_returns_the_atoms_of_the_stream():
-    # the n-atom stream holds exactly n atoms, shell-major across every shell
+    # the n-atom stream holds exactly n atoms, in cell order across every cell
     scn = canonical_scenario(n_atoms_override=1500, seed=4)
     sample = draw_sample(scn, 1200)
     assert len(sample) == 1200
     whole = sample_atoms(scn.cloud, scn.seed, 0, 1200, count=1200)
     np.testing.assert_array_equal(sample.r_initial, whole.r_initial)
     np.testing.assert_array_equal(sample.velocity, whole.velocity)
-    # its last m atoms are the ones a 1200-atom subsample streams
-    m, _, _ = _in_region(replace(scn, mc_atoms=1200))
-    keep, _ = _prune(sample.r_initial[-m:], scn)
+    # the atoms of its streamed cells are the ones a 1200-atom subsample streams
+    streamed = streamed_mask(scn, 1200)
+    assert int(streamed.sum()) == _in_region(replace(scn, mc_atoms=1200))[0]
+    keep, _ = _prune(sample.r_initial[streamed], scn)
     assert eta_paraxial(replace(scn, mc_atoms=1200)).n_kept == int(keep.sum()) > 0
-    assert not _prune(sample.r_initial[:-m], scn)[0].any()
+    assert not _prune(sample.r_initial[~streamed], scn)[0].any()
     for n in (0, 1501):
         with pytest.raises(ValueError):
             draw_sample(scn, n)

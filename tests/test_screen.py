@@ -1,13 +1,14 @@
-"""The shell and atom screens in front of the amplitude skip.
+"""The cell table and the atom screen in front of the amplitude skip.
 
-An atom's radial shell bounds its transverse radius, so both estimators
-never stream the shells far off the signal axis. In the other shells,
-counter words 0 and 2 bound each atom's radius and |z| before it is
-placed, and the exact mask (_prune) decides the atoms both screens let
-through. The screens must be conservative: every atom they leave out is
-one _prune drops, with |A_j| <= exp(its bound) <= PRUNE_FLOOR. The
-estimates keep the bits of a pass over every shell, and their D stays an
-upper bound of that pass's D.
+An atom's (shell, band) cell bounds its transverse radius and its |z|, so
+both estimators never stream the cells whose every atom the bound puts at
+or below PRUNE_FLOOR. In the other cells, counter words 0 and 2 bound each
+atom's radius and |z| before it is placed, unless the cell's bound shows
+that this screen would let every atom through, and the exact mask (_prune)
+decides the atoms the screen lets through. The skips must be conservative:
+every atom they leave out is one _prune drops, with
+|A_j| <= exp(its bound) <= PRUNE_FLOOR. The estimates keep the bits of a
+pass over every cell, and their D stays an upper bound of that pass's D.
 """
 
 import functools
@@ -37,39 +38,42 @@ from ire_sim.angular import _field_sums
 from ire_sim.cli import main as cli_main
 from ire_sim import retrieval
 from ire_sim.ensemble import (
+    BANDS,
     NORMAL_MAX,
-    SHELL_BITS,
     SHELLS,
     _positions_from_raw,
     _radii,
     _raw_words,
     _sample_words,
+    cell_counts,
     drift,
-    shell_counts,
 )
 from ire_sim.retrieval import (
     _SCREEN_MARGIN,
     BLOCK_ATOMS,
     CHUNK_ATOMS,
+    SCREEN,
+    SKIP,
+    WHOLE,
+    _cell_table,
     _estimate,
     _eta_stream,
     _eta_worker,
     _in_region,
     _prune,
     _screen_atoms,
-    _screen_shell,
-    _screens_nothing,
-    _shell_bounds,
+    _streamed_count,
 )
 
 from conftest import (CANONICAL_INI, R0, SPECIES, TEMP, W_COLLECT, W_WRITE, canonical_scenario,
                       read_meta)
 
 KN = wavenumbers(SPECIES)
+LEVEL = math.log(PRUNE_FLOOR) * _SCREEN_MARGIN
 
 
 def _positions(raw, r0):
-    """Initial positions of counter words raw (n, 8), as the stream places them."""
+    """Initial positions of counter words raw (n, 6), as the stream places them."""
     return _positions_from_raw(raw, _radii(raw), r0)
 
 
@@ -89,30 +93,49 @@ SCREEN_GEOMETRIES = [
 ]
 
 
+def _edges(n, r0):
+    """r0 sqrt(-2 ln(j / n)) for j = 0..n, with NORMAL_MAX r0 at j = 0: the cells' edges."""
+    return [NORMAL_MAX * r0] + [r0 * math.sqrt(-2.0 * math.log(j / n)) for j in range(1, n + 1)]
+
+
+def _cell_bound(scn, shell, band):
+    """The stated bound of ln|A_j| over a cell: inner rho, outer rho as |y|, largest Z."""
+    rho, z = _edges(SHELLS, scn.cloud.sigma_r0), _edges(BANDS, scn.cloud.sigma_r0)
+    return _bound(rho[shell + 1], rho[shell], z[band], scn)
+
+
 @pytest.mark.parametrize("r0, theta_deg, w_signal", SCREEN_GEOMETRIES)
 def test_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
     scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, seed=3,
                     n_atoms_override=CHUNK_ATOMS)
-    first = _screen_shell(scn)
-    assert 0 < first < SHELLS
-    # the highest screened shell holds the atoms nearest the screen's radius
-    out = _raw_words(scn.seed, first - 1, 0, 1 << 16)
-    keep, _ = _prune(_positions(out, r0), scn)
-    assert not keep.any()
-    a = spinwave_amplitude(_sample_words(out, scn.cloud), scn)
-    assert np.max(np.abs(a)) <= math.exp(_shell_bounds(scn)[first - 1]) <= PRUNE_FLOOR
+    verdict, bound = _cell_table(scn)
+    assert (verdict == SKIP).any() and (verdict != SKIP).any()
+    for band in range(BANDS):
+        # the highest skipped shell of the band holds the atoms nearest its bound
+        skipped = np.flatnonzero(verdict[:, band] == SKIP)
+        if skipped.size == 0:
+            continue
+        shell = int(skipped.max())
+        assert bound[shell, band] == pytest.approx(_cell_bound(scn, shell, band), rel=1e-12)
+        out = _raw_words(scn.seed, shell, band, 0, 1 << 13)
+        keep, _ = _prune(_positions(out, r0), scn)
+        assert not keep.any()
+        a = spinwave_amplitude(_sample_words(out, scn.cloud), scn)
+        assert np.max(np.abs(a)) <= math.exp(bound[shell, band]) <= PRUNE_FLOOR
 
 
 def test_threshold_word_splits_the_radius_bound():
     scn = canonical_scenario(n_atoms_override=10)
-    first = _screen_shell(scn)
-    # the atoms with the largest u0 of the last screened shell and of the
-    # first streamed one: every word-0 bit below the shell bits set
-    raw = np.full((2, 8), 12345, dtype=np.uint64)
+    verdict, _ = _cell_table(scn)
+    # band 0 holds the atoms of largest |z|, up to NORMAL_MAX r0
+    first = int(np.flatnonzero(verdict[:, 0] != SKIP).min())
+    # the atoms with the largest u0 of the last skipped shell and of the
+    # first streamed one in band 0: every word-0 bit below the shell bits set
+    raw = np.full((2, 6), 12345, dtype=np.uint64)
     for row, shell in enumerate((first - 1, first)):
-        raw[row] = _raw_words(scn.seed, shell, 0, 1)
+        raw[row] = _raw_words(scn.seed, shell, 0, 0, 1)
         raw[row, 0] |= np.uint64((1 << 58) - 1)
-    # the radius bound _screen_shell states, recomputed here for no tilt:
+    # the radius bound of band 0's cells, recomputed here for no tilt:
     # rho^2 (1 / a_s + 1 / a_w) = |ln PRUNE_FLOOR| at rho = R
     big_z = NORMAL_MAX * R0
     a_s = W_COLLECT**2 * (1.0 + (big_z / scn.signal_mode.rayleigh_z) ** 2)
@@ -121,46 +144,105 @@ def test_threshold_word_splits_the_radius_bound():
     r = _positions(raw, R0)
     rho2 = r[:, 0] ** 2 + r[:, 1] ** 2
     assert rho2[0] >= r2 > rho2[1]
-    # D counts, for each streamed-count atom below the first shell, the
-    # bound at its shell's inner radius rho_k, u0 = (k + 1) / SHELLS
-    counts = shell_counts(scn.seed, scn.n_atoms)
+    # D counts, for each streamed-count atom of a skipped cell, the bound at
+    # its shell's inner radius rho_k, u0 = (k + 1) / SHELLS, and its band's
+    # largest Z_b, u2 = b / BANDS
+    counts = cell_counts(scn.seed, scn.n_atoms)
     m, n_in, d0 = _in_region(scn)
-    assert m == n_in == int(counts[first:].sum())
-    inner2 = [-2.0 * R0**2 * math.log((k + 1) / SHELLS) for k in range(first)]
-    bounds = [math.exp(-rho2_k * (1.0 / a_s + 1.0 / a_w)) for rho2_k in inner2]
-    assert d0 == pytest.approx(sum(n * b for n, b in zip(counts, bounds)), rel=1e-12, abs=0.0)
-    assert max(bounds) <= PRUNE_FLOOR
+    assert m == n_in == int(counts[verdict != SKIP].sum())
+    z = _edges(BANDS, R0)
+    bounds = {}
+    for shell, band in zip(*np.nonzero(verdict == SKIP)):
+        a_s = W_COLLECT**2 * (1.0 + (z[band] / scn.signal_mode.rayleigh_z) ** 2)
+        a_w = W_WRITE**2 * (1.0 + (z[band] / scn.write_mode.rayleigh_z) ** 2)
+        rho2_k = -2.0 * R0**2 * math.log((shell + 1) / SHELLS)
+        bounds[shell, band] = math.exp(-rho2_k * (1.0 / a_s + 1.0 / a_w))
+    assert d0 == pytest.approx(sum(counts[c] * b for c, b in bounds.items()), rel=1e-12, abs=0.0)
+    assert max(bounds.values()) <= PRUNE_FLOOR
 
 
 def test_tiny_cloud_screens_nothing():
     scn = _scenario(1e-9, n_atoms_override=1000)
-    assert _screen_shell(scn) == 0
+    assert (_cell_table(scn)[0] == WHOLE).all()
     assert _in_region(scn) == (1000, 1000, 0.0)
 
 
+# The cell verdicts on the atom screen's geometries and the canonical cloud at 2 deg.
+VERDICT_CASES = sorted({(r0, th, w) for r0, own, w in SCREEN_GEOMETRIES
+                        for th in (own, 4.0, 10.0)} | {(R0, 2.0, W_COLLECT)})
+
+
+@pytest.mark.parametrize("r0, theta_deg, w_signal", VERDICT_CASES)
+def test_cell_verdicts_hold_for_every_atom(r0, theta_deg, w_signal):
+    # 2^9 atoms of every cell: a skipped cell's bound is at most the screen's
+    # level and at least each of its atoms' screen bound, and _prune keeps
+    # none of them; the screen lets every atom of a whole cell through (a
+    # tilted write beam can still put some below PRUNE_FLOOR, for _prune)
+    scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, seed=3,
+                    n_atoms_override=CHUNK_ATOMS)
+    verdict, bound = _cell_table(scn)
+    for shell in range(SHELLS):
+        for band in range(BANDS):
+            raw = _raw_words(scn.seed, shell, band, 0, 1 << 9)
+            if verdict[shell, band] == SKIP:
+                assert bound[shell, band] <= LEVEL
+                assert np.all(_atom_bound(raw, scn) <= bound[shell, band])
+                assert not _prune(_positions(raw, r0), scn)[0].any()
+            elif verdict[shell, band] == WHOLE:
+                survive, d = _screen_atoms(_radii(raw), r0, scn)
+                assert survive.all() and d == 0.0
+
+
+def _block_words(seed, count, shell, lo, hi):
+    """Counter words (n, 6) of atoms [lo, hi) of a shell's band-major sequence, and their bands."""
+    starts = np.cumsum([0, *cell_counts(seed, count)[shell].tolist()])
+    parts = [(band, max(lo, starts[band]) - starts[band], min(hi, starts[band + 1]) - starts[band])
+             for band in range(BANDS)]
+    parts = [part for part in parts if part[1] < part[2]]
+    return (np.concatenate([_raw_words(seed, shell, *part) for part in parts]),
+            np.repeat([part[0] for part in parts], [part[2] - part[1] for part in parts]))
+
+
+def _unscreened_partial(scenario, raw, r):
+    """(Re S1, Im S1, SXX, S2, D, n_kept) of atoms with words raw at positions r, unscreened."""
+    keep, dropped = _prune(r, scenario)
+    sample = _sample_words(raw[keep], scenario.cloud)
+    a = spinwave_amplitude(sample, scenario)
+    x = a * idler_projection(drift(sample, scenario.storage_tm), scenario)
+    s1 = complex(np.sum(x))
+    s2 = float(np.sum(a.real**2 + a.imag**2))
+    sxx = float(np.sum(x.real**2 + x.imag**2))
+    return (s1.real, s1.imag, sxx, s2, dropped, len(sample))
+
+
 def _unscreened_eta_worker(task):
-    """The stream's block sums over any shell, from the public per-atom functions."""
+    """The block sums of any block of any shell, from the public per-atom functions.
+
+    For each scenario: the partial over every atom of the block, over the
+    atoms of the cells it streams, and over those of the cells it skips.
+    """
     scenarios, shell, lo, hi = task
-    raw = _raw_words(scenarios[0].seed, shell, lo, hi)
+    raw, band = _block_words(scenarios[0].seed, _streamed_count(scenarios[0]), shell, lo, hi)
     r = _positions(raw, scenarios[0].cloud.sigma_r0)
     out = []
     for scenario in scenarios:
-        keep, dropped = _prune(r, scenario)
-        sample = _sample_words(raw[keep], scenario.cloud)
-        a = spinwave_amplitude(sample, scenario)
-        x = a * idler_projection(drift(sample, scenario.storage_tm), scenario)
-        s1 = complex(np.sum(x))
-        s2 = float(np.sum(a.real**2 + a.imag**2))
-        sxx = float(np.sum(x.real**2 + x.imag**2))
-        out.append((s1.real, s1.imag, sxx, s2, dropped, len(sample)))
+        streamed = _cell_table(scenario)[0][shell][band] != SKIP
+        out.append(tuple(_unscreened_partial(scenario, raw[mask], r[mask])
+                         for mask in (np.ones_like(streamed), streamed, ~streamed)))
     return out
 
 
 def _shell_tasks(seed, count, block):
     """(shell, lo, hi) of every block of every shell of the count-atom stream."""
     return [(shell, lo, min(lo + block, c))
-            for shell, c in enumerate(shell_counts(seed, count).tolist())
+            for shell, c in enumerate(cell_counts(seed, count).sum(axis=1).tolist())
             for lo in range(0, c, block)]
+
+
+def _streamed_shell_counts(scenarios, seed, count):
+    """The atom counts of the shells in which some scenario streams a cell."""
+    streamed = np.any([(_cell_table(scn)[0] != SKIP).any(axis=1) for scn in scenarios], axis=0)
+    return cell_counts(seed, count).sum(axis=1)[streamed]
 
 
 def _in_order_sum(partials):
@@ -186,32 +268,31 @@ def test_stream_keeps_the_bits_of_an_unscreened_pass(small_blocks, small_chunks,
         _scenario(target_od=24.7, mc_atoms=STREAMED, seed=11, **point) for point in JOBS[job]
     )
     got = _eta_stream(list(scenarios), threads=threads)
-    lowest = min(_screen_shell(scn) for scn in scenarios)
-    assert all(c > SMALL_CHUNK for c in shell_counts(11, STREAMED)[lowest:])
+    assert all(c > SMALL_CHUNK for c in _streamed_shell_counts(scenarios, 11, STREAMED))
     tasks = _shell_tasks(11, STREAMED, SMALL_CHUNK)
     ref = list(zip(*[_unscreened_eta_worker((scenarios, *t)) for t in tasks]))
-    for scn, total, every in zip(scenarios, got, ref):
-        first = _screen_shell(scn)
-        below = [part for t, part in zip(tasks, every) if t[0] < first]
-        above = [part for t, part in zip(tasks, every) if t[0] >= first]
-        assert all(n_kept == 0 for *_, n_kept in below)
-        # the in-order sum of the same blocks over the scenario's own shells,
-        # bit for bit; D, which bounds the screened atoms, bounds the exact one
-        ref = _in_order_sum(above)
-        assert total[:4] + total[5:] == ref[:4] + ref[5:]
-        assert ref[4] <= total[4]
-        # the screened shells' D is the bound of the estimate, not their own sum
+    for scn, total, parts in zip(scenarios, got, ref):
+        every, streamed, skipped = zip(*parts)
+        assert all(n_kept == 0 for *_, n_kept in skipped)
+        # the in-order sum over every block of every cell, bit for bit: the
+        # skipped cells keep no atom; D, which bounds the screened atoms,
+        # bounds the exact one over the streamed cells
+        ref_every = _in_order_sum(every)
+        assert total[:4] + total[5:] == ref_every[:4] + ref_every[5:]
+        assert _in_order_sum(streamed)[4] <= total[4]
+        # the skipped cells' D is the bound of the estimate, not their own sum
         region = _in_region(scn)
-        assert sum(part[4] for part in below) <= region[2]
+        assert sum(part[4] for part in skipped) <= region[2]
         new_est = _estimate(scn, total, region)
-        old_est = _estimate(scn, _in_order_sum(every), region)
+        old_est = _estimate(scn, ref_every, region)
         assert (new_est.eta, new_est.numerator, new_est.denominator, new_est.n_kept) == (
             old_est.eta, old_est.numerator, old_est.denominator, old_est.n_kept)
 
 
 def _field_partial(scn, grid, shell, lo, hi):
     """(raw field, S2, D, n_kept) of a shell's atoms [lo, hi), from the public functions."""
-    sample = _sample_words(_raw_words(scn.seed, shell, lo, hi), scn.cloud)
+    raw, _ = _block_words(scn.seed, _streamed_count(scn), shell, lo, hi)
+    sample = _sample_words(raw, scn.cloud)
     keep, dropped = _prune(sample.r_initial, scn)
     sample = drift(AtomSample(sample.r_initial[keep], sample.velocity[keep]), scn.storage_tm)
     amps = spinwave_amplitude(sample, scn)
@@ -225,7 +306,7 @@ def test_angular_field_keeps_the_bits_of_an_unscreened_pass(small_blocks, small_
     n = 80 * chunk  # every shell spans a full block and a short one
     scn = canonical_scenario(n_atoms_override=n, skew_theta=math.radians(2.0),
                              storage_tm=100e-6, seed=6)
-    assert all(chunk < c < 2 * chunk for c in shell_counts(scn.seed, n))
+    assert all(chunk < c < 2 * chunk for c in cell_counts(scn.seed, n).sum(axis=1))
     field = angular_field(scn, grid, threads=2)
     # every shell's blocks, in stream order
     acc, s2, dropped, n_kept = _in_order_sum(
@@ -263,13 +344,28 @@ def _atom_bound(raw, scn):
 
 
 def _block_d(scn, shell, lo, hi):
-    """A block's D, recomputed: _prune's sum over the atoms the screen lets through, plus
-    exp(bound) over the others."""
-    raw = _raw_words(scn.seed, shell, lo, hi)
+    """A block's D over the atoms of the scenario's streamed cells, recomputed.
+
+    _prune's sum over the atoms the screen lets through (every atom of a
+    whole cell), plus exp(bound) over the others; None when the block holds
+    none of those atoms.
+    """
+    raw, band = _block_words(scn.seed, _streamed_count(scn), shell, lo, hi)
+    verdict = _cell_table(scn)[0][shell][band]
+    if (verdict == SKIP).all():
+        return None
+    raw, verdict = raw[verdict != SKIP], verdict[verdict != SKIP]
     bound = _atom_bound(raw, scn)
-    survive = bound > math.log(PRUNE_FLOOR) * _SCREEN_MARGIN
+    survive = (verdict == WHOLE) | (bound > LEVEL)
     _, exact = _prune(_positions(raw[survive], scn.cloud.sigma_r0), scn)
     return (exact + float(np.sum(np.exp(bound[~survive]))),)
+
+
+def _streamed_blocks(scn, block):
+    """The (shell, lo, hi) of the blocks that hold an atom of the scenario's streamed cells."""
+    return [t for t in _shell_tasks(scn.seed, _streamed_count(scn), block)
+            if (_cell_table(scn)[0][t[0]][_block_words(scn.seed, _streamed_count(scn), *t)[1]]
+                != SKIP).any()]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -279,15 +375,14 @@ def test_stream_folds_each_chunk_block_by_block(small_blocks, job, threads):
         _scenario(target_od=24.7, mc_atoms=STREAMED, seed=11, **point) for point in JOBS[job]
     ]
     block = small_blocks(SMALL_BLOCK)
-    lowest = min(_screen_shell(scn) for scn in scenarios)
     assert all(2 * block < c < CHUNK_ATOMS and c % block
-               for c in shell_counts(11, STREAMED)[lowest:])
+               for c in _streamed_shell_counts(scenarios, 11, STREAMED))
     got = _eta_stream(scenarios, threads=threads)
     for scn, total in zip(scenarios, got):
-        blocks = [t for t in _shell_tasks(11, STREAMED, block) if t[0] >= _screen_shell(scn)]
-        ref = _in_order_sum([_unscreened_eta_worker(((scn,), *t))[0] for t in blocks])
-        # the (shell, block)-order sum of the block partials, bit for bit, and
-        # D the same fold of each block's recomputed D
+        blocks = _streamed_blocks(scn, block)
+        ref = _in_order_sum([_unscreened_eta_worker(((scn,), *t))[0][1] for t in blocks])
+        # the (shell, block)-order sum of the block partials over the streamed
+        # cells, bit for bit, and D the same fold of each block's recomputed D
         assert total[:4] + total[5:] == ref[:4] + ref[5:]
         (d,) = _in_order_sum([_block_d(scn, *t) for t in blocks])
         assert total[4] == pytest.approx(d, rel=1e-12, abs=0.0)
@@ -305,9 +400,9 @@ def test_angular_field_folds_each_chunk_block_by_block(small_blocks, threads):
     scn = canonical_scenario(n_atoms_override=n, skew_theta=math.radians(2.0),
                              storage_tm=100e-6, seed=6)
     block = small_blocks(1 << 7)
-    assert all(2 * block < c and c % block for c in shell_counts(scn.seed, n))
+    assert all(2 * block < c and c % block for c in cell_counts(scn.seed, n).sum(axis=1))
     field = angular_field(scn, grid, threads=threads)
-    blocks = [t for t in _shell_tasks(scn.seed, n, block) if t[0] >= _screen_shell(scn)]
+    blocks = _streamed_blocks(scn, block)
     values, s2, dropped, n_kept = _in_order_sum([_field_partial(scn, grid, *t) for t in blocks])
     assert field.values.tobytes() == (values / math.sqrt(4.0 * math.pi)).tobytes()
     assert (field.source_s2, field.n_kept) == (s2, n_kept)
@@ -321,21 +416,25 @@ def test_angular_field_folds_each_chunk_block_by_block(small_blocks, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_groups_that_keep_different_atoms_share_each_block_bit_for_bit(small_blocks, threads):
-    # Tilts 0, 2 and 4 deg keep different atoms of one block, and a twin of
-    # the 2 deg scenario at 4x the temperature keeps the same atoms with
-    # other velocities: a block's radii and positions are shared, the kept
-    # atoms' velocities are mapped once per velocity spread, and each total
-    # must be the one streamed alone.
+    # Tilts 0, 2, 4 and 10 deg stream different cells and keep different
+    # atoms of one block, and a twin of the 2 deg scenario at 4x the
+    # temperature keeps the same atoms with other velocities: a block draws
+    # the bands some scenario streams, its radii and positions are shared,
+    # the kept atoms' velocities are mapped once per velocity spread, and
+    # each total must be the one streamed alone.
     tilts = [_scenario(theta_deg=th, storage_tm=100e-6, target_od=24.7, mc_atoms=STREAMED,
-                       seed=11) for th in (0.0, 2.0, 4.0)]
+                       seed=11) for th in (0.0, 2.0, 4.0, 10.0)]
     twin = replace(tilts[1], cloud=replace(tilts[1].cloud, temperature_t=4.0 * TEMP))
     scenarios = tilts + [twin]
     small_blocks(SMALL_BLOCK)
-    for scn in scenarios:
-        assert [k for k in range(SHELLS) if _screens_nothing(scn, k)] == [62, 63]
+    streamed = [_cell_table(scn)[0] != SKIP for scn in scenarios]
+    assert len({table.tobytes() for table in streamed}) == 4  # the tilts stream different cells
+    # and in shell 60 the 10 deg scenario streams bands that the 4 deg one,
+    # which streams that shell too, skips: their shared blocks draw both
+    assert streamed[2][60].any() and (streamed[3][60] & ~streamed[2][60]).any()
     together = _eta_stream(scenarios, threads=threads)
-    assert len({total[-1] for total in together[:3]}) == 3  # n_kept differs by tilt
-    assert together[3][-1] == together[1][-1] and together[3][0] != together[1][0]
+    assert len({total[-1] for total in together[:4]}) == 4  # n_kept differs by tilt
+    assert together[4][-1] == together[1][-1] and together[4][0] != together[1][0]
     for scn, total in zip(scenarios, together):
         (alone,) = _eta_stream([scn], threads=threads)
         assert np.asarray(total).tobytes() == np.asarray(alone).tobytes()
@@ -358,8 +457,7 @@ def test_chunk_size_moves_no_bit(small_blocks, small_chunks):
     scenarios = [_scenario(target_od=24.7, mc_atoms=STREAMED, seed=11, **point)
                  for point in JOBS["tilt"]]
     block = small_blocks(SMALL_BLOCK)
-    lowest = min(_screen_shell(scn) for scn in scenarios)
-    assert all(c > 4 * block for c in shell_counts(11, STREAMED)[lowest:])
+    assert all(c > 4 * block for c in _streamed_shell_counts(scenarios, 11, STREAMED))
     totals = runs(block, lambda threads: [np.asarray(total, dtype=float).tobytes()
                                           for total in _eta_stream(scenarios, threads=threads)])
     assert all(got == totals[block, 1] for got in totals.values())
@@ -369,7 +467,7 @@ def test_chunk_size_moves_no_bit(small_blocks, small_chunks):
     scn = canonical_scenario(n_atoms_override=n, skew_theta=math.radians(2.0),
                              storage_tm=100e-6, seed=6)
     block = small_blocks(1 << 7)
-    assert all(c > 4 * block for c in shell_counts(scn.seed, n)[_screen_shell(scn):])
+    assert all(c > 4 * block for c in _streamed_shell_counts([scn], scn.seed, n))
 
     def field_bytes(threads):
         field = angular_field(scn, grid, threads=threads)
@@ -379,7 +477,7 @@ def test_chunk_size_moves_no_bit(small_blocks, small_chunks):
     assert all(got == fields[block, 1] for got in fields.values())
 
 
-# The shell screen's geometries, each at its own tilt and at 4 and 10 deg.
+# The screen geometries, each at its own tilt and at 4 and 10 deg.
 ATOM_SCREEN_CASES = sorted({(r0, th, w) for r0, own, w in SCREEN_GEOMETRIES
                             for th in (own, 4.0, 10.0)})
 
@@ -388,8 +486,9 @@ ATOM_SCREEN_CASES = sorted({(r0, th, w) for r0, own, w in SCREEN_GEOMETRIES
 def test_atom_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
     scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, seed=3,
                     n_atoms_override=CHUNK_ATOMS)
-    raw = np.concatenate([_raw_words(scn.seed, shell, 0, 1 << 13)
-                          for shell in range(_screen_shell(scn), SHELLS)])
+    screened_cells = zip(*np.nonzero(_cell_table(scn)[0] == SCREEN))
+    raw = np.concatenate([_raw_words(scn.seed, shell, band, 0, 1 << 12)
+                          for shell, band in screened_cells])
     survive, d = _screen_atoms(_radii(raw), r0, scn)
     keep, _ = _prune(_positions(raw, r0), scn)
     assert (~survive).any()
@@ -405,13 +504,12 @@ def test_atom_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
 @pytest.mark.parametrize("theta_deg", [0.0, 4.0])
 def test_threshold_words_split_the_atom_screen(theta_deg):
     scn = _scenario(theta_deg=theta_deg, n_atoms_override=10)
-    level = math.log(PRUNE_FLOOR) * _SCREEN_MARGIN
     # word 2 at u2 = 1/2 puts Z = r0 sqrt(2 ln 2); words 1 and 3 at their
     # smallest uniform put the atom at y = 0 and z = Z
     z = R0 * math.sqrt(2.0 * math.log(2.0))
-    raw = np.zeros((2, 8), dtype=np.uint64)
+    raw = np.zeros((2, 6), dtype=np.uint64)
     raw[:, 2] = np.uint64(1 << 63)
-    for row, target in enumerate((level * (1.0 - 1e-9), level * (1.0 + 1e-9))):
+    for row, target in enumerate((LEVEL * (1.0 - 1e-9), LEVEL * (1.0 + 1e-9))):
         lo, hi = 0.0, 8.0 * R0  # the bound falls as rho grows: bisect for the target
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -419,16 +517,16 @@ def test_threshold_words_split_the_atom_screen(theta_deg):
         u0 = math.exp(-0.5 * (lo / R0) ** 2)
         raw[row, 0] = np.uint64(round((u0 * 2.0**53 - 1.0) / 2.0)) << np.uint64(12)
     assert _atom_bound(raw, scn) == pytest.approx(
-        [level * (1.0 - 1e-9), level * (1.0 + 1e-9)], rel=1e-12)
+        [LEVEL * (1.0 - 1e-9), LEVEL * (1.0 + 1e-9)], rel=1e-12)
     survive, d = _screen_atoms(_radii(raw), R0, scn)
     assert survive.tolist() == [True, False]
     assert not _prune(_positions(raw, R0), scn)[0][1]
     a = spinwave_amplitude(_sample_words(raw, scn.cloud), scn)
-    assert abs(a[1]) <= d == pytest.approx(math.exp(level * (1.0 + 1e-9)), rel=1e-12)
+    assert abs(a[1]) <= d == pytest.approx(math.exp(LEVEL * (1.0 + 1e-9)), rel=1e-12)
     assert d < PRUNE_FLOOR
 
 
-# The shell screen's geometries and the canonical cloud at 2 deg.
+# The screen geometries and the canonical cloud at 2 deg.
 SKIP_CASES = SCREEN_GEOMETRIES + [(R0, 2.0, W_COLLECT)]
 
 
@@ -437,46 +535,47 @@ def test_atom_screen_is_skipped_only_where_it_screens_nothing(monkeypatch, r0, t
                                                               w_signal):
     scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, target_od=24.7,
                     mc_atoms=STREAMED, seed=11)
-    flagged = [k for k in range(SHELLS) if _screens_nothing(scn, k)]
-    if (r0, w_signal) == (R0, W_COLLECT):
-        assert flagged == [62, 63]  # the canonical cloud at 0, 2 and 4 deg
-    for shell in flagged:
-        # the shell's first atoms and its lowest bound: the smallest u0
-        # (largest rho) of the shell and the largest u2 (Z near 0)
-        raw = _raw_words(scn.seed, shell, 0, 1 << 13)
+    verdict, _ = _cell_table(scn)
+    whole = [(int(k), int(b)) for k, b in zip(*np.nonzero(verdict == WHOLE))]
+    if (r0, w_signal) == (R0, W_COLLECT):  # the canonical cloud at 0, 2 and 4 deg
+        assert whole == [(k, b) for k in (62, 63) for b in range(BANDS)]
+    for shell, band in whole:
+        # the cell's first atoms and its lowest bound: the smallest u0
+        # (largest rho) of the shell and the largest u2 (smallest Z) of the band
+        raw = _raw_words(scn.seed, shell, band, 0, 1 << 10)
         worst = raw[:1].copy()
-        worst[0, 0] = np.uint64(shell << (64 - SHELL_BITS))
-        worst[0, 2] = np.uint64(2**64 - 1)
+        worst[0, 0] = np.uint64(shell << 58)
+        worst[0, 2] = np.uint64((band << 61) | ((1 << 61) - 1))
         survive, d = _screen_atoms(_radii(np.concatenate([worst, raw])), r0, scn)
         assert survive.all() and d == 0.0
 
-    # the stream never screens a flagged shell's atoms, and keeps every bit
-    # of a pass that screens every shell
-    screened, drawn = set(), []
+    # the stream screens the atoms of the screened cells only, and keeps
+    # every bit of a pass that screens the whole cells too
+    screened = set()
 
-    def recording_words(seed, shell, *args):
-        drawn.append(shell)
-        return _raw_words(seed, shell, *args)
+    def recording_screen(rad, *args):
+        u0, u2 = np.exp(-0.5 * rad**2)  # each atom's cell, from its radii
+        screened.update(zip((u0 * SHELLS).astype(int).tolist(), (u2 * BANDS).astype(int).tolist()))
+        return _screen_atoms(rad, *args)
 
-    def recording_screen(*args):
-        screened.add(drawn[-1])  # the shell of the block being screened
-        return _screen_atoms(*args)
+    def screening_whole_cells(scenario):
+        verdict, bound = _cell_table(scenario)
+        return np.where(verdict == WHOLE, SCREEN, verdict), bound
 
-    monkeypatch.setattr(retrieval, "_raw_words", recording_words)
     monkeypatch.setattr(retrieval, "_screen_atoms", recording_screen)
     (skipped,) = _eta_stream([scn], threads=1)
-    assert screened == set(range(_screen_shell(scn), SHELLS)) - set(flagged)
-    monkeypatch.setattr(retrieval, "_screens_nothing", lambda *_: False)
+    held = cell_counts(scn.seed, STREAMED) > 0
+    assert screened == {(int(k), int(b)) for k, b in zip(*np.nonzero((verdict == SCREEN) & held))}
+    monkeypatch.setattr(retrieval, "_cell_table", screening_whole_cells)
     (every,) = _eta_stream([scn], threads=1)
     assert np.asarray(skipped).tobytes() == np.asarray(every).tobytes()
 
 
-def _shell_d0(scn, counts):
-    """Sum of |A_j| bounds of the streamed count's atoms below the first shell, recomputed."""
-    r0, first = scn.cloud.sigma_r0, _screen_shell(scn)
-    inner = [r0 * math.sqrt(-2.0 * math.log((k + 1) / SHELLS)) for k in range(first)]
-    return sum(n * math.exp(_bound(rho, NORMAL_MAX * r0, NORMAL_MAX * r0, scn))
-               for n, rho in zip(counts, inner))
+def _cells_d0(scn, counts):
+    """Sum of |A_j| bounds of the streamed count's atoms in the skipped cells, recomputed."""
+    verdict, _ = _cell_table(scn)
+    return sum(counts[k, b] * math.exp(_cell_bound(scn, k, b))
+               for k, b in zip(*np.nonzero(verdict == SKIP)))
 
 
 @pytest.mark.parametrize("theta_deg", [0.0, 2.0, 10.0])
@@ -486,12 +585,10 @@ def test_dropped_amplitude_is_the_exact_part_plus_the_bounds(theta_deg):
     one, two = (eta_paraxial(scn, threads=t) for t in (1, 2))
     assert one.dropped_amplitude == two.dropped_amplitude
     # recomputed: the (shell, block)-order fold of each streamed block's D
-    # (exact part plus bounds), plus the unstreamed shells' bounds
-    counts = shell_counts(scn.seed, STREAMED)
-    blocks = [t for t in _shell_tasks(scn.seed, STREAMED, BLOCK_ATOMS)
-              if t[0] >= _screen_shell(scn)]
-    (d,) = _in_order_sum([_block_d(scn, *t) for t in blocks])
-    assert one.dropped_amplitude == pytest.approx(d + _shell_d0(scn, counts), rel=1e-12, abs=0.0)
+    # (exact part plus bounds), plus the skipped cells' bounds
+    (d,) = _in_order_sum([_block_d(scn, *t) for t in _streamed_blocks(scn, BLOCK_ATOMS)])
+    d0 = _cells_d0(scn, cell_counts(scn.seed, STREAMED))
+    assert one.dropped_amplitude == pytest.approx(d + d0, rel=1e-12, abs=0.0)
     # and it bounds the exact sum over every atom the stream skipped
     sample = draw_sample(scn, STREAMED)
     keep, _ = _prune(sample.r_initial, scn)
@@ -502,13 +599,17 @@ def test_dropped_amplitude_is_the_exact_part_plus_the_bounds(theta_deg):
 
 def test_a_block_that_keeps_no_atom_adds_only_its_d():
     scn = canonical_scenario()
-    assert _screen_shell(scn) == 59  # streamed, and keeps no atom at 0 deg
+    # shell 59 streams its band 0 alone, and keeps no atom at 0 deg
+    assert (_cell_table(scn)[0][59] != SKIP).tolist() == [True] + [False] * (BANDS - 1)
+    bands = tuple(cell_counts(scn.seed, scn.n_atoms)[59].tolist())
+    assert bands[0] > 3 * BLOCK_ATOMS
 
     def project(*_):
         raise AssertionError("projected a block that keeps no atom")
 
     starts = range(0, 3 * BLOCK_ATOMS, BLOCK_ATOMS)
-    blocks = _eta_worker(((scn,), 59, 0, 3 * BLOCK_ATOMS, project))
+    blocks = _eta_worker(((scn,), (_cell_table(scn)[0][59],), 59, bands, 0, 3 * BLOCK_ATOMS,
+                          project))
     assert len(blocks) == len(starts)
     for b, (part,) in zip(starts, blocks):
         (d,) = _block_d(scn, 59, b, b + BLOCK_ATOMS)

@@ -1,14 +1,17 @@
-"""The radial-shell counter layout.
+"""The (shell, band) cell counter layout.
 
-Atom i of shell k draws its words from Philox with the key (seed, k + 1),
-and its u0 = (k + u) / SHELLS; how many atoms each shell holds is one
-multinomial draw keyed by the seed. The layout must place every atom of a
-shell inside that shell's slice of u0, give each shell a pure count, and
-sample the same cloud as the layout it replaced, in which atom i took the
-words 8i..8i+7 of one Philox stream keyed by the seed. The last test checks
-that against a copy of the old layout kept here.
+Atom i of cell (k, b) draws words 6i..6i+5 from Philox with the key
+(seed, k BANDS + b + 1), its u0 = (k + u) / SHELLS and its
+u2 = (b + u') / BANDS; how many atoms each cell holds is one multinomial
+draw over the shells, then one over each shell's bands, keyed by the seed.
+The layout must place every atom of a cell inside its shell's slice of u0
+and its band's slice of u2, give each cell a pure count, and sample the
+same cloud as the layout it replaced, in which atom i took the words
+8i..8i+7 of one Philox stream keyed by the seed. The last test checks that
+against a copy of the old layout kept here.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -26,13 +29,17 @@ from ire_sim import (
     spinwave_amplitude,
 )
 from ire_sim.ensemble import (
+    BANDS,
     NORMAL_MAX,
     SHELLS,
     AtomSample,
+    _positions_from_raw,
+    _radii,
     _raw_words,
     _uniform,
+    _velocities_from_raw,
+    cell_counts,
     drift,
-    shell_counts,
     thermal_velocity_sigma,
 )
 from ire_sim.retrieval import CHUNK_ATOMS, PRUNE_FLOOR, _prune
@@ -42,53 +49,134 @@ from conftest import canonical_scenario
 
 @pytest.mark.parametrize("shell", [0, 1, 31, 48, 62, SHELLS - 1])
 def test_every_atom_of_a_shell_has_u0_in_its_slice(shell):
-    u0 = _uniform(_raw_words(5, shell, 1000, 1000 + 4096)[:, 0])
-    assert np.all(u0 >= shell / SHELLS) and np.all(u0 < (shell + 1) / SHELLS)
-    # the extreme words of the shell: every bit below the shell bits clear, or set
-    low, high = np.uint64(shell << 58), np.uint64((shell << 58) | ((1 << 58) - 1))
-    ends = _uniform(np.array([low, high]))
-    assert shell / SHELLS < ends[0] < ends[1] < (shell + 1) / SHELLS
+    for band in range(BANDS):
+        u = _uniform(_raw_words(5, shell, band, 1001, 1001 + 512)[:, [0, 2]])
+        assert np.all(u[:, 0] >= shell / SHELLS) and np.all(u[:, 0] < (shell + 1) / SHELLS)
+        assert np.all(u[:, 1] >= band / BANDS) and np.all(u[:, 1] < (band + 1) / BANDS)
+    # the extreme words of the shell and of a band: every bit below the
+    # shell's 6 or the band's 3 top bits clear, or set
+    for k, bits, n in ((shell, 58, SHELLS), (shell % BANDS, 61, BANDS)):
+        low, high = np.uint64(k << bits), np.uint64((k << bits) | ((1 << bits) - 1))
+        ends = _uniform(np.array([low, high]))
+        assert k / n < ends[0] < ends[1] < (k + 1) / n
     # and no uniform is below 2^-53: NORMAL_MAX bounds every coordinate
     assert math.sqrt(-2.0 * math.log(_uniform(np.array([np.uint64(0)]))[0])) <= NORMAL_MAX
 
 
+def test_two_atoms_share_three_counters():
+    # atom i's six words start at word 6i of its cell's stream, so a range
+    # that starts at an odd atom starts inside a counter, and any range is
+    # the slice of one longer range
+    words = Philox(key=np.array([5, 3 * BANDS + 2 + 1], dtype=np.uint64)).random_raw(6 * 101)
+    whole = _raw_words(5, 3, 2, 0, 101)
+    assert np.array_equal(whole[:, [1, 3, 4, 5]], words.reshape(101, 6)[:, [1, 3, 4, 5]])
+    for lo in (1, 2, 7, 50):
+        assert np.array_equal(_raw_words(5, 3, 2, lo, 101), whole[lo:])
+
+
 def test_a_stream_is_uniform_in_u0():
-    # u0 over a whole 65,536-atom stream against the uniform distribution:
-    # the Kolmogorov-Smirnov distance stays below its 0.1 % critical value
+    # u0 and u2 over a whole 65,536-atom stream against the uniform
+    # distribution: each Kolmogorov-Smirnov distance stays below its 0.1 %
+    # critical value
     n = 1 << 16
-    counts = shell_counts(3, n)
-    u0 = np.sort(np.concatenate(
-        [_uniform(_raw_words(3, k, 0, c)[:, 0]) for k, c in enumerate(counts.tolist())]))
+    counts = cell_counts(3, n)
+    u = np.concatenate([_uniform(_raw_words(3, k, b, 0, counts[k, b])[:, [0, 2]])
+                        for k in range(SHELLS) for b in range(BANDS)])
     grid = np.arange(1, n + 1) / n
-    ks = max(np.max(grid - u0), np.max(u0 - (grid - 1.0 / n)))
-    assert ks < 1.95 / math.sqrt(n)
+    for col in u.T:
+        col = np.sort(col)
+        ks = max(np.max(grid - col), np.max(col - (grid - 1.0 / n)))
+        assert ks < 1.95 / math.sqrt(n)
 
 
 def test_shell_counts_sum_to_the_count():
     for count in (1, 63, 1000, 808_106_001):
-        counts = shell_counts(7, count)
-        assert counts.shape == (SHELLS,) and counts.dtype == np.int64
+        counts = cell_counts(7, count)
+        assert counts.shape == (SHELLS, BANDS) and counts.dtype == np.int64
         assert int(counts.sum()) == count and counts.min() >= 0
 
 
 def test_shell_counts_are_a_pure_function_of_seed_and_count():
-    assert np.array_equal(shell_counts(7, 10**6), shell_counts(7, 10**6))
-    assert not np.array_equal(shell_counts(7, 10**6), shell_counts(8, 10**6))
+    assert np.array_equal(cell_counts(7, 10**6), cell_counts(7, 10**6))
+    assert not np.array_equal(cell_counts(7, 10**6), cell_counts(8, 10**6))
     # a fresh interpreter draws the same counts
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = "from ire_sim.ensemble import shell_counts; print(shell_counts(7, 10**6).tolist())"
+    code = "from ire_sim.ensemble import cell_counts; print(cell_counts(7, 10**6).tolist())"
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == str(shell_counts(7, 10**6).tolist())
+    assert out.stdout.strip() == str(cell_counts(7, 10**6).tolist())
+
+
+# Literal cell counts, drawn with numpy 2.4: the rows of shells 0 and 63 and
+# the SHA-256 of the whole (SHELLS, BANDS) table as little-endian int64.
+PINNED_COUNTS = {
+    (1, 808_106_001): (
+        [1577439, 1578098, 1578362, 1578263, 1577508, 1576728, 1578966, 1577836],
+        [1578812, 1577201, 1577889, 1577776, 1578518, 1576289, 1577997, 1578307],
+        "2abda24f565188731d1ae48492760be4a8e0d5ee440c53fcf49540872504b69e",
+    ),
+    (7, 10**6): (
+        [1908, 1966, 1965, 2010, 1912, 1940, 1956, 2014],
+        [1958, 1915, 1927, 1955, 1987, 2034, 1872, 1968],
+        "d9b730bfd3cc24dd4e66628b80b330e13919f4838227b349b953d30a398dc5ae",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, count", sorted(PINNED_COUNTS))
+def test_cell_counts_are_pinned(seed, count):
+    # numpy does not promise its multinomial draw across versions (NEP 19):
+    # an upgrade that moves the counts fails here rather than moving every
+    # stream silently
+    first, last, digest = PINNED_COUNTS[seed, count]
+    counts = cell_counts(seed, count)
+    assert counts[0].tolist() == first and counts[-1].tolist() == last
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def test_box_muller_map_is_the_textbook_one():
+    # the normals from beams._cos_sin against np.cos and np.sin of the same
+    # angles, within 4 eps of each normal's radius: 10^5 random atoms, and
+    # words whose uniforms sit next to 0, 1/2 (the half-angle tangent's
+    # pole) and 1
+    rng = np.random.default_rng(5)
+    raw = rng.integers(0, 2**64, size=(100_000, 6), dtype=np.uint64)
+    edges = np.array([0, 1, 2**63 - 2**12, 2**63, 2**63 + 2**12, 2**64 - 2**12, 2**64 - 1],
+                     dtype=np.uint64)
+    edge_rows = np.repeat(edges[:, None], 6, axis=1)
+    edge_rows[:, [0, 2, 4]] = np.uint64(2**62)  # radii well inside (0, NORMAL_MAX)
+    raw = np.concatenate([raw, edge_rows])
+    scn = canonical_scenario(n_atoms_override=10)
+    r0, sigma_v = scn.cloud.sigma_r0, thermal_velocity_sigma(scn.cloud)
+    rad = _radii(raw)
+    u = _uniform(raw)
+    rad2 = np.sqrt(-2.0 * np.log(u[:, 4]))
+    ang = 2.0 * np.pi * u[:, [1, 3, 5]]
+    r = _positions_from_raw(raw, rad, r0)
+    v = _velocities_from_raw(raw, rad, scn.cloud)
+    eps = np.finfo(float).eps
+    for got, want, radius in (
+        (r[:, 0], r0 * (rad[0] * np.cos(ang[:, 0])), r0 * rad[0]),
+        (r[:, 1], r0 * (rad[0] * np.sin(ang[:, 0])), r0 * rad[0]),
+        (r[:, 2], r0 * (rad[1] * np.cos(ang[:, 1])), r0 * rad[1]),
+        (v[:, 0], rad[1] * np.sin(ang[:, 1]) * sigma_v, sigma_v * rad[1]),
+        (v[:, 1], rad2 * np.cos(ang[:, 2]) * sigma_v, sigma_v * rad2),
+        (v[:, 2], rad2 * np.sin(ang[:, 2]) * sigma_v, sigma_v * rad2),
+    ):
+        assert np.all(np.abs(got - want) <= 4.0 * eps * radius)
 
 
 def test_sample_atoms_orders_the_stream_shell_major():
+    # by (shell, band, index): each atom's u0 and u2, recovered from its
+    # position and velocity, fall in its cell's slices
     scn = canonical_scenario(n_atoms_override=5000, seed=4)
     sample = sample_atoms(scn.cloud, scn.seed, 0, 5000)
-    rho2 = (sample.r_initial[:, 0] ** 2 + sample.r_initial[:, 1] ** 2) / scn.cloud.sigma_r0**2
-    u0 = np.exp(-0.5 * rho2)
-    shells = np.repeat(np.arange(SHELLS), shell_counts(scn.seed, 5000))
-    assert np.all(np.floor(u0 * SHELLS) == shells)
+    r0, sigma_v = scn.cloud.sigma_r0, thermal_velocity_sigma(scn.cloud)
+    rho2 = (sample.r_initial[:, 0] ** 2 + sample.r_initial[:, 1] ** 2) / r0**2
+    rad2 = (sample.r_initial[:, 2] / r0) ** 2 + (sample.velocity[:, 0] / sigma_v) ** 2
+    cells = np.repeat(np.arange(SHELLS * BANDS), cell_counts(scn.seed, 5000).ravel())
+    assert np.all(np.floor(np.exp(-0.5 * rho2) * SHELLS) == cells // BANDS)
+    assert np.all(np.floor(np.exp(-0.5 * rad2) * BANDS) == cells % BANDS)
 
 
 # The layout before the shells, kept here to compare against: atom i took
