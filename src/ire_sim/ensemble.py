@@ -20,7 +20,9 @@ in its top SHELL_BITS bits and word 2 the band in its top BAND_BITS bits,
 so u0 = (k + u) / SHELLS and u2 = (b + u') / BANDS with u, u' in (0, 1)
 from the words' remaining bits: every atom of cell (k, b) has u0 in
 (k/SHELLS, (k+1)/SHELLS) and u2 in (b/BANDS, (b+1)/BANDS). A stream orders
-its atoms by (shell, band, index), so each shell's atoms are band-major.
+its atoms by (shell, band, index), so each shell's atoms are band-major, and
+_segments maps a range of the stream, or of one shell, to the part of each
+cell it covers.
 
 The cell alone bounds an atom's transverse radius and |z|: pair 0 gives
 x^2 + y^2 = r0^2 (-2 ln u0), so every atom of shell k has x^2 + y^2 above
@@ -192,15 +194,25 @@ def _raw_words(seed: int, shell: int, band: int, index_lo: int, index_hi: int) -
     return raw
 
 
+def _segments(sizes, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """(run, a, b) for each run of consecutive sizes that [lo, hi) overlaps.
+
+    The runs lie end to end from 0, and [a, b) is the overlap counted from
+    the run's start; a run of size 0, or one the range misses, is left out.
+    """
+    parts, start = [], 0
+    for run, size in enumerate(sizes):
+        a, b = max(lo, start), min(hi, start + size)
+        if a < b:
+            parts.append((run, a - start, b - start))
+        start += size
+    return parts
+
+
 def _stream_words(seed: int, count: int, index_lo: int, index_hi: int) -> np.ndarray:
     """Counter words for atoms [index_lo, index_hi) of the count-atom stream, in cell order."""
-    ends = np.cumsum(cell_counts(seed, count)).tolist()
-    parts, start = [], 0
-    for cell, end in enumerate(ends):
-        lo, hi = max(index_lo, start), min(index_hi, end)
-        if lo < hi:
-            parts.append(_raw_words(seed, *divmod(cell, BANDS), lo - start, hi - start))
-        start = end
+    parts = [_raw_words(seed, *divmod(cell, BANDS), a, b) for cell, a, b
+             in _segments(cell_counts(seed, count).ravel().tolist(), index_lo, index_hi)]
     return np.concatenate(parts) if parts else np.empty((0, 6), dtype=np.uint64)
 
 

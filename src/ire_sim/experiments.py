@@ -7,7 +7,8 @@ A sweep takes a base scenario and varies exactly one axis:
     storage_time   storage before retrieval, value in microseconds
     skew_angle     write/read axis tilt, value in degrees
 
-Each value runs `replicates` times with seeds base, base+1, ...; a row
+Each value runs `replicates` times with seeds base, base+1, ..., each an
+unsigned 64-bit integer (SweepSpec refuses a range past 2^64 - 1); a row
 reports the replicate mean and the standard error of that mean (sample
 standard deviation over sqrt(replicates), zero for a single replicate). A
 value that fails with a ValueError or ArithmeticError produces an error
@@ -83,6 +84,10 @@ class SweepSpec:
         object.__setattr__(self, "values", values)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.base.seed + self.replicates > 2**64:
+            raise ValueError(
+                f"{self.replicates} replicates from seed {self.base.seed} take seeds past 2^64 - 1"
+            )
         if self.base.mc_atoms is not None and not METHODS[self.method].reads_mc_atoms:
             raise ValueError(
                 f"{self.method} sweeps have no subsample estimator; clear mc_atoms on the base"

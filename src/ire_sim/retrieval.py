@@ -62,7 +62,6 @@ which bounds what the skip can move (see EtaEstimate).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -82,6 +81,7 @@ from .ensemble import (
     _positions_from_raw,
     _radii,
     _raw_words,
+    _segments,
     _velocities_from_raw,
     cell_counts,
     drift,
@@ -528,102 +528,76 @@ def _paraxial_sums(a, sample, scenario) -> tuple[float, float, float]:
 def _eta_worker(task):
     """The block partials of one chunk of one shell (top level for process pools).
 
-    The task holds the scenarios of one stream that stream a cell of this
-    chunk (_eta_stream decides), each one's _cell_table verdicts for the
-    shell's bands, the shell's cell counts and the chunk [lo, hi) of its
-    band-major sequence. The scenarios are grouped here by what their kept
-    atoms depend on: the species, the beams, the tilt and the velocity
-    spread, which with the stream's cloud width set the verdicts. A block
-    draws one segment of counter words for each band it overlaps that some
-    group streams, and takes the Box-Muller radii of words 0 and 2
-    (_radii) once for all groups. Each group screens the atoms of its
-    SCREEN bands from those radii (_screen_atoms) and lets those of its
-    WHOLE bands through; only the atoms some group lets through get
-    positions, and each group runs the exact skip mask (_prune) on its own
-    survivors. The velocities of the atoms some group
-    keeps are mapped once per velocity spread, and each group that keeps
-    an atom takes its kept atoms' rows and builds their stored amplitudes
-    A_j; each scenario of the group then calls project(A_j, kept atoms,
-    scenario), which returns a tuple of that method's sums. A scenario's
-    block partial is the projection's sums followed by S2 = sum |A_j|^2, D
-    and n_kept over its kept atoms, (D, 0) alone for a block that keeps no
-    atom, or None for a block that holds none of its streamed atoms. D is
+    The task holds groups of scenarios, as _eta_stream plans them, each with
+    its _cell_table verdicts for the shell's bands; the shell, its cell
+    counts and the chunk [lo, hi) of its band-major sequence; and project.
+    A block draws the counter words of the bands some group streams and
+    takes their Box-Muller radii (_radii) once. Each group screens the
+    atoms of its SCREEN bands from those radii (_screen_atoms) and lets
+    those of its WHOLE bands through; the atoms some group lets through get
+    positions, and each group runs the exact skip mask (_prune) on its own.
+    The velocities of the atoms some group keeps are mapped once per
+    velocity spread, and a group that keeps an atom builds its kept atoms'
+    stored amplitudes A_j; project(A_j, kept atoms, scenario) then returns
+    each scenario's sums. A scenario's block partial is those sums followed
+    by S2 = sum |A_j|^2, D and n_kept over its group's kept atoms, or (D, 0)
+    when the group keeps none of the atoms it streams in the block; D is
     exp(bound) summed over the screened atoms plus _prune's sum |A_j| over
-    the survivors it drops. Each is computed from the group's own atoms
+    the survivors it drops. Each partial comes from its group's own atoms
     alone, so no bit depends on which other groups share the block.
     Nothing outlives its block but its partials, and none is added here:
-    returns them in block order, one list per block that draws a segment,
-    with one partial per scenario.
+    returns, in block order, one dict per block that draws words, from
+    scenario index to partial.
     """
-    scenarios, rows, shell, bands, lo, hi, project = task
-    seed, r0 = scenarios[0].seed, scenarios[0].cloud.sigma_r0
-    # what a scenario's kept atoms depend on -> the indices of the scenarios sharing it
-    groups = {}
-    for i, s in enumerate(scenarios):
-        key = (s.species, s.w_write, s.w_collect, s.skew_theta, thermal_velocity_sigma(s.cloud))
-        groups.setdefault(key, []).append(i)
-    verdicts = [rows[idx[0]] for idx in groups.values()]  # one verdict per band, per group
-    drawn = np.flatnonzero(np.any([v != SKIP for v in verdicts], axis=0)).tolist()
-    starts = np.cumsum((0, *bands)).tolist()
+    groups, shell, bands, lo, hi, project = task
+    first = groups[0][2][0]
+    seed, r0 = first.seed, first.cloud.sigma_r0
+    drawn = np.any([row != SKIP for row, *_ in groups], axis=0)
     blocks = []
     for b in range(lo, hi, BLOCK_ATOMS):
-        end = min(b + BLOCK_ATOMS, hi)
-        segments = [(band, max(b, starts[band]) - starts[band],
-                     min(end, starts[band + 1]) - starts[band]) for band in drawn]
-        segments = [seg for seg in segments if seg[1] < seg[2]]
+        segments = [seg for seg in _segments(bands, b, min(b + BLOCK_ATOMS, hi)) if drawn[seg[0]]]
         if not segments:
             continue
         words = [_raw_words(seed, shell, *seg) for seg in segments]
         raw = words[0] if len(words) == 1 else np.concatenate(words)
         band = np.repeat([seg[0] for seg in segments], [len(w) for w in words])
         rad = _radii(raw)
-        screens = []  # (survive, D) per group, None for a group that streams no atom here
-        for v, idx in zip(verdicts, groups.values()):
-            survive, screen = v[band] != SKIP, v[band] == SCREEN
-            if not survive.any():
-                screens.append(None)
-                continue
-            d = 0.0
-            if screen.any():
-                survive[screen], d = _screen_atoms(rad.compress(screen, axis=1), r0,
-                                                   scenarios[idx[0]])
-            screens.append((survive, d))
-        placed = np.logical_or.reduce([sc[0] for sc in screens if sc is not None])
+        screened = []  # (indices, scenarios, survive, D) of each group with atoms here
+        for row, idx, scns in groups:
+            survive, screen = row[band] != SKIP, row[band] == SCREEN
+            if survive.any():
+                d = 0.0
+                if screen.any():
+                    survive[screen], d = _screen_atoms(rad.compress(screen, axis=1), r0, scns[0])
+                screened.append((idx, scns, survive, d))
+        placed = np.logical_or.reduce([survive for _, _, survive, _ in screened])
         if not placed.all():  # else the block's words are placed as they are, uncopied
             raw, rad = raw.compress(placed, axis=0), rad.compress(placed, axis=1)
         r = _positions_from_raw(raw, rad, r0)
         # compress, not a boolean index: the same rows, several times faster
-        kept = []  # (keep, D) per group, keep over the placed atoms
-        for idx, sc in zip(groups.values(), screens):
-            if sc is None:
-                kept.append(None)
-                continue
-            keep = sc[0].compress(placed)  # the group's survivors among the placed atoms
-            mask, d_exact = _prune(r.compress(keep, axis=0), scenarios[idx[0]])
+        kept = []  # (indices, scenarios, keep, D), keep over the placed atoms
+        for idx, scns, survive, d in screened:
+            keep = survive.compress(placed)  # the group's survivors among the placed atoms
+            mask, d_exact = _prune(r.compress(keep, axis=0), scns[0])
             keep[np.flatnonzero(keep)] = mask
-            kept.append((keep, sc[1] + d_exact))
-        some = np.logical_or.reduce([k[0] for k in kept if k is not None])
+            kept.append((idx, scns, keep, d + d_exact))
+        some = np.logical_or.reduce([keep for _, _, keep, _ in kept])
         vel = {}  # velocity spread -> the velocities of the atoms some group keeps
-        partials = [None] * len(scenarios)
-        for (*_, sigma_v), idx, k in zip(groups, groups.values(), kept):
-            if k is None:
-                continue
-            keep, d = k
-            first = scenarios[idx[0]]
+        partials = {}
+        for idx, scns, keep, d in kept:
             n = int(np.count_nonzero(keep))
             if n == 0:
-                part = [(d, 0)] * len(idx)
-            else:
-                if sigma_v not in vel:
-                    vel[sigma_v] = _velocities_from_raw(
-                        raw.compress(some, axis=0), rad.compress(some, axis=1), first.cloud)
-                sample = AtomSample(r.compress(keep, axis=0),
-                                    vel[sigma_v].compress(keep.compress(some), axis=0))
-                a = spinwave_amplitude(sample, first)
-                s2 = float(np.sum(a.real**2 + a.imag**2))
-                part = [(*project(a, sample, scenarios[i]), s2, d, n) for i in idx]
-            for i, p in zip(idx, part):
-                partials[i] = p
+                partials.update((i, (d, 0)) for i in idx)
+                continue
+            sigma_v = thermal_velocity_sigma(scns[0].cloud)
+            if sigma_v not in vel:
+                vel[sigma_v] = _velocities_from_raw(
+                    raw.compress(some, axis=0), rad.compress(some, axis=1), scns[0].cloud)
+            sample = AtomSample(r.compress(keep, axis=0),
+                                vel[sigma_v].compress(keep.compress(some), axis=0))
+            a = spinwave_amplitude(sample, scns[0])
+            s2 = float(np.sum(a.real**2 + a.imag**2))
+            partials.update((i, (*project(a, sample, s), s2, d, n)) for i, s in zip(idx, scns))
         blocks.append(partials)
     return blocks
 
@@ -715,51 +689,47 @@ def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
     """Each scenario's block partials, summed in ascending (shell, block) order.
 
     Scenarios with the same seed, cloud width sigma_r0 and streamed count
-    (mc_atoms, else n_atoms) share one stream. Each shell's atoms, band-major,
-    are walked in blocks of BLOCK_ATOMS, and a block draws only the bands
-    some scenario of its chunk streams (its _cell_table does not skip the
-    cell); each scenario is evaluated with project (_paraxial_sums, or the
-    angular field; see _eta_worker). A pool task is a chunk of at most
-    CHUNK_ATOMS atoms of one shell, a whole number of blocks, made only
-    when it holds a streamed cell's atom, and every chunk of every stream
-    goes through one pool.map on one process pool (none for one thread or
-    one chunk). As each chunk's block partials arrive, in ascending
-    (shell, block) order, _add adds them to their scenario's total.
-    Returns one total per scenario, in input order (None when it streamed
-    no atom): the total it gets streamed alone, bit-identical for every
-    thread count and chunk size.
+    (mc_atoms, else n_atoms) share one stream. Within a stream, the
+    scenarios are grouped by what their kept atoms depend on: the species,
+    the beams, the tilt and the velocity spread, which with the stream's
+    cloud width set one _cell_table per group. Each shell's atoms,
+    band-major, are walked in blocks of BLOCK_ATOMS (_eta_worker), each
+    scenario evaluated with project (_paraxial_sums, or the angular field).
+    A pool task is a chunk of at most CHUNK_ATOMS atoms of one shell, a
+    whole number of blocks, and carries the groups that stream a cell with
+    atoms in it; a chunk no group streams makes no task. Every chunk of
+    every stream goes through one pool.map on one process pool (none for
+    one thread or one task). As each chunk's block partials arrive, in
+    ascending (shell, block) order, _add adds them to their scenario's
+    total. Returns one total per scenario, in input order (None when it
+    streamed no atom): the total it gets streamed alone, bit-identical for
+    every thread count and chunk size.
     """
     threads = resolve_threads(threads)
-    streams: dict[tuple, list[int]] = {}  # (seed, sigma_r0, streamed count) -> indices
+    streams: dict[tuple, dict] = {}  # (seed, sigma_r0, streamed count) -> {group key: indices}
     for i, s in enumerate(scenarios):
-        streams.setdefault((s.seed, s.cloud.sigma_r0, _streamed_count(s)), []).append(i)
-    tasks, owners = [], []
-    for (seed, _, count), idx in streams.items():
-        counts = cell_counts(seed, count)
-        verdict = {i: _cell_table(scenarios[i])[0] for i in idx}
-        # the cells with atoms that each scenario streams
-        held = {i: ((verdict[i] != SKIP) & (counts > 0)).tolist() for i in idx}
-        for shell, bands in enumerate(counts.tolist()):
-            if not any(any(held[i][shell]) for i in idx):
-                continue  # a shell no scenario streams makes no chunk
-            starts = list(itertools.accumulate(bands, initial=0))
-            for lo in range(0, starts[-1], CHUNK_ATOMS):
-                hi = min(lo + CHUNK_ATOMS, starts[-1])
-                own = [i for i in idx if any(h and b < hi and e > lo for h, b, e
-                                             in zip(held[i][shell], starts, starts[1:]))]
+        stream = streams.setdefault((s.seed, s.cloud.sigma_r0, _streamed_count(s)), {})
+        key = (s.species, s.w_write, s.w_collect, s.skew_theta, thermal_velocity_sigma(s.cloud))
+        stream.setdefault(key, []).append(i)
+    tasks = []
+    for (seed, _, count), keyed in streams.items():
+        groups = [(_cell_table(scenarios[idx[0]])[0], tuple(idx),
+                   tuple(scenarios[i] for i in idx)) for idx in keyed.values()]
+        for shell, bands in enumerate(cell_counts(seed, count).tolist()):
+            for lo in range(0, sum(bands), CHUNK_ATOMS):
+                hi = min(lo + CHUNK_ATOMS, sum(bands))
+                held = [band for band, *_ in _segments(bands, lo, hi)]
+                own = tuple((row[shell], idx, scns) for row, idx, scns in groups
+                            if (row[shell][held] != SKIP).any())
                 if own:
-                    tasks.append((tuple(scenarios[i] for i in own),
-                                  tuple(verdict[i][shell] for i in own), shell, tuple(bands),
-                                  lo, hi, project))
-                    owners.append(own)
+                    tasks.append((own, shell, tuple(bands), lo, hi, project))
     totals = [None] * len(scenarios)
 
     def add_up(results):
-        for own, blocks in zip(owners, results):  # (shell, block) order per stream
+        for blocks in results:  # (shell, block) order per stream
             for partials in blocks:
-                for i, part in zip(own, partials):
-                    if part is not None:
-                        totals[i] = _add(totals[i], part)
+                for i, part in partials.items():
+                    totals[i] = _add(totals[i], part)
         return totals
 
     if threads == 1 or len(tasks) <= 1:

@@ -227,6 +227,7 @@ def test_sweep_rejects_garbled_values(small_ini, tmp_path, capsys):
     ["--values", "0.5,nan,0.3"],  # NaN hid the order
     ["--values", "0,inf"],  # not finite, as no INI number may be
     ["--values", "0,,50"],  # an empty item is not a number
+    ["--values", "1,2", "--seed", "18446744073709551615", "--replicates", "2"],  # seed 2^64
 ])
 def test_sweep_usage_errors_exit_2(small_ini, tmp_path, capsys, flags):
     out_dir = tmp_path / "o"

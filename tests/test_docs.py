@@ -35,21 +35,35 @@ def test_demo_imports(path):
     assert callable(namespace["main"])
 
 
-def test_declared_dependencies_are_the_third_party_imports():
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
-                for dep in project["dependencies"]}
+def _third_party_imports(paths):
+    """The top-level third-party modules the files at paths import."""
     imported = set()
-    for path in (ROOT / "src" / "ire_sim").glob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    third_party = {name for name in imported
-                   if name not in sys.stdlib_module_names and name != "ire_sim"}
-    assert third_party == declared
+    return {name for name in imported
+            if name not in sys.stdlib_module_names and name not in ("ire_sim", "conftest")}
+
+
+def _names(deps):
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in deps}
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = _names(project["dependencies"])
+    assert _third_party_imports((ROOT / "src" / "ire_sim").glob("*.py")) == declared
+
+
+def test_the_test_extra_declares_what_the_tests_import_beyond_the_package():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = _names(project["dependencies"]) | _names(project["optional-dependencies"]["test"])
+    assert _third_party_imports((ROOT / "tests").glob("*.py")) == declared
 
 
 def test_every_exported_name_resolves():

@@ -37,6 +37,9 @@ def test_spec_validation():
         SweepSpec(base, "storage_time", (0.5, math.nan, 0.3))
     with pytest.raises(ValueError):
         SweepSpec(base, "storage_time", (1.0, 2.0), replicates=0)
+    with pytest.raises(ValueError, match="2 replicates"):
+        # the replicate seeds base, base + 1 must each fit in 64 bits
+        SweepSpec(small_base(seed=2**64 - 1), "storage_time", (1.0, 2.0), replicates=2)
     with pytest.raises(ValueError):
         SweepSpec(
             canonical_scenario(n_atoms_override=100, mc_atoms=50),

@@ -242,9 +242,9 @@ def test_kernel_matches_vectorized_reference():
     sxx_ref = float(np.sum(np.abs(x) ** 2))
 
     verdict = _cell_table(scn)[0]
-    parts = [part for shell, bands in enumerate(cell_counts(scn.seed, scn.n_atoms).tolist())
-             for (part,) in _eta_worker(((scn,), (verdict[shell],), shell, tuple(bands), 0,
-                                         sum(bands), _paraxial_sums))]
+    parts = [partials[0] for shell, bands in enumerate(cell_counts(scn.seed, scn.n_atoms).tolist())
+             for partials in _eta_worker((((verdict[shell], (0,), (scn,)),), shell, tuple(bands),
+                                          0, sum(bands), _paraxial_sums))]
     s1r, s1i, sxx, s2, dropped, n_kept = functools.reduce(_add, parts)
     assert s1r == pytest.approx(s1_ref.real, rel=1e-10)
     assert s1i == pytest.approx(s1_ref.imag, rel=1e-10)
@@ -268,12 +268,13 @@ def test_a_chunk_that_keeps_no_atom_or_every_atom_holds_one_block_at_a_time(shel
     assert bands[0] > CHUNK_ATOMS and verdict[0] != retrieval.SKIP
     tracemalloc.start()
     try:
-        blocks = _eta_worker(((scn,), (verdict,), shell, bands, 0, CHUNK_ATOMS, _paraxial_sums))
+        blocks = _eta_worker((((verdict, (0,), (scn,)),), shell, bands, 0, CHUNK_ATOMS,
+                              _paraxial_sums))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(blocks) == CHUNK_ATOMS // BLOCK_ATOMS
-    assert sum(part[-1] for (part,) in blocks) == n_kept
+    assert sum(partials[0][-1] for partials in blocks) == n_kept
     assert peak <= 16e6
 
 

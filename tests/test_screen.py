@@ -440,6 +440,52 @@ def test_groups_that_keep_different_atoms_share_each_block_bit_for_bit(small_blo
         assert np.asarray(total).tobytes() == np.asarray(alone).tobytes()
 
 
+def test_a_task_carries_only_the_groups_that_stream_a_cell_of_its_chunk(
+        small_blocks, small_chunks, monkeypatch):
+    # 0 and 10 deg stream different cells, and a chunk spans a few bands of
+    # a shell. A task carries a group only when its chunk holds an atom of a
+    # cell that group streams, every such chunk makes one, and a shell whose
+    # every cell is skipped makes none.
+    chunk = small_chunks(2 * small_blocks(1 << 8))
+    scenarios = [_scenario(theta_deg=th, storage_tm=100e-6, target_od=24.7, mc_atoms=100_000,
+                           seed=5) for th in (0.0, 10.0)]
+    tasks, worker = [], retrieval._eta_worker
+
+    def recording_worker(task):
+        tasks.append(task)
+        return worker(task)
+
+    monkeypatch.setattr(retrieval, "_eta_worker", recording_worker)
+    _eta_stream(scenarios, threads=1)
+    counts = cell_counts(5, 100_000)
+    streamed = [_cell_table(scn)[0] != SKIP for scn in scenarios]
+
+    def held(shell, lo, hi):
+        """Which bands of the shell hold an atom of the chunk [lo, hi)."""
+        ends = np.cumsum(counts[shell])
+        return (counts[shell] > 0) & (ends - counts[shell] < hi) & (ends > lo)
+
+    carried = {}  # (shell, lo) -> the scenarios its task carries
+    for groups, shell, bands, lo, hi, _ in tasks:
+        assert bands == tuple(counts[shell].tolist()) and hi - lo <= chunk
+        for row, idx, _ in groups:
+            assert ((row != SKIP) == streamed[idx[0]][shell]).all()
+            assert ((row != SKIP) & held(shell, lo, hi)).any()
+        carried[shell, lo] = [i for _, idx, _ in groups for i in idx]
+    expected = {}
+    for shell in range(SHELLS):
+        for lo in range(0, int(counts[shell].sum()), chunk):
+            own = [i for i, table in enumerate(streamed)
+                   if (table[shell] & held(shell, lo, lo + chunk)).any()]
+            if own:
+                expected[shell, lo] = own
+    assert carried == expected
+    skipped = {k for k in range(SHELLS) if not any(table[k].any() for table in streamed)}
+    assert skipped and not skipped & {shell for shell, _ in carried}
+    # the two stream different cells: some chunks carry the 10 deg one alone
+    assert [1] in carried.values() and [0, 1] in carried.values()
+
+
 def test_chunk_size_moves_no_bit(small_blocks, small_chunks):
     # Chunks of one block, of four blocks (every streamed shell spans more
     # than one such chunk) and of 2^20 atoms (one per shell), at threads 1
@@ -608,10 +654,11 @@ def test_a_block_that_keeps_no_atom_adds_only_its_d():
         raise AssertionError("projected a block that keeps no atom")
 
     starts = range(0, 3 * BLOCK_ATOMS, BLOCK_ATOMS)
-    blocks = _eta_worker(((scn,), (_cell_table(scn)[0][59],), 59, bands, 0, 3 * BLOCK_ATOMS,
-                          project))
+    blocks = _eta_worker((((_cell_table(scn)[0][59], (0,), (scn,)),), 59, bands, 0,
+                          3 * BLOCK_ATOMS, project))
     assert len(blocks) == len(starts)
-    for b, (part,) in zip(starts, blocks):
+    for b, partials in zip(starts, blocks):
+        part = partials[0]
         (d,) = _block_d(scn, 59, b, b + BLOCK_ATOMS)
         assert len(part) == 2 and part[1] == 0
         assert part[0] == pytest.approx(d, rel=1e-12, abs=0.0)

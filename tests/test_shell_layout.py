@@ -36,6 +36,7 @@ from ire_sim.ensemble import (
     _positions_from_raw,
     _radii,
     _raw_words,
+    _segments,
     _uniform,
     _velocities_from_raw,
     cell_counts,
@@ -61,6 +62,34 @@ def test_every_atom_of_a_shell_has_u0_in_its_slice(shell):
         assert k / n < ends[0] < ends[1] < (k + 1) / n
     # and no uniform is below 2^-53: NORMAL_MAX bounds every coordinate
     assert math.sqrt(-2.0 * math.log(_uniform(np.array([np.uint64(0)]))[0])) <= NORMAL_MAX
+
+
+def _segments_by_index(sizes, lo, hi):
+    """(run, a, b) of each run that [lo, hi) covers, found index by index."""
+    parts = []
+    for run, i in [(run, i) for run, size in enumerate(sizes) for i in range(size)][lo:hi]:
+        if parts and parts[-1][0] == run:
+            parts[-1][2] = i + 1
+        else:
+            parts.append([run, i, i + 1])
+    return [tuple(part) for part in parts]
+
+
+def test_segments_match_an_index_by_index_walk():
+    rng = np.random.default_rng(35)
+    empty_runs = 0
+    for _ in range(40):
+        sizes = rng.integers(0, 5, size=int(rng.integers(1, 12))).tolist()
+        empty_runs += sizes.count(0)
+        total = sum(sizes)
+        edges = np.cumsum([0, *sizes]).tolist()
+        ranges = [(0, total), (0, 0), (total, total)]  # the whole range and empty ones
+        ranges += [(lo, hi) for lo in edges for hi in edges if lo <= hi]  # on run edges
+        ranges += [(lo, int(rng.integers(lo, total + 1))) for lo in edges]  # one edge
+        ranges += [tuple(sorted(rng.integers(0, total + 1, size=2).tolist())) for _ in range(8)]
+        for lo, hi in ranges:
+            assert _segments(sizes, lo, hi) == _segments_by_index(sizes, lo, hi), (sizes, lo, hi)
+    assert empty_runs > 0
 
 
 def test_two_atoms_share_three_counters():
