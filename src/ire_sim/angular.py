@@ -53,7 +53,8 @@ import numpy as np
 
 from .beams import _cos_sin, cis
 from .ensemble import drift
-from .retrieval import EtaEstimate, Scenario, _eta_stream, _in_region, _stream_tail, wavenumbers
+from .retrieval import (PRUNE_FLOOR, EtaEstimate, Scenario, _eta_stream, _in_region, _prune_bound,
+                        _stream_tail, wavenumbers)
 
 # Atoms per batch of the angular kernel (_field_sums). A batch's cos and
 # sin are two (BATCH_ATOMS, n_levels, columns) arrays, reused from batch to
@@ -188,9 +189,12 @@ class AngularField:
     n_kept atoms cleared PRUNE_FLOOR and were summed; dropped_amplitude D
     bounds sum |A_j| over the rest, as EtaEstimate's does: their exact sum
     over the skipped atoms that got positions, plus the bound that
-    screened each of the others (at most PRUNE_FLOOR each). Skipping them
-    moves the field by at most D / sqrt(4 pi) at every node and source_s2
-    by at most PRUNE_FLOOR D. D = 0 means nothing was dropped.
+    screened each of the others (at most PRUNE_FLOOR each), plus each
+    skipped cell's count times its bound. Skipping them moves the field by
+    at most D / sqrt(4 pi) at every node and source_s2 by at most
+    PRUNE_FLOOR D; the estimate of the field (eta_reference, eta_angular)
+    turns those into its prune_bound on eta. D = 0 means nothing was
+    dropped.
     """
 
     values: np.ndarray
@@ -389,20 +393,31 @@ def eta_angular(
 
 
 def _field_estimate(field: AngularField, grid: AngularGrid) -> EtaEstimate:
-    """The estimate of a raw field: |sum_nodes w g F|^2 over sum |A_j|^2."""
-    numerator = float(abs(np.sum(grid.node_weight * fiber_mode(grid) * field.values)) ** 2)
+    """The estimate of a raw field: |sum_nodes w g F|^2 over sum |A_j|^2.
+
+    Its prune_bound takes the overlap's move from the field's, at most
+    D / sqrt(4 pi) at every node, so at most sum_nodes w |g| D / sqrt(4 pi).
+    """
+    weighted = grid.node_weight * fiber_mode(grid)
+    overlap = abs(np.sum(weighted * field.values))
+    numerator = float(overlap ** 2)
     denominator = field.source_s2
     if denominator <= 0.0:
         raise ArithmeticError("degenerate source: sum |A_j|^2 = 0")
+    eta = numerator / denominator
+    d = field.dropped_amplitude
     return EtaEstimate(
-        eta=numerator / denominator,
+        eta=eta,
         numerator=numerator,
         denominator=denominator,
         n_atoms=field.n_atoms,
         method="angular",
         seed=field.seed,
         n_kept=field.n_kept,
-        dropped_amplitude=field.dropped_amplitude,
+        dropped_amplitude=d,
+        prune_bound=_prune_bound(eta, float(overlap),
+                                 float(np.sum(np.abs(weighted))) * d / math.sqrt(4.0 * math.pi),
+                                 denominator, PRUNE_FLOOR * d),
     )
 
 

@@ -30,9 +30,9 @@ from numpy.lib.introspect import opt_func_info
 
 from ._version import __version__
 from .angular import (
+    _field_estimate,
     angular_field,
     build_grid,
-    eta_reference,
     export_heatmap,
     sphere_norm,
 )
@@ -182,7 +182,8 @@ def _stream_record(threads: int, streamed_in_region) -> dict:
     numpy does not promise the same Generator.multinomial draws across its
     versions (NEP 19), and those draws set how many atoms each of the
     shells x bands cells holds; streamed_in_region counts the atoms of the
-    cells the run streamed.
+    run's strata (retrieval._in_region): every cell the run streamed, and
+    the cells whose bound clears 1e-18 that it skips at PRUNE_FLOOR.
     numpy also picks each ufunc's SIMD target at import, from the CPU and
     NPY_DISABLE_CPU_FEATURES, and the last bits of per-atom values follow
     it: kernel_backend names the target of each of KERNEL_UFUNCS. The
@@ -327,7 +328,8 @@ def _cmd_sweep(args) -> int:
     own = {"axis": args.sweep, "values": ",".join(_g9(v) for v in values),
            "replicates": args.replicates}
     _write_run_record(args, doc, "sweep_meta.txt", own, resolution_report(scenario),
-                      ",".join(str(row.n_streamed) for row in rows), {})
+                      ",".join(str(row.n_streamed) for row in rows),
+                      {"prune_bound": ",".join(str(row.prune_bound) for row in rows)})
     print(f"wrote {csv_path}")
     if all(row.error is not None for row in rows):
         return 1
@@ -339,10 +341,11 @@ def _cmd_angular(args) -> int:
     doc = replace(doc, method="angular")  # whatever the INI's method says
     grid = _setup(doc, scenario)
     field = angular_field(scenario, grid, threads=args.threads)
-    eta_ref = eta_reference(field, grid)
-    print(f"eta_reference = {eta_ref:.9g}")
+    est = _field_estimate(field, grid)
+    print(f"eta_reference = {est.eta:.9g}")
     paths = export_heatmap(field, grid, args.out, raster_n=doc.raster_n)
     result = {"n_kept": field.n_kept, "dropped_amplitude": field.dropped_amplitude,
+              "prune_bound": est.prune_bound,
               "sphere_norm": sphere_norm(field, grid), "grid_n_levels": grid.n_levels,
               "grid_cap_theta_min_rad": grid.cap_theta_min, "grid_k_times_w": grid.k_times_w}
     paths.append(_write_run_record(args, doc, "heatmap_meta.txt", {}, resolution_report(scenario),

@@ -102,8 +102,10 @@ class SweepRow:
     recomputed from the row's cloud, so an optical_depth sweep shows its
     round trip). On failure, error holds the message, etas is empty, and the
     aggregates are NaN. n_streamed is the number of atoms the row's
-    estimates rest on: those streamed in the value's own cells, summed
-    over the replicates (0 for a failed row).
+    estimates rest on: those of the value's strata (retrieval._in_region),
+    summed over the replicates (0 for a failed row). prune_bound is the
+    largest EtaEstimate.prune_bound over the replicates (NaN for a failed
+    row).
     """
 
     od: float
@@ -119,6 +121,7 @@ class SweepRow:
     seed_base: int
     error: str | None = None
     n_streamed: int = 0
+    prune_bound: float = math.nan
 
 
 def aggregate(etas) -> tuple[float, float]:
@@ -183,7 +186,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
     error of one value's estimate fails that value alone.
     """
     seeds = range(spec.base.seed, spec.base.seed + spec.replicates)
-    points, etas, failed = {}, {}, {}  # keyed by the value's index
+    points, failed = {}, {}  # keyed by the value's index
     method = METHODS[spec.method]
     grids = {}  # a gridded method's grid per idler mode
     make_grid = make_grid or _default_grid
@@ -206,12 +209,12 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
     else:
         for (i, scenario), total in zip(scenarios, totals):
             runs[i].append((scenario, total))
-    regions = {}  # each seed's (m, N_in, D0), per value
+    regions, estimates = {}, {}  # each seed's (m, N_in, D0) and estimate, per value
     for i, per_seed in runs.items():
         try:
             regions[i] = [_in_region(scenario) for scenario, _ in per_seed]
-            etas[i] = tuple(estimate(scenario, total, region).eta
-                            for (scenario, total), region in zip(per_seed, regions[i]))
+            estimates[i] = [estimate(scenario, total, region)
+                            for (scenario, total), region in zip(per_seed, regions[i])]
         except (ValueError, ArithmeticError) as exc:
             failed[i] = exc
 
@@ -225,10 +228,11 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
                                  math.nan, math.nan, (), spec.base.seed, error))
         else:
             scenario, desc = points[i]
-            n_streamed = sum(m for m, _, _ in regions[i])
+            etas = tuple(est.eta for est in estimates[i])
             rows.append(SweepRow(*desc.values(), scenario.n_atoms, spec.method, spec.replicates,
-                                 *aggregate(etas[i]), etas[i], spec.base.seed,
-                                 n_streamed=n_streamed))
+                                 *aggregate(etas), etas, spec.base.seed,
+                                 n_streamed=sum(m for m, _, _ in regions[i]),
+                                 prune_bound=max(est.prune_bound for est in estimates[i])))
     return rows
 
 

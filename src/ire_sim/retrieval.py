@@ -26,8 +26,11 @@ farmed out to processes, so the result is bit-identical for any of them.
 A subsampled estimator of the same full-N quantity is available through
 Scenario.mc_atoms for survey work: it streams the first atoms of each
 cell the full stream would stream, and its numerator uses the
-pair-statistics rescaling N_in^2 max(mean_offdiag, 0) + N_in mean_diag,
-with N_in the full ensemble's atom count in those cells. The clamp at 0
+pair-statistics rescaling N_in^2 max(mean_offdiag, 0) + N_in mean_diag
+over the m atoms of its strata, the cells whose bound clears
+_STRATA_FLOOR, with N_in the full ensemble's atom count there; the
+strata's cells that PRUNE_FLOOR skips count their atoms as zeros, so the
+rescaling does not follow the floor. The clamp at 0
 fires when the sampled off-diagonal mean comes out negative (it does at a
 2 deg tilt and 200 us storage, where the coherent sum has decayed into its
 noise), and the estimate is not bounded above by 1 at small subsamples.
@@ -55,8 +58,9 @@ the atoms that bound puts at or below PRUNE_FLOOR get no position
 (_screen_atoms); the positions of the rest decide exactly (_prune), and
 the kept atoms keep those positions and radii: only the rest of their
 velocities is mapped from their words afterwards. The estimate records
-how many atoms were kept and a bound on the summed amplitude of the rest,
-which bounds what the skip can move (see EtaEstimate).
+how many atoms were kept, a bound D on the summed amplitude of the rest,
+and prune_bound, the most that skipping them can move eta by, from D and
+the estimate's own sums (see EtaEstimate).
 """
 
 from __future__ import annotations
@@ -104,12 +108,20 @@ THREADS_ENV_VAR = "IRE_SIM_THREADS"
 
 # An atom whose stored amplitude |A_j| is at most PRUNE_FLOOR (1 is the
 # largest |A| any position can have) is skipped before the per-atom
-# kernels. On the canonical cloud that is about 97 % of the atoms, and what
-# they carry together is below 1e-15 of the total sum |A_j|. A module
-# constant, not a setting: the estimates record the dropped amplitude, so
-# the bound travels with every result.
-PRUNE_FLOOR = 1e-18
+# kernels. Each estimate bounds what the skip can move its eta by
+# (EtaEstimate.prune_bound, from the dropped amplitude D), and the floor is
+# the largest power of ten at which that bound stays at most 1e-7 at every
+# tested point of the canonical cloud, a thousandth of the last digit any
+# acceptance value prints. A module constant, not a setting: the bound
+# travels with every result.
+PRUNE_FLOOR = 1e-9
 _LN_PRUNE_FLOOR = math.log(PRUNE_FLOOR)
+
+# The strata of a subsample (_in_region): the cells whose _cell_table bound
+# clears this level, whatever PRUNE_FLOOR skips, so that a subsample's
+# rescaling to the full ensemble does not follow the floor. At most
+# PRUNE_FLOOR, so the strata hold every streamed cell.
+_STRATA_FLOOR = 1e-18
 
 # Relative margin on the screens' level. Rounding moves the sampled rho^2
 # and the computed ln|A_j| by about 1e-15 relative; the screens drop an
@@ -306,14 +318,27 @@ class EtaEstimate:
     exp(bound) for each atom screened from its words 0 and 2
     (_screen_atoms), plus, for each atom of a cell that was not streamed,
     exp of that cell's bound at its inner radius and largest |z|
-    (_cell_table). Each of those bounds is at most PRUNE_FLOOR. Skipping them moves the streamed
-    sums by at most
+    (_cell_table). Each of those bounds is at most PRUNE_FLOOR. Skipping
+    them moves the streamed sums by at most
 
-        |dS1| <= c_P D          (c_P = sqrt(2)/(k_i W_i) >= |P_j|)
-        |dS2| <= PRUNE_FLOOR D  (each dropped |A_j| <= PRUNE_FLOOR)
+        |dS1| <= c_P D                (c_P = sqrt(2)/(k_i W_i) >= |P_j|)
+        0 <= dSXX <= c_P^2 PRUNE_FLOOR D
+        0 <= dS2 <= PRUNE_FLOOR D     (each dropped |A_j| <= PRUNE_FLOOR)
 
     and, for the angular estimate, the emitted field by at most
     D / sqrt(4 pi) at every node. D = 0 means nothing was dropped.
+
+    prune_bound bounds |eta - eta_0|, where eta_0 is the same estimate with
+    the dropped atoms put back into its sums (a subsample keeps its m and
+    N_in): the largest distance from eta of the estimate's formula over
+    every set of sums those bounds allow (_prune_bound). It holds for any
+    subset of the dropped atoms put back, so also for the estimate at any
+    lower floor, whose strata are the same (_in_region). A subsample's
+    sums enter rescaled, as its numerator and denominator use them, and an
+    angular estimate's overlap moves by at most
+    sum_nodes w |g| D / sqrt(4 pi). It is taken in floating point, as a
+    difference from eta, so it reads 0.0 where it falls below eta's
+    rounding.
 
     clamped is True when a subsampled estimate's off-diagonal pair mean came
     out negative and was set to 0, so that numerator is the diagonal term
@@ -333,6 +358,7 @@ class EtaEstimate:
     seed: int
     n_kept: int
     dropped_amplitude: float = 0.0
+    prune_bound: float = 0.0
     clamped: bool = False
     lobe_fraction: float = 0.0
 
@@ -477,20 +503,27 @@ def _cell_table(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _in_region(scenario: Scenario) -> tuple[int, int, float]:
-    """(m, N_in, D0) of the cells the scenario streams, those its _cell_table does not skip.
+    """(m, N_in, D0) of the scenario's strata and of the cells its stream skips.
 
-    m counts the atoms the scenario streams there (of mc_atoms when
-    subsampling), N_in the full ensemble's atoms there, and D0 bounds
-    sum |A_j| over the streamed count's atoms in the skipped cells: each
-    cell's count times exp of its bound.
+    The strata are the cells whose _cell_table bound clears _STRATA_FLOOR
+    at the table's screen margin: every cell the stream does not skip, and
+    more. m counts the atoms of the strata in the streamed count (mc_atoms when
+    subsampling), and N_in the full ensemble's atoms there; neither
+    follows PRUNE_FLOOR, so a subsample's rescaling keeps its bits when
+    the floor moves. The stream skips the strata's cells whose bound is at
+    or below PRUNE_FLOOR: their atoms count in m and add nothing to the
+    sums. D0 bounds sum |A_j| over the streamed count's
+    atoms in every cell the stream skips: each cell's count times exp of
+    its bound.
     """
     verdict, bound = _cell_table(scenario)
     skip = verdict == SKIP
+    strata = bound > math.log(_STRATA_FLOOR) * _SCREEN_MARGIN
     streamed = _streamed_count(scenario)
     counts = cell_counts(scenario.seed, streamed)
-    m = int(counts[~skip].sum())
+    m = int(counts[strata].sum())
     n_in = m if streamed == scenario.n_atoms else int(
-        cell_counts(scenario.seed, scenario.n_atoms)[~skip].sum())
+        cell_counts(scenario.seed, scenario.n_atoms)[strata].sum())
     return m, n_in, float(np.sum(counts[skip] * np.exp(bound[skip])))
 
 
@@ -498,7 +531,10 @@ def draw_sample(scenario: Scenario, n: int | None = None) -> AtomSample:
     """The atoms of the scenario's n-atom stream (default n_atoms), drift applied.
 
     Every cell, in cell order: the atoms eta_paraxial streams with
-    mc_atoms = n are the ones of the cells its _cell_table does not skip.
+    mc_atoms = n are the ones of the cells its _cell_table does not skip,
+    and those its estimate counts in m are the ones of its strata
+    (_in_region), which hold every streamed cell and may hold cells the
+    stream skips.
     """
     count = scenario.n_atoms if n is None else int(n)
     if count < 1 or count > scenario.n_atoms:
@@ -626,38 +662,65 @@ def _stream_tail(total, d0: float) -> tuple[float, float, int]:
     return s2, dropped, n_kept
 
 
+def _prune_bound(eta, s, ds, den, dden, x=0.0, dx=0.0, alpha=1.0, beta=0.0) -> float:
+    """Largest |eta - num(s', x') / den'| over the sums the dropped atoms allow.
+
+    s' lies in [s - ds, s + ds], x' in [x, x + dx] and den' in
+    [den, den + dden]. num(s, x) = alpha max(s^2 - x, 0) + beta x is an
+    estimate's numerator from |S1| = s >= 0 and SXX = x (alpha = 1,
+    beta = 0, x = dx = 0: |S1|^2), and den its denominator. num rises with
+    s and is convex in x, so its largest value lies at s + ds and an end of
+    x's range, and its smallest at max(s - ds, 0) and an end of that range
+    or the kink x = s^2.
+    """
+    def num(s, x):
+        return alpha * max(s * s - x, 0.0) + beta * x
+
+    low = max(s - ds, 0.0)
+    top = max(num(s + ds, x), num(s + ds, x + dx)) / den
+    kink = min(max(low * low, x), x + dx)
+    bottom = min(num(low, x), num(low, kink), num(low, x + dx)) / (den + dden)
+    return max(top - eta, eta - bottom, 0.0)
+
+
 def _estimate(scenario: Scenario, total, region) -> EtaEstimate:
     """The estimate of one scenario's stream total.
 
     total is (Re S1, Im S1, SXX, S2, dropped, n_kept), summed over the
     blocks of the scenario's cells as _eta_stream returns it (None when it
     streamed no atom), and region = (m, N_in, D0) is _in_region(scenario).
-    A subsample's sums are rescaled from the m atoms it streams to the N_in
-    atoms of the full ensemble in the same cells.
+    A subsample's sums are rescaled from the m atoms of its strata to the
+    N_in atoms of the full ensemble in the same cells.
     """
     n_total = scenario.n_atoms
     m, n_in, d0 = region
     s2, dropped, n_kept = _stream_tail(total, d0)
     s1r, s1i, sxx = total[:3]
+    c_p = math.sqrt(2.0) / (wavenumbers(scenario.species).k_i * scenario.w_collect)
     clamped = False
     if _streamed_count(scenario) == n_total:
         numerator = s1r * s1r + s1i * s1i
-        s2_full = s2
+        scale, pairs = 1.0, {}
     else:
         if m < 2:
             raise ArithmeticError(
-                f"the subsample holds {m} atom(s) in its streamed cells; "
+                f"the subsample holds {m} atom(s) in its strata; "
                 "pair statistics need 2"
             )
         mean_diag = sxx / m
         mean_offdiag = ((s1r * s1r + s1i * s1i) - sxx) / (m * (m - 1))
         clamped = mean_offdiag < 0.0
         numerator = n_in * n_in * max(mean_offdiag, 0.0) + n_in * mean_diag
-        s2_full = s2 * (n_in / m)
+        scale = n_in / m
+        pairs = {"x": sxx, "dx": c_p * c_p * PRUNE_FLOOR * dropped,
+                 "alpha": n_in * n_in / (m * (m - 1)), "beta": scale}
     lobe = coherent_lobe_power(scenario) * (n_total - 1) / n_total
-    denominator = s2_full + lobe
+    denominator = s2 * scale + lobe
+    eta = numerator / denominator
+    bound = _prune_bound(eta, math.hypot(s1r, s1i), c_p * dropped, denominator,
+                         PRUNE_FLOOR * dropped * scale, **pairs)
     return EtaEstimate(
-        eta=numerator / denominator,
+        eta=eta,
         numerator=numerator,
         denominator=denominator,
         n_atoms=n_total,
@@ -665,6 +728,7 @@ def _estimate(scenario: Scenario, total, region) -> EtaEstimate:
         seed=scenario.seed,
         n_kept=n_kept,
         dropped_amplitude=dropped,
+        prune_bound=bound,
         clamped=clamped,
         lobe_fraction=lobe / denominator,
     )

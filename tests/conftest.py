@@ -54,6 +54,17 @@ def streamed_mask(scenario, count):
     return np.repeat(streamed.ravel(), cell_counts(scenario.seed, count).ravel())
 
 
+def strata_mask(scenario, count):
+    """Which atoms of the count-atom stream, in draw_sample's cell order, lie in the scenario's strata.
+
+    The cells whose cell table bound clears retrieval._STRATA_FLOOR at the
+    table's screen margin (retrieval._in_region).
+    """
+    bound = retrieval._cell_table(scenario)[1]
+    strata = bound > math.log(retrieval._STRATA_FLOOR) * retrieval._SCREEN_MARGIN
+    return np.repeat(strata.ravel(), cell_counts(scenario.seed, count).ravel())
+
+
 def read_meta(path):
     """A *_meta.txt run record as a dict, in file order; a key written twice fails."""
     meta = {}

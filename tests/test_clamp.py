@@ -5,8 +5,8 @@ At a 2 degree tilt and 200 us storage the coherent sum has decayed into its
 noise, so the sign of that mean depends on the seed: on this 2000-atom
 subsample it is negative for seed 5 and positive for seed 1. The sign is
 recomputed here from the public per-atom building blocks, over the m atoms
-of the subsample in the cells it streams, and the estimate rescales to
-the full ensemble's N_in atoms in those cells.
+of the subsample in its strata (retrieval._in_region), and the estimate
+rescales to the full ensemble's N_in atoms in those cells.
 """
 
 import math
@@ -18,7 +18,7 @@ from ire_sim import draw_sample, eta_paraxial, idler_projection, spinwave_amplit
 from ire_sim.cli import main as cli_main
 from ire_sim.retrieval import _in_region
 
-from conftest import CANONICAL_INI, canonical_scenario, read_meta, streamed_mask
+from conftest import CANONICAL_INI, canonical_scenario, read_meta, strata_mask
 
 N_ATOMS = 20_000
 MC_ATOMS = 2000
@@ -30,11 +30,11 @@ def decayed(seed, mc_atoms=MC_ATOMS):
 
 
 def pair_means(scn):
-    """(mean_offdiag, mean_diag, N_in) of x_j = A_j R_j P_j over the streamed subsample."""
+    """(mean_offdiag, mean_diag, N_in) of x_j = A_j R_j P_j over the subsample's strata."""
     m, n_in, _ = _in_region(scn)
-    sample = draw_sample(scn, scn.mc_atoms)  # cell order: the streamed cells' atoms among them
+    sample = draw_sample(scn, scn.mc_atoms)  # cell order: the strata's atoms among them
     x = (spinwave_amplitude(sample, scn) * idler_projection(sample, scn))[
-        streamed_mask(scn, scn.mc_atoms)]
+        strata_mask(scn, scn.mc_atoms)]
     assert len(x) == m
     sxx = float(np.sum(np.abs(x) ** 2))
     return (abs(x.sum()) ** 2 - sxx) / (m * (m - 1)), sxx / m, n_in

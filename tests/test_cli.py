@@ -9,7 +9,8 @@ from numpy.lib.introspect import opt_func_info
 
 import ire_sim.experiments as experiments
 from ire_sim import (ConfigDocument, SweepSpec, __version__, build_grid, build_scenario,
-                     eta_angular, read_config, resolution_report, run_sweep, wavenumbers)
+                     eta_angular, eta_paraxial, read_config, resolution_report, run_sweep,
+                     wavenumbers)
 from ire_sim.cli import ANGULAR_MAX_ATOMS, ETA_CSV_COLUMNS, KERNEL_UFUNCS, _write_run_record, main
 from ire_sim.config import _read_key
 from ire_sim.ensemble import BANDS, SHELLS
@@ -92,9 +93,13 @@ def test_eta_writes_csv_and_meta(small_ini, tmp_path, capsys):
     keys = list(meta)
     assert keys.index("blas") == keys.index("kernel_backend") + 1
     assert meta["shells"] == str(SHELLS)
-    streamed = _in_region(canonical_scenario(n_atoms_override=20000))[0]
+    scn = canonical_scenario(n_atoms_override=20000)
+    streamed = _in_region(scn)[0]  # the atoms of the scenario's strata
     assert meta["streamed_in_region"] == str(streamed)
     assert 0 < int(meta["n_kept"]) <= streamed < 20000
+    # and what the skip can move eta by, beside the amplitude it dropped
+    assert keys.index("prune_bound") == keys.index("dropped_amplitude") + 1
+    assert float(meta["prune_bound"]) == eta_paraxial(scn).prune_bound > 0.0
 
 
 def test_eta_rerun_is_byte_identical(small_ini, tmp_path, capsys):
@@ -161,6 +166,11 @@ def test_sweep_writes_csv(small_ini, tmp_path, capsys):
     meta = (out_dir / "sweep_meta.txt").read_text()
     assert "axis=storage_time" in meta
     assert "values=0,30" in meta
+    # one prune_bound per value: the largest over its replicates
+    bounds = [max(eta_paraxial(canonical_scenario(n_atoms_override=20000, storage_tm=us * 1e-6,
+                                                  seed=seed)).prune_bound for seed in (1, 2))
+              for us in (0.0, 30.0)]
+    assert read_meta(out_dir / "sweep_meta.txt")["prune_bound"] == ",".join(map(str, bounds))
 
 
 def test_sweep_meta_records_threads_and_prune_floor(small_ini, tmp_path, monkeypatch):
@@ -182,6 +192,10 @@ def test_sweep_meta_records_threads_and_prune_floor(small_ini, tmp_path, monkeyp
                 for d in (0.0, 2.0)]
     assert meta["streamed_in_region"] == ",".join(map(str, streamed))
     assert streamed[0] < streamed[1]
+    bounds = [eta_paraxial(canonical_scenario(n_atoms_override=20000,
+                                              skew_theta=np.radians(d))).prune_bound
+              for d in (0.0, 2.0)]
+    assert meta["prune_bound"] == ",".join(map(str, bounds))
 
 
 def test_angular_sweep_uses_the_ini_grid(tmp_path, capsys):

@@ -136,3 +136,11 @@ def test_normals_take_their_trig_from_cos_sin():
              and node.func.attr in ("sin", "cos") and isinstance(node.func.value, ast.Name)
              and node.func.value.id in ("np", "numpy")]
     assert found == []
+
+
+def test_every_prune_floor_the_readme_states_is_the_package_s():
+    # the floor is one module constant; a README that kept an old value
+    # would state a skip, and a bound, the package no longer makes
+    stated = re.findall(r"PRUNE_FLOOR\s*=\s*([0-9][0-9.eE+-]*)", (ROOT / "README.md").read_text())
+    assert stated
+    assert [float(value) for value in stated] == [ire_sim.PRUNE_FLOOR] * len(stated)

@@ -3,7 +3,8 @@
 Both estimators skip atom j when |A_j| <= PRUNE_FLOOR and record n_kept
 and D = sum of the skipped |A_j|. The bounds checked here are the ones
 EtaEstimate and AngularField state: |dS1| <= c_P D,
-|dS2| <= PRUNE_FLOOR D and |dF| <= D / sqrt(4 pi) at every node.
+|dS2| <= PRUNE_FLOOR D and |dF| <= D / sqrt(4 pi) at every node, and the
+bound on eta they give, EtaEstimate.prune_bound.
 """
 
 import math
@@ -16,8 +17,10 @@ from ire_sim import (
     AtomSample,
     angular_field,
     build_grid,
+    coherent_lobe_power,
     draw_sample,
     eta_angular,
+    eta_reference,
     eta_paraxial,
     field_from_atoms,
     idler_projection,
@@ -25,8 +28,10 @@ from ire_sim import (
     spinwave_amplitude,
     wavenumbers,
 )
+from ire_sim import angular, retrieval
 from ire_sim.cli import main as cli_main
-from ire_sim.retrieval import CHUNK_ATOMS, _prune
+from ire_sim.ensemble import cell_counts
+from ire_sim.retrieval import CHUNK_ATOMS, SKIP, _cell_table, _in_region, _prune
 
 from conftest import (
     CANONICAL_INI,
@@ -68,7 +73,6 @@ def test_pruned_stream_within_recorded_bounds(tiny_grid):
     # D bounds the dropped atoms' sum: each atom screened before _prune
     # counts its bound, at most PRUNE_FLOOR
     assert d_expect <= est.dropped_amplitude <= d_expect + (n - est.n_kept) * PRUNE_FLOOR
-    assert est.dropped_amplitude <= 1e-15 * sum_abs_a
     d = est.dropped_amplitude
 
     x = a * p
@@ -82,6 +86,10 @@ def test_pruned_stream_within_recorded_bounds(tiny_grid):
     assert abs(s1 - k1) <= C_P * d + rounding_s1
     assert abs(s2 - k2) <= PRUNE_FLOOR * d + rounding_s2
     assert est.numerator == pytest.approx(abs(k1) ** 2, rel=1e-12)
+    # and eta lies within prune_bound of the estimate over every atom
+    eta0 = abs(s1) ** 2 / (s2 + coherent_lobe_power(scn) * (n - 1) / n)
+    assert 0.0 < est.prune_bound <= 1e-7
+    assert abs(est.eta - eta0) <= est.prune_bound
 
     # The skipped atoms' own sums meet the bounds with no rounding allowance.
     assert abs(complex(np.sum(x[~keep]))) <= C_P * d * (1.0 + 1e-9)
@@ -101,6 +109,9 @@ def test_pruned_stream_within_recorded_bounds(tiny_grid):
         a[~keep], sample.r_drifted[~keep], scn.skew_theta, KN.k_r, KN.k_i, tiny_grid
     )
     assert np.max(np.abs(skipped.values)) <= bound_f * (1.0 + 1e-9)
+    est_a = eta_angular(scn, tiny_grid)
+    assert 0.0 < est_a.prune_bound <= 1e-7
+    assert abs(est_a.eta - eta_reference(full, tiny_grid)) <= est_a.prune_bound
 
 
 def test_single_atom_at_focus_is_kept(tiny_grid):
@@ -183,10 +194,68 @@ def test_run_metadata_records_the_skip(tmp_path, capsys):
     assert cli_main(["eta", "--config", str(ini), "--out", str(tmp_path / "e")]) == 0
     assert cli_main(["angular", "--config", str(ini), "--out", str(tmp_path / "a")]) == 0
     capsys.readouterr()
-    for path in (tmp_path / "e" / "eta_meta.txt", tmp_path / "a" / "heatmap_meta.txt"):
+    scn = canonical_scenario(n_atoms_override=3000)
+    grid = build_grid(KN.k_i, W_COLLECT, n_cap=48, n_base=32, n_phi=24)
+    for path, est in ((tmp_path / "e" / "eta_meta.txt", eta_paraxial(scn)),
+                      (tmp_path / "a" / "heatmap_meta.txt", eta_angular(scn, grid))):
         meta = read_meta(path)
         assert float(meta["prune_floor"]) == PRUNE_FLOOR
-        assert 0 < int(meta["n_kept"]) < 3000
-        assert 0.0 < float(meta["dropped_amplitude"]) < 1e-15
+        n_kept = int(meta["n_kept"])
+        assert 0 < n_kept < 3000
+        assert 0.0 < float(meta["dropped_amplitude"]) <= (3000 - n_kept) * PRUNE_FLOOR
+        # the price of the skip, in eta, beside the amplitude it bounds
+        keys = list(meta)
+        assert keys.index("prune_bound") == keys.index("dropped_amplitude") + 1
+        assert float(meta["prune_bound"]) == est.prune_bound
+        assert 0.0 < est.prune_bound <= 1e-7
     header = (tmp_path / "e" / "eta.csv").read_text().splitlines()[0]
     assert header == "od,wr,theta_deg,tm_us,n_atoms,method,seed,eta,numerator,denominator"
+
+
+# The floor the stream used before it was raised: every atom above it was
+# streamed, and a subsample's strata are still the cells it streamed.
+OLD_FLOOR = 1e-18
+
+
+def _at_old_floor(monkeypatch):
+    for module in (retrieval, angular):
+        monkeypatch.setattr(module, "PRUNE_FLOOR", OLD_FLOOR)
+    monkeypatch.setattr(retrieval, "_LN_PRUNE_FLOOR", math.log(OLD_FLOOR))
+
+
+@pytest.mark.parametrize("mc_atoms", [None, 4_000_000])
+def test_the_strata_do_not_follow_the_prune_floor(monkeypatch, mc_atoms):
+    # m and N_in count the same cells at either floor: at the old one, the
+    # cells the stream streams; at PRUNE_FLOOR, the stream skips some of them
+    scenarios = [canonical_scenario(skew_theta=math.radians(th), storage_tm=tm, mc_atoms=mc_atoms)
+                 for th in (0.0, 1.0, 2.0, 3.0, 4.0) for tm in (0.0, 100e-6, 200e-6)]
+    count = mc_atoms or scenarios[0].n_atoms
+    counts = cell_counts(scenarios[0].seed, count)
+    now = [_in_region(scn) for scn in scenarios]
+    streamed_now = [int(counts[_cell_table(scn)[0] != SKIP].sum()) for scn in scenarios]
+    _at_old_floor(monkeypatch)
+    for scn, (m, n_in, d0), streamed in zip(scenarios, now, streamed_now):
+        old_m, old_n_in, old_d0 = _in_region(scn)
+        assert (m, n_in) == (old_m, old_n_in)
+        assert old_m == int(counts[_cell_table(scn)[0] != SKIP].sum())
+        assert streamed < m and d0 > old_d0
+
+
+@pytest.mark.parametrize("theta_deg, storage_tm", [(0.0, 0.0), (2.0, 100e-6), (2.0, 200e-6)])
+def test_eta_lies_within_prune_bound_of_the_estimate_at_the_old_floor(
+        monkeypatch, tiny_grid, theta_deg, storage_tm):
+    # on a 4e6-atom subsample and on a small full stream, both estimators:
+    # putting back the atoms between OLD_FLOOR and PRUNE_FLOOR moves eta by
+    # at most the prune_bound the estimate states
+    def estimates():
+        kwargs = dict(skew_theta=math.radians(theta_deg), storage_tm=storage_tm)
+        sub = canonical_scenario(mc_atoms=4_000_000, **kwargs)
+        full = canonical_scenario(n_atoms_override=10_000, **kwargs)
+        return [eta_paraxial(sub), eta_paraxial(full), eta_angular(full, tiny_grid)]
+
+    now = estimates()
+    _at_old_floor(monkeypatch)
+    for est, old in zip(now, estimates()):
+        assert est.n_kept < old.n_kept
+        assert 0.0 < est.prune_bound <= 1e-7
+        assert abs(est.eta - old.eta) <= est.prune_bound

@@ -46,6 +46,7 @@ from conftest import (
     W_WRITE,
     canonical_scenario,
     largest_streamed_shell,
+    strata_mask,
     streamed_mask,
 )
 
@@ -254,15 +255,18 @@ def test_kernel_matches_vectorized_reference():
     assert dropped + _in_region(scn)[2] >= dropped_ref
 
 
-@pytest.mark.parametrize("shell, n_kept", [(59, 0), (63, CHUNK_ATOMS)])
-def test_a_chunk_that_keeps_no_atom_or_every_atom_holds_one_block_at_a_time(shell, n_kept):
-    # Of the canonical 0 deg cloud, shell 59 keeps no atom and shell 63 keeps
-    # all of them; the first 2^20 atoms of either are in its band 0, which
-    # the scenario streams. Either chunk is walked in blocks, each block's
-    # kept atoms projected and summed into its partial before the next is
-    # drawn, so the worker holds one block at a time (measured peaks 2.3 and
-    # 6.1 MB); the chunk's words alone take 48 MB.
+@pytest.mark.parametrize("edge, n_kept", [("lowest", 0), ("highest", CHUNK_ATOMS)])
+def test_a_chunk_that_keeps_no_atom_or_every_atom_holds_one_block_at_a_time(edge, n_kept):
+    # Of the canonical 0 deg cloud, the lowest shell the scenario streams
+    # keeps no atom and the highest, shell 63, keeps all of them; the first
+    # 2^20 atoms of either are in its band 0, which the scenario streams.
+    # Either chunk is walked in blocks, each block's kept atoms projected and
+    # summed into its partial before the next is drawn, so the worker holds
+    # one block at a time (measured peaks 2.6 and 5.4 MB); the chunk's words
+    # alone take 48 MB.
     scn = canonical_scenario()
+    streamed = np.flatnonzero((_cell_table(scn)[0] != retrieval.SKIP).any(axis=1))
+    shell = int(streamed[0] if edge == "lowest" else streamed[-1])
     bands = tuple(cell_counts(scn.seed, scn.n_atoms)[shell].tolist())
     verdict = _cell_table(scn)[0][shell]
     assert bands[0] > CHUNK_ATOMS and verdict[0] != retrieval.SKIP
@@ -484,9 +488,11 @@ def test_draw_sample_returns_the_atoms_of_the_stream():
     whole = sample_atoms(scn.cloud, scn.seed, 0, 1200, count=1200)
     np.testing.assert_array_equal(sample.r_initial, whole.r_initial)
     np.testing.assert_array_equal(sample.velocity, whole.velocity)
-    # the atoms of its streamed cells are the ones a 1200-atom subsample streams
-    streamed = streamed_mask(scn, 1200)
-    assert int(streamed.sum()) == _in_region(replace(scn, mc_atoms=1200))[0]
+    # the atoms of its strata are the ones a 1200-atom subsample counts in m,
+    # and those of its streamed cells, among them, the ones it streams
+    streamed, strata = streamed_mask(scn, 1200), strata_mask(scn, 1200)
+    assert int(strata.sum()) == _in_region(replace(scn, mc_atoms=1200))[0]
+    assert not (streamed & ~strata).any()
     keep, _ = _prune(sample.r_initial[streamed], scn)
     assert eta_paraxial(replace(scn, mc_atoms=1200)).n_kept == int(keep.sum()) > 0
     assert not _prune(sample.r_initial[~streamed], scn)[0].any()

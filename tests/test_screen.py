@@ -66,7 +66,7 @@ from ire_sim.retrieval import (
 )
 
 from conftest import (CANONICAL_INI, R0, SPECIES, TEMP, W_COLLECT, W_WRITE, canonical_scenario,
-                      read_meta)
+                      read_meta, strata_mask)
 
 KN = wavenumbers(SPECIES)
 LEVEL = math.log(PRUNE_FLOOR) * _SCREEN_MARGIN
@@ -149,7 +149,7 @@ def test_threshold_word_splits_the_radius_bound():
     # largest Z_b, u2 = b / BANDS
     counts = cell_counts(scn.seed, scn.n_atoms)
     m, n_in, d0 = _in_region(scn)
-    assert m == n_in == int(counts[verdict != SKIP].sum())
+    assert m == n_in == int(strata_mask(scn, scn.n_atoms).sum())
     z = _edges(BANDS, R0)
     bounds = {}
     for shell, band in zip(*np.nonzero(verdict == SKIP)):
@@ -416,22 +416,23 @@ def test_angular_field_folds_each_chunk_block_by_block(small_blocks, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_groups_that_keep_different_atoms_share_each_block_bit_for_bit(small_blocks, threads):
-    # Tilts 0, 2, 4 and 10 deg stream different cells and keep different
-    # atoms of one block, and a twin of the 2 deg scenario at 4x the
-    # temperature keeps the same atoms with other velocities: a block draws
-    # the bands some scenario streams, its radii and positions are shared,
-    # the kept atoms' velocities are mapped once per velocity spread, and
-    # each total must be the one streamed alone.
-    tilts = [_scenario(theta_deg=th, storage_tm=100e-6, target_od=24.7, mc_atoms=STREAMED,
+    # On a 0.1 mm cloud, tilts 0, 2, 4 and 10 deg stream different cells and
+    # keep different atoms of one block (on the canonical cloud, every tilt
+    # from 1 to 30 deg streams the same cells), and a twin of the 2 deg
+    # scenario at 4x the temperature keeps the same atoms with other
+    # velocities: a block draws the bands some scenario streams, its radii
+    # and positions are shared, the kept atoms' velocities are mapped once
+    # per velocity spread, and each total must be the one streamed alone.
+    tilts = [_scenario(1e-4, th, storage_tm=100e-6, target_od=24.7, mc_atoms=STREAMED,
                        seed=11) for th in (0.0, 2.0, 4.0, 10.0)]
     twin = replace(tilts[1], cloud=replace(tilts[1].cloud, temperature_t=4.0 * TEMP))
     scenarios = tilts + [twin]
     small_blocks(SMALL_BLOCK)
     streamed = [_cell_table(scn)[0] != SKIP for scn in scenarios]
     assert len({table.tobytes() for table in streamed}) == 4  # the tilts stream different cells
-    # and in shell 60 the 10 deg scenario streams bands that the 4 deg one,
+    # and in some shell the 10 deg scenario streams bands that the 4 deg one,
     # which streams that shell too, skips: their shared blocks draw both
-    assert streamed[2][60].any() and (streamed[3][60] & ~streamed[2][60]).any()
+    assert (streamed[2].any(axis=1) & (streamed[3] & ~streamed[2]).any(axis=1)).any()
     together = _eta_stream(scenarios, threads=threads)
     assert len({total[-1] for total in together[:4]}) == 4  # n_kept differs by tilt
     assert together[4][-1] == together[1][-1] and together[4][0] != together[1][0]
@@ -583,8 +584,13 @@ def test_atom_screen_is_skipped_only_where_it_screens_nothing(monkeypatch, r0, t
                     mc_atoms=STREAMED, seed=11)
     verdict, _ = _cell_table(scn)
     whole = [(int(k), int(b)) for k, b in zip(*np.nonzero(verdict == WHOLE))]
+    # the cells whose lowest bound, at the outer rho (with the inner one as
+    # the largest |y|) and the smallest Z, recomputed, clears the floor
+    rho, z = _edges(SHELLS, r0), _edges(BANDS, r0)
+    assert whole == [(k, b) for k in range(SHELLS) for b in range(BANDS)
+                     if _bound(rho[k], rho[k + 1], z[b + 1], scn) > math.log(PRUNE_FLOOR)]
     if (r0, w_signal) == (R0, W_COLLECT):  # the canonical cloud at 0, 2 and 4 deg
-        assert whole == [(k, b) for k in (62, 63) for b in range(BANDS)]
+        assert whole
     for shell, band in whole:
         # the cell's first atoms and its lowest bound: the smallest u0
         # (largest rho) of the shell and the largest u2 (smallest Z) of the band
@@ -645,21 +651,24 @@ def test_dropped_amplitude_is_the_exact_part_plus_the_bounds(theta_deg):
 
 def test_a_block_that_keeps_no_atom_adds_only_its_d():
     scn = canonical_scenario()
-    # shell 59 streams its band 0 alone, and keeps no atom at 0 deg
-    assert (_cell_table(scn)[0][59] != SKIP).tolist() == [True] + [False] * (BANDS - 1)
-    bands = tuple(cell_counts(scn.seed, scn.n_atoms)[59].tolist())
+    # the lowest shell the scenario streams streams its band 0 alone, and
+    # keeps no atom at 0 deg
+    verdict = _cell_table(scn)[0]
+    shell = int(np.flatnonzero((verdict != SKIP).any(axis=1))[0])
+    assert (verdict[shell] != SKIP).tolist() == [True] + [False] * (BANDS - 1)
+    bands = tuple(cell_counts(scn.seed, scn.n_atoms)[shell].tolist())
     assert bands[0] > 3 * BLOCK_ATOMS
 
     def project(*_):
         raise AssertionError("projected a block that keeps no atom")
 
     starts = range(0, 3 * BLOCK_ATOMS, BLOCK_ATOMS)
-    blocks = _eta_worker((((_cell_table(scn)[0][59], (0,), (scn,)),), 59, bands, 0,
+    blocks = _eta_worker((((verdict[shell], (0,), (scn,)),), shell, bands, 0,
                           3 * BLOCK_ATOMS, project))
     assert len(blocks) == len(starts)
     for b, partials in zip(starts, blocks):
         part = partials[0]
-        (d,) = _block_d(scn, 59, b, b + BLOCK_ATOMS)
+        (d,) = _block_d(scn, shell, b, b + BLOCK_ATOMS)
         assert len(part) == 2 and part[1] == 0
         assert part[0] == pytest.approx(d, rel=1e-12, abs=0.0)
 
