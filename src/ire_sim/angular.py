@@ -188,13 +188,12 @@ class AngularField:
 
     n_kept atoms cleared PRUNE_FLOOR and were summed; dropped_amplitude D
     bounds sum |A_j| over the rest, as EtaEstimate's does: their exact sum
-    over the skipped atoms that got positions, plus the bound that
-    screened each of the others (at most PRUNE_FLOOR each), plus each
-    skipped cell's count times its bound. Skipping them moves the field by
-    at most D / sqrt(4 pi) at every node and source_s2 by at most
-    PRUNE_FLOOR D; the estimate of the field (eta_reference, eta_angular)
-    turns those into its prune_bound on eta. D = 0 means nothing was
-    dropped.
+    over the skipped atoms of the streamed cells, plus each skipped cell's
+    count times exp of its bound (at most PRUNE_FLOOR). Skipping them moves
+    the field by at most D / sqrt(4 pi) at every node and source_s2 by at
+    most PRUNE_FLOOR D; the estimate of the field (eta_reference,
+    eta_angular) turns those into its prune_bound on eta. D = 0 means
+    nothing was dropped.
     """
 
     values: np.ndarray

@@ -35,32 +35,29 @@ fires when the sampled off-diagonal mean comes out negative (it does at a
 2 deg tilt and 200 us storage, where the coherent sum has decayed into its
 noise), and the estimate is not bounded above by 1 at small subsamples.
 
-No sweep axis moves the seed, the cloud width or the streamed count, so
-one stream can serve several scenarios: a block's counter words, the
-Box-Muller radii of its words 0 and 2 and its positions are taken once,
-and the kept atoms' velocities once per velocity spread; each scenario
-adds up only the atoms of its own cells, the skip mask and the stored
-amplitudes A_j are built once for each distinct set of beams, tilt and
-velocity spread, and the projection runs per scenario. The same stream
-serves the angular reference path, whose projection is the emitted field
-on a sphere grid (see ire_sim.angular). The lobe power C(t_m) is one
-reduction of a per-node table cached without t_m.
+No sweep axis moves the seed, the cloud width, the velocity spread or
+the streamed count, so one stream can serve several scenarios: a block's
+counter words, the Box-Muller radii of its words 0 and 2, its positions
+and the kept atoms' velocities are taken once; each scenario adds up only
+the atoms of its own cells, the skip mask and the stored amplitudes A_j
+are built once for each distinct set of beams and tilt, and the
+projection runs per scenario. The same stream serves the angular
+reference path, whose projection is the emitted field on a sphere grid
+(see ire_sim.angular). The lobe power C(t_m) is one reduction of a
+per-node table cached without t_m.
 
 Every beam mode peaks at 1, so |A_j| <= 1, and atoms whose stored
 amplitude is at most PRUNE_FLOOR are skipped before the per-atom kernels.
-Three steps decide, each from less than the next: a (shell, band) cell
-bounds its atoms' transverse radius and |z|, so one table per scenario
-(_cell_table) skips the cells whose every atom the bound puts at or below
-PRUNE_FLOOR, never drawing their words, takes whole the cells whose every
-atom clears the atom screen, and screens the rest; in the screened cells,
-the radii of counter words 0 and 2 bound each atom's radius and |z|, and
-the atoms that bound puts at or below PRUNE_FLOOR get no position
-(_screen_atoms); the positions of the rest decide exactly (_prune), and
-the kept atoms keep those positions and radii: only the rest of their
-velocities is mapped from their words afterwards. The estimate records
-how many atoms were kept, a bound D on the summed amplitude of the rest,
-and prune_bound, the most that skipping them can move eta by, from D and
-the estimate's own sums (see EtaEstimate).
+Two steps decide, the first from less than the second: a (shell, band)
+cell bounds its atoms' transverse radius and |z|, so one table per
+scenario (_cell_table) skips the cells whose every atom the bound puts at
+or below PRUNE_FLOOR, never drawing their words, and streams the rest;
+every atom of a streamed cell is placed, its position decides exactly
+(_prune), and the kept atoms keep that position and their radii: only the
+rest of their velocities is mapped from their words afterwards. The
+estimate records how many atoms were kept, a bound D on the summed
+amplitude of the rest, and prune_bound, the most that skipping them can
+move eta by, from D and the estimate's own sums (see EtaEstimate).
 """
 
 from __future__ import annotations
@@ -112,8 +109,9 @@ THREADS_ENV_VAR = "IRE_SIM_THREADS"
 # (EtaEstimate.prune_bound, from the dropped amplitude D), and the floor is
 # the largest power of ten at which that bound stays at most 1e-7 at every
 # tested point of the canonical cloud, a thousandth of the last digit any
-# acceptance value prints. A module constant, not a setting: the bound
-# travels with every result.
+# acceptance value prints (over acceptance criteria 1-6 and the benchmark
+# workloads at seeds 1-3 it reads at most 1.4e-8, and 4.1e-7 at 1e-8). A
+# module constant, not a setting: the bound travels with every result.
 PRUNE_FLOOR = 1e-9
 _LN_PRUNE_FLOOR = math.log(PRUNE_FLOOR)
 
@@ -123,15 +121,12 @@ _LN_PRUNE_FLOOR = math.log(PRUNE_FLOOR)
 # PRUNE_FLOOR, so the strata hold every streamed cell.
 _STRATA_FLOOR = 1e-18
 
-# Relative margin on the screens' level. Rounding moves the sampled rho^2
-# and the computed ln|A_j| by about 1e-15 relative; the screens drop an
-# atom only when its bound is at most ln PRUNE_FLOOR times this margin, so
-# every screened-out atom's |A_j| is below PRUNE_FLOOR by e^-4e-5.
-_SCREEN_MARGIN = 1.0 + 1e-6
-
-# The verdicts of the cell table (_cell_table): a scenario skips a cell's
-# atoms, screens them from their words 0 and 2, or takes them whole.
-SKIP, SCREEN, WHOLE = 0, 1, 2
+# Relative margin on the cell bound's levels. Rounding moves the sampled
+# rho^2 and the computed ln|A_j| by about 1e-15 relative; a cell is skipped
+# (or left out of the strata) only when its bound is at most the level's
+# log times this margin, so every skipped atom's |A_j| is below PRUNE_FLOOR
+# by e^-4e-5.
+_CELL_MARGIN = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -314,12 +309,10 @@ class EtaEstimate:
     n_kept counts the atoms (of those streamed: mc_atoms when subsampling)
     whose stored amplitude cleared PRUNE_FLOOR and went through the
     per-atom kernel. dropped_amplitude D bounds sum |A_j| over the others:
-    it is that sum over the skipped atoms that got positions (_prune), plus
-    exp(bound) for each atom screened from its words 0 and 2
-    (_screen_atoms), plus, for each atom of a cell that was not streamed,
-    exp of that cell's bound at its inner radius and largest |z|
-    (_cell_table). Each of those bounds is at most PRUNE_FLOOR. Skipping
-    them moves the streamed sums by at most
+    it is that sum over the skipped atoms of the streamed cells (_prune),
+    plus, for each atom of a cell that was not streamed, exp of that cell's
+    bound at its inner radius and largest |z| (_cell_table), which is at
+    most PRUNE_FLOOR. Skipping them moves the streamed sums by at most
 
         |dS1| <= c_P D                (c_P = sqrt(2)/(k_i W_i) >= |P_j|)
         0 <= dSXX <= c_P^2 PRUNE_FLOOR D
@@ -447,7 +440,8 @@ def _ln_bound(rho, y_max, z_max, scenario: Scenario):
 
         ln|A_j| <= -rho^2 / a_s - max(0, rho cos - z_max |sin|)^2 / a_w,
 
-    which falls as rho grows. Takes floats or arrays of one shape.
+    which falls as rho grows. Takes floats or arrays that broadcast
+    together.
     """
     w, s = scenario.write_mode, scenario.signal_mode
     c, sn = math.cos(scenario.skew_theta), abs(math.sin(scenario.skew_theta))
@@ -456,38 +450,18 @@ def _ln_bound(rho, y_max, z_max, scenario: Scenario):
     return -(rho * rho) / a_s - np.maximum(rho * c - z_max * sn, 0.0) ** 2 / a_w
 
 
-def _screen_atoms(rad: np.ndarray, r0: float, scenario: Scenario) -> tuple[np.ndarray, float]:
-    """(survive, D) of atoms with Box-Muller radii rad = _radii(raw) (2, n), from words 0 and 2.
-
-    Word 0 gives rho = r0 rad[0] = sqrt(x^2 + y^2) >= |y|, and word 2 gives
-    Z = r0 rad[1] >= |z|, the bound _positions_from_raw's
-    z = r0 (rad[1] cos(2 pi u3)) cannot exceed. An atom whose
-    _ln_bound(rho, rho, Z) is at most ln PRUNE_FLOOR times _SCREEN_MARGIN
-    is one _prune would drop, with |A_j| <= exp(bound) < PRUNE_FLOOR, and
-    needs no position. survive marks the others; D is exp(bound) summed
-    over the screened atoms.
-    """
-    rho = r0 * rad[0]
-    bound = _ln_bound(rho, rho, r0 * rad[1], scenario)
-    survive = bound > _LN_PRUNE_FLOOR * _SCREEN_MARGIN
-    return survive, float(np.sum(np.exp(bound.compress(~survive))))
-
-
 def _cell_table(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """(verdict, bound) of each (shell, band) cell: two (SHELLS, BANDS) arrays.
+    """(streamed, bound) of each (shell, band) cell: two (SHELLS, BANDS) arrays.
 
     An atom of shell k has rho = sqrt(x^2 + y^2) >= |y| between the edges
     r0 sqrt(-2 ln(j / SHELLS)) at j = k + 1 (inner) and j = k (outer), and
     an atom of band b has Z = r0 rad[1] >= |z| between the like edges of
     the bands; the edge at j = 0 is NORMAL_MAX r0, past which no normal
     reaches. _ln_bound falls as rho grows and rises with y_max and z_max,
-    so every atom's _screen_atoms bound _ln_bound(rho, rho, Z) lies between
-    _ln_bound(outer rho, inner rho, smallest Z) and bound = _ln_bound(inner
-    rho, outer rho, largest Z). The verdict is SKIP when bound is at most
-    ln PRUNE_FLOOR times _SCREEN_MARGIN (the screen, and so _prune, would
-    drop every atom, with |A_j| <= exp(bound)); WHOLE when the lower one is
-    above ln PRUNE_FLOOR (the screen would let every atom through, by far
-    more than rounding moves its bound); SCREEN otherwise.
+    so bound = _ln_bound(inner rho, outer rho, largest Z) bounds ln|A_j|
+    over the cell's atoms. A scenario skips the cells whose bound is at
+    most ln PRUNE_FLOOR times _CELL_MARGIN (_prune would drop every atom,
+    with |A_j| <= exp(bound)); streamed is True for the others.
     """
     r0 = scenario.cloud.sigma_r0
 
@@ -496,17 +470,14 @@ def _cell_table(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
     rho, z = edges(SHELLS)[:, None], edges(BANDS)
     bound = _ln_bound(rho[1:], rho[:-1], z[:-1], scenario)
-    lower = _ln_bound(rho[:-1], rho[1:], z[1:], scenario)
-    verdict = np.where(bound <= _LN_PRUNE_FLOOR * _SCREEN_MARGIN, SKIP,
-                       np.where(lower > _LN_PRUNE_FLOOR, WHOLE, SCREEN))
-    return verdict, bound
+    return bound > _LN_PRUNE_FLOOR * _CELL_MARGIN, bound
 
 
 def _in_region(scenario: Scenario) -> tuple[int, int, float]:
     """(m, N_in, D0) of the scenario's strata and of the cells its stream skips.
 
     The strata are the cells whose _cell_table bound clears _STRATA_FLOOR
-    at the table's screen margin: every cell the stream does not skip, and
+    at the table's margin: every cell the stream does not skip, and
     more. m counts the atoms of the strata in the streamed count (mc_atoms when
     subsampling), and N_in the full ensemble's atoms there; neither
     follows PRUNE_FLOOR, so a subsample's rescaling keeps its bits when
@@ -516,9 +487,9 @@ def _in_region(scenario: Scenario) -> tuple[int, int, float]:
     atoms in every cell the stream skips: each cell's count times exp of
     its bound.
     """
-    verdict, bound = _cell_table(scenario)
-    skip = verdict == SKIP
-    strata = bound > math.log(_STRATA_FLOOR) * _SCREEN_MARGIN
+    cells, bound = _cell_table(scenario)
+    skip = ~cells
+    strata = bound > math.log(_STRATA_FLOOR) * _CELL_MARGIN
     streamed = _streamed_count(scenario)
     counts = cell_counts(scenario.seed, streamed)
     m = int(counts[strata].sum())
@@ -565,30 +536,27 @@ def _eta_worker(task):
     """The block partials of one chunk of one shell (top level for process pools).
 
     The task holds groups of scenarios, as _eta_stream plans them, each with
-    its _cell_table verdicts for the shell's bands; the shell, its cell
-    counts and the chunk [lo, hi) of its band-major sequence; and project.
-    A block draws the counter words of the bands some group streams and
-    takes their Box-Muller radii (_radii) once. Each group screens the
-    atoms of its SCREEN bands from those radii (_screen_atoms) and lets
-    those of its WHOLE bands through; the atoms some group lets through get
-    positions, and each group runs the exact skip mask (_prune) on its own.
-    The velocities of the atoms some group keeps are mapped once per
-    velocity spread, and a group that keeps an atom builds its kept atoms'
-    stored amplitudes A_j; project(A_j, kept atoms, scenario) then returns
-    each scenario's sums. A scenario's block partial is those sums followed
-    by S2 = sum |A_j|^2, D and n_kept over its group's kept atoms, or (D, 0)
-    when the group keeps none of the atoms it streams in the block; D is
-    exp(bound) summed over the screened atoms plus _prune's sum |A_j| over
-    the survivors it drops. Each partial comes from its group's own atoms
-    alone, so no bit depends on which other groups share the block.
-    Nothing outlives its block but its partials, and none is added here:
-    returns, in block order, one dict per block that draws words, from
-    scenario index to partial.
+    its _cell_table streamed cells for the shell's bands; the shell, its
+    cell counts and the chunk [lo, hi) of its band-major sequence; and
+    project. A block draws the counter words of the bands some group
+    streams and places those atoms once, and each group runs the exact
+    skip mask (_prune) on the atoms of its own bands. The velocities of the
+    atoms some group keeps are mapped once, and a group that keeps an atom
+    builds its kept atoms' stored amplitudes A_j; project(A_j, kept atoms,
+    scenario) then returns each scenario's sums. A scenario's block partial
+    is those sums followed by S2 = sum |A_j|^2, D and n_kept over its
+    group's kept atoms, or (D, 0) when the group keeps none of the atoms it
+    streams in the block; D is _prune's sum |A_j| over the group's atoms it
+    drops. Each partial comes from its group's own atoms alone, so no bit
+    depends on which other groups share the block. Nothing outlives its
+    block but its partials, and none is added here: returns, in block
+    order, one dict per block that draws words, from scenario index to
+    partial.
     """
     groups, shell, bands, lo, hi, project = task
     first = groups[0][2][0]
-    seed, r0 = first.seed, first.cloud.sigma_r0
-    drawn = np.any([row != SKIP for row, *_ in groups], axis=0)
+    seed, cloud = first.seed, first.cloud
+    drawn = np.any([row for row, *_ in groups], axis=0)
     blocks = []
     for b in range(lo, hi, BLOCK_ATOMS):
         segments = [seg for seg in _segments(bands, b, min(b + BLOCK_ATOMS, hi)) if drawn[seg[0]]]
@@ -598,39 +566,27 @@ def _eta_worker(task):
         raw = words[0] if len(words) == 1 else np.concatenate(words)
         band = np.repeat([seg[0] for seg in segments], [len(w) for w in words])
         rad = _radii(raw)
-        screened = []  # (indices, scenarios, survive, D) of each group with atoms here
-        for row, idx, scns in groups:
-            survive, screen = row[band] != SKIP, row[band] == SCREEN
-            if survive.any():
-                d = 0.0
-                if screen.any():
-                    survive[screen], d = _screen_atoms(rad.compress(screen, axis=1), r0, scns[0])
-                screened.append((idx, scns, survive, d))
-        placed = np.logical_or.reduce([survive for _, _, survive, _ in screened])
-        if not placed.all():  # else the block's words are placed as they are, uncopied
-            raw, rad = raw.compress(placed, axis=0), rad.compress(placed, axis=1)
-        r = _positions_from_raw(raw, rad, r0)
+        r = _positions_from_raw(raw, rad, cloud.sigma_r0)
         # compress, not a boolean index: the same rows, several times faster
-        kept = []  # (indices, scenarios, keep, D), keep over the placed atoms
-        for idx, scns, survive, d in screened:
-            keep = survive.compress(placed)  # the group's survivors among the placed atoms
-            mask, d_exact = _prune(r.compress(keep, axis=0), scns[0])
-            keep[np.flatnonzero(keep)] = mask
-            kept.append((idx, scns, keep, d + d_exact))
+        kept = []  # (indices, scenarios, keep, D) of each group with atoms here
+        for row, idx, scns in groups:
+            keep = row[band]
+            if keep.any():
+                mask, d = _prune(r.compress(keep, axis=0), scns[0])
+                keep[np.flatnonzero(keep)] = mask
+                kept.append((idx, scns, keep, d))
         some = np.logical_or.reduce([keep for _, _, keep, _ in kept])
-        vel = {}  # velocity spread -> the velocities of the atoms some group keeps
+        vel = None  # the velocities of the atoms some group keeps
         partials = {}
         for idx, scns, keep, d in kept:
             n = int(np.count_nonzero(keep))
             if n == 0:
                 partials.update((i, (d, 0)) for i in idx)
                 continue
-            sigma_v = thermal_velocity_sigma(scns[0].cloud)
-            if sigma_v not in vel:
-                vel[sigma_v] = _velocities_from_raw(
-                    raw.compress(some, axis=0), rad.compress(some, axis=1), scns[0].cloud)
-            sample = AtomSample(r.compress(keep, axis=0),
-                                vel[sigma_v].compress(keep.compress(some), axis=0))
+            if vel is None:
+                vel = _velocities_from_raw(
+                    raw.compress(some, axis=0), rad.compress(some, axis=1), cloud)
+            sample = AtomSample(r.compress(keep, axis=0), vel.compress(keep.compress(some), axis=0))
             a = spinwave_amplitude(sample, scns[0])
             s2 = float(np.sum(a.real**2 + a.imag**2))
             partials.update((i, (*project(a, sample, s), s2, d, n)) for i, s in zip(idx, scns))
@@ -752,11 +708,11 @@ def _add(total, part):
 def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
     """Each scenario's block partials, summed in ascending (shell, block) order.
 
-    Scenarios with the same seed, cloud width sigma_r0 and streamed count
-    (mc_atoms, else n_atoms) share one stream. Within a stream, the
-    scenarios are grouped by what their kept atoms depend on: the species,
-    the beams, the tilt and the velocity spread, which with the stream's
-    cloud width set one _cell_table per group. Each shell's atoms,
+    Scenarios with the same seed, cloud width sigma_r0, velocity spread
+    and streamed count (mc_atoms, else n_atoms) share one stream. Within a
+    stream, the scenarios are grouped by what their kept atoms depend on:
+    the species, the beams and the tilt, which with the stream's cloud
+    width set one _cell_table per group. Each shell's atoms,
     band-major, are walked in blocks of BLOCK_ATOMS (_eta_worker), each
     scenario evaluated with project (_paraxial_sums, or the angular field).
     A pool task is a chunk of at most CHUNK_ATOMS atoms of one shell, a
@@ -770,13 +726,14 @@ def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
     every thread count and chunk size.
     """
     threads = resolve_threads(threads)
-    streams: dict[tuple, dict] = {}  # (seed, sigma_r0, streamed count) -> {group key: indices}
+    # (seed, sigma_r0, velocity spread, streamed count) -> {group key: indices}
+    streams: dict[tuple, dict] = {}
     for i, s in enumerate(scenarios):
-        stream = streams.setdefault((s.seed, s.cloud.sigma_r0, _streamed_count(s)), {})
-        key = (s.species, s.w_write, s.w_collect, s.skew_theta, thermal_velocity_sigma(s.cloud))
-        stream.setdefault(key, []).append(i)
+        stream = streams.setdefault(
+            (s.seed, s.cloud.sigma_r0, thermal_velocity_sigma(s.cloud), _streamed_count(s)), {})
+        stream.setdefault((s.species, s.w_write, s.w_collect, s.skew_theta), []).append(i)
     tasks = []
-    for (seed, _, count), keyed in streams.items():
+    for (seed, _, _, count), keyed in streams.items():
         groups = [(_cell_table(scenarios[idx[0]])[0], tuple(idx),
                    tuple(scenarios[i] for i in idx)) for idx in keyed.values()]
         for shell, bands in enumerate(cell_counts(seed, count).tolist()):
@@ -784,7 +741,7 @@ def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
                 hi = min(lo + CHUNK_ATOMS, sum(bands))
                 held = [band for band, *_ in _segments(bands, lo, hi)]
                 own = tuple((row[shell], idx, scns) for row, idx, scns in groups
-                            if (row[shell][held] != SKIP).any())
+                            if row[shell][held].any())
                 if own:
                     tasks.append((own, shell, tuple(bands), lo, hi, project))
     totals = [None] * len(scenarios)

@@ -41,7 +41,7 @@ def canonical_scenario(**kwargs):
 def largest_streamed_shell(scenario):
     """The most atoms any shell the scenario streams a cell of holds (of mc_atoms if set)."""
     count = scenario.mc_atoms if scenario.mc_atoms is not None else scenario.n_atoms
-    streamed = (retrieval._cell_table(scenario)[0] != retrieval.SKIP).any(axis=1)
+    streamed = retrieval._cell_table(scenario)[0].any(axis=1)
     return int(cell_counts(scenario.seed, count).sum(axis=1)[streamed].max())
 
 
@@ -50,7 +50,7 @@ def streamed_mask(scenario, count):
 
     The atoms of the cells its cell table (retrieval._cell_table) does not skip.
     """
-    streamed = retrieval._cell_table(scenario)[0] != retrieval.SKIP
+    streamed = retrieval._cell_table(scenario)[0]
     return np.repeat(streamed.ravel(), cell_counts(scenario.seed, count).ravel())
 
 
@@ -58,10 +58,10 @@ def strata_mask(scenario, count):
     """Which atoms of the count-atom stream, in draw_sample's cell order, lie in the scenario's strata.
 
     The cells whose cell table bound clears retrieval._STRATA_FLOOR at the
-    table's screen margin (retrieval._in_region).
+    table's margin (retrieval._in_region).
     """
     bound = retrieval._cell_table(scenario)[1]
-    strata = bound > math.log(retrieval._STRATA_FLOOR) * retrieval._SCREEN_MARGIN
+    strata = bound > math.log(retrieval._STRATA_FLOOR) * retrieval._CELL_MARGIN
     return np.repeat(strata.ravel(), cell_counts(scenario.seed, count).ravel())
 
 

@@ -31,9 +31,9 @@ from ire_sim import (
 )
 from ire_sim.cli import main as cli_main
 from ire_sim.config import build_scenario, read_config
-from ire_sim.retrieval import SKIP, _cell_table
+from ire_sim.retrieval import _cell_table
 
-from conftest import CANONICAL_INI, SPECIES, TEMP, W_COLLECT, canonical_scenario, read_meta
+from conftest import CANONICAL_INI, SPECIES, TEMP, W_COLLECT, canonical_scenario, streamed_mask
 
 # Subsample size of the survey points. Over seeds 1-12 its eta scatters
 # with sd 0.023 at (0 deg, 0 us) and 0.030 at (2 deg, 100 us), absolute.
@@ -249,9 +249,10 @@ def test_criterion_10_thread_count_determinism(tmp_path, capsys):
         eta_bytes[0] == eta_bytes[1] == eta_bytes[2]
         and heat_bytes[0] == heat_bytes[1] == heat_bytes[2]
     )
-    # what the eta run streamed: its record's atom count and its scenario's cells
-    streamed = int(read_meta(tmp_path / "eta_t1" / "eta_meta.txt")["streamed_in_region"])
-    cells = _cell_table(build_scenario(read_config(str(eta_ini))))[0] != SKIP
+    # what the eta run streamed: its scenario's cells and the atoms in them
+    scn = build_scenario(read_config(str(eta_ini)))
+    cells = _cell_table(scn)[0]
+    streamed = int(streamed_mask(scn, scn.n_atoms).sum())
     verdict(
         "10",
         ok,

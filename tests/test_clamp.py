@@ -10,11 +10,13 @@ rescales to the full ensemble's N_in atoms in those cells.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ire_sim import draw_sample, eta_paraxial, idler_projection, spinwave_amplitude
+from ire_sim import (SweepSpec, draw_sample, eta_paraxial, idler_projection, run_sweep,
+                     spinwave_amplitude)
 from ire_sim.cli import main as cli_main
 from ire_sim.retrieval import _in_region
 
@@ -77,3 +79,17 @@ def test_eta_meta_records_the_clamp(tmp_path, capsys):
         meta = read_meta(out / "eta_meta.txt")
         assert meta["clamped"] == expect
     capsys.readouterr()
+
+
+def test_a_subsample_with_one_atom_in_its_strata_is_refused():
+    # Of seed 18's two-atom subsample of the canonical cloud, one atom lies in
+    # the strata and is kept: the estimate has S2 > 0 but one pair-statistics
+    # atom, and refuses; a sweep turns the refusal into each value's error row.
+    scn = canonical_scenario(mc_atoms=2, seed=18)
+    assert _in_region(scn)[0] == 1
+    message = "the subsample holds 1 atom(s) in its strata; pair statistics need 2"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        eta_paraxial(scn)
+    rows = run_sweep(SweepSpec(scn, "storage_time", (0.0, 100.0), replicates=1))
+    assert [row.error for row in rows] == [f"ArithmeticError: {message}"] * 2
+    assert all(row.etas == () and math.isnan(row.eta_mean) for row in rows)

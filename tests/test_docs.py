@@ -2,6 +2,7 @@
 dependencies match the imports."""
 
 import ast
+import math
 import re
 import runpy
 import sys
@@ -13,6 +14,9 @@ import pytest
 import ire_sim
 from ire_sim import ConfigDocument, config, parse_config_text
 from ire_sim.experiments import METHODS
+from ire_sim.retrieval import _cell_table
+
+from conftest import canonical_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -144,3 +148,18 @@ def test_every_prune_floor_the_readme_states_is_the_package_s():
     stated = re.findall(r"PRUNE_FLOOR\s*=\s*([0-9][0-9.eE+-]*)", (ROOT / "README.md").read_text())
     assert stated
     assert [float(value) for value in stated] == [ire_sim.PRUNE_FLOOR] * len(stated)
+
+
+def test_the_streamed_cells_the_readme_states_are_the_cell_table_s():
+    # README states how many cells the canonical cloud streams; a change to
+    # the cell bound or to the floor that moved them would leave it stale
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    streamed = {theta: _cell_table(canonical_scenario(skew_theta=math.radians(theta)))[0]
+                for theta in range(5)}
+    stated = re.findall(r"(\d+) of 512 at 0°(?: \([^)]*\))? and (\d+) at 1–4°", readme)
+    assert len(stated) == 2
+    for at_0, at_tilt in stated:
+        assert int(at_0) == streamed[0].sum()
+        assert {int(streamed[theta].sum()) for theta in range(1, 5)} == {int(at_tilt)}
+    ((cells, shells),) = re.findall(r"in (\d+) cells of (\d+) shells are streamed", readme)
+    assert (int(cells), int(shells)) == (streamed[0].sum(), streamed[0].any(axis=1).sum())

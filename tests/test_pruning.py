@@ -31,7 +31,7 @@ from ire_sim import (
 from ire_sim import angular, retrieval
 from ire_sim.cli import main as cli_main
 from ire_sim.ensemble import cell_counts
-from ire_sim.retrieval import CHUNK_ATOMS, SKIP, _cell_table, _in_region, _prune
+from ire_sim.retrieval import CHUNK_ATOMS, _cell_table, _in_region, _prune
 
 from conftest import (
     CANONICAL_INI,
@@ -70,8 +70,8 @@ def test_pruned_stream_within_recorded_bounds(tiny_grid):
     assert est.n_atoms == n
     assert est.n_kept == int(keep.sum())
     assert 0 < est.n_kept < n // 10
-    # D bounds the dropped atoms' sum: each atom screened before _prune
-    # counts its bound, at most PRUNE_FLOOR
+    # D bounds the dropped atoms' sum: each atom of a skipped cell counts
+    # its cell's bound, at most PRUNE_FLOOR
     assert d_expect <= est.dropped_amplitude <= d_expect + (n - est.n_kept) * PRUNE_FLOOR
     d = est.dropped_amplitude
 
@@ -232,12 +232,12 @@ def test_the_strata_do_not_follow_the_prune_floor(monkeypatch, mc_atoms):
     count = mc_atoms or scenarios[0].n_atoms
     counts = cell_counts(scenarios[0].seed, count)
     now = [_in_region(scn) for scn in scenarios]
-    streamed_now = [int(counts[_cell_table(scn)[0] != SKIP].sum()) for scn in scenarios]
+    streamed_now = [int(counts[_cell_table(scn)[0]].sum()) for scn in scenarios]
     _at_old_floor(monkeypatch)
     for scn, (m, n_in, d0), streamed in zip(scenarios, now, streamed_now):
         old_m, old_n_in, old_d0 = _in_region(scn)
         assert (m, n_in) == (old_m, old_n_in)
-        assert old_m == int(counts[_cell_table(scn)[0] != SKIP].sum())
+        assert old_m == int(counts[_cell_table(scn)[0]].sum())
         assert streamed < m and d0 > old_d0
 
 

@@ -265,11 +265,11 @@ def test_a_chunk_that_keeps_no_atom_or_every_atom_holds_one_block_at_a_time(edge
     # one block at a time (measured peaks 2.6 and 5.4 MB); the chunk's words
     # alone take 48 MB.
     scn = canonical_scenario()
-    streamed = np.flatnonzero((_cell_table(scn)[0] != retrieval.SKIP).any(axis=1))
+    streamed = np.flatnonzero(_cell_table(scn)[0].any(axis=1))
     shell = int(streamed[0] if edge == "lowest" else streamed[-1])
     bands = tuple(cell_counts(scn.seed, scn.n_atoms)[shell].tolist())
     verdict = _cell_table(scn)[0][shell]
-    assert bands[0] > CHUNK_ATOMS and verdict[0] != retrieval.SKIP
+    assert bands[0] > CHUNK_ATOMS and verdict[0]
     tracemalloc.start()
     try:
         blocks = _eta_worker((((verdict, (0,), (scn,)),), shell, bands, 0, CHUNK_ATOMS,

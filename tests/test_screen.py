@@ -1,14 +1,13 @@
-"""The cell table and the atom screen in front of the amplitude skip.
+"""The cell table in front of the amplitude skip.
 
 An atom's (shell, band) cell bounds its transverse radius and its |z|, so
 both estimators never stream the cells whose every atom the bound puts at
-or below PRUNE_FLOOR. In the other cells, counter words 0 and 2 bound each
-atom's radius and |z| before it is placed, unless the cell's bound shows
-that this screen would let every atom through, and the exact mask (_prune)
-decides the atoms the screen lets through. The skips must be conservative:
-every atom they leave out is one _prune drops, with
-|A_j| <= exp(its bound) <= PRUNE_FLOOR. The estimates keep the bits of a
-pass over every cell, and their D stays an upper bound of that pass's D.
+or below PRUNE_FLOOR, and the exact mask (_prune) decides every atom of
+the cells they stream. The skip must be conservative: every atom of a
+skipped cell is one _prune drops, with |A_j| <= exp(its cell's bound) <=
+PRUNE_FLOOR. The estimates keep the bits of a pass over every cell, and
+their D is that pass's exact D over the streamed cells plus the skipped
+cells' bounds.
 """
 
 import functools
@@ -49,19 +48,15 @@ from ire_sim.ensemble import (
     drift,
 )
 from ire_sim.retrieval import (
-    _SCREEN_MARGIN,
+    _CELL_MARGIN,
     BLOCK_ATOMS,
     CHUNK_ATOMS,
-    SCREEN,
-    SKIP,
-    WHOLE,
     _cell_table,
     _estimate,
     _eta_stream,
     _eta_worker,
     _in_region,
     _prune,
-    _screen_atoms,
     _streamed_count,
 )
 
@@ -69,7 +64,7 @@ from conftest import (CANONICAL_INI, R0, SPECIES, TEMP, W_COLLECT, W_WRITE, cano
                       read_meta, strata_mask)
 
 KN = wavenumbers(SPECIES)
-LEVEL = math.log(PRUNE_FLOOR) * _SCREEN_MARGIN
+LEVEL = math.log(PRUNE_FLOOR) * _CELL_MARGIN
 
 
 def _positions(raw, r0):
@@ -84,7 +79,7 @@ def _scenario(r0=R0, theta_deg=0.0, w_signal=W_COLLECT, **kwargs):
     )
 
 
-SCREEN_GEOMETRIES = [
+GEOMETRIES = [
     (R0, 0.0, W_COLLECT),
     (R0, 4.0, W_COLLECT),
     (R0, 2.0, 1.3 * W_WRITE),  # the widest signal waist of criterion 5's sweep
@@ -104,15 +99,15 @@ def _cell_bound(scn, shell, band):
     return _bound(rho[shell + 1], rho[shell], z[band], scn)
 
 
-@pytest.mark.parametrize("r0, theta_deg, w_signal", SCREEN_GEOMETRIES)
+@pytest.mark.parametrize("r0, theta_deg, w_signal", GEOMETRIES)
 def test_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
     scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, seed=3,
                     n_atoms_override=CHUNK_ATOMS)
-    verdict, bound = _cell_table(scn)
-    assert (verdict == SKIP).any() and (verdict != SKIP).any()
+    streamed, bound = _cell_table(scn)
+    assert (~streamed).any() and streamed.any()
     for band in range(BANDS):
         # the highest skipped shell of the band holds the atoms nearest its bound
-        skipped = np.flatnonzero(verdict[:, band] == SKIP)
+        skipped = np.flatnonzero(~streamed[:, band])
         if skipped.size == 0:
             continue
         shell = int(skipped.max())
@@ -126,9 +121,9 @@ def test_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
 
 def test_threshold_word_splits_the_radius_bound():
     scn = canonical_scenario(n_atoms_override=10)
-    verdict, _ = _cell_table(scn)
+    streamed, _ = _cell_table(scn)
     # band 0 holds the atoms of largest |z|, up to NORMAL_MAX r0
-    first = int(np.flatnonzero(verdict[:, 0] != SKIP).min())
+    first = int(np.flatnonzero(streamed[:, 0]).min())
     # the atoms with the largest u0 of the last skipped shell and of the
     # first streamed one in band 0: every word-0 bit below the shell bits set
     raw = np.full((2, 6), 12345, dtype=np.uint64)
@@ -140,7 +135,7 @@ def test_threshold_word_splits_the_radius_bound():
     big_z = NORMAL_MAX * R0
     a_s = W_COLLECT**2 * (1.0 + (big_z / scn.signal_mode.rayleigh_z) ** 2)
     a_w = W_WRITE**2 * (1.0 + (big_z / scn.write_mode.rayleigh_z) ** 2)
-    r2 = abs(math.log(PRUNE_FLOOR)) * _SCREEN_MARGIN / (1.0 / a_s + 1.0 / a_w)
+    r2 = abs(math.log(PRUNE_FLOOR)) * _CELL_MARGIN / (1.0 / a_s + 1.0 / a_w)
     r = _positions(raw, R0)
     rho2 = r[:, 0] ** 2 + r[:, 1] ** 2
     assert rho2[0] >= r2 > rho2[1]
@@ -152,7 +147,7 @@ def test_threshold_word_splits_the_radius_bound():
     assert m == n_in == int(strata_mask(scn, scn.n_atoms).sum())
     z = _edges(BANDS, R0)
     bounds = {}
-    for shell, band in zip(*np.nonzero(verdict == SKIP)):
+    for shell, band in zip(*np.nonzero(~streamed)):
         a_s = W_COLLECT**2 * (1.0 + (z[band] / scn.signal_mode.rayleigh_z) ** 2)
         a_w = W_WRITE**2 * (1.0 + (z[band] / scn.write_mode.rayleigh_z) ** 2)
         rho2_k = -2.0 * R0**2 * math.log((shell + 1) / SHELLS)
@@ -161,36 +156,76 @@ def test_threshold_word_splits_the_radius_bound():
     assert max(bounds.values()) <= PRUNE_FLOOR
 
 
-def test_tiny_cloud_screens_nothing():
+def test_tiny_cloud_streams_every_cell():
     scn = _scenario(1e-9, n_atoms_override=1000)
-    assert (_cell_table(scn)[0] == WHOLE).all()
+    assert _cell_table(scn)[0].all()
     assert _in_region(scn) == (1000, 1000, 0.0)
 
 
-# The cell verdicts on the atom screen's geometries and the canonical cloud at 2 deg.
-VERDICT_CASES = sorted({(r0, th, w) for r0, own, w in SCREEN_GEOMETRIES
+def _check_skipped_cells(scn, per_cell):
+    """Check every cell scn skips on its first per_cell atoms.
+
+    The cell's bound is at most the table's level and at least each atom's
+    own bound from words 0 and 2 (_atom_bound), |A_j| <= exp(bound) <=
+    PRUNE_FLOOR, and _prune keeps none of the atoms. The first atom of each
+    cell is moved to the cell's edges: its shell's largest u0 (the inner
+    rho) and its band's smallest u2 (the largest Z).
+    """
+    streamed, bound = _cell_table(scn)
+    cells = list(zip(*np.nonzero(~streamed)))
+    if not cells:
+        return
+    raw = np.concatenate([_raw_words(scn.seed, k, b, 0, per_cell) for k, b in cells])
+    raw[::per_cell, 0] |= np.uint64((1 << 58) - 1)
+    raw[::per_cell, 2] &= np.uint64(7 << 61)  # the band bits alone
+    cell_bound = np.repeat(bound[~streamed], per_cell)
+    assert np.all(cell_bound <= LEVEL)
+    assert np.all(_atom_bound(raw, scn) <= cell_bound)
+    a = np.abs(spinwave_amplitude(_sample_words(raw, scn.cloud), scn))
+    assert np.all(a <= np.exp(cell_bound))
+    assert not _prune(_positions(raw, scn.cloud.sigma_r0), scn)[0].any()
+
+
+# The cell verdicts on the geometries above and the canonical cloud at 2 deg.
+VERDICT_CASES = sorted({(r0, th, w) for r0, own, w in GEOMETRIES
                         for th in (own, 4.0, 10.0)} | {(R0, 2.0, W_COLLECT)})
 
 
 @pytest.mark.parametrize("r0, theta_deg, w_signal", VERDICT_CASES)
 def test_cell_verdicts_hold_for_every_atom(r0, theta_deg, w_signal):
-    # 2^9 atoms of every cell: a skipped cell's bound is at most the screen's
-    # level and at least each of its atoms' screen bound, and _prune keeps
-    # none of them; the screen lets every atom of a whole cell through (a
-    # tilted write beam can still put some below PRUNE_FLOOR, for _prune)
+    # 2^9 atoms of every skipped cell: no atom lies above its cell's bound
     scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, seed=3,
                     n_atoms_override=CHUNK_ATOMS)
-    verdict, bound = _cell_table(scn)
-    for shell in range(SHELLS):
-        for band in range(BANDS):
-            raw = _raw_words(scn.seed, shell, band, 0, 1 << 9)
-            if verdict[shell, band] == SKIP:
-                assert bound[shell, band] <= LEVEL
-                assert np.all(_atom_bound(raw, scn) <= bound[shell, band])
-                assert not _prune(_positions(raw, r0), scn)[0].any()
-            elif verdict[shell, band] == WHOLE:
-                survive, d = _screen_atoms(_radii(raw), r0, scn)
-                assert survive.all() and d == 0.0
+    _check_skipped_cells(scn, 1 << 9)
+
+
+# Geometries drawn from a seeded generator over r0 10 um - 2 mm, write and
+# collection waists 10 um - 1 mm (each log-uniform) and tilt 0 - 10 deg.
+_DRAW = np.random.default_rng(38)
+DRAWN_CASES = [(float(r0), float(w_write), float(w_collect), float(theta)) for r0, w_write,
+               w_collect, theta in zip(10.0 ** _DRAW.uniform(-5.0, math.log10(2e-3), 96),
+                                       10.0 ** _DRAW.uniform(-5.0, -3.0, 96),
+                                       10.0 ** _DRAW.uniform(-5.0, -3.0, 96),
+                                       _DRAW.uniform(0.0, 10.0, 96))]
+
+
+def _drawn_scenario(r0, w_write, w_collect, theta_deg):
+    return make_scenario(SPECIES, r0, TEMP, w_write, w_collect, w_collect,
+                         skew_theta=math.radians(theta_deg), storage_tm=100e-6, seed=3,
+                         n_atoms_override=CHUNK_ATOMS)
+
+
+def test_the_drawn_geometries_skip_and_stream_cells():
+    # most drawn cases skip some cells and stream others, so that the cell
+    # bound is checked at the edge between the two
+    tables = [_cell_table(_drawn_scenario(*case))[0] for case in DRAWN_CASES]
+    assert sum(bool(t.any() and not t.all()) for t in tables) >= 50
+
+
+@pytest.mark.parametrize("r0, w_write, w_collect, theta_deg", DRAWN_CASES,
+                         ids=[f"drawn{i}" for i in range(len(DRAWN_CASES))])
+def test_cell_bound_holds_on_drawn_geometries(r0, w_write, w_collect, theta_deg):
+    _check_skipped_cells(_drawn_scenario(r0, w_write, w_collect, theta_deg), 1 << 7)
 
 
 def _block_words(seed, count, shell, lo, hi):
@@ -203,8 +238,8 @@ def _block_words(seed, count, shell, lo, hi):
             np.repeat([part[0] for part in parts], [part[2] - part[1] for part in parts]))
 
 
-def _unscreened_partial(scenario, raw, r):
-    """(Re S1, Im S1, SXX, S2, D, n_kept) of atoms with words raw at positions r, unscreened."""
+def _direct_partial(scenario, raw, r):
+    """(Re S1, Im S1, SXX, S2, D, n_kept) of atoms with words raw at positions r, _prune alone."""
     keep, dropped = _prune(r, scenario)
     sample = _sample_words(raw[keep], scenario.cloud)
     a = spinwave_amplitude(sample, scenario)
@@ -215,7 +250,7 @@ def _unscreened_partial(scenario, raw, r):
     return (s1.real, s1.imag, sxx, s2, dropped, len(sample))
 
 
-def _unscreened_eta_worker(task):
+def _direct_eta_worker(task):
     """The block sums of any block of any shell, from the public per-atom functions.
 
     For each scenario: the partial over every atom of the block, over the
@@ -226,8 +261,8 @@ def _unscreened_eta_worker(task):
     r = _positions(raw, scenarios[0].cloud.sigma_r0)
     out = []
     for scenario in scenarios:
-        streamed = _cell_table(scenario)[0][shell][band] != SKIP
-        out.append(tuple(_unscreened_partial(scenario, raw[mask], r[mask])
+        streamed = _cell_table(scenario)[0][shell][band]
+        out.append(tuple(_direct_partial(scenario, raw[mask], r[mask])
                          for mask in (np.ones_like(streamed), streamed, ~streamed)))
     return out
 
@@ -241,7 +276,7 @@ def _shell_tasks(seed, count, block):
 
 def _streamed_shell_counts(scenarios, seed, count):
     """The atom counts of the shells in which some scenario streams a cell."""
-    streamed = np.any([(_cell_table(scn)[0] != SKIP).any(axis=1) for scn in scenarios], axis=0)
+    streamed = np.any([_cell_table(scn)[0].any(axis=1) for scn in scenarios], axis=0)
     return cell_counts(seed, count).sum(axis=1)[streamed]
 
 
@@ -270,16 +305,16 @@ def test_stream_keeps_the_bits_of_an_unscreened_pass(small_blocks, small_chunks,
     got = _eta_stream(list(scenarios), threads=threads)
     assert all(c > SMALL_CHUNK for c in _streamed_shell_counts(scenarios, 11, STREAMED))
     tasks = _shell_tasks(11, STREAMED, SMALL_CHUNK)
-    ref = list(zip(*[_unscreened_eta_worker((scenarios, *t)) for t in tasks]))
+    ref = list(zip(*[_direct_eta_worker((scenarios, *t)) for t in tasks]))
     for scn, total, parts in zip(scenarios, got, ref):
         every, streamed, skipped = zip(*parts)
         assert all(n_kept == 0 for *_, n_kept in skipped)
         # the in-order sum over every block of every cell, bit for bit: the
-        # skipped cells keep no atom; D, which bounds the screened atoms,
-        # bounds the exact one over the streamed cells
+        # skipped cells keep no atom, and D is the exact one over the
+        # streamed cells
         ref_every = _in_order_sum(every)
         assert total[:4] + total[5:] == ref_every[:4] + ref_every[5:]
-        assert _in_order_sum(streamed)[4] <= total[4]
+        assert _in_order_sum(streamed)[4] == total[4]
         # the skipped cells' D is the bound of the estimate, not their own sum
         region = _in_region(scn)
         assert sum(part[4] for part in skipped) <= region[2]
@@ -346,26 +381,20 @@ def _atom_bound(raw, scn):
 def _block_d(scn, shell, lo, hi):
     """A block's D over the atoms of the scenario's streamed cells, recomputed.
 
-    _prune's sum over the atoms the screen lets through (every atom of a
-    whole cell), plus exp(bound) over the others; None when the block holds
-    none of those atoms.
+    _prune's exact sum |A_j| over the ones it drops; None when the block
+    holds none of those atoms.
     """
     raw, band = _block_words(scn.seed, _streamed_count(scn), shell, lo, hi)
-    verdict = _cell_table(scn)[0][shell][band]
-    if (verdict == SKIP).all():
+    streamed = _cell_table(scn)[0][shell][band]
+    if not streamed.any():
         return None
-    raw, verdict = raw[verdict != SKIP], verdict[verdict != SKIP]
-    bound = _atom_bound(raw, scn)
-    survive = (verdict == WHOLE) | (bound > LEVEL)
-    _, exact = _prune(_positions(raw[survive], scn.cloud.sigma_r0), scn)
-    return (exact + float(np.sum(np.exp(bound[~survive]))),)
+    return (_prune(_positions(raw[streamed], scn.cloud.sigma_r0), scn)[1],)
 
 
 def _streamed_blocks(scn, block):
     """The (shell, lo, hi) of the blocks that hold an atom of the scenario's streamed cells."""
     return [t for t in _shell_tasks(scn.seed, _streamed_count(scn), block)
-            if (_cell_table(scn)[0][t[0]][_block_words(scn.seed, _streamed_count(scn), *t)[1]]
-                != SKIP).any()]
+            if _cell_table(scn)[0][t[0]][_block_words(scn.seed, _streamed_count(scn), *t)[1]].any()]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -380,7 +409,7 @@ def test_stream_folds_each_chunk_block_by_block(small_blocks, job, threads):
     got = _eta_stream(scenarios, threads=threads)
     for scn, total in zip(scenarios, got):
         blocks = _streamed_blocks(scn, block)
-        ref = _in_order_sum([_unscreened_eta_worker(((scn,), *t))[0][1] for t in blocks])
+        ref = _in_order_sum([_direct_eta_worker(((scn,), *t))[0][1] for t in blocks])
         # the (shell, block)-order sum of the block partials over the streamed
         # cells, bit for bit, and D the same fold of each block's recomputed D
         assert total[:4] + total[5:] == ref[:4] + ref[5:]
@@ -420,15 +449,15 @@ def test_groups_that_keep_different_atoms_share_each_block_bit_for_bit(small_blo
     # keep different atoms of one block (on the canonical cloud, every tilt
     # from 1 to 30 deg streams the same cells), and a twin of the 2 deg
     # scenario at 4x the temperature keeps the same atoms with other
-    # velocities: a block draws the bands some scenario streams, its radii
-    # and positions are shared, the kept atoms' velocities are mapped once
-    # per velocity spread, and each total must be the one streamed alone.
+    # velocities, in a stream of its own: a block draws the bands that some
+    # scenario of its stream streams, its radii, positions and kept atoms'
+    # velocities are shared, and each total must be the one streamed alone.
     tilts = [_scenario(1e-4, th, storage_tm=100e-6, target_od=24.7, mc_atoms=STREAMED,
                        seed=11) for th in (0.0, 2.0, 4.0, 10.0)]
     twin = replace(tilts[1], cloud=replace(tilts[1].cloud, temperature_t=4.0 * TEMP))
     scenarios = tilts + [twin]
     small_blocks(SMALL_BLOCK)
-    streamed = [_cell_table(scn)[0] != SKIP for scn in scenarios]
+    streamed = [_cell_table(scn)[0] for scn in scenarios]
     assert len({table.tobytes() for table in streamed}) == 4  # the tilts stream different cells
     # and in some shell the 10 deg scenario streams bands that the 4 deg one,
     # which streams that shell too, skips: their shared blocks draw both
@@ -459,7 +488,7 @@ def test_a_task_carries_only_the_groups_that_stream_a_cell_of_its_chunk(
     monkeypatch.setattr(retrieval, "_eta_worker", recording_worker)
     _eta_stream(scenarios, threads=1)
     counts = cell_counts(5, 100_000)
-    streamed = [_cell_table(scn)[0] != SKIP for scn in scenarios]
+    streamed = [_cell_table(scn)[0] for scn in scenarios]
 
     def held(shell, lo, hi):
         """Which bands of the shell hold an atom of the chunk [lo, hi)."""
@@ -470,8 +499,8 @@ def test_a_task_carries_only_the_groups_that_stream_a_cell_of_its_chunk(
     for groups, shell, bands, lo, hi, _ in tasks:
         assert bands == tuple(counts[shell].tolist()) and hi - lo <= chunk
         for row, idx, _ in groups:
-            assert ((row != SKIP) == streamed[idx[0]][shell]).all()
-            assert ((row != SKIP) & held(shell, lo, hi)).any()
+            assert (row == streamed[idx[0]][shell]).all()
+            assert (row & held(shell, lo, hi)).any()
         carried[shell, lo] = [i for _, idx, _ in groups for i in idx]
     expected = {}
     for shell in range(SHELLS):
@@ -524,110 +553,11 @@ def test_chunk_size_moves_no_bit(small_blocks, small_chunks):
     assert all(got == fields[block, 1] for got in fields.values())
 
 
-# The screen geometries, each at its own tilt and at 4 and 10 deg.
-ATOM_SCREEN_CASES = sorted({(r0, th, w) for r0, own, w in SCREEN_GEOMETRIES
-                            for th in (own, 4.0, 10.0)})
-
-
-@pytest.mark.parametrize("r0, theta_deg, w_signal", ATOM_SCREEN_CASES)
-def test_atom_screen_rejects_only_atoms_the_mask_drops(r0, theta_deg, w_signal):
-    scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, seed=3,
-                    n_atoms_override=CHUNK_ATOMS)
-    screened_cells = zip(*np.nonzero(_cell_table(scn)[0] == SCREEN))
-    raw = np.concatenate([_raw_words(scn.seed, shell, band, 0, 1 << 12)
-                          for shell, band in screened_cells])
-    survive, d = _screen_atoms(_radii(raw), r0, scn)
-    keep, _ = _prune(_positions(raw, r0), scn)
-    assert (~survive).any()
-    assert not (keep & ~survive).any()
-    # each screened atom's bound, recomputed, bounds its |A_j| and sums to D
-    screened = np.exp(_atom_bound(raw[~survive], scn))
-    a = np.abs(spinwave_amplitude(_sample_words(raw[~survive], scn.cloud), scn))
-    assert np.all(a <= screened)
-    assert np.all(screened <= PRUNE_FLOOR)
-    assert d == pytest.approx(float(np.sum(screened)), rel=1e-12, abs=0.0)
-
-
-@pytest.mark.parametrize("theta_deg", [0.0, 4.0])
-def test_threshold_words_split_the_atom_screen(theta_deg):
-    scn = _scenario(theta_deg=theta_deg, n_atoms_override=10)
-    # word 2 at u2 = 1/2 puts Z = r0 sqrt(2 ln 2); words 1 and 3 at their
-    # smallest uniform put the atom at y = 0 and z = Z
-    z = R0 * math.sqrt(2.0 * math.log(2.0))
-    raw = np.zeros((2, 6), dtype=np.uint64)
-    raw[:, 2] = np.uint64(1 << 63)
-    for row, target in enumerate((LEVEL * (1.0 - 1e-9), LEVEL * (1.0 + 1e-9))):
-        lo, hi = 0.0, 8.0 * R0  # the bound falls as rho grows: bisect for the target
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if _bound(mid, mid, z, scn) > target else (lo, mid)
-        u0 = math.exp(-0.5 * (lo / R0) ** 2)
-        raw[row, 0] = np.uint64(round((u0 * 2.0**53 - 1.0) / 2.0)) << np.uint64(12)
-    assert _atom_bound(raw, scn) == pytest.approx(
-        [LEVEL * (1.0 - 1e-9), LEVEL * (1.0 + 1e-9)], rel=1e-12)
-    survive, d = _screen_atoms(_radii(raw), R0, scn)
-    assert survive.tolist() == [True, False]
-    assert not _prune(_positions(raw, R0), scn)[0][1]
-    a = spinwave_amplitude(_sample_words(raw, scn.cloud), scn)
-    assert abs(a[1]) <= d == pytest.approx(math.exp(LEVEL * (1.0 + 1e-9)), rel=1e-12)
-    assert d < PRUNE_FLOOR
-
-
-# The screen geometries and the canonical cloud at 2 deg.
-SKIP_CASES = SCREEN_GEOMETRIES + [(R0, 2.0, W_COLLECT)]
-
-
-@pytest.mark.parametrize("r0, theta_deg, w_signal", SKIP_CASES)
-def test_atom_screen_is_skipped_only_where_it_screens_nothing(monkeypatch, r0, theta_deg,
-                                                              w_signal):
-    scn = _scenario(r0, theta_deg, w_signal, storage_tm=100e-6, target_od=24.7,
-                    mc_atoms=STREAMED, seed=11)
-    verdict, _ = _cell_table(scn)
-    whole = [(int(k), int(b)) for k, b in zip(*np.nonzero(verdict == WHOLE))]
-    # the cells whose lowest bound, at the outer rho (with the inner one as
-    # the largest |y|) and the smallest Z, recomputed, clears the floor
-    rho, z = _edges(SHELLS, r0), _edges(BANDS, r0)
-    assert whole == [(k, b) for k in range(SHELLS) for b in range(BANDS)
-                     if _bound(rho[k], rho[k + 1], z[b + 1], scn) > math.log(PRUNE_FLOOR)]
-    if (r0, w_signal) == (R0, W_COLLECT):  # the canonical cloud at 0, 2 and 4 deg
-        assert whole
-    for shell, band in whole:
-        # the cell's first atoms and its lowest bound: the smallest u0
-        # (largest rho) of the shell and the largest u2 (smallest Z) of the band
-        raw = _raw_words(scn.seed, shell, band, 0, 1 << 10)
-        worst = raw[:1].copy()
-        worst[0, 0] = np.uint64(shell << 58)
-        worst[0, 2] = np.uint64((band << 61) | ((1 << 61) - 1))
-        survive, d = _screen_atoms(_radii(np.concatenate([worst, raw])), r0, scn)
-        assert survive.all() and d == 0.0
-
-    # the stream screens the atoms of the screened cells only, and keeps
-    # every bit of a pass that screens the whole cells too
-    screened = set()
-
-    def recording_screen(rad, *args):
-        u0, u2 = np.exp(-0.5 * rad**2)  # each atom's cell, from its radii
-        screened.update(zip((u0 * SHELLS).astype(int).tolist(), (u2 * BANDS).astype(int).tolist()))
-        return _screen_atoms(rad, *args)
-
-    def screening_whole_cells(scenario):
-        verdict, bound = _cell_table(scenario)
-        return np.where(verdict == WHOLE, SCREEN, verdict), bound
-
-    monkeypatch.setattr(retrieval, "_screen_atoms", recording_screen)
-    (skipped,) = _eta_stream([scn], threads=1)
-    held = cell_counts(scn.seed, STREAMED) > 0
-    assert screened == {(int(k), int(b)) for k, b in zip(*np.nonzero((verdict == SCREEN) & held))}
-    monkeypatch.setattr(retrieval, "_cell_table", screening_whole_cells)
-    (every,) = _eta_stream([scn], threads=1)
-    assert np.asarray(skipped).tobytes() == np.asarray(every).tobytes()
-
-
 def _cells_d0(scn, counts):
     """Sum of |A_j| bounds of the streamed count's atoms in the skipped cells, recomputed."""
-    verdict, _ = _cell_table(scn)
+    streamed, _ = _cell_table(scn)
     return sum(counts[k, b] * math.exp(_cell_bound(scn, k, b))
-               for k, b in zip(*np.nonzero(verdict == SKIP)))
+               for k, b in zip(*np.nonzero(~streamed)))
 
 
 @pytest.mark.parametrize("theta_deg", [0.0, 2.0, 10.0])
@@ -653,9 +583,9 @@ def test_a_block_that_keeps_no_atom_adds_only_its_d():
     scn = canonical_scenario()
     # the lowest shell the scenario streams streams its band 0 alone, and
     # keeps no atom at 0 deg
-    verdict = _cell_table(scn)[0]
-    shell = int(np.flatnonzero((verdict != SKIP).any(axis=1))[0])
-    assert (verdict[shell] != SKIP).tolist() == [True] + [False] * (BANDS - 1)
+    streamed = _cell_table(scn)[0]
+    shell = int(np.flatnonzero(streamed.any(axis=1))[0])
+    assert streamed[shell].tolist() == [True] + [False] * (BANDS - 1)
     bands = tuple(cell_counts(scn.seed, scn.n_atoms)[shell].tolist())
     assert bands[0] > 3 * BLOCK_ATOMS
 
@@ -663,7 +593,7 @@ def test_a_block_that_keeps_no_atom_adds_only_its_d():
         raise AssertionError("projected a block that keeps no atom")
 
     starts = range(0, 3 * BLOCK_ATOMS, BLOCK_ATOMS)
-    blocks = _eta_worker((((verdict[shell], (0,), (scn,)),), shell, bands, 0,
+    blocks = _eta_worker((((streamed[shell], (0,), (scn,)),), shell, bands, 0,
                           3 * BLOCK_ATOMS, project))
     assert len(blocks) == len(starts)
     for b, partials in zip(starts, blocks):

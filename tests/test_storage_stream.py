@@ -98,8 +98,9 @@ def test_programming_errors_propagate(monkeypatch, axis, method):
 
 
 def test_job_rebuilds_the_amplitudes_when_the_velocity_spread_changes():
-    # No sweep axis moves the temperature, but one stream may serve scenarios
-    # that differ only there: each must be drifted with its own velocities.
+    # No sweep axis moves the temperature, but one call may hold scenarios
+    # that differ only there: each velocity spread is a stream of its own,
+    # so each is drifted with its own velocities.
     base = canonical_scenario(skew_theta=math.radians(2.0), storage_tm=100e-6,
                               mc_atoms=20_000, seed=3)
     hot = replace(base, cloud=replace(base.cloud, temperature_t=4.0 * base.cloud.temperature_t))
@@ -112,8 +113,9 @@ def test_job_rebuilds_the_amplitudes_when_the_velocity_spread_changes():
 
 def test_one_call_groups_interleaved_scenarios_into_their_streams(created_pools):
     # Two seeds and two cloud widths, interleaved: the stream groups them by
-    # (seed, width, streamed count) itself and returns one total per scenario,
-    # in input order, each the total it gets streamed alone.
+    # (seed, width, velocity spread, streamed count) itself and returns one
+    # total per scenario, in input order, each the total it gets streamed
+    # alone.
     def point(seed, r0, theta_deg):
         return make_scenario(SPECIES, r0, TEMP, W_WRITE, W_COLLECT, W_COLLECT,
                              skew_theta=math.radians(theta_deg), storage_tm=50e-6,

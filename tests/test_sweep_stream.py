@@ -59,7 +59,7 @@ def test_sweep_rows_match_per_point_estimates(small_blocks, small_chunks, case, 
         assert row.etas == expected
         assert row.n_atoms == point.n_atoms
         streamed.add(retrieval._streamed_count(point))
-        firsts.add((retrieval._cell_table(point)[0] != retrieval.SKIP).tobytes())
+        firsts.add(retrieval._cell_table(point)[0].tobytes())
     assert all(n > 64 * SMALL_CHUNK for n in streamed)
     assert len(streamed) == (3 if case == "optical_depth_full" else 1)
     # the values of one job fold from different streamed cells
