@@ -56,6 +56,21 @@ class BeamMode:
         return 0.5 * self.wavenumber_k * self.waist_w0**2
 
 
+def _mode_terms(mode: BeamMode, rho2, z):
+    """A mode's envelope exponent, spread, curvature phase and Gouy phase at rho^2 and z.
+
+    (-rho^2 / (w0^2 u), sqrt(u), k rho^2 z / (2 (z^2 + zr^2)), atan(z/zr))
+    with u = 1 + z^2/zr^2; the curvature is the form of k rho^2/(2R) that is
+    smooth at the focus. Floats or arrays that broadcast. Every mode
+    profile composes these: transverse_amplitude, the idler projection and
+    the lobe table's source grid and x width (ire_sim.retrieval).
+    """
+    zr = mode.rayleigh_z
+    u = 1.0 + (z / zr) ** 2
+    return (-rho2 / (mode.waist_w0**2 * u), np.sqrt(u),
+            mode.wavenumber_k * rho2 * z / (2.0 * (z * z + zr * zr)), np.arctan(z / zr))
+
+
 def transverse_amplitude(mode: BeamMode, x, y, z):
     """Complex transverse mode profile at (x, y, z) in the mode's own frame.
 
@@ -64,26 +79,20 @@ def transverse_amplitude(mode: BeamMode, x, y, z):
         1 / sqrt(1+z^2/zr^2) * exp(-rho^2 / (w0^2 (1+z^2/zr^2)))
            * exp(i [k rho^2/(2 R(z)) - psi(z)])
 
-    with rho^2 = x^2 + y^2, for a mode propagating along +z. The longitudinal
-    plane-wave factor e^{ikz} is deliberately not included here; the
-    retrieval formulas attach their own longitudinal phases.
-
-    The curvature term is evaluated in the singularity-free form
-    k rho^2 z / (2 (z^2 + zr^2)), which equals k rho^2/(2R) for z != 0 and
-    vanishes smoothly at the focal plane; the phase factor is cis's.
+    with rho^2 = x^2 + y^2, for a mode propagating along +z, composed from
+    _mode_terms; the phase factor is cis's. The longitudinal plane-wave
+    factor e^{ikz} is deliberately not included here; the retrieval
+    formulas attach their own longitudinal phases.
 
     Accepts scalars or numpy arrays (broadcast together).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    zr = mode.rayleigh_z
-    k = mode.wavenumber_k
-    u = 1.0 + (z / zr) ** 2
-    rho2 = x * x + y * y
-    envelope = np.exp(-rho2 / (mode.waist_w0**2 * u)) / np.sqrt(u)
-    phase = k * rho2 * z / (2.0 * (z * z + zr * zr)) - np.arctan(z / zr)
-    out = envelope * cis(phase)
+    exponent, spread, curvature, gouy = _mode_terms(mode, x * x + y * y, z)
+    envelope = np.exp(exponent) / spread
+    del exponent, spread
+    out = envelope * cis(curvature - gouy)
     if out.ndim == 0:
         return complex(out)
     return out

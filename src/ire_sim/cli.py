@@ -176,12 +176,12 @@ def _load(args):
 KERNEL_UFUNCS = ("tan", "exp", "log", "arctan", "sin", "cos")
 
 
-def _stream_record(threads: int, streamed_in_region) -> dict:
+def _stream_record(threads: int, atoms_in_strata) -> dict:
     """The meta keys that say which stream made a result.
 
     numpy does not promise the same Generator.multinomial draws across its
     versions (NEP 19), and those draws set how many atoms each of the
-    shells x bands cells holds; streamed_in_region counts the atoms of the
+    shells x bands cells holds; atoms_in_strata counts the atoms of the
     run's strata (retrieval._in_region): every cell the run streamed, and
     the cells whose bound clears 1e-18 that it skips at PRUNE_FLOOR.
     numpy also picks each ufunc's SIMD target at import, from the CPU and
@@ -198,7 +198,7 @@ def _stream_record(threads: int, streamed_in_region) -> dict:
     return {"threads": threads, "chunk_atoms": CHUNK_ATOMS, "block_atoms": BLOCK_ATOMS,
             "bands": BANDS, "numpy_version": np.__version__, "kernel_backend": backend,
             "blas": f"{blas['name']} {blas['version']}", "shells": SHELLS,
-            "prune_floor": PRUNE_FLOOR, "streamed_in_region": streamed_in_region}
+            "prune_floor": PRUNE_FLOOR, "atoms_in_strata": atoms_in_strata}
 
 
 def _print_report(report: dict) -> None:
@@ -248,7 +248,7 @@ def _setup(doc, scenario: Scenario, axis=None, values=()):
         raise ConfigError(f"[run] grid_*: {exc}") from None
 
 
-def _write_run_record(args, doc, name: str, own: dict, report: dict, streamed, result: dict):
+def _write_run_record(args, doc, name: str, own: dict, report: dict, in_strata, result: dict):
     """Write the run record `name` (a *_meta.txt) into the output directory; return its path.
 
     One `key=value` line per entry, in order: package_version, the config
@@ -263,7 +263,7 @@ def _write_run_record(args, doc, name: str, own: dict, report: dict, streamed, r
         {key.name: getattr(doc, key.name) for key in fields(doc)},
         own,
         {key: value for key, value in report.items() if key not in ("seed", "mc_atoms")},
-        _stream_record(args.threads, streamed),
+        _stream_record(args.threads, in_strata),
         result,
         {"timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()},
     )
@@ -328,7 +328,7 @@ def _cmd_sweep(args) -> int:
     own = {"axis": args.sweep, "values": ",".join(_g9(v) for v in values),
            "replicates": args.replicates}
     _write_run_record(args, doc, "sweep_meta.txt", own, resolution_report(scenario),
-                      ",".join(str(row.n_streamed) for row in rows),
+                      ",".join(str(row.n_in_strata) for row in rows),
                       {"prune_bound": ",".join(str(row.prune_bound) for row in rows)})
     print(f"wrote {csv_path}")
     if all(row.error is not None for row in rows):

@@ -101,7 +101,7 @@ class SweepRow:
     Descriptor columns are the resolved per-row values (the write-axis OD is
     recomputed from the row's cloud, so an optical_depth sweep shows its
     round trip). On failure, error holds the message, etas is empty, and the
-    aggregates are NaN. n_streamed is the number of atoms the row's
+    aggregates are NaN. n_in_strata is the number of atoms the row's
     estimates rest on: those of the value's strata (retrieval._in_region),
     summed over the replicates (0 for a failed row). prune_bound is the
     largest EtaEstimate.prune_bound over the replicates (NaN for a failed
@@ -120,7 +120,7 @@ class SweepRow:
     etas: tuple[float, ...]
     seed_base: int
     error: str | None = None
-    n_streamed: int = 0
+    n_in_strata: int = 0
     prune_bound: float = math.nan
 
 
@@ -231,7 +231,7 @@ def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> li
             etas = tuple(est.eta for est in estimates[i])
             rows.append(SweepRow(*desc.values(), scenario.n_atoms, spec.method, spec.replicates,
                                  *aggregate(etas), etas, spec.base.seed,
-                                 n_streamed=sum(m for m, _, _ in regions[i]),
+                                 n_in_strata=sum(m for m, _, _ in regions[i]),
                                  prune_bound=max(est.prune_bound for est in estimates[i])))
     return rows
 

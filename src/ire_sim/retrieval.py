@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BeamMode, cis, skew_transform, transverse_amplitude
+from .beams import BeamMode, _mode_terms, cis, skew_transform, transverse_amplitude
 from .ensemble import (
     BANDS,
     SHELLS,
@@ -380,26 +380,22 @@ def idler_projection(sample: AtomSample, scenario: Scenario) -> np.ndarray:
 
     The phases are the conjugate of the backward collection mode (a
     projection), so they carry the forward sense; c_P = sqrt(2)/(k_i W_i)
-    calibrates the single-atom-at-focus efficiency to 2/(k_i W_i)^2.
+    calibrates the single-atom-at-focus efficiency to 2/(k_i W_i)^2. The
+    mode's terms are beams._mode_terms, as in transverse_amplitude.
     """
     if sample.r_drifted is None:
         raise ValueError("drift must be applied before projecting (r_drifted is None)")
     kn = wavenumbers(scenario.species)
     idler = scenario.idler_mode
-    w_i, z_i = idler.waist_w0, idler.rayleigh_z
     ct = math.cos(scenario.skew_theta)
     st = math.sin(scenario.skew_theta)
     x, y, z = sample.r_drifted[:, 0], sample.r_drifted[:, 1], sample.r_drifted[:, 2]
-    u = 1.0 + (z / z_i) ** 2
-    rho2 = x * x + y * y
-    c_p = math.sqrt(2.0) / (kn.k_i * w_i)
-    env = c_p * np.exp(-rho2 / (w_i * w_i * u)) / np.sqrt(u)
-    phase = (
-        kn.k_i * z
-        + kn.k_i * rho2 * z / (2.0 * (z * z + z_i * z_i))
-        - np.arctan(z / z_i)
-        - kn.k_r * (y * st + z * ct)
-    )
+    exponent, spread, curvature, gouy = _mode_terms(idler, x * x + y * y, z)
+    c_p = math.sqrt(2.0) / (kn.k_i * idler.waist_w0)
+    env = c_p * np.exp(exponent) / spread
+    del exponent, spread
+    phase = kn.k_i * z + curvature - gouy - kn.k_r * (y * st + z * ct)
+    del curvature, gouy
     return env * cis(phase)
 
 
@@ -787,8 +783,8 @@ def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
 # reference with every density and floor 2x finer and a +-9 r0 box, C of
 # the canonical cloud is within 1e-10 relative at 0 deg / 0 us and at
 # 2 deg / 100 and 200 us (measured: <= 8e-13), where the lobe is 91 %,
-# 57 % and 1 % of the denominator. A cold table takes 4-10 ms at 0-4 deg
-# on one BLAS thread, 0.9-1.5 ms of it in leggauss.
+# 57 % and 1 % of the denominator. A cold table takes 2.3-4.3 ms at 0-4
+# deg on one BLAS thread, 0.3-0.6 ms of it in leggauss.
 _LOBE_THETA_SPACING = 1.575e-3
 _LOBE_N_THETA_MIN = 48
 _LOBE_PHI_PER_CAP = 12.0
@@ -848,11 +844,10 @@ def _lobe_table(
     product, on (levels, n_z, columns) arrays: the x factors, the z sums
     (one stacked product, which makes the same vector-matrix BLAS call per
     level as a level alone) and the rows of weight and q2. Every phase
-    factor, and the x factor's e^{i Im}, is cis's.
+    factor, and the x factor's e^{i Im}, is cis's. The source grid (A_j at
+    x = 0) and the x width compose the modes' beams._mode_terms.
     """
-    w_w, w_s = write.waist_w0, signal.waist_w0
-    z_w, z_s = write.rayleigh_z, signal.rayleigh_z
-    w_eff = 1.0 / math.sqrt(1.0 / w_w**2 + 1.0 / w_s**2)
+    w_eff = 1.0 / math.sqrt(1.0 / write.waist_w0**2 + 1.0 / signal.waist_w0**2)
     th_cap = abs(theta) + 12.0 / (kn.k_i * w_eff)
     n_theta = max(_LOBE_N_THETA_MIN, int(math.ceil(th_cap / _LOBE_THETA_SPACING)))
     n_phi = max(_LOBE_N_PHI_MIN, 2 * int(math.ceil(_LOBE_PHI_PER_CAP * th_cap / 0.0502 / 2.0)))
@@ -875,39 +870,33 @@ def _lobe_table(
     ys = np.linspace(-y_max, y_max, _LOBE_N_Y)
     dz = zs[1] - zs[0]
     dy = ys[1] - ys[0]
-    zg, yg = np.meshgrid(zs, ys, indexing="ij")
-    zt = yg * st + zg * ct
-    yt = yg * ct - zg * st
-    uw = 1.0 + (zt / z_w) ** 2
-    us = 1.0 + (zg / z_s) ** 2
-    # term by term, in place, so that few grid-sized temporaries live at once
-    env = np.exp(-(yt**2) / (w_w**2 * uw))
-    env /= np.sqrt(uw)
-    env *= np.exp(-(yg**2) / (w_s**2 * us))
-    env /= np.sqrt(us)
+    # the source at x = 0 on the (n_z, n_y) grid of column zg and row ys:
+    # A_j's write and signal terms, one mode at a time, density, read phase
+    zg = zs[:, None]
+    zt = ys * st + zg * ct
+    exponent, spread, curvature, gouy = _mode_terms(write, (ys * ct - zg * st) ** 2, zt)
+    env = np.exp(exponent) / spread
+    ph = kn.k_w * zt + curvature - gouy
+    del exponent, spread, curvature, gouy
+    exponent, spread, curvature, gouy = _mode_terms(signal, ys**2, zg)
+    env *= np.exp(exponent)
+    env /= spread
     env *= n0
-    env *= np.exp(-(yg**2 + zg**2) / (2.0 * r0 * r0))
-    del uw, us
-    ph = kn.k_w * zt
-    ph += kn.k_w * yt**2 * zt / (2.0 * (zt**2 + z_w**2))
-    ph -= np.arctan(zt / z_w)
+    env *= np.exp(-(ys**2 + zg**2) / (2.0 * r0 * r0))
     ph -= kn.k_s * zg
-    ph -= kn.k_s * yg**2 * zg / (2.0 * (zg**2 + z_s**2))
-    ph += np.arctan(zg / z_s)
+    ph -= curvature
+    ph += gouy
     ph -= kn.k_r * zt
-    del zg, yg, zt, yt
+    del exponent, spread, curvature, gouy, zt
     base = cis(ph)
     base *= env
     del env, ph
 
-    # x-direction Gaussian width (complex: envelopes + curvature), on axis
-    zt0 = zs * ct
-    uw0 = 1.0 + (zt0 / z_w) ** 2
-    us0 = 1.0 + (zs / z_s) ** 2
-    beta = (1.0 / (w_w**2 * uw0) + 1.0 / (w_s**2 * us0) + 1.0 / (2.0 * r0 * r0)).astype(complex)
-    beta -= 1j * (
-        kn.k_w * zt0 / (2.0 * (zt0**2 + z_w**2)) - kn.k_s * zs / (2.0 * (zs**2 + z_s**2))
-    )
+    # the x-direction Gaussian width beta, on axis: exponents and curvatures at rho^2 = 1
+    ex_w, _, curv_w, _ = _mode_terms(write, 1.0, zs * ct)
+    ex_s, _, curv_s, _ = _mode_terms(signal, 1.0, zs)
+    beta = (-ex_w - ex_s + 1.0 / (2.0 * r0 * r0)).astype(complex)
+    beta -= 1j * (curv_w - curv_s)
     xfac0 = np.sqrt(np.pi / beta)[:, None]
     inv_4beta = (0.25 / beta)[:, None]
 

@@ -95,7 +95,7 @@ def test_eta_writes_csv_and_meta(small_ini, tmp_path, capsys):
     assert meta["shells"] == str(SHELLS)
     scn = canonical_scenario(n_atoms_override=20000)
     streamed = _in_region(scn)[0]  # the atoms of the scenario's strata
-    assert meta["streamed_in_region"] == str(streamed)
+    assert meta["atoms_in_strata"] == str(streamed)
     assert 0 < int(meta["n_kept"]) <= streamed < 20000
     # and what the skip can move eta by, beside the amplitude it dropped
     assert keys.index("prune_bound") == keys.index("dropped_amplitude") + 1
@@ -190,7 +190,7 @@ def test_sweep_meta_records_threads_and_prune_floor(small_ini, tmp_path, monkeyp
     # one count per value: the tilt moves the streamed cells
     streamed = [_in_region(canonical_scenario(n_atoms_override=20000, skew_theta=np.radians(d)))[0]
                 for d in (0.0, 2.0)]
-    assert meta["streamed_in_region"] == ",".join(map(str, streamed))
+    assert meta["atoms_in_strata"] == ",".join(map(str, streamed))
     assert streamed[0] < streamed[1]
     bounds = [eta_paraxial(canonical_scenario(n_atoms_override=20000,
                                               skew_theta=np.radians(d))).prune_bound
@@ -429,7 +429,7 @@ def test_every_meta_opens_with_the_version_and_closes_with_the_time(
         keys = list(meta)
         assert keys[0] == "package_version" and meta["package_version"] == __version__
         assert keys[-1] == "timestamp_utc"
-        assert "config_path" in keys and "streamed_in_region" in keys
+        assert "config_path" in keys and "atoms_in_strata" in keys
         # the stream's layout: chunks of the shells, blocks of the chunks, and
         # the bands of each shell, right after the block size
         assert (meta["chunk_atoms"], meta["block_atoms"]) == (str(CHUNK_ATOMS), str(BLOCK_ATOMS))
@@ -442,7 +442,7 @@ def test_heatmap_meta_records_the_stream(angular_ini, tmp_path, capsys):
     capsys.readouterr()
     meta = read_meta(tmp_path / "o" / "heatmap_meta.txt")
     streamed = _in_region(canonical_scenario(n_atoms_override=3000))[0]
-    assert meta["streamed_in_region"] == str(streamed)
+    assert meta["atoms_in_strata"] == str(streamed)
     assert 0 < int(meta["n_kept"]) <= streamed < 3000
 
 

@@ -130,6 +130,21 @@ def test_half_angle_tangent_lives_in_beams():
     assert found == []
 
 
+def test_gouy_phase_lives_in_beams():
+    # beams._mode_terms is the package's one set of Gaussian-mode terms: the
+    # idler projection and the lobe table's source grid take their Gouy
+    # phases from it, so no other module names np.arctan.
+    found = []
+    for path in sorted((ROOT / "src" / "ire_sim").glob("*.py")):
+        if path.name == "beams.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "arctan"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_normals_take_their_trig_from_cos_sin():
     # The sampler's Box-Muller normals take each angle's cos and sin from
     # beams._cos_sin, the package's one half-angle tangent: ensemble.py

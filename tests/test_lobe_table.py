@@ -11,43 +11,28 @@ import math
 import numpy as np
 import pytest
 
-from ire_sim import coherent_lobe_power, thermal_velocity_sigma, wavenumbers
+from ire_sim import (
+    AtomSample,
+    coherent_lobe_power,
+    spinwave_amplitude,
+    thermal_velocity_sigma,
+    wavenumbers,
+)
 from ire_sim import retrieval
 
 from conftest import canonical_scenario
 
 
-def node_by_node_lobe(scenario, n_z=128, n_y=128):
-    """The lobe quadrature as one mat-vec per cap node, with its own node counts."""
+def formula_source(scenario, zg, yg):
+    """The lobe's (z, y) source at x = 0 from this module's own copy of the mode formulas."""
     kn = wavenumbers(scenario.species)
-    cloud = scenario.cloud
     w_w = scenario.write_mode.waist_w0
     w_s = scenario.signal_mode.waist_w0
     z_w = scenario.write_mode.rayleigh_z
     z_s = scenario.signal_mode.rayleigh_z
-    theta = scenario.skew_theta
-    tm = scenario.storage_tm
-    sig_v = thermal_velocity_sigma(cloud)
-    w_eff = 1.0 / math.sqrt(1.0 / w_w**2 + 1.0 / w_s**2)
-    th_cap = abs(theta) + 12.0 / (kn.k_i * w_eff)
-    n_theta = max(48, int(math.ceil(th_cap / 1.575e-3)))
-    n_phi = max(24, 2 * int(math.ceil(12.0 * th_cap / 0.0502 / 2.0)))
-    ct, st = math.cos(theta), math.sin(theta)
-    r0 = cloud.sigma_r0
-    n0 = cloud.peak_density_n0
-
-    xg, wg = np.polynomial.legendre.leggauss(n_theta)
-    thp = 0.5 * th_cap * (xg + 1.0)
-    wth = 0.5 * th_cap * wg * np.sin(thp)
-    phig = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-
-    y_max = 6.615 * w_eff
-    zs = np.linspace(-7.0 * r0, 7.0 * r0, n_z)
-    ys = np.linspace(-y_max, y_max, n_y)
-    dz = zs[1] - zs[0]
-    dy = ys[1] - ys[0]
-    zg, yg = np.meshgrid(zs, ys, indexing="ij")
+    ct, st = math.cos(scenario.skew_theta), math.sin(scenario.skew_theta)
+    r0 = scenario.cloud.sigma_r0
+    n0 = scenario.cloud.peak_density_n0
     zt = yg * st + zg * ct
     yt = yg * ct - zg * st
     uw = 1.0 + (zt / z_w) ** 2
@@ -67,7 +52,59 @@ def node_by_node_lobe(scenario, n_z=128, n_y=128):
         + np.arctan(zg / z_s)
         - kn.k_r * zt
     )
-    base = env * np.exp(1j * ph)
+    return env * np.exp(1j * ph)
+
+
+def spinwave_source(scenario, zg, yg):
+    """The same source from the stream's own A_j: spinwave_amplitude at x = 0.
+
+    A_j times the cloud density and the read drive's phase
+    e^{-i k_r (y sin + z cos)}.
+    """
+    kn = wavenumbers(scenario.species)
+    ct, st = math.cos(scenario.skew_theta), math.sin(scenario.skew_theta)
+    r0 = scenario.cloud.sigma_r0
+    r = np.stack([np.zeros_like(zg), yg, zg], axis=-1).reshape(-1, 3)
+    a = spinwave_amplitude(AtomSample(r, np.zeros_like(r)), scenario).reshape(zg.shape)
+    density = scenario.cloud.peak_density_n0 * np.exp(-(yg**2 + zg**2) / (2.0 * r0 * r0))
+    return a * density * np.exp(-1j * kn.k_r * (yg * st + zg * ct))
+
+
+def node_by_node_lobe(scenario, source=formula_source, n_z=128, n_y=128):
+    """The lobe quadrature as one mat-vec per cap node, with its own node counts.
+
+    source(scenario, zg, yg) gives the complex (z, y) source on the (n_z, n_y)
+    trapezoid grid.
+    """
+    kn = wavenumbers(scenario.species)
+    cloud = scenario.cloud
+    w_w = scenario.write_mode.waist_w0
+    w_s = scenario.signal_mode.waist_w0
+    z_w = scenario.write_mode.rayleigh_z
+    z_s = scenario.signal_mode.rayleigh_z
+    theta = scenario.skew_theta
+    tm = scenario.storage_tm
+    sig_v = thermal_velocity_sigma(cloud)
+    w_eff = 1.0 / math.sqrt(1.0 / w_w**2 + 1.0 / w_s**2)
+    th_cap = abs(theta) + 12.0 / (kn.k_i * w_eff)
+    n_theta = max(48, int(math.ceil(th_cap / 1.575e-3)))
+    n_phi = max(24, 2 * int(math.ceil(12.0 * th_cap / 0.0502 / 2.0)))
+    ct, st = math.cos(theta), math.sin(theta)
+    r0 = cloud.sigma_r0
+
+    xg, wg = np.polynomial.legendre.leggauss(n_theta)
+    thp = 0.5 * th_cap * (xg + 1.0)
+    wth = 0.5 * th_cap * wg * np.sin(thp)
+    phig = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    wphi = 2.0 * np.pi / n_phi
+
+    y_max = 6.615 * w_eff
+    zs = np.linspace(-7.0 * r0, 7.0 * r0, n_z)
+    ys = np.linspace(-y_max, y_max, n_y)
+    dz = zs[1] - zs[0]
+    dy = ys[1] - ys[0]
+    zg, yg = np.meshgrid(zs, ys, indexing="ij")
+    base = source(scenario, zg, yg)
     zt0 = zs * ct
     uw0 = 1.0 + (zt0 / z_w) ** 2
     us0 = 1.0 + (zs / z_s) ** 2
@@ -106,6 +143,15 @@ def test_table_matches_node_by_node_quadrature(theta_deg, tm_us):
     scn = canonical_scenario(skew_theta=math.radians(theta_deg), storage_tm=tm_us * 1e-6)
     expect = node_by_node_lobe(scn)
     assert coherent_lobe_power(scn) == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+
+# The node-by-node quadrature of the stream's own A_j: the lobe integrates
+# the spin wave that the estimators sum, to within rounding of the grid.
+@pytest.mark.parametrize("theta_deg, tm_us", [(0.0, 0.0), (2.0, 100.0), (4.0, 200.0)])
+def test_table_integrates_the_streamed_spin_wave(theta_deg, tm_us):
+    scn = canonical_scenario(skew_theta=math.radians(theta_deg), storage_tm=tm_us * 1e-6)
+    expect = node_by_node_lobe(scn, spinwave_source)
+    assert coherent_lobe_power(scn) == pytest.approx(expect, rel=1e-11, abs=0.0)
 
 
 def test_cached_table_gives_the_cold_bits():
