@@ -65,7 +65,6 @@ from .retrieval import (
     eta_paraxial,
     idler_projection,
     make_scenario,
-    resolve_threads,
     spinwave_amplitude,
     wavenumbers,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "scenario_for_value",
     "skew_transform",
     "sphere_norm",
-    "resolve_threads",
     "spinwave_amplitude",
     "idler_projection",
     "thermal_velocity_sigma",

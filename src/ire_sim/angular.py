@@ -277,7 +277,6 @@ def field_from_atoms(
     k_r: float,
     k_i: float,
     grid: AngularGrid,
-    seed: int = 0,
 ) -> AngularField:
     """Emitted field of explicitly given stored amplitudes and positions.
 
@@ -298,7 +297,7 @@ def field_from_atoms(
         values=field / math.sqrt(4.0 * math.pi),
         source_s2=s2,
         n_atoms=positions.shape[0],
-        seed=seed,
+        seed=0,
         n_kept=len(positions),
     )
 
@@ -336,9 +335,7 @@ def _as_field(scenario: Scenario, total, d0: float) -> AngularField:
     )
 
 
-def angular_field(
-    scenario: Scenario, grid: AngularGrid, threads: int | None = None
-) -> AngularField:
+def angular_field(scenario: Scenario, grid: AngularGrid, threads: int = 1) -> AngularField:
     """Emitted field of the scenario's full ensemble on the grid.
 
     The one-scenario case of the paraxial estimator's stream (_eta_stream):
@@ -380,7 +377,7 @@ def _default_grid(scenario: Scenario) -> AngularGrid:
 
 
 def eta_angular(
-    scenario: Scenario, grid: AngularGrid | None = None, threads: int | None = None
+    scenario: Scenario, grid: AngularGrid | None = None, threads: int = 1
 ) -> EtaEstimate:
     """Retrieval efficiency through the angular reference path.
 

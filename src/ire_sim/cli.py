@@ -51,11 +51,9 @@ from .retrieval import (
     BLOCK_ATOMS,
     CHUNK_ATOMS,
     PRUNE_FLOOR,
-    THREADS_ENV_VAR,
     Scenario,
     _eta_stream,
     _in_region,
-    resolve_threads,
     wavenumbers,
 )
 
@@ -92,8 +90,8 @@ configuration:
   microseconds. --seed, --method, and --mc-atoms override the [run] block.
 
 threads:
-  --threads N, else the IRE_SIM_THREADS environment variable, else 1.
-  Results are bit-identical for every thread count.
+  --threads N worker processes (default 1). Results are bit-identical for
+  every thread count.
 """
 
 
@@ -102,8 +100,8 @@ def _add_common(sub: argparse.ArgumentParser, out_dir: bool = True) -> None:
                      help="INI configuration file")
     sub.add_argument("--seed", default=None, metavar="U64",
                      help="override [run] seed")
-    sub.add_argument("--threads", type=int, default=None, metavar="N",
-                     help="worker processes (default: IRE_SIM_THREADS or 1)")
+    sub.add_argument("--threads", type=int, default=1, metavar="N",
+                     help="worker processes (default 1)")
     if out_dir:
         sub.add_argument("--out", default="ire_sim_out", metavar="DIR",
                          help="output directory (default: ire_sim_out)")
@@ -162,11 +160,8 @@ def _load(args):
             updates[name] = _read_key(name, raw, "--" + name.replace("_", "-"))
     if updates:
         doc = replace(doc, **updates)
-    source = "--threads" if args.threads is not None else THREADS_ENV_VAR
-    try:
-        args.threads = resolve_threads(args.threads)
-    except ValueError:
-        raise ConfigError(f"{source} must be an integer >= 1") from None
+    if args.threads < 1:
+        raise ConfigError("--threads must be an integer >= 1")
     scenario = build_scenario(doc)
     return doc, scenario
 

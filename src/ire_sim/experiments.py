@@ -171,7 +171,7 @@ def _descriptors(scenario: Scenario) -> dict[str, float]:
     }
 
 
-def run_sweep(spec: SweepSpec, threads: int | None = None, make_grid=None) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, threads: int = 1, make_grid=None) -> list[SweepRow]:
     """Run every sweep value; a value that fails becomes an error row, not an abort.
 
     Only ValueError and ArithmeticError become error rows; any other

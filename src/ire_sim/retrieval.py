@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -100,8 +99,6 @@ BLOCK_ATOMS = 1 << 14
 # Atoms per pool task: a whole number of blocks of one shell. Like the
 # thread count, it only sets how the blocks are farmed out, and moves no bit.
 CHUNK_ATOMS = 1 << 20
-
-THREADS_ENV_VAR = "IRE_SIM_THREADS"
 
 # An atom whose stored amplitude |A_j| is at most PRUNE_FLOOR (1 is the
 # largest |A| any position can have) is skipped before the per-atom
@@ -510,17 +507,6 @@ def draw_sample(scenario: Scenario, n: int | None = None) -> AtomSample:
     return drift(sample, scenario.storage_tm)
 
 
-def resolve_threads(threads: int | None) -> int:
-    """Thread count: explicit argument, else IRE_SIM_THREADS, else 1."""
-    if threads is None:
-        env = os.environ.get(THREADS_ENV_VAR, "").strip()
-        threads = int(env) if env else 1
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError("thread count must be >= 1")
-    return threads
-
-
 def _paraxial_sums(a, sample, scenario) -> tuple[float, float, float]:
     """The paraxial projection: Re S1, Im S1, SXX of x_j = A_j P_j after the storage time."""
     x = a * idler_projection(drift(sample, scenario.storage_tm), scenario)
@@ -701,7 +687,7 @@ def _add(total, part):
     return total[:head] + tuple(t + p for t, p in zip(total[head:], part))
 
 
-def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
+def _eta_stream(scenarios, threads: int = 1, project=_paraxial_sums):
     """Each scenario's block partials, summed in ascending (shell, block) order.
 
     Scenarios with the same seed, cloud width sigma_r0, velocity spread
@@ -721,7 +707,8 @@ def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
     streamed no atom): the total it gets streamed alone, bit-identical for
     every thread count and chunk size.
     """
-    threads = resolve_threads(threads)
+    if threads < 1:
+        raise ValueError("thread count must be >= 1")
     # (seed, sigma_r0, velocity spread, streamed count) -> {group key: indices}
     streams: dict[tuple, dict] = {}
     for i, s in enumerate(scenarios):
@@ -755,7 +742,7 @@ def _eta_stream(scenarios, threads=None, project=_paraxial_sums):
         return add_up(pool.map(_eta_worker, tasks, chunksize=1))
 
 
-def eta_paraxial(scenario: Scenario, threads: int | None = None) -> EtaEstimate:
+def eta_paraxial(scenario: Scenario, threads: int = 1) -> EtaEstimate:
     """Streaming paraxial estimate of the retrieval efficiency.
 
     Streams the cells that can hold an atom above PRUNE_FLOOR in blocks of

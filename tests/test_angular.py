@@ -101,6 +101,31 @@ def test_fiber_mode_is_normalized_and_backward(default_grid):
     assert np.all(g[forward_nodes] == 0.0)
 
 
+# Grid settings drawn from a seeded generator: n_cap, n_base and n_phi
+# 8 - 256, cap_mult 5 - 40, k_i w_i 50 - 2000 (log-uniform).
+_DRAW = np.random.default_rng(41)
+DRAWN_GRIDS = list(zip(_DRAW.integers(8, 257, 64).tolist(), _DRAW.integers(8, 257, 64).tolist(),
+                       _DRAW.integers(8, 257, 64).tolist(), _DRAW.uniform(5.0, 40.0, 64).tolist(),
+                       (10.0 ** _DRAW.uniform(math.log10(50.0), math.log10(2000.0), 64)).tolist()))
+
+
+def test_drawn_grids_weigh_the_sphere_and_normalize_the_fiber_mode():
+    # on every drawn setting build_grid accepts: the node weights sum to
+    # 4 pi, and sum w |g|^2 = 1
+    built = 0
+    for n_cap, n_base, n_phi, cap_mult, kw in DRAWN_GRIDS:
+        try:
+            grid = build_grid(KN.k_i, kw / KN.k_i, n_cap=n_cap, n_base=n_base, n_phi=n_phi,
+                              cap_mult=cap_mult)
+        except ValueError:
+            continue
+        built += 1
+        w, g = grid.node_weight, fiber_mode(grid)
+        assert float(np.sum(w)) == pytest.approx(4.0 * math.pi, rel=1e-9)
+        assert float(np.sum(w * g * g)) == pytest.approx(1.0, abs=1e-13)
+    assert built >= 50
+
+
 def test_single_atom_at_origin(default_grid):
     # A unit emitter at the origin radiates isotropically: |F| = (4 pi)^-1/2
     # everywhere, and the collection efficiency is the exact one-atom value.
@@ -324,9 +349,7 @@ def test_chunking_does_not_change_the_field(small_grid, small_blocks, small_chun
     kept = AtomSample(sample.r_initial[keep], sample.velocity[keep], sample.r_drifted[keep])
     assert len(kept) == streamed.n_kept
     amps = spinwave_amplitude(kept, scn)
-    direct = field_from_atoms(
-        amps, kept.r_drifted, scn.skew_theta, KN.k_r, KN.k_i, small_grid, seed=scn.seed
-    )
+    direct = field_from_atoms(amps, kept.r_drifted, scn.skew_theta, KN.k_r, KN.k_i, small_grid)
     np.testing.assert_allclose(direct.values, streamed.values, rtol=1e-12, atol=1e-14)
     assert direct.source_s2 == pytest.approx(streamed.source_s2, rel=1e-12)
 

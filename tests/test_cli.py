@@ -15,8 +15,7 @@ from ire_sim.cli import ANGULAR_MAX_ATOMS, ETA_CSV_COLUMNS, KERNEL_UFUNCS, _writ
 from ire_sim.config import _read_key
 from ire_sim.ensemble import BANDS, SHELLS
 from ire_sim.experiments import SWEEP_CSV_COLUMNS
-from ire_sim.retrieval import (BLOCK_ATOMS, CHUNK_ATOMS, PRUNE_FLOOR, THREADS_ENV_VAR,
-                                _in_region)
+from ire_sim.retrieval import BLOCK_ATOMS, CHUNK_ATOMS, PRUNE_FLOOR, _in_region
 
 from conftest import CANONICAL_INI, canonical_scenario, read_meta
 
@@ -173,12 +172,11 @@ def test_sweep_writes_csv(small_ini, tmp_path, capsys):
     assert read_meta(out_dir / "sweep_meta.txt")["prune_bound"] == ",".join(map(str, bounds))
 
 
-def test_sweep_meta_records_threads_and_prune_floor(small_ini, tmp_path, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "2")
+def test_sweep_meta_records_threads_and_prune_floor(small_ini, tmp_path):
     out_dir = tmp_path / "o"
     rc = main(
         ["sweep", "--config", small_ini, "--sweep", "skew_angle",
-         "--values", "0,2", "--replicates", "1", "--out", str(out_dir)]
+         "--values", "0,2", "--replicates", "1", "--threads", "2", "--out", str(out_dir)]
     )
     assert rc == 0
     meta = (out_dir / "sweep_meta.txt").read_text().splitlines()
@@ -270,8 +268,7 @@ def test_sweep_all_rows_failing_exits_nonzero(small_ini, tmp_path, capsys):
     assert "row failed" in printed
 
 
-def test_angular_writes_rasters(angular_ini, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+def test_angular_writes_rasters(angular_ini, tmp_path, capsys):
     out_dir = tmp_path / "o"
     rc = main(["angular", "--config", angular_ini, "--out", str(out_dir)])
     printed = capsys.readouterr().out
@@ -314,18 +311,6 @@ def test_ini_grid_that_build_grid_rejects_is_a_usage_error(command, tmp_path, ca
     assert captured.out == ""
     assert "grid" in captured.err
     assert not (out_dir / "sweep.csv").exists()
-
-
-def test_angular_env_thread_count_is_equivalent(angular_ini, tmp_path, capsys, monkeypatch):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.delenv("IRE_SIM_THREADS", raising=False)
-    assert main(["angular", "--config", angular_ini, "--out", str(out_a),
-                 "--threads", "1"]) == 0
-    monkeypatch.setenv("IRE_SIM_THREADS", "3")
-    assert main(["angular", "--config", angular_ini, "--out", str(out_b)]) == 0
-    capsys.readouterr()
-    for name in ("heatmap_sphere.csv", "heatmap_cap.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -145,6 +145,21 @@ def test_gouy_phase_lives_in_beams():
     assert found == []
 
 
+def test_the_package_reads_no_environment_variable():
+    # Every setting of a run is an argument or an INI key, so the run record
+    # names all of them: no module under src/ire_sim names os.environ,
+    # os.getenv or environ.
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted((ROOT / "src" / "ire_sim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or (
+                node.name if isinstance(node, ast.alias) else None)
+            if name in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_normals_take_their_trig_from_cos_sin():
     # The sampler's Box-Muller normals take each angle's cos and sin from
     # beams._cos_sin, the package's one half-angle tangent: ensemble.py

@@ -7,7 +7,9 @@ EtaEstimate and AngularField state: |dS1| <= c_P D,
 bound on eta they give, EtaEstimate.prune_bound.
 """
 
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,11 +33,12 @@ from ire_sim import (
 from ire_sim import angular, retrieval
 from ire_sim.cli import main as cli_main
 from ire_sim.ensemble import cell_counts
-from ire_sim.retrieval import CHUNK_ATOMS, _cell_table, _in_region, _prune
+from ire_sim.retrieval import CHUNK_ATOMS, _cell_table, _estimate, _eta_stream, _in_region, _prune
 
 from conftest import (
     CANONICAL_INI,
     SPECIES,
+    TEMP,
     W_COLLECT,
     W_WRITE,
     canonical_scenario,
@@ -259,3 +262,95 @@ def test_eta_lies_within_prune_bound_of_the_estimate_at_the_old_floor(
         assert est.n_kept < old.n_kept
         assert 0.0 < est.prune_bound <= 1e-7
         assert abs(est.eta - old.eta) <= est.prune_bound
+
+
+# Clouds drawn from a seeded generator over r0 10 um - 2 mm, write and
+# collection waists 10 um - 1 mm (each log-uniform), tilt 0 - 10 deg,
+# storage 0 - 300 us and 500 - 4000 atoms; each is also subsampled to a
+# quarter of its atoms.
+_DRAW = np.random.default_rng(41)
+DRAWN_CLOUDS = list(zip((10.0 ** _DRAW.uniform(-5.0, math.log10(2e-3), 56)).tolist(),
+                        (10.0 ** _DRAW.uniform(-5.0, -3.0, 56)).tolist(),
+                        (10.0 ** _DRAW.uniform(-5.0, -3.0, 56)).tolist(),
+                        _DRAW.uniform(0.0, 10.0, 56).tolist(),
+                        _DRAW.uniform(0.0, 300e-6, 56).tolist(),
+                        _DRAW.integers(500, 4001, 56).tolist()))
+
+
+def _eta_from_sums(scn, region, lobe, s, sxx, s2):
+    """The estimate's formula on |S1| = s, SXX and S2, with region's m and N_in and lobe C (N-1)/N."""
+    m, n_in, _ = region
+    if scn.mc_atoms is None:
+        return s * s / (s2 + lobe)
+    offdiag = (s * s - sxx) / (m * (m - 1))
+    return (n_in * n_in * max(offdiag, 0.0) + n_in * sxx / m) / (s2 * n_in / m + lobe)
+
+
+def _spread(eta_of, s, sxx, s2, ds, dxx, ds2):
+    """Largest |eta_of(s', x', s2') - eta_of(s, sxx, s2)| over |s' - s| <= ds, |x' - sxx| <= dxx
+    and |s2' - s2| <= ds2.
+
+    eta_of rises with s and falls with s2, and in x it is convex with its
+    one kink at x = s^2, so its extremes lie at the ends of x's range or at
+    that kink.
+    """
+    def xs(s_):
+        return (sxx - dxx, sxx + dxx, min(max(s_ * s_, sxx - dxx), sxx + dxx))
+
+    eta = eta_of(s, sxx, s2)
+    low = max(s - ds, 0.0)
+    top = max(eta_of(s + ds, x, s2 - ds2) for x in xs(s + ds))
+    bottom = min(eta_of(low, x, s2 + ds2) for x in xs(low))
+    return max(top - eta, eta - bottom)
+
+
+def test_estimates_meet_their_stated_bounds_with_the_dropped_atoms_put_back():
+    # Put every dropped atom back: sums taken directly over every atom of the
+    # streamed count move from the stream's by at most what EtaEstimate
+    # states, and eta by at most prune_bound. The direct sums add the atoms
+    # in another order, so each bound allows 4 n eps sum |term|, and eta the
+    # formula's spread over those allowances.
+    runs = {"full": 0, "subsample": 0}
+    dropped = 0
+    for r0, w_write, w_collect, theta_deg, storage_tm, n_atoms in DRAWN_CLOUDS:
+        full = make_scenario(SPECIES, r0, TEMP, w_write, w_collect, w_collect,
+                             skew_theta=math.radians(theta_deg), storage_tm=storage_tm, seed=7,
+                             n_atoms_override=n_atoms)
+        c_p = math.sqrt(2.0) / (KN.k_i * w_collect)
+        lobe = coherent_lobe_power(full) * (n_atoms - 1) / n_atoms
+        for scn in (full, replace(full, mc_atoms=n_atoms // 4)):
+            count = scn.mc_atoms or n_atoms
+            region = _in_region(scn)
+            [total] = _eta_stream([scn])
+            try:
+                est = _estimate(scn, total, region)
+            except ArithmeticError:  # no atom cleared the floor, or m < 2
+                continue
+            runs["full" if scn is full else "subsample"] += 1
+            dropped += scn is full and est.n_kept < count
+            d = est.dropped_amplitude
+            sample = draw_sample(scn, count)
+            a = spinwave_amplitude(sample, scn)
+            x = a * idler_projection(sample, scn)
+            s1 = complex(np.sum(x))
+            sxx = float(np.sum(x.real**2 + x.imag**2))
+            s2 = float(np.sum(a.real**2 + a.imag**2))
+            allow = 4.0 * count * EPS
+            assert abs(s1 - complex(*total[:2])) <= c_p * d + allow * float(np.sum(np.abs(x)))
+            assert -allow * sxx <= sxx - total[2] <= c_p**2 * PRUNE_FLOOR * d + allow * sxx
+            assert -allow * s2 <= s2 - total[3] <= PRUNE_FLOOR * d + allow * s2
+            # the direct sums' rounding moves eta0 by at most the formula's spread over it
+            eta_of = functools.partial(_eta_from_sums, scn, region, lobe)
+            rounding = _spread(eta_of, abs(s1), sxx, s2, allow * float(np.sum(np.abs(x))),
+                               allow * sxx, allow * s2)
+            assert abs(eta_of(abs(s1), sxx, s2) - est.eta) <= est.prune_bound + rounding
+            # the angular field of the first six clouds that drop an atom
+            if scn is full and est.n_kept < count and dropped <= 6:
+                grid = build_grid(KN.k_i, w_collect, n_cap=48, n_base=32, n_phi=24)
+                oracle = field_from_atoms(a, sample.r_drifted, scn.skew_theta, KN.k_r, KN.k_i,
+                                          grid)
+                moved = np.max(np.abs(oracle.values - angular_field(scn, grid).values))
+                sqrt_4pi = math.sqrt(4.0 * math.pi)
+                assert moved <= (d + allow * float(np.sum(np.abs(a)))) / sqrt_4pi
+    assert min(runs.values()) >= 50
+    assert dropped >= runs["full"] / 2

@@ -17,7 +17,6 @@ from ire_sim import (
     eta_paraxial,
     idler_projection,
     make_scenario,
-    resolve_threads,
     sample_atoms,
     spinwave_amplitude,
     transverse_amplitude,
@@ -29,7 +28,6 @@ from ire_sim.ensemble import _GAUSS_VOLUME, ATOMIC_MASS_UNIT, cell_counts
 from ire_sim.retrieval import (
     BLOCK_ATOMS,
     CHUNK_ATOMS,
-    THREADS_ENV_VAR,
     _add,
     _eta_worker,
     _in_region,
@@ -458,26 +456,14 @@ def test_lobe_power_scales_with_density_squared():
     assert c2 / c1 == pytest.approx(4.0, rel=1e-12)
 
 
-def test_resolve_threads_precedence(monkeypatch, canonical_ini_file, capsys):
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    assert resolve_threads(None) == 1
-    assert resolve_threads(7) == 7
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    assert resolve_threads(None) == 3
-    assert resolve_threads(2) == 2  # explicit argument wins
+def test_a_thread_count_below_one_is_refused(canonical_ini_file, capsys):
     with pytest.raises(ValueError):
-        resolve_threads(0)
-    monkeypatch.setenv(THREADS_ENV_VAR, "-2")
-    with pytest.raises(ValueError):
-        resolve_threads(None)
+        eta_paraxial(canonical_scenario(n_atoms_override=2000), threads=0)
     # the CLI turns a bad count into a usage error before printing anything
-    for env, flags, named in (("3", ["--threads", "0"], "--threads"),
-                              ("two", [], THREADS_ENV_VAR)):
-        monkeypatch.setenv(THREADS_ENV_VAR, env)
-        assert cli_main(["eta", "--config", canonical_ini_file, *flags]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert named in err
+    assert cli_main(["eta", "--config", canonical_ini_file, "--threads", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--threads" in err
 
 
 def test_draw_sample_returns_the_atoms_of_the_stream():

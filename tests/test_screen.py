@@ -209,6 +209,18 @@ DRAWN_CASES = [(float(r0), float(w_write), float(w_collect), float(theta)) for r
                                        _DRAW.uniform(0.0, 10.0, 96))]
 
 
+# Steep tilts on narrow write beams, drawn over r0 30 um - 2 mm, write
+# waists 10 - 40 um, collection waists 10 um - 1 mm (each log-uniform) and
+# tilt 45 - 70 deg: there y |sin theta| nears the write beam's Rayleigh
+# length, and _ln_bound's largest-|y| term decides some cells' verdicts.
+_STEEP = np.random.default_rng(41)
+STEEP_CASES = [(float(r0), float(w_write), float(w_collect), float(theta)) for r0, w_write,
+               w_collect, theta in zip(10.0 ** _STEEP.uniform(-4.5, math.log10(2e-3), 32),
+                                       10.0 ** _STEEP.uniform(-5.0, -4.4, 32),
+                                       10.0 ** _STEEP.uniform(-5.0, -3.0, 32),
+                                       _STEEP.uniform(45.0, 70.0, 32))]
+
+
 def _drawn_scenario(r0, w_write, w_collect, theta_deg):
     return make_scenario(SPECIES, r0, TEMP, w_write, w_collect, w_collect,
                          skew_theta=math.radians(theta_deg), storage_tm=100e-6, seed=3,
@@ -222,10 +234,44 @@ def test_the_drawn_geometries_skip_and_stream_cells():
     assert sum(bool(t.any() and not t.all()) for t in tables) >= 50
 
 
-@pytest.mark.parametrize("r0, w_write, w_collect, theta_deg", DRAWN_CASES,
-                         ids=[f"drawn{i}" for i in range(len(DRAWN_CASES))])
+@pytest.mark.parametrize("r0, w_write, w_collect, theta_deg", DRAWN_CASES + STEEP_CASES,
+                         ids=[f"drawn{i}" for i in range(len(DRAWN_CASES + STEEP_CASES))])
 def test_cell_bound_holds_on_drawn_geometries(r0, w_write, w_collect, theta_deg):
     _check_skipped_cells(_drawn_scenario(r0, w_write, w_collect, theta_deg), 1 << 7)
+
+
+def _ln_amplitude(x, y, z, scn):
+    """ln|A_j| at initial positions (x, y, z), by _prune's formula."""
+    w, s = scn.write_mode, scn.signal_mode
+    ct, st = math.cos(scn.skew_theta), math.sin(scn.skew_theta)
+    uw = 1.0 + ((y * st + z * ct) / w.rayleigh_z) ** 2
+    us = 1.0 + (z / s.rayleigh_z) ** 2
+    yt = y * ct - z * st
+    return (-(x * x + yt * yt) / (w.waist_w0**2 * uw) - (x * x + y * y) / (s.waist_w0**2 * us)
+            - 0.5 * np.log(uw * us))
+
+
+def test_the_largest_y_term_holds_on_the_cells_it_decides():
+    # Some cells of the steep cases are streamed only because the bound
+    # takes the outer rho as the largest |y|: with the inner rho there, the
+    # table would skip them. On a dense grid of each such cell's positions
+    # (rho between its edges x azimuth x |z| up to its largest Z, about 10^6
+    # points), ln|A_j| stays at or below the cell's bound.
+    decided = 0
+    for case in STEEP_CASES:
+        scn = _drawn_scenario(*case)
+        rho, z = _edges(SHELLS, scn.cloud.sigma_r0), _edges(BANDS, scn.cloud.sigma_r0)
+        streamed, bound = _cell_table(scn)
+        cells = [(k, b) for k, b in zip(*np.nonzero(streamed))
+                 if _bound(rho[k + 1], rho[k + 1], z[b], scn) <= LEVEL]
+        decided += bool(cells)
+        for k, b in cells:
+            r = np.linspace(rho[k + 1], rho[k], 100)[:, None, None]
+            phi = np.linspace(-math.pi, math.pi, 101)[:, None]
+            zs = np.linspace(-z[b], z[b], 101)
+            top = np.max(_ln_amplitude(r * np.cos(phi), r * np.sin(phi), zs, scn))
+            assert top <= bound[k, b]
+    assert decided >= 5
 
 
 def _block_words(seed, count, shell, lo, hi):
